@@ -360,8 +360,8 @@ fn live_workspace_is_violation_free() {
     );
     assert_eq!(
         analysis.unsafe_inventory.len(),
-        2,
-        "unsafe surface is pinned to the AVX micro-kernel: {:?}",
+        3,
+        "unsafe surface is pinned to the two AVX GEMM kernels: {:?}",
         analysis.unsafe_inventory
     );
     assert!(analysis

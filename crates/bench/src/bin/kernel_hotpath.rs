@@ -13,13 +13,21 @@
 //!   row of inner products, the way `qk-gram` tile workers and `qk-serve`
 //!   batch workers run it.
 //!
+//! One more row puts two threads on one shared `&CpuBackend` at χ = 4
+//! over 64 sites (the paper's d = 1 regime, and how `qk-gram` and
+//! `qk-serve` workers hold the backend): `shared_backend_scaling_chi4`
+//! is 2-thread pairs/s over 1-thread pairs/s. It sits near 2 while the
+//! backend is stateless and well under 1.5 when every GEMM call writes a
+//! shared cache line; on a one-core host it says nothing, so the run
+//! prints `available_parallelism` beside it.
+//!
 //! Every cell cross-checks the two paths to 1e-12 (relative); `--smoke`
 //! runs a seconds-level sweep whose only job is that assertion (CI runs
 //! it on every push). Results land in `results/BENCH_kernel.json`.
 //!
 //! Usage:
 //!   cargo run --release -p qk-bench --bin kernel_hotpath -- \
-//!     [--chis 8,16,32,64,128] [--batch 16] [--smoke]
+//!     [--chis 2,4,8,16,32,64,128] [--batch 16] [--smoke]
 
 use qk_bench::schema::{BenchMeta, BenchResult, Direction};
 use qk_bench::Args;
@@ -30,6 +38,7 @@ use qk_tensor::matrix::gemm_unblocked_reference;
 use qk_tensor::svd::{svd, Svd};
 use qk_tensor::tensor::Tensor;
 use std::hint::black_box;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// The pre-PR CPU backend: serial unblocked GEMM with the per-element
@@ -110,6 +119,49 @@ fn time_per_call<F: FnMut()>(mut f: F, min_total: Duration, max_reps: usize) -> 
     t0.elapsed() / reps
 }
 
+/// Pairs per second of `threads` workers that share `be`, each carrying
+/// its own workspace through `rounds` passes over `others` — the way a
+/// Gram pool holds the backend. Workers start together on a barrier; the
+/// second value is each worker's checksum (the bits of its running sum
+/// of fidelities), equal across workers and thread counts.
+fn shared_backend_pairs_per_s(
+    threads: usize,
+    rounds: usize,
+    a: &Mps,
+    others: &[Mps],
+    be: &CpuBackend,
+) -> (f64, Vec<u64>) {
+    let gate = Barrier::new(threads + 1);
+    let (elapsed, sums) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut ws = ZipperWorkspace::new();
+                    black_box(a.inner_into(&mut ws, be, &others[0])); // warm-up
+                    gate.wait();
+                    let mut sum = 0.0f64;
+                    for _ in 0..rounds {
+                        for other in others {
+                            sum +=
+                                black_box(a.inner_into(&mut ws, be, black_box(other))).norm_sqr();
+                        }
+                    }
+                    sum.to_bits()
+                })
+            })
+            .collect();
+        gate.wait();
+        let t0 = Instant::now();
+        let sums: Vec<u64> = workers
+            .into_iter()
+            .map(|w| w.join().expect("shared-backend worker panicked"))
+            .collect();
+        (t0.elapsed(), sums)
+    });
+    let pairs = (threads * rounds * others.len()) as f64;
+    (pairs / elapsed.as_secs_f64().max(1e-12), sums)
+}
+
 struct Row {
     chi: usize,
     old_single_ns: u64,
@@ -124,9 +176,9 @@ fn main() {
     let args = Args::from_env();
     let smoke = args.flag("smoke");
     let default_chis: &[usize] = if smoke {
-        &[8, 16]
+        &[2, 4, 8, 16]
     } else {
-        &[8, 16, 32, 64, 128]
+        &[2, 4, 8, 16, 32, 64, 128]
     };
     let chis: Vec<usize> = match args.get("chis") {
         None => default_chis.to_vec(),
@@ -218,6 +270,40 @@ fn main() {
         });
     }
 
+    // Shared-backend row: χ = 4 over 64 sites. Eight back-to-back
+    // (1 thread, 2 threads) runs of about `min_total / 4` each; the
+    // scaling is the median of the eight ratios, because on a shared host
+    // the clock steps up and down between runs and only neighbours in
+    // time compare.
+    const SHARED_CHI: usize = 4;
+    const SHARED_QUBITS: usize = 64;
+    let a = random_state(SHARED_QUBITS, SHARED_CHI, 0xD3);
+    let others: Vec<Mps> = (0..batch)
+        .map(|i| random_state(SHARED_QUBITS, SHARED_CHI, 0xE5 + i as u64))
+        .collect();
+    let (probe, _) = shared_backend_pairs_per_s(1, 1, &a, &others, &new_be);
+    let rounds = ((probe * min_total.as_secs_f64() / 4.0) as usize / batch).clamp(1, max_reps * 50);
+    let mut best = [0.0f64; 2];
+    let mut ratios = [0.0f64; 8];
+    for ratio in &mut ratios {
+        let (one, alone) = shared_backend_pairs_per_s(1, rounds, &a, &others, &new_be);
+        let (two, shared) = shared_backend_pairs_per_s(2, rounds, &a, &others, &new_be);
+        assert!(
+            shared.iter().all(|&sum| sum == alone[0]),
+            "two threads on one backend diverge from one: {shared:?} vs {alone:?}"
+        );
+        best = [best[0].max(one), best[1].max(two)];
+        *ratio = two / one.max(1e-12);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let shared_scaling = (ratios[3] + ratios[4]) / 2.0;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "shared backend, chi={SHARED_CHI} x {SHARED_QUBITS} sites: up to {:.0} pairs/s on 1 thread, \
+         {:.0} on 2 (median ratio {shared_scaling:.2}x; available_parallelism {cores})",
+        best[0], best[1]
+    );
+
     if smoke {
         println!("kernel_hotpath smoke: new path matches the reference path on every cell");
         return;
@@ -253,5 +339,19 @@ fn main() {
         );
         result.info(&format!("max_rel_dev_chi{chi}"), row.max_rel_dev);
     }
+    // Two workers on one backend must scale like two cores: with the
+    // shared per-call counter this row read 1.03-1.30 where the stateless
+    // backend reads 1.81-1.97 (2 vCPU, five runs each), so 25% of slack
+    // trips on the former. Meaningless on a one-core host — see the
+    // header.
+    result.metric(
+        &format!("shared_backend_scaling_chi{SHARED_CHI}"),
+        shared_scaling,
+        0.25,
+        Direction::Higher,
+    );
+    result.info(&format!("shared_pairs_per_s_t1_chi{SHARED_CHI}"), best[0]);
+    result.info(&format!("shared_pairs_per_s_t2_chi{SHARED_CHI}"), best[1]);
+    result.info("available_parallelism", cores as f64);
     result.write();
 }

@@ -1106,6 +1106,33 @@ mod tests {
     }
 
     #[test]
+    fn tile_on_a_shared_backend_is_bitwise_identical_across_threads() {
+        // The shape the pool runs: one `&CpuBackend`, one workspace and
+        // payload per thread. The barrier puts both threads inside the
+        // tile together, so anything the backend shared between calls
+        // would be contended for here.
+        let st = states(8, 4);
+        let be = CpuBackend::new();
+        let tile = TilePlan::symmetric(st.len(), st.len()).tiles[0];
+        let run = |gate: &std::sync::Barrier| {
+            let mut payload = vec![0.0f64; tile.len()];
+            gate.wait();
+            let mut ws = ZipperWorkspace::new();
+            compute_tile(&tile, JobKind::Train, &st, &st, &be, &mut ws, &mut payload);
+            payload.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let alone = run(&std::sync::Barrier::new(1));
+        let gate = std::sync::Barrier::new(2);
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(|| run(&gate));
+            let second = s.spawn(|| run(&gate));
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert_eq!(first, alone);
+        assert_eq!(second, alone);
+    }
+
+    #[test]
     fn tiled_block_matches_direct() {
         let train = states(7, 3);
         let test = states(4, 3);

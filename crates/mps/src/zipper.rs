@@ -23,11 +23,16 @@
 //! amortizes the buffers across whole Gram tiles and kernel rows.
 //!
 //! **Determinism.** The per-element accumulation order of both GEMMs is
-//! fixed by `qk-tensor`'s kernels independent of blocking, backend or
-//! thread count, so every caller of [`crate::Mps::inner_with`] /
+//! fixed by `qk-tensor`'s kernels independent of path, backend or thread
+//! count: the shape of a step picks the blocked kernel (χ ≥ 13), the
+//! unpacked small AVX kernel (χ ≤ 12, so all of the paper's d = 1 regime)
+//! or, without AVX, the scalar loops, and all three produce the same bits.
+//! So every caller of [`crate::Mps::inner_with`] /
 //! [`crate::Mps::inner_into`] sees bitwise-identical values for the same
 //! operands — the property `qk-gram`'s tile × workers × spill × resume
-//! reproducibility pins rely on.
+//! reproducibility pins rely on. The backend is shared by every worker and
+//! called twice per site, so it must stay free of shared mutable state
+//! (`CpuBackend` is zero-sized).
 
 use qk_tensor::backend::ExecutionBackend;
 use qk_tensor::complex::Complex64;

@@ -14,7 +14,7 @@
 //! Table I observation that CPU and GPU bond dimensions agree.
 
 use crate::complex::Complex64;
-use crate::matrix::{gemm_parallel, gemm_serial};
+use crate::matrix::{gemm_auto, gemm_serial};
 use crate::svd::{svd, svd_parallel, Svd};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -44,7 +44,7 @@ pub trait ExecutionBackend: Send + Sync {
     /// blocked path), so callers never materialize `conj(a)`.
     ///
     /// The default forwards to the serial kernel; backends override to
-    /// count calls and charge their cost model.
+    /// charge their cost model.
     fn gemm_conj_a(
         &self,
         m: usize,
@@ -60,11 +60,6 @@ pub trait ExecutionBackend: Send + Sync {
     /// Thin SVD of a row-major `m x n` matrix.
     fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd;
 
-    /// Number of primitive calls issued so far (diagnostics).
-    fn calls(&self) -> u64 {
-        0
-    }
-
     /// Cumulative *virtual* time of all calls, when the backend is timed
     /// on a simulated device clock. `None` means wall-clock is the right
     /// measure (the CPU backend). Harnesses take deltas of this counter
@@ -75,15 +70,18 @@ pub trait ExecutionBackend: Send + Sync {
 }
 
 /// Serial CPU backend; stands in for the ITensors/EPYC configuration.
+///
+/// Deliberately stateless: every Gram and serve worker shares one
+/// `&CpuBackend` and issues two GEMMs per zipper site, so any shared
+/// mutable field here (a per-call counter, say) is a cache line bouncing
+/// between cores on the hottest path of the pipeline.
 #[derive(Debug, Default)]
-pub struct CpuBackend {
-    calls: AtomicU64,
-}
+pub struct CpuBackend;
 
 impl CpuBackend {
     /// Creates a CPU backend.
     pub fn new() -> Self {
-        Self::default()
+        CpuBackend
     }
 }
 
@@ -101,30 +99,11 @@ impl ExecutionBackend for CpuBackend {
         b: &[Complex64],
         c: &mut [Complex64],
     ) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         gemm_serial(m, k, n, a, b, c);
     }
 
-    fn gemm_conj_a(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[Complex64],
-        b: &[Complex64],
-        c: &mut [Complex64],
-    ) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        crate::matrix::gemm_conj_a(m, k, n, a, b, c);
-    }
-
     fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         svd(m, n, a)
-    }
-
-    fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
     }
 }
 
@@ -203,7 +182,6 @@ impl DeviceModel {
 #[derive(Debug)]
 pub struct AcceleratorBackend {
     model: DeviceModel,
-    calls: AtomicU64,
     virtual_nanos: AtomicU64,
 }
 
@@ -212,7 +190,6 @@ impl AcceleratorBackend {
     pub fn new(model: DeviceModel) -> Self {
         AcceleratorBackend {
             model,
-            calls: AtomicU64::new(0),
             virtual_nanos: AtomicU64::new(0),
         }
     }
@@ -254,10 +231,11 @@ impl ExecutionBackend for AcceleratorBackend {
         b: &[Complex64],
         c: &mut [Complex64],
     ) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         let bytes = (a.len() + b.len() + c.len()) * std::mem::size_of::<Complex64>();
         let t0 = Instant::now();
-        gemm_parallel(m, k, n, a, b, c);
+        // Size-switched like `compress.rs`/`mpo.rs`: a χ = 4 zipper step is
+        // far too small to pay row-chunking set-up. Bitwise equal either way.
+        gemm_auto(m, k, n, a, b, c);
         self.charge(t0.elapsed(), bytes);
     }
 
@@ -270,7 +248,6 @@ impl ExecutionBackend for AcceleratorBackend {
         b: &[Complex64],
         c: &mut [Complex64],
     ) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         let bytes = (a.len() + b.len() + c.len()) * std::mem::size_of::<Complex64>();
         let t0 = Instant::now();
         // Same kernel as the CPU backend: results stay bit-identical
@@ -280,16 +257,11 @@ impl ExecutionBackend for AcceleratorBackend {
     }
 
     fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         let bytes = std::mem::size_of_val(a);
         let t0 = Instant::now();
         let f = svd_parallel(m, n, a);
         self.charge(t0.elapsed(), bytes);
         f
-    }
-
-    fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
     }
 
     fn virtual_clock(&self) -> Option<Duration> {
@@ -359,8 +331,6 @@ mod tests {
         for (x, y) in c1.iter().zip(&c2) {
             assert!(approx_eq(*x, *y, 1e-12));
         }
-        assert_eq!(cpu.calls(), 1);
-        assert_eq!(acc.calls(), 1);
     }
 
     #[test]
@@ -378,8 +348,6 @@ mod tests {
             assert_eq!(x.re.to_bits(), y.re.to_bits());
             assert_eq!(x.im.to_bits(), y.im.to_bits());
         }
-        assert_eq!(cpu.calls(), 1);
-        assert_eq!(acc.calls(), 1);
     }
 
     #[test]
@@ -438,8 +406,10 @@ mod tests {
         let v = model.virtual_cost(Duration::from_micros(400), 0);
         // 400/4 + 100
         assert_eq!(v, Duration::from_micros(200));
-        // CPU backend exposes no virtual clock.
+        // CPU backend exposes no virtual clock — and no state at all: a
+        // field here is shared by every Gram/serve worker on the hot path.
         assert!(CpuBackend::new().virtual_clock().is_none());
+        assert_eq!(std::mem::size_of::<CpuBackend>(), 0);
     }
 
     #[test]

@@ -1,9 +1,17 @@
 //! Dense complex matrix kernels: GEMM and friends.
 //!
 //! All kernels operate on row-major slices (`a` is `m x k`, `b` is `k x n`,
-//! `c` is `m x n`). The workhorse is a cache-blocked, register-tiled
-//! kernel ([`gemm_serial`] / [`gemm_parallel`] / [`gemm_conj_a`] all
-//! dispatch to it above a small-size floor):
+//! `c` is `m x n`). [`gemm_serial`] / [`gemm_parallel`] / [`gemm_conj_a`]
+//! pick one of three paths from the shape alone (and, for the SIMD paths,
+//! the CPU's AVX bit):
+//!
+//! | shape | path |
+//! |---|---|
+//! | `m, n, k >= 4` and `m*k*n >= 4096` | blocked: packed panels + `4 x 4` register tile |
+//! | anything smaller, AVX | small: unpacked AVX kernel, accumulators in registers |
+//! | anything smaller, no AVX | scalar row loops (the bitwise reference, and the small kernel's odd-column tail) |
+//!
+//! The blocked path is the workhorse at χ ≳ 12:
 //!
 //! * Operands are packed into planar re/im panels (`KC x MR` strips of A,
 //!   `KC x NR` strips of B) so the inner loop reads contiguous `f64`
@@ -17,14 +25,22 @@
 //! * The dense inner loop is branch-free: no per-element zero check (see
 //!   [`gemm_row`] for why the old check was removed).
 //!
+//! The small path ([`gemm_small_avx`]) is the zipper at χ ≤ 12 — which
+//! includes the paper's d = 1 regime (χ = 4), where both GEMMs of a site
+//! are a few hundred multiply-adds and packing, zero-filling `c` and
+//! re-loading it per `p` cost more than the arithmetic. It reads the
+//! interleaved operands in place, two complex per 256-bit vector.
+//!
 //! **Determinism contract.** Every kernel in this module accumulates each
 //! output element in strictly increasing `p` order with the exact
 //! [`Complex64::mul_add`] / [`Complex64::conj_mul_add`] operation order.
 //! Blocking only changes *when* partial sums are parked in memory, never
-//! the order terms are added, so the blocked, scalar, serial and
-//! row-parallel paths are bitwise identical on the same operands (up to
-//! the sign of zeros where a skipped `0 * x` term differs from an added
-//! one). The Gram engine's bitwise-reproducibility pins rest on this.
+//! the order terms are added, so the blocked, small, scalar, serial and
+//! row-parallel paths are bitwise identical on the same finite operands.
+//! (A skipped `0 * x` term cannot show either: every element starts from
+//! `+0.0`, and under round-to-nearest a sum that starts there never
+//! becomes `-0.0`, so adding `±0` leaves it as it was.) The Gram engine's
+//! bitwise-reproducibility pins rest on this.
 
 use crate::complex::Complex64;
 use rayon::prelude::*;
@@ -106,18 +122,17 @@ pub fn gemm_serial(
     c: &mut [Complex64],
 ) {
     check_dims(m, k, n, a.len(), b.len(), c.len());
-    c.fill(Complex64::ZERO);
     gemm_into(m, k, n, a, b, c);
 }
 
-/// Dispatches one pre-zeroed output block to the blocked or scalar path.
+/// Overwrites one output block with `a * b` on the path its shape selects:
+/// blocked, small AVX or scalar.
 fn gemm_into(m: usize, k: usize, n: usize, a: &[Complex64], b: &[Complex64], c: &mut [Complex64]) {
     if use_blocked(m, k, n) {
+        c.fill(Complex64::ZERO);
         gemm_blocked(m, k, n, Operand::Plain { a, lda: k }, b, c);
     } else {
-        for i in 0..m {
-            gemm_row(&a[i * k..(i + 1) * k], b, n, &mut c[i * n..(i + 1) * n]);
-        }
+        gemm_small::<false>(m, k, n, a, b, c);
     }
 }
 
@@ -143,7 +158,6 @@ pub fn gemm_parallel(
         .for_each(|(chunk, c_rows)| {
             let i0 = chunk * rows_per_chunk;
             let rows = c_rows.len() / n;
-            c_rows.fill(Complex64::ZERO);
             gemm_into(rows, k, n, &a[i0 * k..(i0 + rows) * k], b, c_rows);
         });
 }
@@ -208,6 +222,190 @@ pub fn gemm_unblocked_reference(
             for (cj, &bj) in c_row.iter_mut().zip(b_row) {
                 *cj = cj.mul_add(apk, bj);
             }
+        }
+    }
+}
+
+/// Sub-floor shapes: overwrites `c` with `a * b` (`CONJ = false`, `a` is
+/// `m x k`) or `a^H * b` (`CONJ = true`, `a` stored `k x m`). Nothing is
+/// packed: with AVX the unpacked register kernel runs, otherwise the
+/// scalar loops that are its bitwise reference.
+fn gemm_small<const CONJ: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX support was just verified at runtime, the only
+        // requirement of `gemm_small_avx`: it is a safe `#[target_feature]`
+        // fn over bounds-checked slices and register-only intrinsics.
+        unsafe { gemm_small_avx::<CONJ>(m, k, n, a, b, c) };
+        return;
+    }
+    c.fill(Complex64::ZERO);
+    if CONJ {
+        gemm_conj_a_scalar(m, k, n, a, b, c);
+    } else {
+        for i in 0..m {
+            gemm_row(&a[i * k..(i + 1) * k], b, n, &mut c[i * n..(i + 1) * n]);
+        }
+    }
+}
+
+/// Unpacked AVX kernel for sub-floor shapes. `Complex64` is `repr(C)`
+/// interleaved, so one 256-bit vector holds two adjacent entries of a `b`
+/// row and of the `c` row they update. Output rows are taken two at a time
+/// (a last odd row alone) and cut into 8-, 4- and 2-column segments whose
+/// accumulators stay in registers over the whole contraction
+/// ([`small_tile_avx`]); an odd last column runs the scalar `mul_add`
+/// chain. Every element still accumulates from `+0.0` in strictly
+/// increasing `p` order, so the result is bitwise equal to the scalar
+/// loops in [`gemm_small`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn gemm_small_avx<const CONJ: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+) {
+    let mut i = 0;
+    while m - i >= 2 {
+        small_rows_avx::<2, CONJ>(i, m, k, n, a, b, c);
+        i += 2;
+    }
+    if i < m {
+        small_rows_avx::<1, CONJ>(i, m, k, n, a, b, c);
+    }
+}
+
+/// Output rows `i..i + R`, all columns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn small_rows_avx<const R: usize, const CONJ: bool>(
+    i: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+) {
+    let mut j = 0;
+    while n - j >= 8 {
+        small_tile_avx::<R, 4, CONJ>(i, j, m, k, n, a, b, c);
+        j += 8;
+    }
+    if n - j >= 4 {
+        small_tile_avx::<R, 2, CONJ>(i, j, m, k, n, a, b, c);
+        j += 4;
+    }
+    if n - j >= 2 {
+        small_tile_avx::<R, 1, CONJ>(i, j, m, k, n, a, b, c);
+        j += 2;
+    }
+    if j < n {
+        for row in i..i + R {
+            let mut acc = Complex64::ZERO;
+            for p in 0..k {
+                let bj = b[p * n + j];
+                if CONJ {
+                    let api = a[p * m + row];
+                    if api != Complex64::ZERO {
+                        acc = acc.conj_mul_add(api, bj);
+                    }
+                } else {
+                    acc = acc.mul_add(a[row * k + p], bj);
+                }
+            }
+            c[row * n + j] = acc;
+        }
+    }
+}
+
+/// The `R x 2 NV` block of `c` at row `i`, column `j`: `R * NV`
+/// accumulators (at most 8 of the 16 `ymm` registers).
+///
+/// With `b = [b0.re, b0.im, b1.re, b1.im]` loaded and its re/im-swapped
+/// copy `s` made (`vpermilpd`) once per `p` for all `R` rows, each row does
+/// `t1 = acc + bcast(a.re) * b`, `t2 = bcast(a.im) * s` and
+/// `acc = vaddsubpd(t1, t2)`, which subtracts in the even (re) lanes and
+/// adds in the odd (im) lanes:
+///
+/// ```text
+/// re = (acc.re + a.re b.re) - a.im b.im
+/// im = (acc.im + a.re b.im) + a.im b.re
+/// ```
+///
+/// lane for lane the association of [`Complex64::mul_add`]. For `CONJ`,
+/// `s` is negated: `y * (-x)` is exactly `-(y * x)` and `t - (-u)` is
+/// exactly `t + u`, so the lanes compute [`Complex64::conj_mul_add`]. No
+/// FMA is issued. The `CONJ` zero-skip is the scalar conj loop's own, kept
+/// so the two stay equal on any operand.
+///
+/// Plain counted loops over the const-sized arrays, no closures: a closure
+/// here is compiled without the AVX feature, is not inlined, and passes
+/// every vector through memory (measured 3x slower).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn small_tile_avx<const R: usize, const NV: usize, const CONJ: bool>(
+    i: usize,
+    j: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm256_setzero_pd(); NV]; R];
+    for p in 0..k {
+        let mut live = [true; R];
+        let mut are = [_mm256_setzero_pd(); R];
+        let mut aim = [_mm256_setzero_pd(); R];
+        for r in 0..R {
+            let api = if CONJ {
+                a[p * m + i + r]
+            } else {
+                a[(i + r) * k + p]
+            };
+            live[r] = !CONJ || api != Complex64::ZERO;
+            are[r] = _mm256_set1_pd(api.re);
+            aim[r] = _mm256_set1_pd(api.im);
+        }
+        let b_seg = &b[p * n + j..][..2 * NV];
+        for v in 0..NV {
+            let (b0, b1) = (b_seg[2 * v], b_seg[2 * v + 1]);
+            let bv = _mm256_setr_pd(b0.re, b0.im, b1.re, b1.im);
+            let mut sv = _mm256_permute_pd::<0b0101>(bv);
+            if CONJ {
+                sv = _mm256_xor_pd(sv, _mm256_set1_pd(-0.0));
+            }
+            for r in 0..R {
+                if live[r] {
+                    let t1 = _mm256_add_pd(acc[r][v], _mm256_mul_pd(are[r], bv));
+                    acc[r][v] = _mm256_addsub_pd(t1, _mm256_mul_pd(aim[r], sv));
+                }
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let out = &mut c[(i + r) * n + j..][..2 * NV];
+        for (acc_v, pair) in acc_row.iter().zip(out.chunks_exact_mut(2)) {
+            let lo = _mm256_castpd256_pd128(*acc_v);
+            let hi = _mm256_extractf128_pd::<1>(*acc_v);
+            pair[0] = Complex64::new(_mm_cvtsd_f64(lo), _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)));
+            pair[1] = Complex64::new(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
         }
     }
 }
@@ -558,17 +756,30 @@ pub fn gemm_conj_a(
     assert_eq!(a.len(), k * m, "a must be k x m for gemm_conj_a");
     assert_eq!(b.len(), k * n, "b must be k x n");
     assert_eq!(c.len(), m * n, "c must be m x n");
-    c.fill(Complex64::ZERO);
     if use_blocked(m, k, n) {
+        c.fill(Complex64::ZERO);
         gemm_blocked(m, k, n, Operand::ConjTransposed { a, ldm: m }, b, c);
-        return;
+    } else {
+        gemm_small::<true>(m, k, n, a, b, c);
     }
-    // Scalar path. The zero-skip stays *here only*: the sub-floor shapes
-    // are boundary zipper steps (bond 1-2 sites of basis-like states)
-    // where site tensors genuinely carry structural zeros — measured on
-    // basis-state Gram rows, the skip removes ~40% of the boundary-step
-    // work, while on dense interior data the same branch was pure cost
-    // (see `gemm_row`).
+}
+
+/// Scalar conjugated kernel: `c += a^H * b` onto a pre-zeroed `c`.
+///
+/// The zero-skip stays *here only* (and in the small AVX kernel that
+/// mirrors this loop): the sub-floor shapes are boundary zipper steps
+/// (bond 1-2 sites of basis-like states) where site tensors genuinely
+/// carry structural zeros — measured on basis-state Gram rows, the skip
+/// removes ~40% of the boundary-step work, while on dense interior data
+/// the same branch was pure cost (see `gemm_row`).
+fn gemm_conj_a_scalar(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+) {
     for p in 0..k {
         let a_row = &a[p * m..(p + 1) * m];
         let b_row = &b[p * n..(p + 1) * n];
@@ -679,6 +890,36 @@ mod tests {
         c.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
 
+    /// `test_matrix` with structural zeros, `-0.0` parts and purely real /
+    /// purely imaginary entries sprinkled in: the operands on which a
+    /// skipped `0 * x` term and an added one could part ways.
+    fn sparse_matrix(rows: usize, cols: usize, seed: u64) -> Vec<Complex64> {
+        let mut a = test_matrix(rows, cols, seed);
+        for (idx, z) in a.iter_mut().enumerate() {
+            match idx % 7 {
+                0 => *z = Complex64::ZERO,
+                2 => *z = c64(-0.0, -0.0),
+                3 => z.im = -0.0,
+                5 => z.re = 0.0,
+                _ => {}
+            }
+        }
+        a
+    }
+
+    /// Every way the small kernel cuts a shape: all of 1..=9 (odd and even
+    /// `m` and `n`, each segment width, the scalar tail) plus `n = 16` (two
+    /// 8-column segments) and `n = 18` (two and a 2-column one).
+    fn small_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in 1..=9 {
+            for k in 1..=9 {
+                shapes.extend((1..=9).chain([16, 18]).map(|n| (m, k, n)));
+            }
+        }
+        shapes
+    }
+
     #[test]
     fn serial_matches_naive() {
         for &(m, k, n) in &[(1, 1, 1), (2, 3, 4), (5, 5, 5), (7, 2, 9), (16, 16, 16)] {
@@ -698,8 +939,11 @@ mod tests {
         // The register-tiled kernel must be bitwise identical to the
         // pre-blocking i-k-j loop on dense data: both accumulate every
         // output element in strict p order with the same mul_add. Sizes
-        // cross the blocking floor, the MR/NR edges and the KC boundary.
-        for &(m, k, n) in &[
+        // cross the blocking floor, the MR/NR edges and the KC boundary;
+        // the small shapes run the unpacked AVX kernel, which must land on
+        // the same bits from a dirty output buffer, with and without
+        // zeros in A (the reference skips them, the kernels do not).
+        let large = [
             (4, 64, 4),
             (5, 64, 7),
             (16, 16, 16),
@@ -708,14 +952,20 @@ mod tests {
             (130, 257, 66),
             (1, 64, 256),
             (64, 3, 64),
-        ] {
-            let a = test_matrix(m, k, m as u64 + 1);
+            (3, 5, 301),
+        ];
+        for (m, k, n) in large.into_iter().chain(small_shapes()) {
             let b = test_matrix(k, n, n as u64 + 2);
-            let mut c1 = vec![Complex64::ZERO; m * n];
-            let mut c2 = vec![Complex64::ZERO; m * n];
-            gemm_serial(m, k, n, &a, &b, &mut c1);
-            gemm_unblocked_reference(m, k, n, &a, &b, &mut c2);
-            assert_eq!(bits(&c1), bits(&c2), "({m},{k},{n})");
+            for a in [
+                test_matrix(m, k, m as u64 + 1),
+                sparse_matrix(m, k, m as u64 + 1),
+            ] {
+                let mut c1 = vec![c64(f64::NAN, 7.0); m * n];
+                let mut c2 = vec![Complex64::ZERO; m * n];
+                gemm_serial(m, k, n, &a, &b, &mut c1);
+                gemm_unblocked_reference(m, k, n, &a, &b, &mut c2);
+                assert_eq!(bits(&c1), bits(&c2), "({m},{k},{n})");
+            }
         }
     }
 
@@ -775,25 +1025,29 @@ mod tests {
 
     #[test]
     fn conj_a_blocked_is_bitwise_identical_to_scalar() {
-        // Dense data (no structural zeros): the blocked conj kernel and
-        // the scalar conj_mul_add loop accumulate identically.
-        let (m, k, n) = (64, 128, 64);
-        let a = test_matrix(k, m, 8);
-        let b = test_matrix(k, n, 9);
-        let mut c1 = vec![Complex64::ZERO; m * n];
-        gemm_conj_a(m, k, n, &a, &b, &mut c1);
-        let mut c2 = vec![Complex64::ZERO; m * n];
-        for p in 0..k {
-            for i in 0..m {
-                for (cj, &bj) in c2[i * n..(i + 1) * n]
-                    .iter_mut()
-                    .zip(&b[p * n..(p + 1) * n])
-                {
-                    *cj = cj.conj_mul_add(a[p * m + i], bj);
+        // The blocked conj kernel, the small AVX kernel and the scalar
+        // conj_mul_add loop accumulate identically — on dense data and on
+        // A operands with zeros, where `gemm_conj_a`'s sub-floor paths skip
+        // the term and this loop adds it.
+        for (m, k, n) in [(64, 128, 64)].into_iter().chain(small_shapes()) {
+            let b = test_matrix(k, n, 9);
+            for a in [test_matrix(k, m, 8), sparse_matrix(k, m, 8)] {
+                let mut c1 = vec![c64(f64::NAN, 7.0); m * n];
+                gemm_conj_a(m, k, n, &a, &b, &mut c1);
+                let mut c2 = vec![Complex64::ZERO; m * n];
+                for p in 0..k {
+                    for i in 0..m {
+                        for (cj, &bj) in c2[i * n..(i + 1) * n]
+                            .iter_mut()
+                            .zip(&b[p * n..(p + 1) * n])
+                        {
+                            *cj = cj.conj_mul_add(a[p * m + i], bj);
+                        }
+                    }
                 }
+                assert_eq!(bits(&c1), bits(&c2), "({m},{k},{n})");
             }
         }
-        assert_eq!(bits(&c1), bits(&c2));
     }
 
     #[test]
