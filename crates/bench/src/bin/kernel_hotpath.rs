@@ -21,6 +21,16 @@
 //! shared cache line; on a one-core host it says nothing, so the run
 //! prints `available_parallelism` beside it.
 //!
+//! Three rows time the truncation SVD on what the simulator really hands
+//! it, the thetas of one feature-map state (captured through a recording
+//! backend), because a random dense matrix converges in 6 sweeps whatever
+//! the Jacobi does on rank-deficient input: `svd_theta_ns_chi4` and
+//! `svd_theta_sweeps_chi4` are medians over the 126 thetas of an m = 64,
+//! d = 1 state, `svd_theta_ns_chi32` is the mean over the thetas of an
+//! m = 12, d = 3 state (a median there would sit on an 8 x 8 theta and
+//! miss the 64 x 64 ones that carry the time). No theta may reach the
+//! sweep cap.
+//!
 //! Every cell cross-checks the two paths to 1e-12 (relative); `--smoke`
 //! runs a seconds-level sweep whose only job is that assertion (CI runs
 //! it on every push). Results land in `results/BENCH_kernel.json`.
@@ -31,14 +41,15 @@
 
 use qk_bench::schema::{BenchMeta, BenchResult, Direction};
 use qk_bench::Args;
-use qk_mps::{Mps, ZipperWorkspace};
+use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
+use qk_mps::{Mps, MpsSimulator, TruncationConfig, ZipperWorkspace};
 use qk_tensor::backend::{CpuBackend, ExecutionBackend};
 use qk_tensor::complex::Complex64;
 use qk_tensor::matrix::gemm_unblocked_reference;
 use qk_tensor::svd::{svd, Svd};
 use qk_tensor::tensor::Tensor;
 use std::hint::black_box;
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// The pre-PR CPU backend: serial unblocked GEMM with the per-element
@@ -65,6 +76,90 @@ impl ExecutionBackend for PrePrBackend {
 
     fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
         svd(m, n, a)
+    }
+}
+
+/// Serial CPU kernels that also keep a copy of every matrix handed to
+/// `svd`: how the theta rows get the simulator's real SVD inputs.
+#[derive(Default)]
+struct ThetaCapture(Mutex<Vec<(usize, usize, Vec<Complex64>)>>);
+
+impl ExecutionBackend for ThetaCapture {
+    fn name(&self) -> &'static str {
+        "theta-capture"
+    }
+
+    fn gemm(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[Complex64],
+        b: &[Complex64],
+        c: &mut [Complex64],
+    ) {
+        CpuBackend::new().gemm(m, k, n, a, b, c);
+    }
+
+    fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
+        let mut thetas = self.0.lock().expect("capture lock");
+        thetas.push((m, n, a.to_vec()));
+        svd(m, n, a)
+    }
+}
+
+/// Every theta of one two-layer feature-map state on `qubits` qubits at
+/// interaction distance `distance`, under the paper's 1e-16 cutoff.
+fn feature_map_thetas(
+    qubits: usize,
+    distance: usize,
+    gamma: f64,
+) -> Vec<(usize, usize, Vec<Complex64>)> {
+    let features: Vec<f64> = (0..qubits)
+        .map(|i| 0.1 + 1.8 * (i as f64 * 0.618_033_988_75).fract())
+        .collect();
+    let circuit = feature_map_circuit(&features, &AnsatzConfig::new(2, distance, gamma));
+    let capture = ThetaCapture::default();
+    MpsSimulator::new(&capture)
+        .with_truncation(TruncationConfig {
+            cutoff: 1e-16,
+            max_bond: None,
+        })
+        .simulate(&circuit);
+    capture.0.into_inner().expect("capture lock")
+}
+
+/// Per-theta `(ns per svd call, sweeps)`, `budget` split evenly over the
+/// thetas. Panics if any factorization ends on the sweep cap.
+fn time_theta_svds(
+    thetas: &[(usize, usize, Vec<Complex64>)],
+    budget: Duration,
+    max_reps: usize,
+) -> Vec<(f64, f64)> {
+    thetas
+        .iter()
+        .map(|(m, n, a)| {
+            let f = svd(*m, *n, a);
+            assert!(f.converged(), "svd hit the sweep cap on a {m}x{n} theta");
+            let per_call = time_per_call(
+                || {
+                    black_box(svd(*m, *n, black_box(a)));
+                },
+                budget / thetas.len() as u32,
+                max_reps,
+            );
+            (per_call.as_nanos() as f64, f.sweeps as f64)
+        })
+        .collect()
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
     }
 }
 
@@ -295,13 +390,27 @@ fn main() {
         best = [best[0].max(one), best[1].max(two)];
         *ratio = two / one.max(1e-12);
     }
-    ratios.sort_by(f64::total_cmp);
-    let shared_scaling = (ratios[3] + ratios[4]) / 2.0;
+    let shared_scaling = median(ratios.to_vec());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "shared backend, chi={SHARED_CHI} x {SHARED_QUBITS} sites: up to {:.0} pairs/s on 1 thread, \
          {:.0} on 2 (median ratio {shared_scaling:.2}x; available_parallelism {cores})",
         best[0], best[1]
+    );
+
+    // Theta rows: the truncation SVD on one state's worth of real inputs
+    // at the benchmark's two shapes (wide_d1: chi = 4; deep_d3: chi ~ 32).
+    let wide = time_theta_svds(&feature_map_thetas(64, 1, 0.5), min_total, max_reps);
+    let deep = time_theta_svds(&feature_map_thetas(12, 3, 1.0), min_total, max_reps);
+    let theta_ns_chi4 = median(wide.iter().map(|t| t.0).collect());
+    let theta_sweeps_chi4 = median(wide.iter().map(|t| t.1).collect());
+    let theta_ns_chi32 = qk_bench::mean(&deep.iter().map(|t| t.0).collect::<Vec<_>>());
+    let max_sweeps = wide.iter().chain(&deep).map(|t| t.1).fold(0.0, f64::max);
+    println!(
+        "theta svd: chi=4 median {theta_ns_chi4:.0} ns, {theta_sweeps_chi4} sweeps over {} thetas; \
+         chi~32 mean {theta_ns_chi32:.0} ns over {} thetas; most sweeps on any theta {max_sweeps}",
+        wide.len(),
+        deep.len()
     );
 
     if smoke {
@@ -353,5 +462,15 @@ fn main() {
     result.info(&format!("shared_pairs_per_s_t1_chi{SHARED_CHI}"), best[0]);
     result.info(&format!("shared_pairs_per_s_t2_chi{SHARED_CHI}"), best[1]);
     result.info("available_parallelism", cores as f64);
+    // The ns rows carry this host's +-10 % clock steps; the sweep count is
+    // a property of the algorithm and may only fall.
+    result.metric("svd_theta_ns_chi4", theta_ns_chi4, 0.25, Direction::Lower);
+    result.metric(
+        "svd_theta_sweeps_chi4",
+        theta_sweeps_chi4,
+        0.0,
+        Direction::Lower,
+    );
+    result.metric("svd_theta_ns_chi32", theta_ns_chi32, 0.25, Direction::Lower);
     result.write();
 }

@@ -110,6 +110,7 @@ impl Mps {
             let site = &self.sites()[q];
             let (chi_l, chi_r) = (site.shape()[0], site.shape()[2]);
             let f = backend.svd(chi_l, 2 * chi_r, site.data());
+            debug_assert!(f.converged(), "Jacobi did not converge on {}x{}", f.m, f.n);
             let (kept, discarded, count) = decide_rank(&f.s, config);
 
             sweep.truncations += 1;

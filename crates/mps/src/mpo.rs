@@ -221,6 +221,7 @@ impl Mpo {
             let site = &self.sites[q];
             let (wl, wr) = (site.shape()[0], site.shape()[3]);
             let f = qk_tensor::svd(wl * 4, wr, site.data());
+            debug_assert!(f.converged(), "Jacobi did not converge on {}x{}", f.m, f.n);
             let k = f.k;
             self.sites[q] = Tensor::from_data(&[wl, 2, 2, k], f.u.clone());
             // carry = diag(s) Vh, absorbed into the next site.
@@ -242,6 +243,7 @@ impl Mpo {
             let site = &self.sites[q];
             let (wl, wr) = (site.shape()[0], site.shape()[3]);
             let f = qk_tensor::svd(wl, 4 * wr, site.data());
+            debug_assert!(f.converged(), "Jacobi did not converge on {}x{}", f.m, f.n);
             let (kept, _, _) = decide_rank(&f.s, &config);
             let mut vh = vec![Complex64::ZERO; kept * 4 * wr];
             vh.copy_from_slice(&f.vh[..kept * 4 * wr]);

@@ -379,6 +379,7 @@ impl Mps {
         // SVD across the bond: (chi_l * 2, 2 * chi_r).
         let matrix = applied.reshape(&[chi_l * 2, 2 * chi_r]);
         let f = backend.svd(chi_l * 2, 2 * chi_r, matrix.data());
+        debug_assert!(f.converged(), "Jacobi did not converge on {}x{}", f.m, f.n);
         let (kept, discarded_weight, discarded_count) = decide_rank(&f.s, config);
 
         // Update stats.

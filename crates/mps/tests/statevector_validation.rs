@@ -84,6 +84,32 @@ fn ansatz_d1_matches() {
 }
 
 #[test]
+fn ansatz_d1_without_cutoff_matches() {
+    // `cutoff: 0` keeps every direction whose singular value is not exactly
+    // zero. The null directions of a rank-2 RXX theta must therefore come
+    // back from the SVD as exact zeros: a junk direction (sigma ~ 1e-20
+    // with a non-orthonormal `u` column) that survived here would grow the
+    // bonds to their 2^(m/2) ceiling and cost the state its unit norm.
+    let features = [0.3, 1.7, 0.9, 1.1, 0.5, 1.4, 0.2, 0.8];
+    let c = feature_map_circuit(&features, &AnsatzConfig::new(2, 1, 0.5));
+    let be = CpuBackend::new();
+    let exact_rank = TruncationConfig {
+        cutoff: 0.0,
+        max_bond: None,
+    };
+    let (mps, rec) = MpsSimulator::new(&be)
+        .with_truncation(exact_rank)
+        .simulate(&c);
+    assert!((mps.norm() - 1.0).abs() <= 1e-12, "norm {}", mps.norm());
+    assert_eq!(rec.peak_bond, 4, "null directions survived truncation");
+    assert_eq!(rec.truncation.total_discarded_weight, 0.0);
+    let exact = StateVector::simulate(&c);
+    for (a, b) in mps.to_statevector().iter().zip(exact.amplitudes()) {
+        assert!((*a - *b).norm() <= 1e-12, "amplitude {a:?} vs {b:?}");
+    }
+}
+
+#[test]
 fn ansatz_d2_routed_matches() {
     let features = [0.8, 0.2, 1.4, 1.9];
     let c = feature_map_circuit(&features, &AnsatzConfig::new(2, 2, 0.7));

@@ -7,17 +7,46 @@
 //! produces (tens to a few hundred), its O(n^3)-per-sweep cost is a good
 //! trade against implementation risk.
 //!
+//! The matrices the pipeline factorises are rank-deficient almost every
+//! time (an RXX gate has operator-Schmidt rank 2, so the first sweep
+//! annihilates half the columns of a theta). Three rules make the iteration
+//! converge on them instead of running to its cap (DESIGN.md, "Truncation
+//! SVD", has the measured sweep histograms):
+//!
+//! * **Deflation floor.** A column whose squared norm is at most
+//!   `ε²‖A‖_F²` is never paired again and is reported as `σ = 0` with a
+//!   zero `u` column. It is below the rounding error `ε‖A‖_F` of the
+//!   rotations that produced it, so its direction is noise; truncation
+//!   downstream compares *weights* `σ²/‖A‖_F²` with 1e-16, sixteen orders
+//!   above the `ε² ≈ 4.9e-32` a deflated column could have carried.
+//! * **Norm refresh.** Within a sweep squared norms are tracked per
+//!   rotation (`α' = α − tγ`, `β' = β + tγ`), with an absolute error of `~ε`
+//!   times the largest norm the column has had. A column that rotations
+//!   shrink, in one step or by a few digits against each column it depends
+//!   on, ends with a tracked norm of `0.0` or of garbage `~ε·α` while it is
+//!   itself `~ε²·α`; the relative test `γ > 1e-14·sqrt(αβ)` then degenerates
+//!   to `γ > 0`, the pair "rotates" by an angle that changes nothing, and no
+//!   sweep comes up clean. So every sweep starts from norms recomputed
+//!   from the columns (`n` dot products beside its `n²/2`), and the clean
+//!   sweep that ends the iteration has judged every pair on exact norms.
+//! * **de Rijk pivoting.** At each `i` of a sweep the largest remaining
+//!   column is swapped into place, which sorts the columns as it goes and
+//!   halves the sweeps a graded spectrum takes (a d = 3 ansatz's 60 x 60
+//!   theta, σ spread over twelve orders: 20 cyclic sweeps, 11 pivoted).
+//!
 //! The matrix is stored column-major internally so that a Jacobi rotation
 //! touches two contiguous columns.
 
 use crate::complex::Complex64;
+use crate::matrix::conj_transpose;
 
 /// Result of a thin SVD `a = u * diag(s) * vh` with `a: m x n`.
 ///
 /// `u` is row-major `m x k`, `s` holds `k = min(m, n)` non-negative singular
 /// values sorted in descending order, and `vh` is row-major `k x n`.
-/// Columns of `u` whose singular value is exactly zero are zero vectors
-/// (they carry no weight in the reconstruction).
+/// Singular values at or below `ε‖a‖_F` are reported as exactly zero and
+/// their columns of `u` (rows of `vh` when `m < n`) are zero vectors: they
+/// carry no weight in the reconstruction.
 #[derive(Clone, Debug)]
 pub struct Svd {
     /// Left singular vectors, row-major `m x k`.
@@ -32,6 +61,8 @@ pub struct Svd {
     pub n: usize,
     /// `min(m, n)`.
     pub k: usize,
+    /// Jacobi sweeps run, the final clean one included.
+    pub sweeps: usize,
 }
 
 impl Svd {
@@ -63,12 +94,20 @@ impl Svd {
     pub fn weight(&self) -> f64 {
         self.s.iter().map(|s| s * s).sum()
     }
+
+    /// Whether the iteration ended on a clean sweep, not on the sweep cap
+    /// (which no matrix the pipeline produces should come near).
+    pub fn converged(&self) -> bool {
+        self.sweeps < MAX_SWEEPS
+    }
 }
 
 /// Relative off-diagonal threshold at which a column pair counts as
 /// orthogonal and the rotation is skipped.
 const JACOBI_TOL: f64 = 1e-14;
-/// Hard cap on Jacobi sweeps; convergence is typically < 10 sweeps.
+/// Hard cap on Jacobi sweeps. Pipeline thetas take 2–13 (mean 3–5) and
+/// random dense matrices 6–8; reaching the cap means a column pair kept
+/// "rotating" without converging, which [`Svd::converged`] reports.
 const MAX_SWEEPS: usize = 60;
 
 /// Computes the thin SVD of a row-major `m x n` complex matrix.
@@ -81,124 +120,147 @@ pub fn svd(m: usize, n: usize, a: &[Complex64]) -> Svd {
         a.iter().all(|z| z.is_finite()),
         "svd input contains non-finite entries"
     );
+    via_tall(m, n, a, svd_tall)
+}
+
+/// Runs a tall-matrix driver on either orientation: `a = u s vh  <=>
+/// a^H = v s u^H`, so a wide matrix is factored as its tall conjugate
+/// transpose with the roles of `u` and `v` swapped.
+fn via_tall(
+    m: usize,
+    n: usize,
+    a: &[Complex64],
+    tall: impl Fn(usize, usize, &[Complex64]) -> Svd,
+) -> Svd {
     if m >= n {
-        svd_tall(m, n, a)
-    } else {
-        // a = u s vh  <=>  a^H = v s u^H; factor the tall conjugate
-        // transpose and swap the roles of u and v.
-        let mut ah = vec![Complex64::ZERO; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                ah[j * m + i] = a[i * n + j].conj();
-            }
-        }
-        let f = svd_tall(n, m, &ah);
-        // a^H = U1 S V1h with U1: n x m, V1h: m x m.
-        // a = V1 S U1h, so u = V1 (m x m), vh = U1h (m x n).
-        let k = f.k; // = m
-        let mut u = vec![Complex64::ZERO; m * k];
-        for i in 0..k {
-            for j in 0..m {
-                // V1 = (V1h)^H: V1[j][i] = conj(V1h[i][j]).
-                u[j * k + i] = f.vh[i * m + j].conj();
-            }
-        }
-        let mut vh = vec![Complex64::ZERO; k * n];
-        for i in 0..k {
-            for j in 0..n {
-                // U1h[i][j] = conj(U1[j][i]).
-                vh[i * n + j] = f.u[j * k + i].conj();
-            }
-        }
-        Svd {
-            u,
-            s: f.s,
-            vh,
-            m,
-            n,
-            k,
-        }
+        return tall(m, n, a);
+    }
+    // a^H = U1 S V1h with U1: n x m, V1h: m x m, so u = V1, vh = U1h.
+    let f = tall(n, m, &conj_transpose(m, n, a));
+    Svd {
+        u: conj_transpose(m, m, &f.vh),
+        vh: conj_transpose(n, m, &f.u),
+        m,
+        n,
+        ..f
     }
 }
 
-/// One-sided Jacobi on a tall (or square) matrix, `m >= n`.
-fn svd_tall(m: usize, n: usize, a: &[Complex64]) -> Svd {
-    let k = n;
-    // Column-major working copy: cols[j][i] = a[i][j].
-    let mut cols: Vec<Vec<Complex64>> = (0..n)
+fn norm_sqr(col: &[Complex64]) -> f64 {
+    col.iter().map(|z| z.norm_sqr()).sum()
+}
+
+/// `x^H y`.
+fn dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    x.iter()
+        .zip(y)
+        .fold(Complex64::ZERO, |acc, (a, b)| acc.conj_mul_add(*a, *b))
+}
+
+/// Column-major working copy of `a` and the identity `V` beside it.
+fn jacobi_columns(
+    m: usize,
+    n: usize,
+    a: &[Complex64],
+) -> (Vec<Vec<Complex64>>, Vec<Vec<Complex64>>) {
+    let cols = (0..n)
         .map(|j| (0..m).map(|i| a[i * n + j]).collect())
         .collect();
-    // V accumulated column-major as well.
-    let mut vcols: Vec<Vec<Complex64>> = (0..n)
+    let vcols = (0..n)
         .map(|j| {
             let mut col = vec![Complex64::ZERO; n];
             col[j] = Complex64::ONE;
             col
         })
         .collect();
+    (cols, vcols)
+}
 
-    // Squared column norms, maintained incrementally per rotation.
-    let mut norms_sqr: Vec<f64> = cols
-        .iter()
-        .map(|c| c.iter().map(|z| z.norm_sqr()).sum())
-        .collect();
+/// The rotation decision both drivers share. `alpha`, `beta` are the
+/// squared norms of columns `i`, `j` and `gamma_c = col_i^H col_j`; returns
+/// `(c, s_neg, s_pos)` for [`rotate_slices`], or `None` when either column
+/// is deflated (at or below `floor`) or the pair is already orthogonal.
+fn jacobi_rotation(
+    alpha: f64,
+    beta: f64,
+    gamma_c: Complex64,
+    floor: f64,
+) -> Option<(f64, Complex64, Complex64)> {
+    let gamma = gamma_c.norm();
+    // The negated `>` is deliberate: it also trips when a norm or gamma is
+    // NaN, which `<=` would silently let through. A subnormal gamma would
+    // overflow 1/gamma when normalizing the phase.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if alpha <= floor
+        || beta <= floor
+        || !(gamma > JACOBI_TOL * (alpha * beta).sqrt())
+        || gamma < f64::MIN_POSITIVE
+    {
+        return None;
+    }
+    // Phase so the effective off-diagonal is real: gamma_c = gamma e^{i phi};
+    // then the classic Jacobi angles for the 2x2 Hermitian Gram block.
+    let phase = gamma_c / gamma;
+    let tau = (beta - alpha) / (2.0 * gamma);
+    let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    let s = c * t;
+    Some((c, phase.conj() * s, phase * s))
+}
 
-    for _sweep in 0..MAX_SWEEPS {
-        let mut rotated = false;
+/// One-sided Jacobi on a tall (or square) matrix, `m >= n`.
+fn svd_tall(m: usize, n: usize, a: &[Complex64]) -> Svd {
+    let (mut cols, mut vcols) = jacobi_columns(m, n, a);
+    let mut norms_sqr = vec![0.0f64; n];
+    let floor = f64::EPSILON * f64::EPSILON * norm_sqr(a);
+
+    let mut sweeps = 0;
+    let mut rotated = true;
+    while rotated && sweeps < MAX_SWEEPS {
+        sweeps += 1;
+        rotated = false;
+        // Norm refresh (module doc): every sweep starts from exact norms.
+        for (w, col) in norms_sqr.iter_mut().zip(&cols) {
+            *w = norm_sqr(col);
+        }
         for i in 0..n {
-            for j in (i + 1)..n {
-                let alpha = norms_sqr[i];
-                let beta = norms_sqr[j];
-                if alpha == 0.0 && beta == 0.0 {
+            // de Rijk pivot: the largest remaining column goes to `i`.
+            let mut p = i;
+            for j in i + 1..n {
+                if norms_sqr[j] > norms_sqr[p] {
+                    p = j;
+                }
+            }
+            cols.swap(i, p);
+            vcols.swap(i, p);
+            norms_sqr.swap(i, p);
+            if norms_sqr[i] <= floor {
+                break; // every remaining column is deflated
+            }
+            for j in i + 1..n {
+                let (alpha, beta) = (norms_sqr[i], norms_sqr[j]);
+                if beta <= floor {
+                    continue; // deflated: not worth the dot product
+                }
+                let (lo, hi) = cols.split_at_mut(j);
+                let (ci, cj) = (&mut lo[i], &mut hi[0]);
+                let gamma_c = dot(ci, cj);
+                let Some((c, s_neg, s_pos)) = jacobi_rotation(alpha, beta, gamma_c, floor) else {
                     continue;
-                }
-                // gamma_c = cols[i]^H cols[j]
-                let mut gamma_c = Complex64::ZERO;
-                for (x, y) in cols[i].iter().zip(&cols[j]) {
-                    gamma_c = gamma_c.conj_mul_add(*x, *y);
-                }
-                let gamma = gamma_c.norm();
-                // NaN-safe guard: incremental norm updates can drift a hair
-                // negative for near-zero columns (clamp before sqrt), and a
-                // subnormal gamma would overflow 1/gamma to infinity when
-                // normalizing the phase, so demand a normal-range gamma.
-                // The negated `>` is deliberate: it also trips when gamma
-                // is NaN, which `<=` would silently let through.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(gamma > JACOBI_TOL * (alpha * beta).max(0.0).sqrt())
-                    || gamma < f64::MIN_POSITIVE
-                {
-                    continue;
-                }
+                };
                 rotated = true;
-                // Phase so the effective off-diagonal is real: gamma_c =
-                // gamma * e^{i phi}.
-                let phase = gamma_c / gamma;
-                // Classic Jacobi angles for the 2x2 Hermitian Gram block.
-                let tau = (beta - alpha) / (2.0 * gamma);
-                let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                let s_pos = phase * s; // applied to column j update
-                let s_neg = phase.conj() * s; // applied to column i update
-
-                // [a_i', a_j'] = [a_i, a_j] * [[c, s e^{i phi}],
-                //                              [-s e^{-i phi}, c]]
-                rotate_pair(&mut cols, i, j, c, s_neg, s_pos);
-                rotate_pair(&mut vcols, i, j, c, s_neg, s_pos);
-
-                // Update norms exactly: new Gram diagonal after rotation.
-                let re_part = 2.0 * s * c * gamma;
-                norms_sqr[i] = (c * c * alpha + s * s * beta - re_part).max(0.0);
-                norms_sqr[j] = (s * s * alpha + c * c * beta + re_part).max(0.0);
+                rotate_slices(ci, cj, c, s_neg, s_pos);
+                let (lo, hi) = vcols.split_at_mut(j);
+                rotate_slices(&mut lo[i], &mut hi[0], c, s_neg, s_pos);
+                // The rotation moves t * gamma of squared norm from column i
+                // to column j; s_pos * conj(gamma_c) = s * gamma, real.
+                let shift = (s_pos * gamma_c.conj()).re / c;
+                norms_sqr[i] = alpha - shift;
+                norms_sqr[j] = beta + shift;
             }
         }
-        if !rotated {
-            break;
-        }
     }
-
-    finalize_svd(m, n, k, cols, vcols)
+    finalize_svd(m, n, cols, vcols, floor, sweeps)
 }
 
 /// Computes the thin SVD with Jacobi rotation rounds executed in parallel.
@@ -208,61 +270,31 @@ fn svd_tall(m: usize, n: usize, a: &[Complex64]) -> Svd {
 /// disjoint column pairs and can run concurrently. Columns are guarded by
 /// per-column mutexes; pairs are disjoint within a round, so locks are
 /// uncontended and exist only to satisfy the borrow checker cheaply.
+/// Column norms are recomputed per pair; the rotation decision and the
+/// deflation floor are the serial driver's.
 pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
     assert_eq!(a.len(), m * n, "svd_parallel: matrix size mismatch");
-    if m < n {
-        // Mirror the transpose trick of `svd`.
-        let mut ah = vec![Complex64::ZERO; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                ah[j * m + i] = a[i * n + j].conj();
-            }
-        }
-        let f = svd_parallel(n, m, &ah);
-        let k = f.k;
-        let mut u = vec![Complex64::ZERO; m * k];
-        for i in 0..k {
-            for j in 0..m {
-                u[j * k + i] = f.vh[i * m + j].conj();
-            }
-        }
-        let mut vh = vec![Complex64::ZERO; k * n];
-        for i in 0..k {
-            for j in 0..n {
-                vh[i * n + j] = f.u[j * k + i].conj();
-            }
-        }
-        return Svd {
-            u,
-            s: f.s,
-            vh,
-            m,
-            n,
-            k,
-        };
-    }
+    via_tall(m, n, a, svd_tall_parallel)
+}
 
+fn svd_tall_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
     use parking_lot::Mutex;
     use rayon::prelude::*;
 
-    let k = n;
-    let cols: Vec<Mutex<Vec<Complex64>>> = (0..n)
-        .map(|j| Mutex::new((0..m).map(|i| a[i * n + j]).collect()))
-        .collect();
-    let vcols: Vec<Mutex<Vec<Complex64>>> = (0..n)
-        .map(|j| {
-            let mut col = vec![Complex64::ZERO; n];
-            col[j] = Complex64::ONE;
-            Mutex::new(col)
-        })
-        .collect();
+    let floor = f64::EPSILON * f64::EPSILON * norm_sqr(a);
+    let (cols, vcols) = jacobi_columns(m, n, a);
+    let cols: Vec<Mutex<Vec<Complex64>>> = cols.into_iter().map(Mutex::new).collect();
+    let vcols: Vec<Mutex<Vec<Complex64>>> = vcols.into_iter().map(Mutex::new).collect();
 
     // Round-robin (circle method) schedule over n slots (pad odd n).
     let slots = if n.is_multiple_of(2) { n } else { n + 1 };
     let rounds = slots - 1;
 
-    for _sweep in 0..MAX_SWEEPS {
-        let mut rotated = false;
+    let mut sweeps = 0;
+    let mut rotated = true;
+    while rotated && sweeps < MAX_SWEEPS {
+        sweeps += 1;
+        rotated = false;
         for round in 0..rounds {
             let pairs: Vec<(usize, usize)> = (0..slots / 2)
                 .filter_map(|p| {
@@ -276,26 +308,11 @@ pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
                 .map(|&(i, j)| {
                     let mut ci = cols[i].lock();
                     let mut cj = cols[j].lock();
-                    let alpha: f64 = ci.iter().map(|z| z.norm_sqr()).sum();
-                    let beta: f64 = cj.iter().map(|z| z.norm_sqr()).sum();
-                    if alpha == 0.0 && beta == 0.0 {
+                    let Some((c, s_neg, s_pos)) =
+                        jacobi_rotation(norm_sqr(&ci), norm_sqr(&cj), dot(&ci, &cj), floor)
+                    else {
                         return false;
-                    }
-                    let mut gamma_c = Complex64::ZERO;
-                    for (x, y) in ci.iter().zip(cj.iter()) {
-                        gamma_c = gamma_c.conj_mul_add(*x, *y);
-                    }
-                    let gamma = gamma_c.norm();
-                    if gamma <= JACOBI_TOL * (alpha * beta).sqrt() || gamma < f64::MIN_POSITIVE {
-                        return false;
-                    }
-                    let phase = gamma_c / gamma;
-                    let tau = (beta - alpha) / (2.0 * gamma);
-                    let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = c * t;
-                    let s_pos = phase * s;
-                    let s_neg = phase.conj() * s;
+                    };
                     rotate_slices(&mut ci, &mut cj, c, s_neg, s_pos);
                     let mut vi = vcols[i].lock();
                     let mut vj = vcols[j].lock();
@@ -305,14 +322,11 @@ pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
                 .collect();
             rotated |= any.iter().any(|&b| b);
         }
-        if !rotated {
-            break;
-        }
     }
 
-    let cols: Vec<Vec<Complex64>> = cols.into_iter().map(|m| m.into_inner()).collect();
-    let vcols: Vec<Vec<Complex64>> = vcols.into_iter().map(|m| m.into_inner()).collect();
-    finalize_svd(m, n, k, cols, vcols)
+    let cols = cols.into_iter().map(|m| m.into_inner()).collect();
+    let vcols = vcols.into_iter().map(|m| m.into_inner()).collect();
+    finalize_svd(m, n, cols, vcols, floor, sweeps)
 }
 
 /// Pairing for round `r`, pair slot `p`, of the circle-method tournament on
@@ -328,21 +342,21 @@ fn circle_pair(slots: usize, round: usize, p: usize) -> (usize, usize) {
     }
 }
 
-/// Shared tail of both Jacobi drivers: sort columns by norm and emit
-/// `u`, `s`, `vh`.
+/// Shared tail of both Jacobi drivers: sort columns by norm, zero the
+/// deflated ones, and emit `u`, `s`, `vh` (`k = n`).
 fn finalize_svd(
     m: usize,
     n: usize,
-    k: usize,
     cols: Vec<Vec<Complex64>>,
     vcols: Vec<Vec<Complex64>>,
+    floor: f64,
+    sweeps: usize,
 ) -> Svd {
+    let k = n;
+    let to_sigma = |w: f64| if w > floor { w.sqrt() } else { 0.0 };
+    let sigmas: Vec<f64> = cols.iter().map(|col| to_sigma(norm_sqr(col))).collect();
     let mut order: Vec<usize> = (0..n).collect();
-    let sigmas: Vec<f64> = cols
-        .iter()
-        .map(|col| col.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt())
-        .collect();
-    order.sort_by(|&x, &y| sigmas[y].partial_cmp(&sigmas[x]).unwrap());
+    order.sort_by(|&x, &y| sigmas[y].total_cmp(&sigmas[x]));
 
     let mut u = vec![Complex64::ZERO; m * k];
     let mut s = vec![0.0f64; k];
@@ -360,10 +374,19 @@ fn finalize_svd(
             vh[rank * n + j] = vcols[src][j].conj();
         }
     }
-    Svd { u, s, vh, m, n, k }
+    Svd {
+        u,
+        s,
+        vh,
+        m,
+        n,
+        k,
+        sweeps,
+    }
 }
 
-/// Applies the 2x2 column rotation to two column slices.
+/// Applies the 2x2 column rotation to two column slices:
+/// `col_i' = c col_i - s_neg col_j`, `col_j' = s_pos col_i + c col_j`.
 #[inline]
 fn rotate_slices(
     ci: &mut [Complex64],
@@ -372,29 +395,6 @@ fn rotate_slices(
     s_neg: Complex64,
     s_pos: Complex64,
 ) {
-    for (x, y) in ci.iter_mut().zip(cj.iter_mut()) {
-        let xi = *x;
-        let yj = *y;
-        *x = xi * c - s_neg * yj;
-        *y = s_pos * xi + yj * c;
-    }
-}
-
-/// Applies the 2x2 column rotation to columns `i` and `j` of `cols`:
-/// `col_i' = c col_i - s_neg col_j`, `col_j' = s_pos col_i + c col_j`.
-#[inline]
-fn rotate_pair(
-    cols: &mut [Vec<Complex64>],
-    i: usize,
-    j: usize,
-    c: f64,
-    s_neg: Complex64,
-    s_pos: Complex64,
-) {
-    debug_assert!(i < j);
-    let (lo, hi) = cols.split_at_mut(j);
-    let ci = &mut lo[i];
-    let cj = &mut hi[0];
     for (x, y) in ci.iter_mut().zip(cj.iter_mut()) {
         let xi = *x;
         let yj = *y;

@@ -2,12 +2,17 @@
 //! matrices: factorization residuals, orthogonality, contraction algebra.
 
 use proptest::prelude::*;
+use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
+use qk_circuit::{route_for_mps, Gate};
+use qk_mps::{MpsSimulator, TruncationConfig};
+use qk_tensor::backend::ExecutionBackend;
 use qk_tensor::complex::{c64, Complex64};
 use qk_tensor::contract::contract;
 use qk_tensor::matrix::{conj_transpose, gemm_serial};
 use qk_tensor::qr::{lq, qr};
-use qk_tensor::svd::{svd, svd_parallel};
+use qk_tensor::svd::{svd, svd_parallel, Svd};
 use qk_tensor::tensor::Tensor;
+use std::sync::Mutex;
 
 fn complex_entry() -> impl Strategy<Value = Complex64> {
     (-1.0f64..1.0, -1.0f64..1.0).prop_map(|(re, im)| c64(re, im))
@@ -52,6 +57,30 @@ proptest! {
         let fp = svd_parallel(m, n, &a);
         for (x, y) in fs.s.iter().zip(&fp.s) {
             prop_assert!((x - y).abs() < 1e-8, "{x} vs {y}");
+        }
+    }
+
+    /// Exact rank-r matrices (sums of r outer products, r < n <= 64, both
+    /// orientations) meet the truncation contract, and the parallel driver
+    /// agrees on them.
+    #[test]
+    fn svd_converges_on_exact_rank_r(
+        (n, extra, wide) in (2usize..65, 0usize..9, prop::bool::ANY),
+        (r_pick, seed) in (0usize..64, 0u64..1000),
+    ) {
+        let r = 1 + r_pick % (n - 1);
+        let long = n + extra;
+        let (rows, cols) = if wide { (n, long) } else { (long, n) };
+        let left = deterministic_matrix(rows, r, seed);
+        let right = deterministic_matrix(r, cols, seed + 1);
+        let mut a = vec![Complex64::ZERO; rows * cols];
+        gemm_serial(rows, r, cols, &left, &right, &mut a);
+        let fs = assert_truncation_svd(rows, cols, &a);
+        prop_assert!(fs.s[r..].iter().all(|&s| s == 0.0), "rank {r}: {:?}", fs.s);
+        let fp = svd_parallel(rows, cols, &a);
+        prop_assert!(fp.converged(), "parallel driver hit the sweep cap");
+        for (x, y) in fs.s.iter().zip(&fp.s) {
+            prop_assert!((x - y).abs() <= 1e-12 * frob(&a), "{x} vs {y}");
         }
     }
 
@@ -185,6 +214,175 @@ proptest! {
         for (x, y) in ab.iter().zip(tc.data()) {
             prop_assert!((*x - *y).norm() < 1e-10);
         }
+    }
+}
+
+// Truncation-SVD regression corpus. What `qk-mps` factorises is not a
+// random dense matrix: an RXX gate has operator-Schmidt rank 2, so almost
+// every theta is rank-deficient, and the d = 3 thetas have spectra graded
+// over twelve orders. Before the deflation floor, the per-sweep norm
+// refresh and the pivoting, 18-30 % of these ran all 60 sweeps.
+//
+// Mutation check (run when this landed), each failing all three
+// `svd_converges_*` tests below:
+// * `floor = 0.0` in `svd_tall`: null directions come back as sigma
+//   ~ 1e-17 |a| with junk vectors ("sigma below the floor survived"), and
+//   the chi = 4 thetas take up to 7 sweeps instead of 4;
+// * `norms_sqr` computed once before the sweep loop instead of at the
+//   start of every sweep: a column whose tracked norm has cancelled below
+//   zero is skipped as deflated while its real norm is above the floor,
+//   and comes back parallel to another ("thin side off by 9.99e-1").
+// With neither rule (the code before them) the thetas run to the cap.
+
+/// Most sweeps any corpus matrix may take (the cap is 60).
+const CORPUS_MAX_SWEEPS: usize = 12;
+
+/// Factorises `a` and checks what gate application needs of the result:
+/// few sweeps, a residual at rounding level, every singular value at or
+/// below `ε‖a‖_F` exactly zero with a zero vector on the thin side (`u`
+/// columns, or `vh` rows when `m < n`), and orthonormal vectors elsewhere.
+fn assert_truncation_svd(m: usize, n: usize, a: &[Complex64]) -> Svd {
+    let f = svd(m, n, a);
+    let norm = frob(a);
+    assert!(
+        f.sweeps <= CORPUS_MAX_SWEEPS,
+        "{m}x{n}: {} sweeps",
+        f.sweeps
+    );
+    let residual = frob(
+        &f.reconstruct()
+            .iter()
+            .zip(a)
+            .map(|(x, y)| *x - *y)
+            .collect::<Vec<_>>(),
+    );
+    assert!(
+        residual <= 1e-13 * norm,
+        "{m}x{n}: residual {residual:e} against norm {norm:e}"
+    );
+    let k = f.k;
+    let u_col = |c: usize| (0..m).map(|i| f.u[i * k + c]).collect::<Vec<_>>();
+    let vh_row = |r: usize| f.vh[r * n..(r + 1) * n].to_vec();
+    let (thin, full): (Vec<_>, Vec<_>) = if m >= n {
+        ((0..k).map(u_col).collect(), (0..k).map(vh_row).collect())
+    } else {
+        ((0..k).map(vh_row).collect(), (0..k).map(u_col).collect())
+    };
+    let inner = |x: &[Complex64], y: &[Complex64]| {
+        x.iter()
+            .zip(y)
+            .fold(Complex64::ZERO, |acc, (a, b)| acc.conj_mul_add(*a, *b))
+    };
+    for r1 in 0..k {
+        let live = f.s[r1] > f64::EPSILON * norm;
+        if !live {
+            assert_eq!(f.s[r1], 0.0, "{m}x{n}: sigma below the floor survived");
+            assert!(
+                thin[r1].iter().all(|z| *z == Complex64::ZERO),
+                "{m}x{n}: deflated direction {r1} is not a zero vector"
+            );
+        }
+        for r2 in 0..k {
+            let expect = if r1 == r2 { 1.0 } else { 0.0 };
+            let dev = (inner(&full[r1], &full[r2]) - c64(expect, 0.0)).norm();
+            assert!(dev <= 1e-12, "{m}x{n}: full side off by {dev:e}");
+            if live && f.s[r2] > f64::EPSILON * norm {
+                let dev = (inner(&thin[r1], &thin[r2]) - c64(expect, 0.0)).norm();
+                assert!(dev <= 1e-12, "{m}x{n}: thin side off by {dev:e}");
+            }
+        }
+    }
+    f
+}
+
+/// The theta of `RXX(t)` across a fresh bond between two bond-2 neighbours:
+/// `cos(t/2) u v^T - i sin(t/2) (X u)(X v)^T`, a 4 x 4 matrix of rank 2.
+#[test]
+fn svd_converges_on_rxx_theta() {
+    for seed in 0..32u64 {
+        let t = 0.1 + 0.09 * seed as f64;
+        let u = deterministic_matrix(4, 1, 2 * seed + 1); // [(chi_l, p1)]
+        let v = deterministic_matrix(1, 4, 2 * seed + 2); // [(p2, chi_r)]
+        let (cos, sin) = (c64((t / 2.0).cos(), 0.0), c64(0.0, -(t / 2.0).sin()));
+        let mut theta = vec![Complex64::ZERO; 16];
+        for row in 0..4 {
+            for col in 0..4 {
+                // X flips the physical bit: p1 is the low bit of the row
+                // index, p2 the high bit of the column index.
+                theta[row * 4 + col] = cos * u[row] * v[col] + sin * u[row ^ 1] * v[col ^ 2];
+            }
+        }
+        let f = assert_truncation_svd(4, 4, &theta);
+        assert!(f.s[1] > 0.0 && f.s[2] == 0.0 && f.s[3] == 0.0, "{:?}", f.s);
+    }
+}
+
+/// Hands every matrix the simulator factorises to the test.
+#[derive(Default)]
+struct CaptureBackend {
+    thetas: Mutex<Vec<(usize, usize, Vec<Complex64>)>>,
+}
+
+impl ExecutionBackend for CaptureBackend {
+    fn name(&self) -> &'static str {
+        "capture"
+    }
+
+    fn gemm(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[Complex64],
+        b: &[Complex64],
+        c: &mut [Complex64],
+    ) {
+        gemm_serial(m, k, n, a, b, c);
+    }
+
+    fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
+        self.thetas
+            .lock()
+            .expect("capture lock")
+            .push((m, n, a.to_vec()));
+        svd(m, n, a)
+    }
+}
+
+/// Every theta of the paper's feature map at the benchmark's two shapes
+/// (m = 8, d = 1 and m = 12, d = 3 routed, SWAP thetas included) meets the
+/// truncation contract, in at most 8 sweeps on average.
+#[test]
+fn svd_converges_on_feature_map_thetas() {
+    for (m, d, gamma) in [(8usize, 1usize, 0.5f64), (12, 3, 1.0)] {
+        let features: Vec<f64> = (0..m)
+            .map(|i| 0.1 + 1.8 * (i as f64 * 0.618_033_988_75).fract())
+            .collect();
+        let circuit = route_for_mps(&feature_map_circuit(
+            &features,
+            &AnsatzConfig::new(2, d, gamma),
+        ));
+        let swaps = circuit.ops().iter().filter(|op| op.gate == Gate::Swap);
+        assert_eq!(swaps.count() > 0, d > 1, "routing inserts SWAPs for d > 1");
+        let be = CaptureBackend::default();
+        MpsSimulator::new(&be)
+            .with_truncation(TruncationConfig {
+                cutoff: 1e-16,
+                max_bond: None,
+            })
+            .simulate(&circuit);
+        let thetas = be.thetas.into_inner().expect("capture lock");
+        let two_qubit = circuit.ops().iter().filter(|op| op.qubits.len() == 2);
+        assert_eq!(thetas.len(), two_qubit.count());
+        let sweeps: usize = thetas
+            .iter()
+            .map(|(rows, cols, a)| assert_truncation_svd(*rows, *cols, a).sweeps)
+            .sum();
+        assert!(
+            sweeps <= 8 * thetas.len(),
+            "m={m} d={d}: {sweeps} sweeps over {} thetas",
+            thetas.len()
+        );
     }
 }
 
