@@ -67,7 +67,8 @@ pub enum TracePhase {
     Assemble,
     /// Request sat in the submission queue before a worker dequeued it.
     Queue,
-    /// Worker held the batch open waiting for more requests to coalesce.
+    /// Worker drained already-queued requests into its batch: non-blocking
+    /// `try_recv`s, microseconds (arg0 = the batch size it formed).
     Coalesce,
     /// Feature rows encoded into MPS states (cache-miss simulation).
     Encode,

@@ -7,19 +7,26 @@ use std::time::Duration;
 
 /// Tuning knobs for a [`crate::KernelServer`].
 ///
-/// The defaults target the paper's inference profile: simulation is
-/// ~100x the cost of a kernel row, so the queue is sized to keep every
-/// worker busy while duplicates coalesce, and the cache is large enough
-/// to hold tens of thousands of d = 1 states (the paper stores 64,000
-/// training states in under 1 GiB; query states are the same size).
+/// The defaults target the paper's inference profile (Sec. III-A: one
+/// simulation plus one inner product per retained state). At the
+/// paper's 165 qubits the simulation dominates (~2 s against ~0.02 s
+/// per inner product); at the repo benchmark's shape (m = 32, d = 1,
+/// 256 model states) it is the other way round — a simulation measures
+/// 0.34 ms and a kernel row 1.3 ms — so a hot request is nearly all
+/// kernel row and what matters is that no worker idles while a request
+/// waits. There is accordingly no wait knob: batches form only from
+/// what is already queued (see [`crate::server`]). The queue holds a
+/// few batches per worker, and the cache is large enough for tens of
+/// thousands of d = 1 states (the paper stores 64,000 training states
+/// in under 1 GiB; query states are the same size).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Worker threads sharing the submission queue (min 1).
     pub workers: usize,
-    /// Most requests coalesced into one worker wake (min 1).
+    /// Most requests one worker drains into a batch (min 1). A worker
+    /// takes fewer when other workers are idle: its fair share of the
+    /// queue, never waiting for more to arrive.
     pub max_batch: usize,
-    /// How long a worker tops up a partial batch before processing it.
-    pub max_wait: Duration,
     /// Bound on queued requests; submitters block (backpressure) or get
     /// [`crate::ServeError::QueueFull`] from `try_submit` beyond it.
     pub queue_capacity: usize,
@@ -74,7 +81,6 @@ impl Default for ServeConfig {
                 .unwrap_or(4)
                 .clamp(2, 16),
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             cache_capacity: 4096,
             cache_max_bytes: None,

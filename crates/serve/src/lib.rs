@@ -10,9 +10,11 @@
 //! long-running service:
 //!
 //! * [`server`] — a bounded submission queue with backpressure, a
-//!   micro-batching worker pool (coalesce up to `max_batch` requests or
-//!   `max_wait`, whichever first), and a graceful-shutdown protocol that
-//!   answers every accepted request.
+//!   work-conserving micro-batching worker pool (a worker that pops a
+//!   request drains, without ever blocking, its fair share of what is
+//!   already queued — up to `max_batch` — so no request waits while a
+//!   worker is idle and batches form only behind busy workers), and a
+//!   graceful-shutdown protocol that answers every accepted request.
 //! * [`cache`] — an LRU *encoding cache* keyed by quantized feature
 //!   vectors: repeated and near-duplicate points skip the dominant
 //!   simulation cost entirely and pay only the inner-product phase.
@@ -21,7 +23,8 @@
 //!   one, and cached encodings survive any deploy that keeps the
 //!   encoding parameters.
 //! * [`metrics`] — throughput, p50/p95/p99 latency, cache hit rate,
-//!   queue depth, and batching telemetry as one [`MetricsSnapshot`].
+//!   queue depth, idle workers and worker busy share, and batching
+//!   telemetry as one [`MetricsSnapshot`].
 //!
 //! ## Quickstart
 //!

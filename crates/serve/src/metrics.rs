@@ -79,6 +79,13 @@ pub struct MetricsSnapshot {
     pub mean_batch_size: f64,
     /// Largest coalesced batch.
     pub max_batch_size: u64,
+    /// Workers parked in the queue's blocking `recv` right now (the
+    /// `serve.idle_workers` gauge the batch-formation rule reads).
+    pub idle_workers: usize,
+    /// Fraction of worker time spent on batches since start:
+    /// Σ batch processing time / (uptime × workers). Well under 1 with
+    /// requests waiting means a worker sat idle while they did.
+    pub worker_busy_share: f64,
     /// Circuit simulations performed (= encoding-cache misses that were
     /// actually simulated).
     pub simulations: u64,
@@ -97,10 +104,10 @@ pub struct MetricsSnapshot {
     /// Request latency percentiles.
     pub latency: LatencySnapshot,
     /// Per-stage latency breakdown, in pipeline order: `queue` (first
-    /// request of a batch, enqueue to batch start), `coalesce` (batch
-    /// top-up wait), `encode` (cache-miss simulations per batch),
-    /// `kernel` (one kernel block per batch), `reply` (answer fan-out
-    /// per batch).
+    /// request of a batch, enqueue to batch start), `coalesce` (queue
+    /// drain: non-blocking `try_recv`s, ~µs), `encode` (cache-miss
+    /// simulations per batch), `kernel` (one kernel block per batch),
+    /// `reply` (answer fan-out per batch).
     pub stages: Vec<StageLatency>,
     /// Model version serving new batches.
     pub model_version: u64,
@@ -122,8 +129,12 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "batching: {} batches, mean size {:.2}, max size {}",
-            self.batches, self.mean_batch_size, self.max_batch_size
+            "batching: {} batches, mean size {:.2}, max size {}; workers: {} idle, busy share {:.2}",
+            self.batches,
+            self.mean_batch_size,
+            self.max_batch_size,
+            self.idle_workers,
+            self.worker_busy_share
         )?;
         writeln!(
             f,
@@ -164,7 +175,7 @@ impl std::fmt::Display for MetricsSnapshot {
 pub(crate) enum Stage {
     /// First request of a batch: enqueue to batch start.
     Queue = 0,
-    /// Batch top-up wait in the worker loop.
+    /// Queue drain in the worker loop (non-blocking `try_recv`s).
     Coalesce = 1,
     /// Cache-miss simulations for one batch.
     Encode = 2,
@@ -178,6 +189,7 @@ pub(crate) enum Stage {
 /// instruments are registered in the server's [`Obs`] under `serve.*`.
 pub(crate) struct Metrics {
     started: Instant,
+    workers: usize,
     pub(crate) submitted: Counter,
     pub(crate) rejected: Counter,
     pub(crate) completed: Counter,
@@ -189,6 +201,12 @@ pub(crate) struct Metrics {
     pub(crate) workers_restarted: Counter,
     pub(crate) faults_injected: Counter,
     pub(crate) queue_depth: Gauge,
+    /// Workers blocked in the queue's `recv`; read by the fair-share
+    /// drain, so it lives in the registry rather than a private atomic.
+    pub(crate) idle_workers: Gauge,
+    /// Σ time workers spent between popping a request and finishing
+    /// its batch, µs.
+    worker_busy_us: Counter,
     latency: Histogram,
     /// Pipeline-stage histograms, in pipeline order with their wire
     /// names — the request-granularity breakdown behind the serving
@@ -197,9 +215,10 @@ pub(crate) struct Metrics {
 }
 
 impl Metrics {
-    pub(crate) fn new(obs: &Obs) -> Self {
+    pub(crate) fn new(obs: &Obs, workers: usize) -> Self {
         Metrics {
             started: Instant::now(),
+            workers,
             submitted: obs.counter("serve.submitted"),
             rejected: obs.counter("serve.rejected"),
             completed: obs.counter("serve.completed"),
@@ -211,6 +230,8 @@ impl Metrics {
             workers_restarted: obs.counter("serve.workers_restarted"),
             faults_injected: obs.counter("serve.faults_injected"),
             queue_depth: obs.gauge("serve.queue_depth"),
+            idle_workers: obs.gauge("serve.idle_workers"),
+            worker_busy_us: obs.counter("serve.worker_busy_us"),
             latency: obs.histogram("serve.latency_us"),
             stages: [
                 ("queue", obs.histogram("serve.stage.queue_us")),
@@ -227,6 +248,12 @@ impl Metrics {
         self.stages[stage as usize]
             .1
             .record(u64::try_from(took.as_micros()).unwrap_or(u64::MAX));
+    }
+
+    /// Adds one pop-to-batch-end interval to the workers' busy time.
+    pub(crate) fn record_busy(&self, took: Duration) {
+        self.worker_busy_us
+            .add(u64::try_from(took.as_micros()).unwrap_or(u64::MAX));
     }
 
     pub(crate) fn record_batch(&self, size: usize) {
@@ -265,6 +292,9 @@ impl Metrics {
                 batched_jobs as f64 / batches as f64
             },
             max_batch_size: self.max_batch_size.get(),
+            idle_workers: usize::try_from(self.idle_workers.get().max(0)).unwrap_or(0),
+            worker_busy_share: self.worker_busy_us.get() as f64
+                / (uptime.as_secs_f64() * 1e6 * self.workers as f64).max(1e-9),
             simulations: self.simulations.get(),
             requests_shed: self.requests_shed.get(),
             workers_restarted: self.workers_restarted.get(),
@@ -306,7 +336,7 @@ mod tests {
     use super::*;
 
     fn metrics() -> Metrics {
-        Metrics::new(&Obs::new())
+        Metrics::new(&Obs::new(), 2)
     }
 
     #[test]
@@ -396,7 +426,11 @@ mod tests {
         m.record_batch(3);
         m.record_batch(5);
         m.record_latency(Duration::from_millis(2));
+        m.idle_workers.inc();
+        m.record_busy(Duration::from_micros(1));
         let s = m.snapshot(CacheStats::default(), 2, 1);
+        assert_eq!(s.idle_workers, 1);
+        assert!(s.worker_busy_share > 0.0);
         assert_eq!(s.submitted, 10);
         assert_eq!(s.completed, 8);
         assert_eq!(s.batches, 2);

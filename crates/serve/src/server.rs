@@ -1,22 +1,71 @@
-//! The serving loop: bounded submission queue, micro-batching workers.
+//! The serving loop: bounded submission queue, work-conserving
+//! micro-batching workers.
 //!
 //! ## Architecture
 //!
 //! ```text
 //! ServeHandle::submit ──► bounded channel (backpressure) ──► worker pool
-//!                                                             │  coalesce ≤ max_batch
-//!                                                             │  (wait ≤ max_wait)
+//!                                                             │  drain ≤ fair share
+//!                                                             │  (try_recv only)
 //!                                                             ▼
 //!                        reply channel ◄── predict_from_states_with(unique states)
 //!                                              ▲
 //!                 encoding cache (hit: skip simulation entirely)
 //! ```
 //!
-//! Each worker blocks on the shared MPMC queue, then tops its batch up
-//! with whatever arrives within `max_wait`. The batch is deduplicated by
-//! quantized cache key, missing encodings are simulated once, and the
-//! whole batch is answered from one kernel block — so `k` duplicates of
-//! a point cost one simulation and one kernel row, not `k` of each.
+//! Each worker blocks on the shared MPMC queue only while it has
+//! nothing to do. The batch is deduplicated by quantized cache key,
+//! missing encodings are simulated once, and the whole batch is
+//! answered from one kernel block — so `k` duplicates of a point cost
+//! one simulation and one kernel row, not `k` of each.
+//!
+//! ## Batch formation: no request waits while a worker is idle
+//!
+//! A worker that pops a request never blocks again before serving it.
+//! It drains, with `try_recv` only, up to
+//!
+//! ```text
+//! share = min(max_batch, ceil((1 + queued) / (1 + idle_others)))
+//! ```
+//!
+//! requests ([`batch_share`]): `queued` is the channel length at drain
+//! time, `idle_others` the `serve.idle_workers` gauge — workers inside
+//! the blocking `recv` (incremented before it, decremented after). With
+//! every other worker busy the share is the whole queue up to
+//! `max_batch`, so batches — one model snapshot, one cache-lock pair,
+//! in-batch dedup — still form for free behind busy workers; with idle
+//! workers the queue is split between them and this one, so they are
+//! left something to do.
+//!
+//! There is no wait knob because waiting can only lose. A worker used
+//! to hold a partial batch open for a timed window (2 ms by default);
+//! with two requests in flight on two workers that made every batch
+//! wait out the window, take both requests, and leave the other worker
+//! idle — the lanes alternated and never overlapped:
+//!
+//! ```text
+//! before  lane 0: [coalesce 2.1 ms][kernel ×2 2.4 ms]
+//!         lane 1:                                    [coalesce 2.1 ms][kernel ×2 2.4 ms]
+//! after   lane 0: [kernel ×1 1.3 ms][kernel ×1 1.3 ms][kernel ×1 ...
+//!         lane 1: [kernel ×1 1.3 ms][kernel ×1 1.3 ms][kernel ×1 ...
+//! ```
+//!
+//! Under a work-conserving rule the only worker that could wait is
+//! itself idle, so the knob has no meaning. Dropping the wait alone is
+//! not enough: a woken worker needs tens of µs to run, finds both
+//! requests queued and takes both — hence the fair share.
+//!
+//! The idle count is a heuristic that correctness never depends on: a
+//! stale read only changes how requests are grouped (a worker that has
+//! popped but not yet decremented still counts as idle, so a batch may
+//! come out a request or two larger or smaller than ideal).
+//!
+//! **Liveness.** A request a fair-share drain leaves behind cannot be
+//! stranded: a worker blocks in `recv` only after finding the queue
+//! empty under the channel lock, and every `send` notifies one blocked
+//! worker — so the request is taken by a notified idle worker or by
+//! the next worker to finish its batch, whichever reaches the channel
+//! lock first.
 //!
 //! ## Shutdown protocol
 //!
@@ -27,7 +76,8 @@
 //! successful enqueue strictly precedes the `Shutdown` tokens in the
 //! FIFO queue. A worker that pops a token therefore knows every accepted
 //! request has already been popped (by some worker), and can exit
-//! immediately without draining.
+//! immediately without draining. A token met inside a drain ends the
+//! worker after its batch.
 
 use crate::cache::{CacheKey, EncodingCache, Quantizer};
 use crate::config::ServeConfig;
@@ -391,7 +441,7 @@ impl KernelServer {
                 config.cache_max_bytes,
             )),
             quantizer: Quantizer::new(config.quantization_scale),
-            metrics: Metrics::new(&obs),
+            metrics: Metrics::new(&obs, worker_count),
             obs,
             journal,
             stop: AtomicBool::new(false),
@@ -542,12 +592,16 @@ fn worker_loop(core: &ServerCore, rx: &Receiver<Msg>, wid: u32) {
     let mut ws = ZipperWorkspace::new();
     let _worker_span = core.obs.span("serve_worker");
     loop {
-        let first = match rx.recv() {
+        core.metrics.idle_workers.inc();
+        let popped = rx.recv();
+        core.metrics.idle_workers.dec();
+        let first = match popped {
             Ok(Msg::Request(job)) => job,
             // Shutdown token or disconnect: the FIFO argument in the
             // module docs guarantees no accepted request remains.
             Ok(Msg::Shutdown) | Err(_) => return,
         };
+        let busy_start = Instant::now();
         core.metrics.queue_depth.dec();
         // The queue-stall site models a slow consumer; it only honors
         // delays. A panic here would escape supervision and an I/O
@@ -570,31 +624,24 @@ fn worker_loop(core: &ServerCore, rx: &Receiver<Msg>, wid: u32) {
         }
         let coalesce_t0 = lane.as_ref().map(|l| l.stamp());
         let coalesce_start = Instant::now();
+        // Fair-share drain (module docs): never blocks. The share is
+        // computed here, after the stall above, so requests that
+        // arrived during it count.
+        let idle_others = usize::try_from(core.metrics.idle_workers.get()).unwrap_or(0);
+        let share = batch_share(rx.len(), idle_others, core.config.max_batch);
         let mut batch = vec![first];
-        let deadline = Instant::now() + core.config.max_wait;
         let mut shutting_down = false;
-        while batch.len() < core.config.max_batch {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let next = if remaining.is_zero() {
-                match rx.try_recv() {
-                    Ok(msg) => msg,
-                    Err(_) => break,
-                }
-            } else {
-                match rx.recv_timeout(remaining) {
-                    Ok(msg) => msg,
-                    Err(_) => break,
-                }
-            };
-            match next {
-                Msg::Request(job) => {
+        while batch.len() < share {
+            match rx.try_recv() {
+                Ok(Msg::Request(job)) => {
                     core.metrics.queue_depth.dec();
                     batch.push(job);
                 }
-                Msg::Shutdown => {
+                Ok(Msg::Shutdown) => {
                     shutting_down = true;
                     break;
                 }
+                Err(_) => break,
             }
         }
         core.metrics
@@ -622,10 +669,19 @@ fn worker_loop(core: &ServerCore, rx: &Receiver<Msg>, wid: u32) {
                 j.event("worker_restarted").log();
             }
         }
+        core.metrics.record_busy(busy_start.elapsed());
         if shutting_down {
             return;
         }
     }
+}
+
+/// How many requests (its own included) a worker that just popped one
+/// drains into its batch: its fair share of the `1 + queued` requests
+/// in hand among itself and the `idle_others` workers with nothing to
+/// do, capped at `max_batch`. Never 0.
+fn batch_share(queued: usize, idle_others: usize, max_batch: usize) -> usize {
+    (1 + queued).div_ceil(1 + idle_others).min(max_batch)
 }
 
 /// One encoding shared by every job in the batch that quantizes to it.
@@ -817,4 +873,35 @@ fn process_batch(
     }
     core.metrics
         .record_stage(Stage::Reply, reply_start.elapsed());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::batch_share;
+
+    #[test]
+    fn batch_share_splits_the_queue_among_idle_workers() {
+        // (queued behind the popped request, idle other workers, max_batch)
+        for ((queued, idle_others, max_batch), want) in [
+            ((1, 1, 8), 1),
+            ((3, 1, 8), 2),
+            ((0, 3, 8), 1),
+            ((20, 0, 8), 8),
+            ((5, 0, 8), 6),
+        ] {
+            assert_eq!(
+                batch_share(queued, idle_others, max_batch),
+                want,
+                "({queued}, {idle_others}, {max_batch})"
+            );
+        }
+        for queued in 0..40 {
+            for idle_others in 0..6 {
+                for max_batch in 1..10 {
+                    let share = batch_share(queued, idle_others, max_batch);
+                    assert!((1..=max_batch).contains(&share));
+                }
+            }
+        }
+    }
 }

@@ -83,7 +83,6 @@ fn load_1000_requests_4_workers_with_hot_swap() {
         &ServeConfig {
             workers: CLIENTS,
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 32, // small: backpressure is exercised
             ..ServeConfig::default()
         },

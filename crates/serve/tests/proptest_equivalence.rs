@@ -13,7 +13,6 @@ use qk_serve::{KernelServer, ServeConfig};
 use qk_svm::SmoParams;
 use qk_tensor::backend::CpuBackend;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 const FEATURES: usize = 4;
 
@@ -93,7 +92,6 @@ proptest! {
         let server = KernelServer::start(model, &ServeConfig {
             workers: 2,
             max_batch: 4,
-            max_wait: Duration::from_micros(500),
             cache_capacity: if cache_on { 1024 } else { 0 },
             ..ServeConfig::default()
         });

@@ -56,7 +56,6 @@ fn worker_panic_error_replies_batch_and_restarts() {
         fresh_model(),
         &ServeConfig {
             chaos,
-            max_wait: Duration::ZERO,
             ..ServeConfig::with_workers(1)
         },
     );
@@ -114,7 +113,6 @@ fn admission_control_sheds_above_queue_depth() {
         &ServeConfig {
             chaos,
             shed_queue_depth: Some(2),
-            max_wait: Duration::ZERO,
             max_batch: 1,
             ..ServeConfig::with_workers(1)
         },
@@ -153,7 +151,6 @@ fn shutdown_with_full_queue_answers_every_accepted_request() {
         fresh_model(),
         &ServeConfig {
             queue_capacity: 2,
-            max_wait: Duration::ZERO,
             ..ServeConfig::with_workers(2)
         },
     );

@@ -59,7 +59,6 @@ fn main() {
         &ServeConfig {
             workers: 4,
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 128,
             ..ServeConfig::default()
         },
