@@ -5,12 +5,12 @@
 //!   differs sharply.
 //! * Accelerator launch latency sweep: how the device model moves the
 //!   CPU/GPU crossover.
-//! * Commuting-gate emission order: the `<= 2d`-layer schedule vs a
-//!   scrambled edge order (orthogonality-center movement cost).
+//! * Interaction distance `d` in 1..=4 at `m = 12`: what one state costs
+//!   once the router has scheduled each XX block as a sweep per qubit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qk_bench::sample_rows;
-use qk_circuit::ansatz::{feature_map_circuit, linear_chain_edges, rxx_angle, AnsatzConfig};
+use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
 use qk_circuit::{Circuit, Gate};
 use qk_mps::MpsSimulator;
 use qk_tensor::backend::{AcceleratorBackend, CpuBackend, DeviceModel};
@@ -89,44 +89,23 @@ fn bench_launch_latency_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_emission_order(c: &mut Criterion) {
-    // Layered schedule (as emitted by the ansatz builder) vs an edge order
-    // scrambled across distances, which forces extra center movement.
-    let mut group = c.benchmark_group("xx_emission_order");
+fn bench_interaction_distance(c: &mut Criterion) {
+    // Cost of one state as the interaction distance grows: the router
+    // schedules each XX block as one sweep per qubit whatever order the
+    // edges were emitted in, so d (ops applied, bond reached) is the knob
+    // left to ablate.
+    let mut group = c.benchmark_group("xx_interaction_distance");
     group.sample_size(10);
     let cpu = CpuBackend::new();
     let m = 12;
-    let d = 3;
     let rows = sample_rows(1, m, 72);
-    let x = &rows[0];
-    let gamma = 1.0;
-
-    let layered = feature_map_circuit(x, &AnsatzConfig::new(2, d, gamma));
-
-    let mut scrambled = Circuit::new(m);
-    for q in 0..m {
-        scrambled.push1(Gate::H, q);
+    let sim = MpsSimulator::new(&cpu);
+    for d in 1..=4 {
+        let circuit = feature_map_circuit(&rows[0], &AnsatzConfig::new(2, d, 1.0));
+        group.bench_with_input(BenchmarkId::new("d", d), &d, |bch, _| {
+            bch.iter(|| sim.simulate(&circuit));
+        });
     }
-    let mut edges = linear_chain_edges(m, d);
-    // Deterministic scramble: reverse-interleave.
-    edges.sort_by_key(|&(i, j)| (j * 31 + i * 17) % 23);
-    for _rep in 0..2 {
-        for (q, &xi) in x.iter().enumerate() {
-            scrambled.push1(Gate::Rz(2.0 * gamma * xi), q);
-        }
-        for &(i, j) in &edges {
-            scrambled.push2(Gate::Rxx(rxx_angle(gamma, x[i], x[j])), i, j);
-        }
-    }
-
-    group.bench_function("layered_schedule", |bch| {
-        let sim = MpsSimulator::new(&cpu);
-        bch.iter(|| sim.simulate(&layered));
-    });
-    group.bench_function("scrambled_order", |bch| {
-        let sim = MpsSimulator::new(&cpu);
-        bch.iter(|| sim.simulate(&scrambled));
-    });
     group.finish();
 }
 
@@ -158,7 +137,7 @@ criterion_group!(
     benches,
     bench_rxx_vs_generic_gate,
     bench_launch_latency_sweep,
-    bench_emission_order,
+    bench_interaction_distance,
     bench_kernel_diagnostics
 );
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 //!     [--scale ci|default|paper] [--qubits M] [--dmax D] [--samples K]
 
 use qk_bench::{median, quartiles, sample_rows, write_results, Args, Scale};
-use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
+use qk_circuit::ansatz::{feature_map_circuit, swap_overhead, AnsatzConfig};
 use qk_mps::{Mps, MpsSimulator, TruncationConfig};
 use qk_tensor::backend::{AcceleratorBackend, CpuBackend, ExecutionBackend};
 use serde::Serialize;
@@ -21,6 +21,12 @@ use std::time::{Duration, Instant};
 struct BackendPoint {
     backend: &'static str,
     interaction_distance: usize,
+    /// The paper's SWAP count for this circuit (Sec. II-C: `2(k-1)` per
+    /// distance-`k` gate).
+    paper_swaps: usize,
+    /// Two-qubit ops the simulator actually applied per circuit (RXX,
+    /// fused SWAP-RXX and return SWAPs), from `SimRecord`.
+    two_qubit_ops_applied: usize,
     sim_median: Duration,
     sim_q1: Duration,
     sim_q3: Duration,
@@ -59,9 +65,12 @@ fn run_backend(
 
     let mut sim_times = Vec::new();
     let mut states: Vec<Mps> = Vec::new();
+    // The op count depends on (m, d, r) only, never on the data.
+    let mut two_qubit_ops_applied = 0;
     for row in rows {
         let circuit = feature_map_circuit(row, &cfg);
-        let ((mps, _), t) = timed(backend, || sim.simulate(&circuit));
+        let ((mps, record), t) = timed(backend, || sim.simulate(&circuit));
+        two_qubit_ops_applied = record.two_qubit_gates;
         sim_times.push(t);
         states.push(mps);
     }
@@ -83,6 +92,8 @@ fn run_backend(
     BackendPoint {
         backend: name,
         interaction_distance: d,
+        paper_swaps: cfg.layers * swap_overhead(rows[0].len(), d),
+        two_qubit_ops_applied,
         sim_median: median(sim_times),
         sim_q1,
         sim_q3,
@@ -116,8 +127,17 @@ fn main() {
     println!("crossover (paper: d ~ 9, chi ~ 320); the accelerator is timed on its");
     println!("virtual device clock (see DESIGN.md substitution 1)\n");
     println!(
-        "{:>3} {:>12} {:>12} {:>14} {:>14} | {:>9} {:>9} {:>10}",
-        "d", "cpu sim", "gpu sim", "cpu inner", "gpu inner", "chi(cpu)", "chi(gpu)", "MiB/MPS"
+        "{:>3} {:>11} {:>8} {:>12} {:>12} {:>14} {:>14} | {:>9} {:>9} {:>10}",
+        "d",
+        "paper SWAPs",
+        "2q ops",
+        "cpu sim",
+        "gpu sim",
+        "cpu inner",
+        "gpu inner",
+        "chi(cpu)",
+        "chi(gpu)",
+        "MiB/MPS"
     );
 
     let mut points: Vec<BackendPoint> = Vec::new();
@@ -127,8 +147,10 @@ fn main() {
         let p_cpu = run_backend(&cpu, "cpu", &rows, d, gamma);
         let p_acc = run_backend(&acc, "accelerator", &rows, d, gamma);
         println!(
-            "{:>3} {:>12.3?} {:>12.3?} {:>14.3?} {:>14.3?} | {:>9.1} {:>9.1} {:>10.3}",
+            "{:>3} {:>11} {:>8} {:>12.3?} {:>12.3?} {:>14.3?} {:>14.3?} | {:>9.1} {:>9.1} {:>10.3}",
             d,
+            p_cpu.paper_swaps,
+            p_cpu.two_qubit_ops_applied,
             p_cpu.sim_median,
             p_acc.sim_median,
             p_cpu.inner_median,

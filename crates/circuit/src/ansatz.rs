@@ -16,7 +16,10 @@
 //!
 //! The RXX gates within one `e^{-i H_XX}` block commute, so they are emitted
 //! in a schedule of at most `2d` full layers (the paper's footnote 3),
-//! produced by [`xx_layers`].
+//! produced by [`xx_layers`]. That layering is the *logical* circuit's: it
+//! is what depth accounting and QASM export see. [`crate::routing`] uses the
+//! same commutation to re-order each block into one sweep per qubit before
+//! the MPS engine applies it ([`scheduled_xx_ops`] two-qubit ops per block).
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -145,10 +148,21 @@ pub fn xx_gate_count(m: usize, d: usize) -> usize {
     (1..=d).map(|k| m.saturating_sub(k)).sum()
 }
 
-/// Expected number of SWAP gates the MPS router inserts for one
-/// `e^{-i H_XX}` block: `2(k-1)` per distance-`k` edge.
+/// The paper's SWAP count for one `e^{-i H_XX}` block (Section II-C):
+/// `2(k-1)` per distance-`k` edge, each gate swapped out and back on its
+/// own. [`crate::routing`] applies fewer; see [`scheduled_xx_ops`].
 pub fn swap_overhead(m: usize, d: usize) -> usize {
     (1..=d).map(|k| m.saturating_sub(k) * 2 * (k - 1)).sum()
+}
+
+/// Two-qubit ops (RXX, fused SWAP-RXX and return SWAPs together) that
+/// [`crate::routing::route_for_mps`] emits for one `e^{-i H_XX}` block:
+/// qubit `i` has `t = min(d, m-1-i)` partners to its right and its sweep
+/// costs `2t - 1`.
+pub fn scheduled_xx_ops(m: usize, d: usize) -> usize {
+    (0..m.saturating_sub(1))
+        .map(|i| 2 * d.min(m - 1 - i) - 1)
+        .sum()
 }
 
 #[cfg(test)]
@@ -256,6 +270,22 @@ mod tests {
         // them) need 2 each, distance-3 edges (2) need 4 each.
         assert_eq!(swap_overhead(5, 3), 3 * 2 + 2 * 4);
         assert_eq!(swap_overhead(10, 1), 0);
+    }
+
+    #[test]
+    fn scheduled_xx_ops_formula() {
+        // m=12, d=3: nine qubits with three partners, then 2 and 1.
+        assert_eq!(scheduled_xx_ops(12, 3), 9 * 5 + 3 + 1);
+        for m in 1..20 {
+            // d = 1 needs no routing: one op per edge.
+            assert_eq!(scheduled_xx_ops(m, 1), m.saturating_sub(1));
+        }
+        // Never below one op per edge, never above the per-gate count.
+        for (m, d) in [(5usize, 4usize), (12, 3), (16, 5)] {
+            let edges = xx_gate_count(m, d);
+            assert!(scheduled_xx_ops(m, d) >= edges);
+            assert!(scheduled_xx_ops(m, d) <= edges + swap_overhead(m, d));
+        }
     }
 
     #[test]

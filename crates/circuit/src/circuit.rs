@@ -3,7 +3,7 @@
 //! A [`Circuit`] is an ordered list of gate applications on a register of
 //! `m` qubits. Qubit indices are positions on the linear chain; the MPS
 //! simulator requires two-qubit gates on *adjacent* positions, which
-//! [`crate::routing`] guarantees by SWAP insertion.
+//! [`crate::routing`] guarantees.
 
 use crate::gate::Gate;
 
@@ -113,8 +113,14 @@ impl Circuit {
     /// Appends all operations of another circuit.
     pub fn extend(&mut self, other: &Circuit) -> &mut Self {
         assert_eq!(self.num_qubits, other.num_qubits, "register size mismatch");
-        self.ops.extend_from_slice(&other.ops);
+        self.extend_ops(&other.ops);
         self
+    }
+
+    /// Appends operations already validated against a register of this
+    /// size (a slice of another circuit's [`Circuit::ops`]).
+    pub(crate) fn extend_ops(&mut self, ops: &[Operation]) {
+        self.ops.extend_from_slice(ops);
     }
 
     /// Count of two-qubit gates — the cost driver of MPS simulation.

@@ -7,8 +7,9 @@
 //! * [`circuit`] — ordered gate lists with depth/cost accounting.
 //! * [`ansatz`] — the spin-Hamiltonian feature map of eqs. (3)-(5),
 //!   including the `<= 2d`-layer commuting-RXX schedule.
-//! * [`routing`] — SWAP insertion so every two-qubit gate is
-//!   nearest-neighbour, as required by the MPS simulator.
+//! * [`routing`] — makes every two-qubit gate nearest-neighbour, as the
+//!   MPS simulator requires: each commuting RXX block as one fused sweep
+//!   per qubit, SWAP conjugation for any other long-range gate.
 //! * [`mod@optimize`] — peephole passes (rotation merging, self-inverse
 //!   cancellation, 1q fusion) that cut MPS simulation cost directly.
 //! * [`decompose`] — ZYZ Euler decomposition of single-qubit unitaries.
@@ -23,7 +24,8 @@
 //! let config = AnsatzConfig::new(2, 2, 0.5);
 //! let circuit = feature_map_circuit(&[0.3, 1.2, 0.7, 1.8], &config);
 //! let routed = route_for_mps(&circuit);
-//! // Routing adds the 2(k-1) SWAPs per long-range RXX the paper counts.
+//! // Each XX block becomes one there-and-back sweep per qubit.
+//! assert!(routed.is_mps_local());
 //! assert!(routed.ops().len() >= circuit.ops().len());
 //! ```
 #![forbid(unsafe_code)]
@@ -46,4 +48,4 @@ pub use decompose::{decompose_gate, zyz_decompose, Zyz};
 pub use gate::Gate;
 pub use optimize::{gate_histogram, optimize, OptimizeReport};
 pub use qasm::{from_qasm, to_qasm, QasmError};
-pub use routing::{route_for_mps, route_with_report, RoutingReport};
+pub use routing::route_for_mps;

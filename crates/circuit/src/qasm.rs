@@ -8,6 +8,12 @@
 //! export (global phase dropped — irrelevant to kernel values);
 //! [`Gate::Unitary2`] has no QASM spelling and is rejected.
 //!
+//! QASM is an exchange format for the *logical* circuit — export what
+//! `feature_map_circuit` returns. Routing is the MPS engine's business
+//! (`MpsSimulator::simulate` routes whatever it is given), and a routed
+//! `d > 1` circuit carries fused SWAP-RXX `Unitary2` ops that export
+//! rejects by the rule above.
+//!
 //! The parser accepts the angle grammar QASM files use in practice:
 //! literals, `pi`, unary minus, `*`, `/`, and parentheses.
 
@@ -554,9 +560,13 @@ mod tests {
         use crate::ansatz::{feature_map_circuit, AnsatzConfig};
         let features = [0.3, 1.2, 0.8, 1.9, 0.1];
         let c = feature_map_circuit(&features, &AnsatzConfig::new(2, 2, 0.7));
-        let routed = crate::route_for_mps(&c);
-        let back = from_qasm(&to_qasm(&routed).unwrap()).unwrap();
-        assert_eq!(back.ops(), routed.ops());
+        let back = from_qasm(&to_qasm(&c).unwrap()).unwrap();
+        assert_eq!(back.ops(), c.ops());
+        // The routed form is not exportable: it holds fused SWAP-RXX ops.
+        assert!(matches!(
+            to_qasm(&crate::route_for_mps(&c)),
+            Err(QasmError::Unsupported(_))
+        ));
     }
 
     #[test]

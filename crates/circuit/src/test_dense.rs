@@ -1,10 +1,11 @@
 //! Minimal dense simulator for in-crate equivalence tests.
 //!
-//! `qk-statevector` depends on this crate, so using it as a
-//! dev-dependency would create a second instance of `qk-circuit` in the
-//! graph with incompatible types. The handful of lines below is the
-//! price of keeping the dependency graph acyclic; the full-featured
-//! ground-truth simulator lives in `qk-statevector`.
+//! `qk-statevector` depends on this crate, so inside the `cfg(test)`
+//! build of the library its `Circuit` is a second instance of
+//! `qk-circuit` with incompatible types (the integration tests under
+//! `tests/` link one instance only and do use it). The handful of lines
+//! below is the price for the unit tests; the full-featured ground-truth
+//! simulator lives in `qk-statevector`.
 
 use crate::circuit::Circuit;
 use qk_tensor::complex::Complex64;

@@ -1,12 +1,14 @@
-//! Property-based tests of the ansatz builder and SWAP router.
+//! Property-based tests of the ansatz builder and the MPS router.
 
 use proptest::prelude::*;
 use qk_circuit::ansatz::{
-    feature_map_circuit, linear_chain_edges, swap_overhead, xx_gate_count, xx_layers, AnsatzConfig,
+    feature_map_circuit, linear_chain_edges, scheduled_xx_ops, xx_gate_count, xx_layers,
+    AnsatzConfig,
 };
 use qk_circuit::gate::is_unitary;
-use qk_circuit::routing::{net_permutation, route_with_report};
-use qk_circuit::Gate;
+use qk_circuit::{route_for_mps, Circuit, Gate};
+use qk_statevector::StateVector;
+use qk_tensor::complex::Complex64;
 
 fn features() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..2.0, 2..10)
@@ -31,23 +33,58 @@ proptest! {
         prop_assert_eq!(c.two_qubit_count(), layers * xx_gate_count(m, d));
     }
 
-    /// Routing inserts exactly the paper's 2(k-1)-per-edge SWAP overhead,
-    /// keeps everything nearest-neighbour and restores positions.
+    /// The routed ansatz is the same unitary on `|0>^m` as the logical one
+    /// amplitude by amplitude (so every qubit is back where it started,
+    /// fused SWAPs included), is nearest-neighbour, and costs one
+    /// there-and-back sweep per qubit and block.
     #[test]
     fn routing_invariants(
-        features in features(),
+        features in prop::collection::vec(0.0f64..2.0, 2..9),
         layers in 1usize..4,
-        d in 1usize..6,
+        d in 0usize..7,
+        gamma in 0.1f64..1.5,
     ) {
         let m = features.len();
-        let d = d.min(m - 1).max(1);
-        let cfg = AnsatzConfig::new(layers, d, 0.8);
-        let c = feature_map_circuit(&features, &cfg);
-        let (routed, report) = route_with_report(&c);
+        let d = 1 + d % (m - 1);
+        let c = feature_map_circuit(&features, &AnsatzConfig::new(layers, d, gamma));
+        let routed = route_for_mps(&c);
         prop_assert!(routed.is_mps_local());
-        prop_assert_eq!(report.swaps_inserted, layers * swap_overhead(m, d));
-        let identity: Vec<usize> = (0..m).collect();
-        prop_assert_eq!(net_permutation(&routed), identity);
+        prop_assert_eq!(routed.two_qubit_count(), layers * scheduled_xx_ops(m, d));
+        if d == 1 {
+            prop_assert_eq!(&routed, &c);
+        }
+        let (a, b) = (StateVector::simulate(&routed), StateVector::simulate(&c));
+        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
+            prop_assert!((*x - *y).norm() <= 1e-12, "{x:?} vs {y:?}");
+        }
+    }
+
+    /// Any RXX run — duplicate edges, either operand order, partner sets
+    /// with gaps — routes to the same dense unitary, column by column.
+    #[test]
+    fn routed_xx_run_is_the_same_unitary(
+        n in 3usize..7,
+        edges in prop::collection::vec((0usize..6, 0usize..6, -3.0f64..3.0), 1..10),
+    ) {
+        let mut run = Circuit::new(n);
+        for &(a, b, theta) in &edges {
+            if a % n != b % n {
+                run.push2(Gate::Rxx(theta), a % n, b % n);
+            }
+        }
+        let routed = route_for_mps(&run);
+        prop_assert!(routed.is_mps_local());
+        for k in 0..1usize << n {
+            let mut basis = vec![Complex64::ZERO; 1 << n];
+            basis[k] = Complex64::ONE;
+            let mut a = StateVector::from_amplitudes(basis.clone());
+            let mut b = StateVector::from_amplitudes(basis);
+            a.apply_circuit(&routed);
+            b.apply_circuit(&run);
+            for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
+                prop_assert!((*x - *y).norm() <= 1e-12, "column {k}: {x:?} vs {y:?}");
+            }
+        }
     }
 
     /// The commuting-RXX schedule is a partition of the chain edges into

@@ -556,6 +556,48 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_from_older_kernel_version_is_refused() {
+        // The directory as a v2 binary left it: same job, manifest and a
+        // (valid, checksummed) tile both stamped with the v2 fingerprint.
+        let dir = scratch("v2");
+        let spec = spec();
+        // What `spec().fingerprint()` returned while the version was 2.
+        let v2 = 0x3078_60bd_58d4_4f60_u64;
+        assert_ne!(v2, spec.fingerprint());
+        fs::create_dir_all(dir.join("tiles")).unwrap();
+        let manifest = Manifest {
+            fingerprint: v2,
+            kind: spec.kind,
+            rows: spec.rows,
+            cols: spec.cols,
+            tile: spec.tile,
+        };
+        fs::write(dir.join(MANIFEST_NAME), manifest.encode()).unwrap();
+        let old = CheckpointStore {
+            dir: dir.clone(),
+            fingerprint: v2,
+        };
+        let tile = TilePlan::symmetric(spec.rows, spec.tile).tiles[0];
+        let payload = vec![0.5; tile.len()];
+        old.store(&tile, &payload).unwrap();
+        assert_eq!(old.load(&tile).unwrap(), Some(payload));
+
+        match CheckpointStore::open(&dir, &spec) {
+            Err(CheckpointError::Mismatch { expected, found }) => {
+                assert_eq!(expected, spec.fingerprint());
+                assert_eq!(found, v2);
+            }
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
+        // Even with the manifest out of the way the v2 tile never enters
+        // a v3 job: its header fingerprint fails the per-tile check.
+        fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
+        let store = CheckpointStore::open(&dir, &spec).unwrap();
+        assert_eq!(store.load(&tile).unwrap(), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn tile_from_other_job_is_not_loaded() {
         let dir_a = scratch("foreign-a");
         let dir_b = scratch("foreign-b");

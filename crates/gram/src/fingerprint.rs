@@ -130,12 +130,18 @@ impl JobSpec {
         buf[17..25].copy_from_slice(&(self.cols as u64).to_le_bytes());
         buf[25..33].copy_from_slice(&(self.tile as u64).to_le_bytes());
         // Format/kernel version: bump to invalidate old checkpoints
-        // wholesale. v2 = the blocked zipper inner-product kernel, whose
-        // floating-point operation order differs from v1's contract-based
-        // path by ~1e-12 — restoring v1 tiles next to freshly computed v2
-        // tiles would silently break the engine's bitwise-identical-to-
-        // clean-run guarantee, so v1 checkpoints must recompute instead.
-        buf[33..41].copy_from_slice(&2u64.to_le_bytes());
+        // wholesale whenever the bits of a Gram entry can change.
+        // Restoring tiles an older binary wrote next to freshly computed
+        // ones would silently break the engine's bitwise-identical-to-
+        // clean-run guarantee, so such checkpoints must recompute instead.
+        // v2 = the blocked zipper inner-product kernel, whose floating-
+        // point operation order differs from v1's contract-based path by
+        // ~1e-12. v3 = the simulated states themselves changed bits,
+        // twice: the truncation SVD now converges and pivots its columns,
+        // and every d > 1 circuit is routed as one fused sweep per qubit
+        // instead of gate-by-gate SWAP conjugation (the same state to
+        // ~1e-15, not bitwise).
+        buf[33..41].copy_from_slice(&3u64.to_le_bytes());
         fnv1a64(&buf)
     }
 }

@@ -249,6 +249,18 @@ mod tests {
     }
 
     #[test]
+    fn fused_swap_rxx_needs_no_orientation() {
+        // The router's fused SWAP-RXX op is symmetric in its qubits, so
+        // the `a < b` orientation branch of `run` cannot change it.
+        let mut c = Circuit::new(3);
+        c.push2(Gate::Rxx(0.7), 0, 1).push2(Gate::Rxx(0.3), 0, 2);
+        let routed = route_for_mps(&c);
+        let fused = &routed.ops()[0].gate;
+        assert!(matches!(fused, Gate::Unitary2(_)));
+        assert_eq!(flip_two_qubit(&fused.matrix()), fused.matrix());
+    }
+
+    #[test]
     fn oriented_gate_respects_qubit_order() {
         // CX with control below target (qubits (2, 1)).
         let be = CpuBackend::new();

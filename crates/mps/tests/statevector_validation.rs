@@ -2,7 +2,7 @@
 //! statevector simulator on every circuit family the framework uses, in
 //! the small-qubit regime where both run.
 
-use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
+use qk_circuit::ansatz::{feature_map_circuit, scheduled_xx_ops, AnsatzConfig};
 use qk_circuit::{route_for_mps, Circuit, Gate};
 use qk_mps::{MpsSimulator, TruncationConfig};
 use qk_statevector::StateVector;
@@ -139,6 +139,48 @@ fn gamma_sweep_matches() {
         let features = [0.7, 1.3, 0.2, 1.6];
         let c = feature_map_circuit(&features, &AnsatzConfig::new(2, 3, gamma));
         assert_states_match(&c, 1e-8);
+    }
+}
+
+#[test]
+fn ansatz_grid_matches_unrouted_statevector() {
+    // Differential coverage across the ansatz grid and therefore across
+    // routing schedules: the MPS engine routes, the dense oracle runs the
+    // logical circuit as built. `cutoff: 0` discards exact zeros only, so
+    // the comparison is at rounding level; the paper-default 1e-16 weight
+    // cutoff alone moves amplitudes by up to 1e-8.
+    let be = CpuBackend::new();
+    let sim = MpsSimulator::new(&be).with_truncation(TruncationConfig::with_cutoff(0.0));
+    for m in [4usize, 7, 10, 12] {
+        // Two fixed points per width, spread over the (0, 2) feature range.
+        let xa: Vec<f64> = (0..m)
+            .map(|i| 0.15 + 1.7 * ((i * 7) % m) as f64 / m as f64)
+            .collect();
+        let xb: Vec<f64> = (0..m)
+            .map(|i| 1.9 - 1.6 * ((i * 5 + 2) % m) as f64 / m as f64)
+            .collect();
+        for d in (1..=5).filter(|&d| d < m) {
+            for r in 1..=3 {
+                for gamma in [0.1, 0.5, 1.0] {
+                    let cell = format!("m={m} d={d} r={r} gamma={gamma}");
+                    let cfg = AnsatzConfig::new(r, d, gamma);
+                    let (ca, cb) = (
+                        feature_map_circuit(&xa, &cfg),
+                        feature_map_circuit(&xb, &cfg),
+                    );
+                    let (mps_a, rec) = sim.simulate(&ca);
+                    assert_eq!(rec.two_qubit_gates, r * scheduled_xx_ops(m, d), "{cell}");
+                    assert_eq!(rec.truncation.truncations, rec.two_qubit_gates, "{cell}");
+                    let sv_a = StateVector::simulate(&ca);
+                    for (a, b) in mps_a.to_statevector().iter().zip(sv_a.amplitudes()) {
+                        assert!((*a - *b).norm() <= 1e-12, "{cell}: {a:?} vs {b:?}");
+                    }
+                    let k_mps = mps_a.overlap_sqr(&sim.simulate(&cb).0);
+                    let k_sv = sv_a.overlap_sqr(&StateVector::simulate(&cb));
+                    assert!((k_mps - k_sv).abs() <= 1e-10, "{cell}: {k_mps} vs {k_sv}");
+                }
+            }
+        }
     }
 }
 

@@ -350,8 +350,8 @@ impl ExecutionBackend for CaptureBackend {
 }
 
 /// Every theta of the paper's feature map at the benchmark's two shapes
-/// (m = 8, d = 1 and m = 12, d = 3 routed, SWAP thetas included) meets the
-/// truncation contract, in at most 8 sweeps on average.
+/// (m = 8, d = 1 and m = 12, d = 3 routed, SWAP and fused SWAP-RXX thetas
+/// included) meets the truncation contract, in at most 8 sweeps on average.
 #[test]
 fn svd_converges_on_feature_map_thetas() {
     for (m, d, gamma) in [(8usize, 1usize, 0.5f64), (12, 3, 1.0)] {

@@ -38,8 +38,9 @@ fn redundant_circuit(angles: &[f64], m: usize) -> Circuit {
 
 #[test]
 fn optimizer_shrinks_ansatz_routing_overhead() {
-    // A routed d>1 ansatz contains SWAP conjugation; the optimizer must
-    // not change semantics and the histogram must reflect the gate mix.
+    // A routed d>1 ansatz holds return SWAPs and fused SWAP-RXX unitaries
+    // (no adjacent SWAP pair to cancel); the optimizer must not change
+    // semantics and the histogram must reflect the gate mix.
     let features = [0.4, 1.3, 0.8, 1.6, 0.2];
     let circuit = route_for_mps(&feature_map_circuit(
         &features,
@@ -78,8 +79,8 @@ fn qasm_roundtrip_preserves_mps_kernel_entries() {
     let cfg = AnsatzConfig::new(2, 2, 0.8);
     let xa = [0.3, 1.5, 0.9, 0.4];
     let xb = [1.1, 0.2, 1.8, 0.6];
-    let ca = route_for_mps(&feature_map_circuit(&xa, &cfg));
-    let cb = route_for_mps(&feature_map_circuit(&xb, &cfg));
+    let ca = feature_map_circuit(&xa, &cfg);
+    let cb = feature_map_circuit(&xb, &cfg);
     let ca2 = from_qasm(&to_qasm(&ca).unwrap()).unwrap();
     let cb2 = from_qasm(&to_qasm(&cb).unwrap()).unwrap();
 
@@ -109,7 +110,8 @@ proptest! {
         }
     }
 
-    /// QASM round-trips are exact for the routed ansatz family.
+    /// QASM round-trips are exact for the ansatz family (the logical
+    /// circuit: the MPS engine routes on its side of the exchange).
     #[test]
     fn qasm_roundtrip_is_exact(
         features in prop::collection::vec(0.0f64..2.0, 2..6),
@@ -117,7 +119,7 @@ proptest! {
         gamma in 0.1f64..1.2,
     ) {
         let d = (features.len() - 1).clamp(1, 2);
-        let c = route_for_mps(&feature_map_circuit(&features, &AnsatzConfig::new(layers, d, gamma)));
+        let c = feature_map_circuit(&features, &AnsatzConfig::new(layers, d, gamma));
         let back = from_qasm(&to_qasm(&c).unwrap()).unwrap();
         prop_assert_eq!(back.ops(), c.ops());
     }
