@@ -21,7 +21,7 @@ fn bench_gram_assembly(c: &mut Criterion) {
     for &n in &[16usize, 32, 64] {
         let rows = sample_rows(n, 16, 61);
         let states = simulate_states(&rows, &ansatz, &cpu, &tc).states;
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("in_memory", n), &n, |bch, _| {
             bch.iter(|| gram_matrix(&states, &cpu));
         });
     }
@@ -42,32 +42,6 @@ fn bench_distribution_strategies(c: &mut Criterion) {
             &strategy,
             |bch, &strategy| {
                 bch.iter(|| distributed_gram(&rows, &ansatz, &cpu, &tc, 4, strategy));
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_inference_block_strategies(c: &mut Criterion) {
-    // Rectangular-kernel distribution (Sec. II-D's inference case):
-    // circulating the small test partitions (round-robin) vs redundant
-    // simulation (no-messaging).
-    use qk_core::distributed_inference::distributed_kernel_block;
-    let mut group = c.benchmark_group("inference_block_strategy");
-    group.sample_size(10);
-    let cpu = CpuBackend::new();
-    let tc = TruncationConfig::default();
-    let ansatz = AnsatzConfig::qml_default();
-    let train = sample_rows(32, 16, 63);
-    let test = sample_rows(8, 16, 64);
-    for strategy in [Strategy::NoMessaging, Strategy::RoundRobin] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("{strategy:?}"), 4),
-            &strategy,
-            |bch, &strategy| {
-                bch.iter(|| {
-                    distributed_kernel_block(&test, &train, &ansatz, &cpu, &tc, 4, strategy)
-                });
             },
         );
     }
@@ -112,7 +86,6 @@ criterion_group!(
     benches,
     bench_gram_assembly,
     bench_distribution_strategies,
-    bench_inference_block_strategies,
     bench_svm_solve,
     bench_gaussian_kernel
 );

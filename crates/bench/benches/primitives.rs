@@ -1,10 +1,10 @@
-//! Criterion micro-benchmarks of the tensor primitives: GEMM, SVD and QR
-//! on the matrix sizes an MPS simulation actually produces, serial vs
-//! parallel — the microscopic cause of the paper's Fig. 5 crossover.
+//! Criterion micro-benchmarks of the tensor primitives: GEMM, SVD (serial
+//! vs parallel) and QR on the matrix sizes an MPS simulation actually
+//! produces — the microscopic cause of the paper's Fig. 5 crossover.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qk_tensor::complex::{c64, Complex64};
-use qk_tensor::matrix::{gemm_parallel, gemm_serial};
+use qk_tensor::matrix::gemm_serial;
 use qk_tensor::svd::{svd, svd_parallel};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Vec<Complex64> {
@@ -30,9 +30,6 @@ fn bench_gemm(c: &mut Criterion) {
         let mut out = vec![Complex64::ZERO; n * n];
         group.bench_with_input(BenchmarkId::new("serial", n), &n, |bch, &n| {
             bch.iter(|| gemm_serial(n, n, n, &a, &b, &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |bch, &n| {
-            bch.iter(|| gemm_parallel(n, n, n, &a, &b, &mut out));
         });
     }
     group.finish();

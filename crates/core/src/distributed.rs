@@ -106,7 +106,7 @@ pub fn distributed_gram(
 }
 
 /// Contiguous block boundaries for partitioning `n` items over `k` owners.
-pub(crate) fn block_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
+fn block_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     let base = n / k;
     let extra = n % k;
     let mut out = Vec::with_capacity(k);
@@ -120,7 +120,7 @@ pub(crate) fn block_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// One kernel entry produced by a worker.
-pub(crate) type Entry = (usize, usize, f64);
+type Entry = (usize, usize, f64);
 
 // ---------------------------------------------------------------------
 // No-messaging strategy
@@ -219,7 +219,7 @@ fn no_messaging(
 
 /// Smallest `g` with `g(g+1)/2 >= k` — the tile grid order giving every
 /// process at least one tile.
-pub(crate) fn tile_grid_order(k: usize) -> usize {
+fn tile_grid_order(k: usize) -> usize {
     let mut g = 1usize;
     while g * (g + 1) / 2 < k {
         g += 1;
@@ -232,7 +232,7 @@ pub(crate) fn tile_grid_order(k: usize) -> usize {
 // ---------------------------------------------------------------------
 
 /// Serializes a block of states with length framing.
-pub(crate) fn pack_states(states: &[Mps]) -> Vec<u8> {
+fn pack_states(states: &[Mps]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(states.len() as u64).to_le_bytes());
     for s in states {
@@ -244,7 +244,7 @@ pub(crate) fn pack_states(states: &[Mps]) -> Vec<u8> {
 }
 
 /// Inverse of [`pack_states`].
-pub(crate) fn unpack_states(bytes: &[u8]) -> Vec<Mps> {
+fn unpack_states(bytes: &[u8]) -> Vec<Mps> {
     let mut pos = 0usize;
     let count = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
     pos += 8;
@@ -398,7 +398,7 @@ fn round_robin(
 }
 
 /// Builds the symmetric kernel from a stream of upper-triangle entries.
-pub(crate) fn assemble(n: usize, entries: impl Iterator<Item = Entry>) -> KernelMatrix {
+fn assemble(n: usize, entries: impl Iterator<Item = Entry>) -> KernelMatrix {
     let mut data = vec![0.0f64; n * n];
     let mut seen = vec![false; n * n];
     for i in 0..n {

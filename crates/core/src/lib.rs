@@ -29,20 +29,15 @@
 #![warn(missing_docs)]
 
 pub mod distributed;
-pub mod distributed_inference;
-pub mod distributed_mpi;
 pub mod extrapolate;
 pub mod gram;
 pub mod inference;
 pub mod pipeline;
-pub mod projected;
 pub mod states;
 pub mod timing;
 pub mod truncation_study;
 
 pub use distributed::{distributed_gram, DistributedResult, ProcessTimes, Strategy};
-pub use distributed_inference::{distributed_kernel_block, DistributedBlockResult};
-pub use distributed_mpi::mpi_distributed_gram;
 pub use extrapolate::{
     forecast_inference, forecast_training, processes_for_deadline, InferenceForecast,
     PrimitiveCosts, TrainingForecast,
@@ -56,7 +51,6 @@ pub use pipeline::{
     run_gaussian_experiment, run_gaussian_on_split, run_quantum_experiment, run_quantum_on_split,
     ExperimentConfig, ExperimentResult, PipelineTimings,
 };
-pub use projected::{projected_block, projected_feature_batch, projected_gram};
 pub use states::{simulate_states, simulate_states_serial, StateBatch};
 pub use timing::{thread_cpu_time, PhaseClock};
 pub use truncation_study::{

@@ -155,6 +155,27 @@ mod tests {
     }
 
     #[test]
+    fn sub_tick_phases_read_nonzero() {
+        // Run time is credited only at scheduler events, so without the
+        // yield in `now` a phase shorter than a tick usually reads zero.
+        // Every one of several such phases must register.
+        let clock = PhaseClock::new();
+        if !clock.is_cpu_clock() {
+            return;
+        }
+        for phase in 0..16 {
+            let start = clock.now();
+            let wall = Instant::now();
+            let mut acc = 0u64;
+            while wall.elapsed() < Duration::from_micros(300) {
+                acc = std::hint::black_box(acc.wrapping_add(1));
+            }
+            let busy = clock.since(start);
+            assert!(busy > Duration::ZERO, "phase {phase} read {busy:?}");
+        }
+    }
+
+    #[test]
     fn per_thread_isolation() {
         // CPU burned on another thread must not appear on this clock.
         let clock = PhaseClock::new();

@@ -143,7 +143,7 @@ impl Mps {
             let (pl, pr) = (prev.shape()[0], prev.shape()[2]);
             debug_assert_eq!(pr, chi_l);
             let mut merged = vec![Complex64::ZERO; pl * 2 * kept];
-            qk_tensor::matrix::gemm_auto(pl * 2, chi_l, kept, prev.data(), &carry, &mut merged);
+            qk_tensor::matrix::gemm_serial(pl * 2, chi_l, kept, prev.data(), &carry, &mut merged);
             self.sites_mut()[q - 1] = Tensor::from_data(&[pl, 2, kept], merged);
         }
         self.set_center(0);

@@ -16,8 +16,8 @@
 //! * [`mpo`] — Matrix Product Operators: Pauli-sum Hamiltonians (the
 //!   paper's encoding generators, eqs. 4-5), expectation values, operator
 //!   application.
-//! * [`observe`] — single-site observables and the projected-feature
-//!   vectors used by the projected quantum kernel.
+//! * [`observe`] — Pauli matrices, single-site reduced density matrices
+//!   and expectation values.
 //!
 //! The cost of simulation scales with the number of two-qubit gates and
 //! the entanglement they generate (bond dimension chi), not with the

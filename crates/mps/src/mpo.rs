@@ -235,7 +235,7 @@ impl Mpo {
             let (nl, nr) = (next.shape()[0], next.shape()[3]);
             debug_assert_eq!(nl, wr);
             let mut merged = vec![Complex64::ZERO; k * 4 * nr];
-            qk_tensor::matrix::gemm_auto(k, wr, 4 * nr, &carry, next.data(), &mut merged);
+            qk_tensor::matrix::gemm_serial(k, wr, 4 * nr, &carry, next.data(), &mut merged);
             self.sites[q + 1] = Tensor::from_data(&[k, 2, 2, nr], merged);
         }
         // Right-to-left truncating sweep.
@@ -258,7 +258,7 @@ impl Mpo {
             let (pl, pr) = (prev.shape()[0], prev.shape()[3]);
             debug_assert_eq!(pr, wl);
             let mut merged = vec![Complex64::ZERO; pl * 4 * kept];
-            qk_tensor::matrix::gemm_auto(pl * 4, wl, kept, prev.data(), &carry, &mut merged);
+            qk_tensor::matrix::gemm_serial(pl * 4, wl, kept, prev.data(), &carry, &mut merged);
             self.sites[q - 1] = Tensor::from_data(&[pl, 2, 2, kept], merged);
         }
     }

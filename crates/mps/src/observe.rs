@@ -1,11 +1,8 @@
 //! Local observables on MPS states.
 //!
 //! Implements single-site expectation values and reduced density matrices
-//! via the standard environment contraction. This powers the *projected
-//! quantum kernel* alternative the paper's introduction points to (Huang
-//! et al., "Power of data in quantum machine learning"): instead of state
-//! overlaps, measure a set of local observables per data point and build
-//! a classical kernel over them.
+//! via the standard environment contraction: moving the orthogonality
+//! centre to the qubit reduces either to a sum over one site tensor.
 
 use crate::mps::Mps;
 use qk_tensor::complex::Complex64;
@@ -88,29 +85,6 @@ impl Mps {
         let tr = rho[0] * o[0] + rho[1] * o[2] + rho[2] * o[1] + rho[3] * o[3];
         tr.re
     }
-
-    /// The projected-feature vector of the state: `(<X_q>, <Y_q>, <Z_q>)`
-    /// for every qubit, concatenated — `3m` real numbers.
-    ///
-    /// This is the "observable set for each data point" of the projected
-    /// quantum kernel method.
-    pub fn projected_features(&mut self) -> Vec<f64> {
-        let m = self.num_qubits();
-        let (x, y, z) = (pauli_x(), pauli_y(), pauli_z());
-        let mut out = Vec::with_capacity(3 * m);
-        for q in 0..m {
-            // One density matrix per qubit, reused for all three Paulis.
-            let rho = self.reduced_density_matrix(q);
-            let tr = |o: &Tensor| {
-                let o = o.data();
-                (rho[0] * o[0] + rho[1] * o[2] + rho[2] * o[1] + rho[3] * o[3]).re
-            };
-            out.push(tr(&x));
-            out.push(tr(&y));
-            out.push(tr(&z));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -185,24 +159,6 @@ mod tests {
             for o in [pauli_x(), pauli_y(), pauli_z()] {
                 assert!(mps.expectation_1q(&o, q).abs() < TOL);
             }
-        }
-    }
-
-    #[test]
-    fn projected_features_shape_and_range() {
-        let be = CpuBackend::new();
-        let cfg = TruncationConfig::default();
-        let mut mps = Mps::basis_state(&[0, 1, 0, 1]);
-        mps.apply_gate1(&Gate::H.matrix(), 1);
-        mps.apply_gate2(&be, &Gate::Rxx(0.6).matrix(), 1, &cfg);
-        let f = mps.projected_features();
-        assert_eq!(f.len(), 12);
-        // Bloch-vector components are bounded by 1.
-        assert!(f.iter().all(|v| v.abs() <= 1.0 + TOL));
-        // Per-qubit Bloch norm <= 1 (purity bound).
-        for q in 0..4 {
-            let norm2: f64 = f[3 * q..3 * q + 3].iter().map(|v| v * v).sum();
-            assert!(norm2 <= 1.0 + 1e-9, "qubit {q} bloch norm^2 {norm2}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! * [`complex`] — `Complex64` scalar type.
 //! * [`tensor`] — row-major dense tensors with reshape/permute (the paper's
 //!   eq. 7 bijection is a free reshape).
-//! * [`matrix`] — GEMM kernels (serial and rayon-parallel) and helpers.
+//! * [`matrix`] — single-threaded GEMM kernels and helpers.
 //! * [`mod@contract`] — pairwise tensor contraction (eq. 6).
 //! * [`qr`] — Householder QR/LQ for MPS canonicalization.
 //! * [`mod@svd`] — one-sided Jacobi SVD (serial and parallel) plus the

@@ -1,9 +1,10 @@
 //! Dense complex matrix kernels: GEMM and friends.
 //!
 //! All kernels operate on row-major slices (`a` is `m x k`, `b` is `k x n`,
-//! `c` is `m x n`). [`gemm_serial`] / [`gemm_parallel`] / [`gemm_conj_a`]
-//! pick one of three paths from the shape alone (and, for the SIMD paths,
-//! the CPU's AVX bit):
+//! `c` is `m x n`) on the calling thread; callers parallelise across
+//! independent products, never inside one. [`gemm_serial`] and
+//! [`gemm_conj_a`] pick one of three paths from the shape alone (and, for
+//! the SIMD paths, the CPU's AVX bit):
 //!
 //! | shape | path |
 //! |---|---|
@@ -35,20 +36,15 @@
 //! output element in strictly increasing `p` order with the exact
 //! [`Complex64::mul_add`] / [`Complex64::conj_mul_add`] operation order.
 //! Blocking only changes *when* partial sums are parked in memory, never
-//! the order terms are added, so the blocked, small, scalar, serial and
-//! row-parallel paths are bitwise identical on the same finite operands.
+//! the order terms are added, so the blocked, small and scalar paths are
+//! bitwise identical on the same finite operands.
 //! (A skipped `0 * x` term cannot show either: every element starts from
 //! `+0.0`, and under round-to-nearest a sum that starts there never
 //! becomes `-0.0`, so adding `±0` leaves it as it was.) The Gram engine's
 //! bitwise-reproducibility pins rest on this.
 
 use crate::complex::Complex64;
-use rayon::prelude::*;
 use std::cell::RefCell;
-
-/// Minimum `m * k * n` below which [`gemm_auto`] stays serial: rayon's
-/// fork-join overhead dominates under roughly a microsecond of work.
-pub const PARALLEL_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Register-tile rows (`C` rows held in accumulators at once).
 const MR: usize = 4;
@@ -109,7 +105,8 @@ impl PackBufs {
     }
 }
 
-/// `c = a * b` with `a: m x k`, `b: k x n`, serial kernel.
+/// `c = a * b` with `a: m x k`, `b: k x n`, on the path the shape selects:
+/// blocked, small AVX or scalar.
 ///
 /// # Panics
 /// Panics if slice lengths do not match the dimensions.
@@ -122,59 +119,11 @@ pub fn gemm_serial(
     c: &mut [Complex64],
 ) {
     check_dims(m, k, n, a.len(), b.len(), c.len());
-    gemm_into(m, k, n, a, b, c);
-}
-
-/// Overwrites one output block with `a * b` on the path its shape selects:
-/// blocked, small AVX or scalar.
-fn gemm_into(m: usize, k: usize, n: usize, a: &[Complex64], b: &[Complex64], c: &mut [Complex64]) {
     if use_blocked(m, k, n) {
         c.fill(Complex64::ZERO);
         gemm_blocked(m, k, n, Operand::Plain { a, lda: k }, b, c);
     } else {
         gemm_small::<false>(m, k, n, a, b, c);
-    }
-}
-
-/// `c = a * b`, rows of `c` computed in parallel with rayon.
-///
-/// Row chunks run the same per-element accumulation as [`gemm_serial`],
-/// so the result is bitwise identical at any worker count.
-pub fn gemm_parallel(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[Complex64],
-    b: &[Complex64],
-    c: &mut [Complex64],
-) {
-    check_dims(m, k, n, a.len(), b.len(), c.len());
-    if m == 0 {
-        return;
-    }
-    let rows_per_chunk = m.div_ceil(rayon::current_num_threads().max(1)).max(1);
-    c.par_chunks_mut(rows_per_chunk * n)
-        .enumerate()
-        .for_each(|(chunk, c_rows)| {
-            let i0 = chunk * rows_per_chunk;
-            let rows = c_rows.len() / n;
-            gemm_into(rows, k, n, &a[i0 * k..(i0 + rows) * k], b, c_rows);
-        });
-}
-
-/// `c = a * b`, choosing serial or parallel by problem size.
-pub fn gemm_auto(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[Complex64],
-    b: &[Complex64],
-    c: &mut [Complex64],
-) {
-    if m * k * n >= PARALLEL_FLOP_THRESHOLD {
-        gemm_parallel(m, k, n, a, b, c);
-    } else {
-        gemm_serial(m, k, n, a, b, c);
     }
 }
 
@@ -970,19 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bitwise_identical_to_serial() {
-        for &(m, k, n) in &[(33, 47, 29), (64, 64, 128), (3, 5, 301)] {
-            let a = test_matrix(m, k, 3);
-            let b = test_matrix(k, n, 4);
-            let mut c1 = vec![Complex64::ZERO; m * n];
-            let mut c2 = vec![Complex64::ZERO; m * n];
-            gemm_serial(m, k, n, &a, &b, &mut c1);
-            gemm_parallel(m, k, n, &a, &b, &mut c2);
-            assert_eq!(bits(&c1), bits(&c2), "({m},{k},{n})");
-        }
-    }
-
-    #[test]
     fn gemm_identity_is_noop() {
         let a = test_matrix(4, 4, 5);
         let id: Vec<Complex64> = Tensor4Identity::build();
@@ -1078,22 +1014,6 @@ mod tests {
         let back = conj_transpose(5, 3, &at);
         for (x, y) in a.iter().zip(&back) {
             assert!(approx_eq(*x, *y, 1e-15));
-        }
-    }
-
-    #[test]
-    fn gemm_auto_dispatches_correctly() {
-        // Just validates both paths produce the same result around the
-        // threshold; dispatch itself is a size check.
-        let (m, k, n) = (64, 64, 64);
-        let a = test_matrix(m, k, 11);
-        let b = test_matrix(k, n, 12);
-        let mut c1 = vec![Complex64::ZERO; m * n];
-        let mut c2 = vec![Complex64::ZERO; m * n];
-        gemm_auto(m, k, n, &a, &b, &mut c1);
-        gemm_serial(m, k, n, &a, &b, &mut c2);
-        for (x, y) in c1.iter().zip(&c2) {
-            assert!(approx_eq(*x, *y, 1e-12));
         }
     }
 }
