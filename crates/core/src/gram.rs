@@ -4,32 +4,22 @@
 //! (diagonal entries are exactly 1 for normalized states); the inference
 //! block needs `N_test * N_train`.
 //!
-//! Small problems run a single-pass loop that writes straight into
-//! per-row chunks of the dense buffer — no `O(N²)` list of index/value
-//! tuples is ever materialized next to the matrix (at the paper's
-//! N = 64,000 that list alone would be ~32 GiB of temporaries). At and
-//! above [`TILED_THRESHOLD`] the computation delegates to `qk-gram`'s
-//! tiled engine, which adds a worker pool, checkpoint/resume and a
-//! memory budget; both paths are pinned bitwise identical by tests.
+//! Both entry points are the in-memory entry into `qk-gram`'s tiled
+//! engine, at every problem size: they choose the in-memory tile edge and
+//! absorb the engine's "in-memory cannot fail" contract, so callers make
+//! neither decision. Engine output is bitwise independent of tile size
+//! and worker count.
 
 use qk_gram::{GramConfig, GramEngine};
-use qk_mps::{Mps, ZipperWorkspace};
-use qk_obs::Obs;
+use qk_mps::Mps;
 use qk_svm::{KernelBlock, KernelMatrix};
 use qk_tensor::backend::ExecutionBackend;
-use rayon::prelude::*;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Problem size (states for [`gram_matrix`], total entries for
-/// [`kernel_block`]) at which computation delegates to the tiled
-/// `qk-gram` engine instead of the single-pass loop.
-pub const TILED_THRESHOLD: usize = 64;
-
-/// Tile edge for the delegated in-memory path. Tile interiors are
-/// serial, so the edge shrinks with the problem until the plan yields
-/// several tiles per available worker (keeping moderate-N problems as
-/// parallel as the old per-pair loop), and is floored to amortize
-/// scheduling and capped to bound per-tile memory.
+/// Tile edge for the in-memory engine run. Tile interiors are serial, so
+/// the edge shrinks with the problem until the plan yields several tiles
+/// per available worker, and is floored to amortize scheduling and
+/// capped to bound per-tile memory.
 fn delegated_tile(extent: usize) -> usize {
     let workers = std::thread::available_parallelism()
         .map(|w| w.get())
@@ -41,11 +31,9 @@ fn delegated_tile(extent: usize) -> usize {
 pub struct TimedKernel {
     /// The kernel matrix.
     pub kernel: KernelMatrix,
-    /// Wall-clock time of the inner-product phase.
+    /// Wall-clock time of the engine run.
     pub wall_time: Duration,
-    /// Number of inner products evaluated. Computed once from the
-    /// problem shape (and surfaced from the engine's tile-plan manifest
-    /// on the delegated path), never recounted per entry.
+    /// Number of inner products evaluated, from the engine's tile plan.
     pub inner_products: usize,
 }
 
@@ -53,120 +41,21 @@ pub struct TimedKernel {
 ///
 /// Exploits symmetry: only the strict upper triangle is contracted.
 pub fn gram_matrix(states: &[Mps], backend: &dyn ExecutionBackend) -> TimedKernel {
-    let n = states.len();
-    let start = Instant::now();
-    if n >= TILED_THRESHOLD {
-        let engine = GramEngine::new(GramConfig::in_memory(delegated_tile(n)));
-        let out = engine
-            .compute_gram(states, backend)
-            .expect("in-memory tiled gram cannot fail: no checkpoint, no spill, no budget");
-        return TimedKernel {
-            kernel: out.kernel.into_kernel_matrix(),
-            wall_time: start.elapsed(),
-            inner_products: out.report.inner_products,
-        };
-    }
-    // Small-N fast path: each row of the dense buffer is an independent
-    // chunk; row i computes its strict upper triangle in place, then a
-    // cheap serial pass mirrors the triangle. Peak memory is the matrix
-    // itself. One zipper workspace per row chunk amortizes the kernel's
-    // environment buffers across the whole row of inner products.
-    let total = n * n.saturating_sub(1) / 2;
-    let mut data = vec![0.0f64; n * n];
-    data.par_chunks_mut(n.max(1))
-        .enumerate()
-        .for_each(|(i, row)| {
-            let mut ws = ZipperWorkspace::new();
-            row[i] = 1.0;
-            for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
-                *slot = states[i]
-                    .inner_into(&mut ws, backend, &states[j])
-                    .norm_sqr();
-            }
-        });
-    for i in 0..n {
-        for j in (i + 1)..n {
-            data[j * n + i] = data[i * n + j];
-        }
-    }
+    let out = GramEngine::new(GramConfig::in_memory(delegated_tile(states.len())))
+        .compute_gram(states, backend)
+        .expect("in-memory tiled gram cannot fail: no checkpoint, no spill, no budget");
     TimedKernel {
-        kernel: KernelMatrix::from_dense(n, data),
-        wall_time: start.elapsed(),
-        inner_products: total,
+        kernel: out.kernel.into_kernel_matrix(),
+        wall_time: out.report.wall_time,
+        inner_products: out.report.inner_products,
     }
-}
-
-/// [`gram_matrix`] with observability: wraps the computation in
-/// `core_gram` spans (with a `tiled` / `small_n` child marking which
-/// path ran), counts inner products into `core.gram_inner_products`,
-/// and — on the delegated path — shares `obs` with the tiled engine so
-/// its `gram.*` instruments land in the same registry. The kernel is
-/// bitwise identical to an unobserved [`gram_matrix`] run.
-pub fn gram_matrix_observed(
-    states: &[Mps],
-    backend: &dyn ExecutionBackend,
-    obs: &Obs,
-) -> TimedKernel {
-    let _gram_span = obs.span("core_gram");
-    let n = states.len();
-    let timed = if n >= TILED_THRESHOLD {
-        let _path_span = obs.span("tiled");
-        let engine = GramEngine::new(GramConfig {
-            obs: Some(obs.clone()),
-            ..GramConfig::in_memory(delegated_tile(n))
-        });
-        let out = engine
-            .compute_gram(states, backend)
-            .expect("in-memory tiled gram cannot fail: no checkpoint, no spill, no budget");
-        TimedKernel {
-            kernel: out.kernel.into_kernel_matrix(),
-            wall_time: out.report.wall_time,
-            inner_products: out.report.inner_products,
-        }
-    } else {
-        let _path_span = obs.span("small_n");
-        gram_matrix(states, backend)
-    };
-    obs.counter("core.gram_inner_products")
-        .add(timed.inner_products as u64);
-    timed
-}
-
-/// Maps a flat upper-triangle index to its `(i, j)` pair (`i < j`).
-///
-/// Pairs are ordered row-major — `(0,1), (0,2), …, (0,n-1), (1,2), …` —
-/// so row `i` starts at flat offset `C(i) = i (2n - i - 1) / 2`. The row
-/// is recovered with the quadratic formula; the adjustment loops absorb
-/// any floating-point drift in the square root (at most one step).
-/// Inverse of [`flat_from_pair`]; exercised by property tests up to the
-/// paper's scale, where the `f64` recovery is the delicate part.
-pub fn pair_from_flat(k: usize, n: usize) -> (usize, usize) {
-    debug_assert!(k < n * (n - 1) / 2);
-    let row_start = |i: usize| i * (2 * n - i - 1) / 2;
-    let m = (2 * n - 1) as f64;
-    let mut i = ((m - (m * m - 8.0 * k as f64).sqrt()) / 2.0).floor() as usize;
-    i = i.min(n - 2);
-    while i + 1 < n - 1 && row_start(i + 1) <= k {
-        i += 1;
-    }
-    while i > 0 && row_start(i) > k {
-        i -= 1;
-    }
-    (i, i + 1 + (k - row_start(i)))
-}
-
-/// Maps an upper-triangle pair (`i < j < n`) to its flat row-major
-/// index: the inverse of [`pair_from_flat`].
-pub fn flat_from_pair(i: usize, j: usize, n: usize) -> usize {
-    debug_assert!(i < j && j < n);
-    i * (2 * n - i - 1) / 2 + (j - i - 1)
 }
 
 /// A rectangular kernel block plus timing.
 pub struct TimedBlock {
     /// Rows = test states, columns = train states.
     pub block: KernelBlock,
-    /// Wall-clock time of the inner-product phase.
+    /// Wall-clock time of the engine run.
     pub wall_time: Duration,
     /// Number of inner products evaluated.
     pub inner_products: usize,
@@ -178,70 +67,15 @@ pub fn kernel_block(
     train_states: &[Mps],
     backend: &dyn ExecutionBackend,
 ) -> TimedBlock {
-    let start = Instant::now();
-    let cols = train_states.len();
-    let entries = test_states.len() * cols;
-    if entries >= TILED_THRESHOLD * TILED_THRESHOLD {
-        let tile = delegated_tile(test_states.len().max(cols));
-        let engine = GramEngine::new(GramConfig::in_memory(tile));
-        let out = engine
-            .compute_block(test_states, train_states, backend)
-            .expect("in-memory tiled block cannot fail: no checkpoint, no spill, no budget");
-        return TimedBlock {
-            block: out.block,
-            wall_time: start.elapsed(),
-            inner_products: out.report.inner_products,
-        };
-    }
-    // One workspace per test row, reused across its whole train sweep.
-    let data: Vec<f64> = test_states
-        .par_iter()
-        .flat_map_iter(|t| {
-            let mut ws = ZipperWorkspace::new();
-            train_states
-                .iter()
-                .map(move |s| t.inner_into(&mut ws, backend, s).norm_sqr())
-        })
-        .collect();
+    let tile = delegated_tile(test_states.len().max(train_states.len()));
+    let out = GramEngine::new(GramConfig::in_memory(tile))
+        .compute_block(test_states, train_states, backend)
+        .expect("in-memory tiled block cannot fail: no checkpoint, no spill, no budget");
     TimedBlock {
-        block: KernelBlock::from_dense(test_states.len(), cols, data),
-        wall_time: start.elapsed(),
-        inner_products: entries,
+        block: out.block,
+        wall_time: out.report.wall_time,
+        inner_products: out.report.inner_products,
     }
-}
-
-/// [`kernel_block`] with observability — the block analogue of
-/// [`gram_matrix_observed`], with the same bitwise guarantee.
-pub fn kernel_block_observed(
-    test_states: &[Mps],
-    train_states: &[Mps],
-    backend: &dyn ExecutionBackend,
-    obs: &Obs,
-) -> TimedBlock {
-    let _gram_span = obs.span("core_gram");
-    let entries = test_states.len() * train_states.len();
-    let timed = if entries >= TILED_THRESHOLD * TILED_THRESHOLD {
-        let _path_span = obs.span("tiled");
-        let tile = delegated_tile(test_states.len().max(train_states.len()));
-        let engine = GramEngine::new(GramConfig {
-            obs: Some(obs.clone()),
-            ..GramConfig::in_memory(tile)
-        });
-        let out = engine
-            .compute_block(test_states, train_states, backend)
-            .expect("in-memory tiled block cannot fail: no checkpoint, no spill, no budget");
-        TimedBlock {
-            block: out.block,
-            wall_time: out.report.wall_time,
-            inner_products: out.report.inner_products,
-        }
-    } else {
-        let _path_span = obs.span("small_n");
-        kernel_block(test_states, train_states, backend)
-    };
-    obs.counter("core.gram_inner_products")
-        .add(timed.inner_products as u64);
-    timed
 }
 
 #[cfg(test)]
@@ -350,63 +184,14 @@ mod tests {
     }
 
     #[test]
-    fn flat_index_enumerates_upper_triangle() {
-        // pair_from_flat must be a bijection onto {(i, j) : i < j} in
-        // row-major order, for a spread of sizes including tiny ones.
-        for n in [2usize, 3, 4, 5, 7, 16, 33, 100] {
-            let expected: Vec<(usize, usize)> = (0..n)
-                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-                .collect();
-            let got: Vec<(usize, usize)> =
-                (0..n * (n - 1) / 2).map(|k| pair_from_flat(k, n)).collect();
-            assert_eq!(got, expected, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn flat_round_trip_exhaustive_small_n() {
-        for n in 2usize..=40 {
-            for k in 0..n * (n - 1) / 2 {
-                let (i, j) = pair_from_flat(k, n);
-                assert!(i < j && j < n, "n={n} k={k} -> ({i},{j})");
-                assert_eq!(flat_from_pair(i, j, n), k, "n={n} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn small_n_gram_matches_materialized_pair_list() {
-        // Pin the fast path against the original implementation, which
-        // materialized the full pair list before the loop: entries must
-        // be bitwise identical.
-        let st = states(7, 4);
-        let be = CpuBackend::new();
-        let n = st.len();
-        let k_new = gram_matrix(&st, &be).kernel;
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-            .collect();
-        let mut data = vec![0.0f64; n * n];
-        for i in 0..n {
-            data[i * n + i] = 1.0;
-        }
-        for &(i, j) in &pairs {
-            let v = st[i].inner_with(&be, &st[j]).norm_sqr();
-            data[i * n + j] = v;
-            data[j * n + i] = v;
-        }
-        assert_eq!(k_new.data(), data.as_slice(), "fast path diverged");
-    }
-
-    #[test]
     fn delegated_tile_yields_parallel_work() {
-        // The delegated path must never collapse a moderate problem
-        // into one serial tile on a multi-core host: with more than one
-        // worker available, every delegated size plans several tiles.
+        // The engine must never collapse a moderate problem into one
+        // serial tile on a multi-core host: with more than one worker
+        // available, every size from 64 states up plans several tiles.
         let workers = std::thread::available_parallelism()
             .map(|w| w.get())
             .unwrap_or(1);
-        for n in [TILED_THRESHOLD, 100, 240, 1_000, 64_000] {
+        for n in [64, 100, 240, 1_000, 64_000] {
             let tile = delegated_tile(n);
             assert!((16..=128).contains(&tile), "n={n} tile={tile}");
             let bands = n.div_ceil(tile);
@@ -418,23 +203,25 @@ mod tests {
 
     #[test]
     fn delegated_gram_matches_fast_path_bitwise() {
-        // At TILED_THRESHOLD the engine takes over; its output must be
-        // bitwise identical to the single-pass loop on the same states.
-        let st = states(TILED_THRESHOLD, 3);
+        // The engine's output must be bitwise identical to a single-pass
+        // per-pair loop over the same states, on one tile and on many.
         let be = CpuBackend::new();
-        let n = st.len();
-        let timed = gram_matrix(&st, &be);
-        assert_eq!(timed.inner_products, n * (n - 1) / 2);
-        let mut reference = vec![0.0f64; n * n];
-        for i in 0..n {
-            reference[i * n + i] = 1.0;
-            for j in (i + 1)..n {
-                let v = st[i].inner_with(&be, &st[j]).norm_sqr();
-                reference[i * n + j] = v;
-                reference[j * n + i] = v;
+        for n in [7usize, 64] {
+            let st = states(n, 3);
+            let timed = gram_matrix(&st, &be);
+            assert_eq!(timed.inner_products, n * (n - 1) / 2);
+            let mut reference = vec![0.0f64; n * n];
+            for i in 0..n {
+                reference[i * n + i] = 1.0;
+                for j in (i + 1)..n {
+                    let v = st[i].inner_with(&be, &st[j]).norm_sqr();
+                    reference[i * n + j] = v;
+                    reference[j * n + i] = v;
+                }
             }
+            let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(timed.kernel.data()), bits(&reference), "n={n}");
         }
-        assert_eq!(timed.kernel.data(), reference.as_slice());
     }
 
     #[test]
@@ -463,68 +250,25 @@ mod tests {
         }
     }
 
-    /// The observed wrappers must be pure observers: identical kernels
-    /// bit for bit on both the small-N path and the delegated tiled
-    /// path, with spans and counters landing in the caller's registry.
-    #[test]
-    fn observed_gram_is_bitwise_identical_on_both_paths() {
-        let be = CpuBackend::new();
-        for n in [7usize, TILED_THRESHOLD] {
-            let st = states(n, 3);
-            let plain = gram_matrix(&st, &be);
-            let obs = Obs::new();
-            let observed = gram_matrix_observed(&st, &be, &obs);
-            assert_eq!(plain.kernel.data(), observed.kernel.data(), "n={n}");
-            assert_eq!(plain.inner_products, observed.inner_products);
-            let snap = obs.registry_snapshot();
-            assert_eq!(
-                snap.counters["core.gram_inner_products"],
-                plain.inner_products as u64
-            );
-            let paths: Vec<String> = obs.span_rollup().into_iter().map(|e| e.path).collect();
-            assert!(paths.contains(&"core_gram".to_string()), "{paths:?}");
-            let child = if n >= TILED_THRESHOLD {
-                "core_gram/tiled"
-            } else {
-                "core_gram/small_n"
-            };
-            assert!(paths.contains(&child.to_string()), "{paths:?}");
-        }
-    }
-
-    #[test]
-    fn observed_block_is_bitwise_identical() {
-        let be = CpuBackend::new();
-        let train = states(5, 3);
-        let test = states(3, 3);
-        let plain = kernel_block(&test, &train, &be);
-        let obs = Obs::new();
-        let observed = kernel_block_observed(&test, &train, &be, &obs);
-        for r in 0..plain.block.rows() {
-            assert_eq!(plain.block.row(r), observed.block.row(r), "row {r}");
-        }
-        assert_eq!(
-            obs.registry_snapshot().counters["core.gram_inner_products"],
-            plain.inner_products as u64
-        );
-    }
-
     #[test]
     fn delegated_block_matches_fast_path_bitwise() {
-        // 64 * 64 entries trip the delegation threshold.
-        let train = states(TILED_THRESHOLD, 3);
-        let test = states(TILED_THRESHOLD, 3);
+        // Against a per-pair loop, on one tile (5 x 3) and on many
+        // (64 x 64).
         let be = CpuBackend::new();
-        let timed = kernel_block(&test, &train, &be);
-        assert_eq!(timed.inner_products, TILED_THRESHOLD * TILED_THRESHOLD);
-        for (t, test_state) in test.iter().enumerate() {
-            for (s, train_state) in train.iter().enumerate() {
-                let direct = test_state.inner_with(&be, train_state).norm_sqr();
-                assert_eq!(
-                    timed.block.row(t)[s].to_bits(),
-                    direct.to_bits(),
-                    "[{t}][{s}]"
-                );
+        for (rows, cols) in [(5usize, 3usize), (64, 64)] {
+            let train = states(cols, 3);
+            let test = states(rows, 3);
+            let timed = kernel_block(&test, &train, &be);
+            assert_eq!(timed.inner_products, rows * cols);
+            for (t, test_state) in test.iter().enumerate() {
+                for (s, train_state) in train.iter().enumerate() {
+                    let direct = test_state.inner_with(&be, train_state).norm_sqr();
+                    assert_eq!(
+                        timed.block.row(t)[s].to_bits(),
+                        direct.to_bits(),
+                        "{rows}x{cols} [{t}][{s}]"
+                    );
+                }
             }
         }
     }

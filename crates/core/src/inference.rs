@@ -18,7 +18,6 @@ use qk_circuit::{route_for_mps, AnsatzConfig};
 use qk_mps::{Mps, MpsDecodeError, MpsSimulator, TruncationConfig, ZipperWorkspace};
 use qk_svm::{fit_platt, train_svc, KernelBlock, PlattCalibration, SmoParams, TrainedSvm};
 use qk_tensor::backend::ExecutionBackend;
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Timing breakdown of one prediction (the paper's inference cost
@@ -140,35 +139,6 @@ impl QuantumKernelModel {
         sim.simulate(&circuit).0
     }
 
-    /// Kernel row of a pre-simulated state against every retained
-    /// training state, computed in parallel (the paper distributes
-    /// exactly this loop over its ranks).
-    pub fn kernel_row(&self, state: &Mps, backend: &dyn ExecutionBackend) -> Vec<f64> {
-        self.train_states
-            .par_iter()
-            .map(|s| state.inner_with(backend, s).norm_sqr())
-            .collect()
-    }
-
-    /// [`QuantumKernelModel::kernel_row`] into a caller-held zipper
-    /// workspace: the serving worker's hot path. One worker holds one
-    /// workspace and amortizes the kernel's buffers across every row it
-    /// serves; entries are bitwise identical to [`kernel_row`]'s (both
-    /// run the same zipper kernel).
-    ///
-    /// [`kernel_row`]: QuantumKernelModel::kernel_row
-    pub fn kernel_row_into(
-        &self,
-        ws: &mut ZipperWorkspace,
-        state: &Mps,
-        backend: &dyn ExecutionBackend,
-    ) -> Vec<f64> {
-        self.train_states
-            .iter()
-            .map(|s| state.inner_into(ws, backend, s).norm_sqr())
-            .collect()
-    }
-
     fn prediction_from_decision(&self, decision_value: f64, timing: InferenceTiming) -> Prediction {
         Prediction {
             decision_value,
@@ -182,70 +152,30 @@ impl QuantumKernelModel {
     /// only the cheap inner-product phase runs, so `timing.simulation`
     /// is zero. This is the cache-hit path of a serving layer.
     pub fn predict_from_state(&self, state: &Mps, backend: &dyn ExecutionBackend) -> Prediction {
-        let t0 = Instant::now();
-        let row = self.kernel_row(state, backend);
-        let inner_products = t0.elapsed();
-        self.prediction_from_decision(
-            self.svm.decision_value(&row),
-            InferenceTiming {
-                simulation: Duration::ZERO,
-                inner_products,
-            },
-        )
+        self.predict_from_states(&[state], backend)[0]
     }
 
-    /// Classifies a batch of pre-simulated states at once: one kernel
-    /// block is assembled in parallel and decision values are evaluated
-    /// over its borrowed rows. Decision values are bitwise identical to
-    /// calling [`QuantumKernelModel::predict_from_state`] per point.
-    /// `timing.inner_products` reports each point's equal share of the
-    /// block's wall time; `timing.simulation` is zero.
+    /// Classifies a batch of pre-simulated states at once through
+    /// [`QuantumKernelModel::predict_from_states_with`] on a fresh zipper
+    /// workspace. Decision values are bitwise identical to calling
+    /// [`QuantumKernelModel::predict_from_state`] per point.
     pub fn predict_from_states(
         &self,
         states: &[&Mps],
         backend: &dyn ExecutionBackend,
     ) -> Vec<Prediction> {
-        if states.is_empty() {
-            return Vec::new();
-        }
-        let t0 = Instant::now();
-        // Parallelism follows the larger axis: a lone state (a serving
-        // layer's light-traffic batch) fans out across the training
-        // states like predict_from_state; bigger batches fan out across
-        // the query states. Entry order — and thus every decision
-        // value — is identical either way.
-        let data: Vec<f64> = if states.len() == 1 {
-            self.kernel_row(states[0], backend)
-        } else {
-            states
-                .par_iter()
-                .flat_map_iter(|t| {
-                    self.train_states
-                        .iter()
-                        .map(move |s| t.inner_with(backend, s).norm_sqr())
-                })
-                .collect()
-        };
-        let block = KernelBlock::from_dense(states.len(), self.train_states.len(), data);
-        let share = t0.elapsed() / states.len() as u32;
-        let timing = InferenceTiming {
-            simulation: Duration::ZERO,
-            inner_products: share,
-        };
-        self.svm
-            .decision_values_block(&block)
-            .into_iter()
-            .map(|d| self.prediction_from_decision(d, timing))
-            .collect()
+        self.predict_from_states_with(&mut ZipperWorkspace::new(), states, backend)
     }
 
-    /// [`QuantumKernelModel::predict_from_states`] with a caller-held
-    /// zipper workspace: kernel rows are evaluated serially on the
-    /// calling thread, reusing one workspace across the whole batch.
-    /// This is the serving worker's batch path — the worker already *is*
-    /// the unit of parallelism, so fanning out again buys nothing, while
-    /// the shared workspace removes every per-pair allocation. Decision
-    /// values are bitwise identical to `predict_from_states`.
+    /// Classifies a batch of pre-simulated states with a caller-held
+    /// zipper workspace — the model's one kernel-row loop. Rows are
+    /// evaluated serially on the calling thread, reusing one workspace
+    /// across the whole batch, and decision values are evaluated over the
+    /// block's borrowed rows. This is the serving worker's batch path:
+    /// the worker already *is* the unit of parallelism, and the shared
+    /// workspace removes every per-pair allocation.
+    /// `timing.inner_products` reports each point's equal share of the
+    /// block's wall time; `timing.simulation` is zero.
     pub fn predict_from_states_with(
         &self,
         ws: &mut ZipperWorkspace,

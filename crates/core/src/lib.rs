@@ -42,10 +42,7 @@ pub use extrapolate::{
     forecast_inference, forecast_training, processes_for_deadline, InferenceForecast,
     PrimitiveCosts, TrainingForecast,
 };
-pub use gram::{
-    flat_from_pair, gram_matrix, gram_matrix_observed, kernel_block, kernel_block_observed,
-    pair_from_flat, TimedBlock, TimedKernel, TILED_THRESHOLD,
-};
+pub use gram::{gram_matrix, kernel_block, TimedBlock, TimedKernel};
 pub use inference::{InferenceTiming, ModelDecodeError, Prediction, QuantumKernelModel};
 pub use pipeline::{
     run_gaussian_experiment, run_gaussian_on_split, run_quantum_experiment, run_quantum_on_split,

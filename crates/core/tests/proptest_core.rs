@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use qk_circuit::AnsatzConfig;
 use qk_core::distributed::{distributed_gram, Strategy as DistStrategy};
 use qk_core::extrapolate::{forecast_training, PrimitiveCosts};
-use qk_core::gram::{flat_from_pair, gram_matrix, pair_from_flat};
+use qk_core::gram::gram_matrix;
 use qk_core::states::simulate_states;
 use qk_mps::TruncationConfig;
 use qk_tensor::backend::CpuBackend;
@@ -105,42 +105,5 @@ proptest! {
         prop_assert_eq!(nm.communication, Duration::ZERO);
         prop_assert!(nm.simulation >= rr.simulation);
         prop_assert_eq!(nm.inner_products, rr.inner_products);
-    }
-
-    /// `flat -> (i, j) -> flat` round-trips exhaustively for small `n`.
-    #[test]
-    fn pair_from_flat_round_trips_small_n(n in 2usize..64) {
-        for k in 0..n * (n - 1) / 2 {
-            let (i, j) = pair_from_flat(k, n);
-            prop_assert!(i < j && j < n, "n={n} k={k} -> ({i},{j})");
-            prop_assert_eq!(flat_from_pair(i, j, n), k, "n={} k={}", n, k);
-        }
-    }
-
-    /// The `f64` quadratic-formula row recovery survives paper scale:
-    /// sampled flat indices round-trip for `n` up to 100,000, where the
-    /// flat index reaches ~5e9 and the square-root argument ~4e10.
-    #[test]
-    fn pair_from_flat_round_trips_at_scale(
-        n in 1_000usize..=100_000,
-        samples in prop::collection::vec(0.0f64..1.0, 32),
-    ) {
-        let total = n * (n - 1) / 2;
-        // Deterministic boundary probes plus the sampled interior: row
-        // starts and row ends are where the sqrt recovery can drift.
-        let mut probes = vec![0, 1, total - 1, total / 2];
-        for frac in [0.25f64, 0.75, 0.999] {
-            let i = ((n as f64) * frac) as usize;
-            if i + 1 < n {
-                probes.push(flat_from_pair(i, i + 1, n)); // row start
-                probes.push(flat_from_pair(i, n - 1, n)); // row end
-            }
-        }
-        probes.extend(samples.iter().map(|f| ((total - 1) as f64 * f) as usize));
-        for k in probes {
-            let (i, j) = pair_from_flat(k, n);
-            prop_assert!(i < j && j < n, "n={n} k={k} -> ({i},{j})");
-            prop_assert_eq!(flat_from_pair(i, j, n), k, "n={} k={}", n, k);
-        }
     }
 }

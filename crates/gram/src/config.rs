@@ -89,7 +89,7 @@ impl Default for GramConfig {
 
 impl GramConfig {
     /// Pure in-memory configuration (no checkpoint, no spill) at the
-    /// given tile edge — what `core::gram` delegates to.
+    /// given tile edge — what `core::gram` runs at every problem size.
     pub fn in_memory(tile: usize) -> Self {
         GramConfig {
             tile,

@@ -16,8 +16,8 @@
 //! zipper kernel (`Mps::inner_into`, the same kernel behind
 //! `Mps::inner_with`) with `i < j` operand order, regardless of tile
 //! size, worker count, spill mode or resume history — so any two runs of
-//! the same job are bitwise identical, and also bitwise identical to
-//! `core::gram`'s single-pass loop.
+//! the same job are bitwise identical, and also bitwise identical to a
+//! single-pass per-pair loop over `Mps::inner_with`.
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, TileLoad};
 use crate::config::GramConfig;
@@ -108,8 +108,8 @@ impl From<SpillError> for GramError {
     }
 }
 
-/// Accounting for one completed job (the manifest-derived counts that
-/// `core::gram` surfaces instead of recomputing).
+/// Accounting for one completed job (the manifest-derived counts and
+/// wall time that `core::gram` surfaces instead of recomputing).
 #[derive(Debug, Clone, Copy)]
 pub struct GramReport {
     /// Tiles in the job.

@@ -18,7 +18,7 @@
 //! A [`ZipperWorkspace`] holds two ping-pong environment buffers and one
 //! transfer panel, sized once from the largest bond product and reused
 //! across calls; after warm-up an inner product performs **zero** heap
-//! allocation. `core::gram`'s fast path, `qk-gram`'s tile workers and
+//! allocation. `qk-gram`'s tile workers (behind `core::gram` too) and
 //! `qk-serve`'s batch workers each hold one workspace per worker, which
 //! amortizes the buffers across whole Gram tiles and kernel rows.
 //!

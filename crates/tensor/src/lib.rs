@@ -8,7 +8,7 @@
 //! * [`matrix`] — single-threaded GEMM kernels and helpers.
 //! * [`mod@contract`] — pairwise tensor contraction (eq. 6).
 //! * [`qr`] — Householder QR/LQ for MPS canonicalization.
-//! * [`mod@svd`] — one-sided Jacobi SVD (serial and parallel) plus the
+//! * [`mod@svd`] — one-sided Jacobi SVD (cyclic and round-robin) plus the
 //!   two-qubit-gate operator-Schmidt split.
 //! * [`backend`] — the CPU vs simulated-accelerator execution split behind
 //!   the paper's Fig. 5 crossover study.

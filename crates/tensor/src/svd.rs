@@ -263,28 +263,23 @@ fn svd_tall(m: usize, n: usize, a: &[Complex64]) -> Svd {
     finalize_svd(m, n, cols, vcols, floor, sweeps)
 }
 
-/// Computes the thin SVD with Jacobi rotation rounds executed in parallel.
+/// Computes the thin SVD with Jacobi rotations in round-robin order.
 ///
-/// Uses a round-robin tournament schedule: each round pairs every column
-/// with exactly one partner, so the `n/2` rotations of a round touch
-/// disjoint column pairs and can run concurrently. Columns are guarded by
-/// per-column mutexes; pairs are disjoint within a round, so locks are
-/// uncontended and exist only to satisfy the borrow checker cheaply.
-/// Column norms are recomputed per pair; the rotation decision and the
-/// deflation floor are the serial driver's.
+/// Each round of the tournament schedule pairs every column with exactly
+/// one partner, so the `n/2` rotations of a round touch disjoint column
+/// pairs. The accelerator backend's `DeviceModel` prices this driver as
+/// device work, where a round's rotations would run in parallel; here
+/// every round executes sequentially on the calling thread (ROADMAP item
+/// 5 replaces the driver). Column norms are recomputed per pair; the
+/// rotation decision and the deflation floor are the serial driver's.
 pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
     assert_eq!(a.len(), m * n, "svd_parallel: matrix size mismatch");
     via_tall(m, n, a, svd_tall_parallel)
 }
 
 fn svd_tall_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
-    use parking_lot::Mutex;
-    use rayon::prelude::*;
-
     let floor = f64::EPSILON * f64::EPSILON * norm_sqr(a);
-    let (cols, vcols) = jacobi_columns(m, n, a);
-    let cols: Vec<Mutex<Vec<Complex64>>> = cols.into_iter().map(Mutex::new).collect();
-    let vcols: Vec<Mutex<Vec<Complex64>>> = vcols.into_iter().map(Mutex::new).collect();
+    let (mut cols, mut vcols) = jacobi_columns(m, n, a);
 
     // Round-robin (circle method) schedule over n slots (pad odd n).
     let slots = if n.is_multiple_of(2) { n } else { n + 1 };
@@ -296,36 +291,27 @@ fn svd_tall_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
         sweeps += 1;
         rotated = false;
         for round in 0..rounds {
-            let pairs: Vec<(usize, usize)> = (0..slots / 2)
-                .filter_map(|p| {
-                    let (x, y) = circle_pair(slots, round, p);
-                    let (lo, hi) = (x.min(y), x.max(y));
-                    (hi < n).then_some((lo, hi))
-                })
-                .collect();
-            let any: Vec<bool> = pairs
-                .par_iter()
-                .map(|&(i, j)| {
-                    let mut ci = cols[i].lock();
-                    let mut cj = cols[j].lock();
-                    let Some((c, s_neg, s_pos)) =
-                        jacobi_rotation(norm_sqr(&ci), norm_sqr(&cj), dot(&ci, &cj), floor)
-                    else {
-                        return false;
-                    };
-                    rotate_slices(&mut ci, &mut cj, c, s_neg, s_pos);
-                    let mut vi = vcols[i].lock();
-                    let mut vj = vcols[j].lock();
-                    rotate_slices(&mut vi, &mut vj, c, s_neg, s_pos);
-                    true
-                })
-                .collect();
-            rotated |= any.iter().any(|&b| b);
+            for p in 0..slots / 2 {
+                let (x, y) = circle_pair(slots, round, p);
+                let (i, j) = (x.min(y), x.max(y));
+                if j >= n {
+                    continue; // paired with the padding slot
+                }
+                let (lo, hi) = cols.split_at_mut(j);
+                let (ci, cj) = (&mut lo[i], &mut hi[0]);
+                let Some((c, s_neg, s_pos)) =
+                    jacobi_rotation(norm_sqr(ci), norm_sqr(cj), dot(ci, cj), floor)
+                else {
+                    continue;
+                };
+                rotated = true;
+                rotate_slices(ci, cj, c, s_neg, s_pos);
+                let (lo, hi) = vcols.split_at_mut(j);
+                rotate_slices(&mut lo[i], &mut hi[0], c, s_neg, s_pos);
+            }
         }
     }
 
-    let cols = cols.into_iter().map(|m| m.into_inner()).collect();
-    let vcols = vcols.into_iter().map(|m| m.into_inner()).collect();
     finalize_svd(m, n, cols, vcols, floor, sweeps)
 }
 

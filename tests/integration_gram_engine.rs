@@ -7,10 +7,30 @@ use qk::circuit::AnsatzConfig;
 use qk::core::{gram_matrix, kernel_block, simulate_states};
 use qk::gram::{encoding_fingerprint, CheckpointError, GramConfig, GramEngine, GramError};
 use qk::mps::{Mps, TruncationConfig};
-use qk::svm::{train_svc, KernelSource, SmoParams};
+use qk::svm::{train_svc, KernelMatrix, KernelSource, SmoParams};
 use qk::tensor::backend::CpuBackend;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Per-pair reference Gram: one `inner_with` per upper-triangle pair,
+/// mirrored, with a unit diagonal.
+fn reference_gram(states: &[Mps], be: &CpuBackend) -> Vec<f64> {
+    let n = states.len();
+    let mut data = vec![0.0f64; n * n];
+    for i in 0..n {
+        data[i * n + i] = 1.0;
+        for j in (i + 1)..n {
+            let v = states[i].inner_with(be, &states[j]).norm_sqr();
+            data[i * n + j] = v;
+            data[j * n + i] = v;
+        }
+    }
+    data
+}
+
+fn bits(data: &[f64]) -> Vec<u64> {
+    data.iter().map(|v| v.to_bits()).collect()
+}
 
 fn scratch(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -38,7 +58,7 @@ fn pipeline_states(n: usize, features: usize) -> (Vec<Mps>, u64) {
 
 /// The acceptance criterion end to end: interrupt a checkpointed job,
 /// resume it in a fresh engine, and compare bitwise against both an
-/// uninterrupted engine run and the `core::gram` path.
+/// uninterrupted engine run and a per-pair reference loop.
 #[test]
 fn interrupted_job_resumes_bitwise_identical() {
     let (states, encoding) = pipeline_states(20, 5);
@@ -68,9 +88,12 @@ fn interrupted_job_resumes_bitwise_identical() {
     assert_eq!(resumed.report.tiles_computed, 8);
     assert_eq!(resumed.kernel.data(), clean.kernel.data());
 
-    // And both agree bitwise with the core::gram entry point.
+    // And both agree bitwise with the per-pair reference, as does the
+    // core::gram entry point.
+    let reference = bits(&reference_gram(&states, &be));
+    assert_eq!(bits(clean.kernel.data()), reference);
     let core_path = gram_matrix(&states, &be);
-    assert_eq!(core_path.kernel.data(), clean.kernel.data());
+    assert_eq!(bits(core_path.kernel.data()), reference);
     assert_eq!(core_path.inner_products, clean.report.inner_products);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -102,7 +125,8 @@ fn foreign_checkpoint_is_rejected() {
 }
 
 /// SVM training consumes the `TiledKernel` view directly (no dense
-/// copy) and produces the same model as the dense `core::gram` path.
+/// copy) and produces the same model as a dense matrix built by a
+/// per-pair reference loop.
 #[test]
 fn svm_trains_from_tiled_view() {
     let (states, _) = pipeline_states(12, 4);
@@ -115,8 +139,8 @@ fn svm_trains_from_tiled_view() {
         .compute_gram(&states, &be)
         .unwrap()
         .kernel;
-    let dense = gram_matrix(&states, &be).kernel;
-    assert_eq!(tiled.data(), dense.data());
+    let dense = KernelMatrix::from_dense(12, reference_gram(&states, &be));
+    assert_eq!(bits(tiled.data()), bits(dense.data()));
 
     let params = SmoParams::with_c(2.0);
     let from_view = train_svc(&tiled, &labels, &params);
@@ -150,8 +174,9 @@ fn spilled_job_is_bitwise_identical() {
     assert_eq!(spilled.kernel.data(), resident.kernel.data());
 }
 
-/// The engine's rectangular block path agrees bitwise with
-/// `core::kernel_block` for the inference direction.
+/// The engine's rectangular block path, at a small tile and through
+/// `core::kernel_block`, agrees bitwise with a per-pair reference loop
+/// for the inference direction.
 #[test]
 fn block_path_matches_core() {
     let (train, _) = pipeline_states(9, 4);
@@ -165,7 +190,12 @@ fn block_path_matches_core() {
         engine_block.report.inner_products,
         core_block.inner_products
     );
-    for i in 0..5 {
-        assert_eq!(engine_block.block.row(i), core_block.block.row(i));
+    for (i, t) in test.iter().enumerate() {
+        let reference: Vec<f64> = train
+            .iter()
+            .map(|s| t.inner_with(&be, s).norm_sqr())
+            .collect();
+        assert_eq!(bits(engine_block.block.row(i)), bits(&reference));
+        assert_eq!(bits(core_block.block.row(i)), bits(&reference));
     }
 }
