@@ -368,5 +368,5 @@ fn live_workspace_is_violation_free() {
         .unsafe_inventory
         .iter()
         .all(|e| e.path.starts_with("crates/tensor/") && !e.justification.is_empty()));
-    assert_eq!(policy.contracts.len(), 3, "three fingerprint contracts");
+    assert_eq!(policy.contracts.len(), 4, "four fingerprint contracts");
 }

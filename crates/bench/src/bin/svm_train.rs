@@ -11,7 +11,8 @@
 //! it, so a SIGKILLed run warm-starts from its last stored snapshot.
 //! `--out FILE` writes the model bytes (pass count, bias, then every
 //! alpha, all little-endian), which CI `cmp`s between a killed+resumed
-//! run and a clean run — they must be identical.
+//! run and a clean run — they must be identical. The report prints the
+//! model's exit KKT gap and duality gap next to `tol`.
 //!
 //! Usage:
 //!   cargo run --release -p qk-bench --bin svm_train -- --smoke \
@@ -53,8 +54,8 @@ fn main() {
 
 /// Deterministic noisy labels: a nonlinear rule over the first two
 /// features with a seeded flip of roughly one point in seven, so the
-/// problem is not cleanly separable and training takes several passes —
-/// enough runway for the CI drill to SIGKILL mid-flight.
+/// problem is not cleanly separable. At `--c 32` training takes six
+/// passes — enough runway for the CI drill to SIGKILL mid-flight.
 fn label_rows(rows: &[Vec<f64>]) -> Vec<f64> {
     rows.iter()
         .enumerate()
@@ -143,10 +144,14 @@ fn smoke(args: &Args) {
     println!(
         "svm_train smoke: n={n} features={features} c={c} resume={resume}\n\
          passes={} support_vectors={} degraded={}\n\
+         kkt_violation={:e} duality_gap={:e} tol={:e}\n\
          resumed_from_pass={}",
         model.passes,
         model.support_indices().len(),
         stats.degraded,
+        model.kkt_violation,
+        model.duality_gap,
+        params.tol,
         outcome.resumed_from_pass.map_or(-1, |p| p as i64),
     );
     // The robustness section of this report is what the CI chaos drill

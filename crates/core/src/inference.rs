@@ -380,6 +380,8 @@ impl QuantumKernelModel {
                 bias,
                 labels,
                 passes: 0,
+                kkt_violation: f64::NAN,
+                duality_gap: f64::NAN,
             },
             calibration,
         })

@@ -59,6 +59,12 @@ impl RowSource for RecomputingRows<'_> {
         Ok(())
     }
 
+    /// The assembled diagonal, which the engine writes as exactly 1.
+    fn diagonal(&self) -> Vec<f64> {
+        let n = self.kernel.len();
+        (0..n).map(|t| self.kernel.data()[t * n + t]).collect()
+    }
+
     fn recompute_row(&self, i: usize, out: &mut [f64]) -> io::Result<()> {
         for (j, slot) in out.iter_mut().enumerate() {
             *slot = if i == j {

@@ -7,30 +7,57 @@
 //! s.t.       0 <= alpha_i <= C,   sum_i alpha_i y_i = 0
 //! ```
 //!
-//! with Platt's SMO: pick a KKT-violating pair, solve the 2-variable
-//! subproblem analytically, clip to the box, repeat. The second index is
-//! chosen by the max-|E_i - E_j| heuristic with a seeded random fallback,
-//! and an error cache keeps each update O(n).
+//! over a maintained error cache `E_t = f(x_t) - y_t`, with the
+//! second-order working-set selection of Fan, Chen & Lin (JMLR 6, 2005;
+//! the WSS2 rule LIBSVM uses). With
+//!
+//! ```text
+//! I_up  = { t : y_t = +1, alpha_t < C  or  y_t = -1, alpha_t > 0 }
+//! I_low = { t : y_t = +1, alpha_t > 0  or  y_t = -1, alpha_t < C }
+//! ```
+//!
+//! each update takes `i = argmin_{I_up} E`, then the `j` in `I_low` with
+//! `E_j > E_i` that maximizes `(E_j - E_i)^2 / max(K_ii + K_jj - 2 K_ij, tau)`,
+//! and makes the analytic two-variable step clipped to the box. The
+//! maximal violation `max_{I_low} E - min_{I_up} E` is the KKT
+//! certificate: training stops once it is `<= tol`, after a pass that
+//! makes no update (a stall), or at `max_total_passes`.
+//!
+//! A pass is up to `n` updates. Each update fetches row `i` and row `j`
+//! once and runs two O(n) loops: the `j` scan over row `i`, and the
+//! error-cache refresh fused with the next update's `argmin_{I_up} E` /
+//! `max_{I_low} E`. At the end of a pass the bias is refit from the free
+//! points and the cache shifted to match. Selection draws no randomness,
+//! so the state at a pass boundary — alphas, errors, bias, pass count —
+//! is a pure function of the state at the previous one.
 
 use crate::kernel::KernelSource;
+use crate::trainer::RowSource;
 use qk_obs::{Journal, Obs};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+
+/// Curvature floor for the working-set gain and the step (LIBSVM's
+/// `TAU`): a non-positive `K_ii + K_jj - 2 K_ij` still yields a finite,
+/// box-clipped step, so indefinite kernels cannot stall on it.
+const TAU: f64 = 1e-12;
+
+/// Relative distance to `0` or `C` below which a step snaps an alpha
+/// onto the bound, so a point that reached its bound leaves the free set
+/// exactly instead of lingering a rounding error inside it.
+const SNAP: f64 = 1e-12;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SmoParams {
     /// Box constraint (regularization). The paper sweeps `C in [0.01, 4]`.
     pub c: f64,
-    /// KKT violation tolerance; the paper uses `1e-3`.
+    /// Certificate tolerance: training stops once the maximal KKT
+    /// violation `max_{I_low} E - min_{I_up} E` is at most `tol`. The
+    /// paper uses `1e-3`.
     pub tol: f64,
-    /// Maximum full passes over the data without progress before stopping.
-    pub max_passes: usize,
     /// Hard cap on total passes (safety valve for degenerate kernels).
+    /// A pass is up to `n` pair updates.
     pub max_total_passes: usize,
-    /// Seed for the random second-choice heuristic.
-    pub seed: u64,
 }
 
 impl Default for SmoParams {
@@ -38,9 +65,7 @@ impl Default for SmoParams {
         SmoParams {
             c: 1.0,
             tol: 1e-3,
-            max_passes: 5,
             max_total_passes: 2_000,
-            seed: 0xD1CE,
         }
     }
 }
@@ -66,6 +91,13 @@ pub struct TrainedSvm {
     pub labels: Vec<f64>,
     /// Number of optimization passes performed.
     pub passes: usize,
+    /// KKT certificate at exit: `max_{I_low} E - min_{I_up} E` over the
+    /// training errors (`<= 0` at an exact optimum). `NaN` for a model
+    /// decoded from bytes, which do not carry it.
+    pub kkt_violation: f64,
+    /// Primal objective minus dual objective at exit (`>= 0` for a PSD
+    /// kernel, `0` at the optimum). `NaN` for a decoded model.
+    pub duality_gap: f64,
 }
 
 impl TrainedSvm {
@@ -135,10 +167,11 @@ pub fn train_svc<K: KernelSource + ?Sized>(
     train_impl(kernel, labels, params, None)
 }
 
-/// [`train_svc`] with observability: SMO registers `svm.*` counters and
-/// spans in `obs`, and (when a journal is given) records start / pass /
-/// done milestones. Instrumentation only observes the solver — the
-/// trained model is bit-identical to an unobserved [`train_svc`] run.
+/// [`train_svc`] with observability: SMO registers `svm.*` counters,
+/// spans and the exit-certificate gauges in `obs`, and (when a journal is
+/// given) records start / pass / done milestones. Instrumentation only
+/// observes the solver — the trained model is bit-identical to an
+/// unobserved [`train_svc`] run.
 pub fn train_svc_observed<K: KernelSource + ?Sized>(
     kernel: &K,
     labels: &[f64],
@@ -153,9 +186,9 @@ pub fn train_svc_observed<K: KernelSource + ?Sized>(
 ///
 /// Shared by [`train_svc`] and the crash-safe `trainer` module so both
 /// entry points reject the same degenerate inputs. Non-finite
-/// hyperparameters are rejected explicitly: a NaN `tol` makes every KKT
-/// comparison false, so the solver would silently spin to
-/// `max_total_passes` doing nothing.
+/// hyperparameters are rejected explicitly: a NaN `tol` makes every
+/// certificate comparison false, so the solver would silently spin to
+/// `max_total_passes`.
 pub(crate) fn validate_inputs(n: usize, labels: &[f64], params: &SmoParams) {
     assert_eq!(labels.len(), n, "label count must match kernel order");
     assert!(n >= 2, "need at least two training points");
@@ -179,122 +212,341 @@ pub(crate) fn validate_inputs(n: usize, labels: &[f64], params: &SmoParams) {
     );
 }
 
+/// Publishes a model's exit certificate as `svm.kkt_violation` and
+/// `svm.duality_gap`. Registry gauges hold integers, so both are stored
+/// in units of `1e-9`, rounded up: a gauge at most `tol * 1e9` certifies
+/// the gap at most `tol`.
+pub(crate) fn publish_certificate(obs: &Obs, model: &TrainedSvm) {
+    let nano = |x: f64| (x * 1e9).ceil() as i64;
+    obs.gauge("svm.kkt_violation")
+        .set(nano(model.kkt_violation));
+    obs.gauge("svm.duality_gap").set(nano(model.duality_gap));
+}
+
+/// `t` is in `I_up`: `y_t alpha_t` may grow within its box
+/// `[min(0, y_t C), max(0, y_t C)]`.
+#[inline]
+fn in_up(y: f64, a: f64, c: f64) -> bool {
+    y * a < (y * c).max(0.0)
+}
+
+/// `t` is in `I_low`: `y_t alpha_t` may shrink.
+#[inline]
+fn in_low(y: f64, a: f64, c: f64) -> bool {
+    y * a > (y * c).min(0.0)
+}
+
+/// `I_up` / `I_low` membership as additive masks — `0` for a member,
+/// `+inf` / `-inf` otherwise — so the O(n) scans read `E_t + up[t]` and
+/// `E_t + low[t]` without branching on labels or alphas. A pure function
+/// of the alphas, rebuilt at every pass start and patched at `i` and `j`
+/// after each step.
+struct Sets {
+    up: Vec<f64>,
+    low: Vec<f64>,
+}
+
+impl Sets {
+    fn new(labels: &[f64], alphas: &[f64], c: f64) -> Sets {
+        let mut sets = Sets {
+            up: vec![0.0; labels.len()],
+            low: vec![0.0; labels.len()],
+        };
+        for (t, (&y, &a)) in labels.iter().zip(alphas).enumerate() {
+            sets.set(t, y, a, c);
+        }
+        sets
+    }
+
+    fn set(&mut self, t: usize, y: f64, a: f64, c: f64) {
+        self.up[t] = if in_up(y, a, c) { 0.0 } else { f64::INFINITY };
+        self.low[t] = if in_low(y, a, c) {
+            0.0
+        } else {
+            f64::NEG_INFINITY
+        };
+    }
+}
+
+/// Snaps an alpha within `SNAP * c` of a bound onto it.
+#[inline]
+fn snap(a: f64, c: f64) -> f64 {
+    if a < SNAP * c {
+        0.0
+    } else if a > c - SNAP * c {
+        c
+    } else {
+        a
+    }
+}
+
+/// The certificate bounds over the current errors: `min_{I_up} E` (and
+/// where it sits) and `max_{I_low} E`.
+#[derive(Debug, Clone, Copy)]
+struct Extremes {
+    i_up: usize,
+    e_up: f64,
+    e_low: f64,
+}
+
+impl Extremes {
+    const EMPTY: Extremes = Extremes {
+        i_up: usize::MAX,
+        e_up: f64::INFINITY,
+        e_low: f64::NEG_INFINITY,
+    };
+
+    /// One full scan. Ties keep the lowest index, exactly as the fused
+    /// scan in [`update`] does, so both always agree.
+    fn scan(errors: &[f64], sets: &Sets) -> Extremes {
+        let mut x = Extremes::EMPTY;
+        for (t, ((&e, &up), &low)) in errors.iter().zip(&sets.up).zip(&sets.low).enumerate() {
+            x.observe(t, e, up, low);
+        }
+        x
+    }
+
+    #[inline]
+    fn observe(&mut self, t: usize, e: f64, up_mask: f64, low_mask: f64) {
+        let up = e + up_mask;
+        if up < self.e_up {
+            self.e_up = up;
+            self.i_up = t;
+        }
+        let low = e + low_mask;
+        if low > self.e_low {
+            self.e_low = low;
+        }
+    }
+
+    /// The maximal KKT violation `max_{I_low} E - min_{I_up} E`.
+    fn gap(&self) -> f64 {
+        self.e_low - self.e_up
+    }
+}
+
 /// Resumable SMO solver state: everything the pass loop mutates.
 ///
 /// [`train_svc`] drives one of these from `fresh` to convergence in a
 /// single call; the crash-safe `trainer` module persists and restores it
 /// across process deaths. Bitwise reproducibility hinges on this being
-/// the *complete* loop state — alphas, bias, the error cache, both pass
-/// counters, and the second-choice rng.
+/// the *complete* loop state — alphas, bias, the error cache and the
+/// pass count; selection reads nothing else.
 #[derive(Debug, Clone)]
 pub(crate) struct SmoState {
     pub alphas: Vec<f64>,
     pub bias: f64,
     /// Error cache: `E_i = f(x_i) - y_i`.
     pub errors: Vec<f64>,
-    pub passes_without_progress: usize,
     pub total_passes: usize,
-    pub rng: ChaCha8Rng,
 }
 
 impl SmoState {
     /// Cold-start state: all alphas zero, so `f = 0` and `E_i = -y_i`.
-    pub(crate) fn fresh(labels: &[f64], seed: u64) -> SmoState {
+    pub(crate) fn fresh(labels: &[f64]) -> SmoState {
         SmoState {
             alphas: vec![0.0f64; labels.len()],
             bias: 0.0,
             errors: labels.iter().map(|y| -y).collect(),
-            passes_without_progress: 0,
             total_passes: 0,
-            rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 
-    /// Whether another pass should run under the configured caps.
-    pub(crate) fn should_continue(&self, params: &SmoParams) -> bool {
-        self.passes_without_progress < params.max_passes
-            && self.total_passes < params.max_total_passes
+    /// The KKT certificate `max_{I_low} E - min_{I_up} E`.
+    fn kkt_violation(&self, labels: &[f64], c: f64) -> f64 {
+        Extremes::scan(&self.errors, &Sets::new(labels, &self.alphas, c)).gap()
     }
 
-    /// Advances the pass counters after a completed pass.
-    pub(crate) fn record_pass(&mut self, changed: usize) {
-        self.total_passes += 1;
-        if changed == 0 {
-            self.passes_without_progress += 1;
+    /// Primal minus dual objective, O(n) from the error cache:
+    /// `||w||^2 = sum_i alpha_i y_i (E_i + y_i - b)`, the dual is
+    /// `sum alpha - ||w||^2 / 2` and the primal `||w||^2 / 2 + C sum_i
+    /// max(0, -y_i E_i)`.
+    fn duality_gap(&self, labels: &[f64], c: f64) -> f64 {
+        let (mut w2, mut sum_a, mut hinge) = (0.0, 0.0, 0.0);
+        for ((&a, &y), &e) in self.alphas.iter().zip(labels).zip(&self.errors) {
+            w2 += a * y * (e + y - self.bias);
+            sum_a += a;
+            hinge += (-y * e).max(0.0);
+        }
+        w2 - sum_a + c * hinge
+    }
+
+    /// Whether another pass should run: the certificate does not hold
+    /// yet and the pass cap is not reached.
+    pub(crate) fn should_continue(&self, labels: &[f64], params: &SmoParams) -> bool {
+        self.total_passes < params.max_total_passes
+            && self.kkt_violation(labels, params.c) > params.tol
+    }
+
+    /// Refits the bias as minus the mean error of the free points (the
+    /// midpoint of the certificate bounds when none is free) and shifts
+    /// the error cache by the same amount.
+    fn refit_bias(&mut self, c: f64, ext: &Extremes) {
+        let (mut sum, mut free) = (0.0, 0usize);
+        for (&a, &e) in self.alphas.iter().zip(&self.errors) {
+            if a > 0.0 && a < c {
+                sum += e;
+                free += 1;
+            }
+        }
+        let shift = if free > 0 {
+            -sum / free as f64
+        } else if ext.e_up.is_finite() && ext.e_low.is_finite() {
+            -0.5 * (ext.e_up + ext.e_low)
         } else {
-            self.passes_without_progress = 0;
+            0.0
+        };
+        self.bias += shift;
+        for e in &mut self.errors {
+            *e += shift;
         }
     }
 
-    /// Finishes training, consuming the state into a model.
-    pub(crate) fn into_model(self, labels: &[f64]) -> TrainedSvm {
+    /// Finishes training, consuming the state into a model that carries
+    /// its exit certificate.
+    pub(crate) fn into_model(self, labels: &[f64], c: f64) -> TrainedSvm {
+        let kkt_violation = self.kkt_violation(labels, c);
+        let duality_gap = self.duality_gap(labels, c);
         TrainedSvm {
             alphas: self.alphas,
             bias: self.bias,
             labels: labels.to_vec(),
             passes: self.total_passes,
+            kkt_violation,
+            duality_gap,
         }
     }
 }
 
-/// Runs one full SMO pass over the data, fetching kernel rows through
-/// `rows(i, j)`.
+/// Runs one SMO pass — up to `n` working-set updates — fetching kernel
+/// rows through `row(i)`; `diag[t] = K_tt`.
 ///
 /// This is *the* pass loop — [`train_svc`] closes over direct
 /// [`KernelSource::row`] reads (infallible), while the crash-safe
 /// trainer closes over its budgeted row cache (fallible loads, chaos
-/// gates). Both paths execute identical float operations and identical
-/// rng draws, which is what makes a resumed training run bitwise equal
-/// to an uninterrupted one.
+/// gates). Both paths execute identical float operations, which is what
+/// makes a resumed training run bitwise equal to an uninterrupted one.
 ///
-/// Returns the number of successful alpha updates, or the first row
-/// fetch error. Note `rows` is only consulted after the KKT check and
-/// pair selection, so the rng stream never depends on the fetch path.
+/// The pass ends early once the certificate holds or an update makes no
+/// progress. A pass with at least one update counts toward
+/// `total_passes` and ends with the bias refit; a pass with none leaves
+/// the state untouched, so the caller stops on it (converged or stalled)
+/// and a resumed run re-derives the same stop. Returns the number of
+/// updates, or the first row-fetch error.
 pub(crate) fn pass_over<R, E>(
     labels: &[f64],
+    diag: &[f64],
     c: f64,
     tol: f64,
     st: &mut SmoState,
-    mut rows: impl FnMut(usize, usize) -> Result<(R, R), E>,
+    mut row: impl FnMut(usize) -> Result<R, E>,
 ) -> Result<usize, E>
 where
     R: std::ops::Deref<Target = [f64]>,
 {
     let n = labels.len();
+    let mut sets = Sets::new(labels, &st.alphas, c);
+    let mut ext = Extremes::scan(&st.errors, &sets);
     let mut changed = 0usize;
-    for i in 0..n {
-        let ei = st.errors[i];
-        let yi = labels[i];
-        let r = ei * yi;
-        // KKT check: violated if (r < -tol and alpha < C) or
-        // (r > tol and alpha > 0).
-        if !((r < -tol && st.alphas[i] < c) || (r > tol && st.alphas[i] > 0.0)) {
-            continue;
+    while changed < n && ext.gap() > tol {
+        if !update(labels, diag, c, st, &mut sets, &mut ext, &mut row)? {
+            break;
         }
-        // Second-choice heuristic: maximize |E_i - E_j| over non-bound
-        // points; fall back to a random other index.
-        let j = select_second(i, &st.errors, &st.alphas, c, &mut st.rng);
-        if i == j {
-            // Degenerate fallback (n < 2 never reaches here in
-            // practice); take_step would reject the pair anyway.
-            continue;
-        }
-        let (ki, kj) = rows(i, j)?;
-        if take_step_rows(
-            labels,
-            &mut st.alphas,
-            &mut st.bias,
-            &mut st.errors,
-            i,
-            j,
-            c,
-            &ki,
-            &kj,
-        ) {
-            changed += 1;
-        }
+        changed += 1;
+    }
+    if changed > 0 {
+        st.total_passes += 1;
+        st.refit_bias(c, &ext);
     }
     Ok(changed)
+}
+
+/// One working-set update starting from `i = ext.i_up`. On progress the
+/// error cache, `sets` and `ext` are refreshed for the next update;
+/// returns `false` (state untouched) when no admissible `j` exists or
+/// the clipped step moves nothing.
+fn update<R, E>(
+    labels: &[f64],
+    diag: &[f64],
+    c: f64,
+    st: &mut SmoState,
+    sets: &mut Sets,
+    ext: &mut Extremes,
+    row: &mut impl FnMut(usize) -> Result<R, E>,
+) -> Result<bool, E>
+where
+    R: std::ops::Deref<Target = [f64]>,
+{
+    let i = ext.i_up;
+    let ki = row(i)?;
+    let Some(j) = select_j(i, diag, &st.errors, &sets.low, &ki) else {
+        return Ok(false);
+    };
+    let kj = row(j)?;
+
+    let (yi, yj) = (labels[i], labels[j]);
+    let (ai, aj) = (st.alphas[i], st.alphas[j]);
+    // Feasible segment for alpha_j.
+    let (lo, hi) = if yi != yj {
+        ((aj - ai).max(0.0), (c + aj - ai).min(c))
+    } else {
+        ((ai + aj - c).max(0.0), (ai + aj).min(c))
+    };
+    let eta = (diag[i] + diag[j] - 2.0 * ki[j]).max(TAU);
+    let aj_new = snap(
+        (aj + yj * (st.errors[i] - st.errors[j]) / eta).clamp(lo, hi),
+        c,
+    );
+    let ai_new = snap((ai + yi * yj * (aj - aj_new)).clamp(0.0, c), c);
+    if ai_new == ai && aj_new == aj {
+        return Ok(false);
+    }
+    st.alphas[i] = ai_new;
+    st.alphas[j] = aj_new;
+    sets.set(i, yi, ai_new, c);
+    sets.set(j, yj, aj_new, c);
+
+    // Error-cache refresh fused with the next update's extremes.
+    let di = yi * (ai_new - ai);
+    let dj = yj * (aj_new - aj);
+    let mut next = Extremes::EMPTY;
+    for (t, ((((e, &kit), &kjt), &up), &low)) in st
+        .errors
+        .iter_mut()
+        .zip(ki.iter())
+        .zip(kj.iter())
+        .zip(&sets.up)
+        .zip(&sets.low)
+        .enumerate()
+    {
+        *e += di * kit + dj * kjt;
+        next.observe(t, *e, up, low);
+    }
+    *ext = next;
+    Ok(true)
+}
+
+/// The second-order choice of `j` for a fixed `i`: over `t` in `I_low`
+/// with `E_t > E_i`, maximize `(E_t - E_i)^2 / max(K_ii + K_tt - 2 K_it,
+/// tau)`. Gains are compared by cross-multiplying (both curvatures are
+/// positive), so no division runs in the scan; ties keep the lowest
+/// index.
+fn select_j(i: usize, diag: &[f64], errors: &[f64], low: &[f64], ki: &[f64]) -> Option<usize> {
+    let (ei, kii) = (errors[i], diag[i]);
+    let mut best = None;
+    let (mut best_b2, mut best_a) = (0.0f64, 1.0f64);
+    for (t, (((&e, &mask), &ktt), &kit)) in errors.iter().zip(low).zip(diag).zip(ki).enumerate() {
+        // Non-candidates get gain 0, which never beats `best`.
+        let b = (e + mask - ei).max(0.0);
+        let curv = (kii + ktt - 2.0 * kit).max(TAU);
+        let b2 = b * b;
+        if b2 * best_a > best_b2 * curv {
+            best = Some(t);
+            best_b2 = b2;
+            best_a = curv;
+        }
+    }
+    best
 }
 
 fn train_impl<K: KernelSource + ?Sized>(
@@ -314,24 +566,23 @@ fn train_impl<K: KernelSource + ?Sized>(
         )
     });
     if let Some((_, Some(journal))) = hooks {
-        journal
-            .event("smo_start")
-            .field_u64("n", n as u64)
-            .field_u64("seed", params.seed)
-            .log();
+        journal.event("smo_start").field_u64("n", n as u64).log();
     }
 
-    let mut st = SmoState::fresh(labels, params.seed);
+    let diag = RowSource::diagonal(kernel);
+    let mut st = SmoState::fresh(labels);
 
-    while st.should_continue(params) {
+    while st.should_continue(labels, params) {
         let _pass_span = hooks.map(|(obs, _)| obs.span("pass"));
-        let changed = match pass_over(labels, params.c, params.tol, &mut st, |i, j| {
-            Ok::<_, std::convert::Infallible>((kernel.row(i), kernel.row(j)))
+        let changed = match pass_over(labels, &diag, params.c, params.tol, &mut st, |i| {
+            Ok::<_, std::convert::Infallible>(kernel.row(i))
         }) {
             Ok(changed) => changed,
             Err(never) => match never {},
         };
-        st.record_pass(changed);
+        if changed == 0 {
+            break;
+        }
         if let Some((passes, updates)) = &counters {
             passes.inc();
             updates.add(changed as u64);
@@ -345,147 +596,29 @@ fn train_impl<K: KernelSource + ?Sized>(
         }
     }
 
-    let model = st.into_model(labels);
-    if let Some((_, Some(journal))) = hooks {
-        journal
-            .event("smo_done")
-            .field_u64("passes", model.passes as u64)
-            .field_u64("support_vectors", model.support_indices().len() as u64)
-            .log();
-        if let Err(e) = journal.flush() {
-            eprintln!("qk-svm: journal flush failed: {e}");
+    let model = st.into_model(labels, params.c);
+    if let Some((obs, journal)) = hooks {
+        publish_certificate(obs, &model);
+        if let Some(journal) = journal {
+            journal
+                .event("smo_done")
+                .field_u64("passes", model.passes as u64)
+                .field_u64("support_vectors", model.support_indices().len() as u64)
+                .log();
+            if let Err(e) = journal.flush() {
+                eprintln!("qk-svm: journal flush failed: {e}");
+            }
         }
     }
     model
-}
-
-/// Chooses the second working-set index.
-fn select_second(i: usize, errors: &[f64], alphas: &[f64], c: f64, rng: &mut ChaCha8Rng) -> usize {
-    let n = errors.len();
-    let ei = errors[i];
-    let mut best = None;
-    let mut best_gap = 0.0f64;
-    for j in 0..n {
-        if j == i {
-            continue;
-        }
-        // Prefer non-bound points: their errors are kept exact.
-        if alphas[j] <= 1e-12 || alphas[j] >= c - 1e-12 {
-            continue;
-        }
-        let gap = (ei - errors[j]).abs();
-        if gap > best_gap {
-            best_gap = gap;
-            best = Some(j);
-        }
-    }
-    best.unwrap_or_else(|| random_other_index(i, n, rng))
-}
-
-/// Uniform draw of `j != i` from `0..n`.
-///
-/// Draws from the `n - 1` admissible values and shifts the draws at or
-/// above `i` up by one: `[0, n-1)` maps bijectively onto `[0, n) \ {i}`,
-/// so every `j != i` has probability exactly `1/(n-1)` (no
-/// rejection-resampling and no modulo bias; see the distribution test
-/// below). Degenerate problems with `n < 2` have no admissible second
-/// index, so `i` itself is returned and the caller's `take_step`
-/// rejects the `i == j` pair as unproductive.
-fn random_other_index(i: usize, n: usize, rng: &mut ChaCha8Rng) -> usize {
-    if n < 2 {
-        return i;
-    }
-    let j = rng.gen_range(0..n - 1);
-    if j >= i {
-        j + 1
-    } else {
-        j
-    }
-}
-
-/// Attempts the analytic two-variable update; returns `true` on progress.
-///
-/// Works on prefetched kernel rows: `ki[k] = K[i][k]`, `kj[k] = K[j][k]`.
-/// Since a row slice and an `entry` call read the same backing values,
-/// this is bit-for-bit the classic entrywise formulation — but it lets
-/// the crash-safe trainer serve both the 2x2 subproblem and the O(n)
-/// error-cache refresh from a single pair of cached rows.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn take_step_rows(
-    labels: &[f64],
-    alphas: &mut [f64],
-    bias: &mut f64,
-    errors: &mut [f64],
-    i: usize,
-    j: usize,
-    c: f64,
-    ki: &[f64],
-    kj: &[f64],
-) -> bool {
-    if i == j {
-        return false;
-    }
-    let (yi, yj) = (labels[i], labels[j]);
-    let (ai_old, aj_old) = (alphas[i], alphas[j]);
-    let (ei, ej) = (errors[i], errors[j]);
-
-    // Feasible segment for alpha_j.
-    let (lo, hi) = if yi != yj {
-        ((aj_old - ai_old).max(0.0), (c + aj_old - ai_old).min(c))
-    } else {
-        ((ai_old + aj_old - c).max(0.0), (ai_old + aj_old).min(c))
-    };
-    if hi - lo < 1e-12 {
-        return false;
-    }
-
-    let kii = ki[i];
-    let kjj = kj[j];
-    let kij = ki[j];
-    let eta = kii + kjj - 2.0 * kij;
-    if eta <= 1e-12 {
-        // Non-positive curvature (can happen with degenerate kernels):
-        // skip rather than evaluating the objective at the segment ends.
-        return false;
-    }
-
-    let mut aj_new = aj_old + yj * (ei - ej) / eta;
-    aj_new = aj_new.clamp(lo, hi);
-    if (aj_new - aj_old).abs() < 1e-7 * (aj_new + aj_old + 1e-7) {
-        return false;
-    }
-    // Clamp to the box; exact in real arithmetic, guards float drift.
-    let ai_new = (ai_old + yi * yj * (aj_old - aj_new)).clamp(0.0, c);
-
-    // Bias update (Platt's rules).
-    let b1 = *bias - ei - yi * (ai_new - ai_old) * kii - yj * (aj_new - aj_old) * kij;
-    let b2 = *bias - ej - yi * (ai_new - ai_old) * kij - yj * (aj_new - aj_old) * kjj;
-    let new_bias = if ai_new > 1e-12 && ai_new < c - 1e-12 {
-        b1
-    } else if aj_new > 1e-12 && aj_new < c - 1e-12 {
-        b2
-    } else {
-        (b1 + b2) / 2.0
-    };
-
-    // Error cache refresh: O(n) incremental update.
-    let di = yi * (ai_new - ai_old);
-    let dj = yj * (aj_new - aj_old);
-    let db = new_bias - *bias;
-    for ((e, kik), kjk) in errors.iter_mut().zip(ki).zip(kj) {
-        *e += di * kik + dj * kjk + db;
-    }
-
-    alphas[i] = ai_new;
-    alphas[j] = aj_new;
-    *bias = new_bias;
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::KernelMatrix;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn decision_values_block_matches_per_row() {
@@ -494,6 +627,8 @@ mod tests {
             bias: -0.3,
             labels: vec![1.0, -1.0, -1.0],
             passes: 1,
+            kkt_violation: f64::NAN,
+            duality_gap: f64::NAN,
         };
         let block = crate::kernel::KernelBlock::from_fn(4, 3, |i, j| {
             1.0 / (1.0 + (i as f64 - j as f64).abs())
@@ -505,55 +640,202 @@ mod tests {
         }
     }
 
-    /// The fallback draw hits every `j != i` with frequency `1/(n-1)`.
-    ///
-    /// Pins the distribution over small `n` with a fixed seed: for each
-    /// `i`, 20 000 draws must put every admissible index within 5% of
-    /// the uniform share absolutely, and must never produce `j == i`.
-    #[test]
-    fn second_index_fallback_is_uniform() {
-        const DRAWS: usize = 20_000;
-        for n in 2..=6usize {
-            for i in 0..n {
-                let mut rng = ChaCha8Rng::seed_from_u64(42 + (n * 10 + i) as u64);
-                let mut counts = vec![0usize; n];
-                for _ in 0..DRAWS {
-                    let j = random_other_index(i, n, &mut rng);
-                    assert_ne!(j, i, "fallback must avoid the first index (n={n}, i={i})");
-                    counts[j] += 1;
-                }
-                assert_eq!(counts[i], 0);
-                let expected = DRAWS as f64 / (n - 1) as f64;
-                for (j, &c) in counts.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    let dev = (c as f64 - expected).abs() / expected;
-                    assert!(
-                        dev < 0.05,
-                        "n={n} i={i} j={j}: count {c} deviates {:.1}% from uniform {expected}",
-                        dev * 100.0
-                    );
-                }
-            }
-        }
-    }
-
-    /// Degenerate single-point problems must not panic: with no
-    /// admissible second index the draw returns `i` and `take_step`
-    /// rejects the pair.
-    #[test]
-    fn second_index_fallback_degenerate_n1() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert_eq!(random_other_index(0, 1, &mut rng), 0);
-        assert_eq!(random_other_index(0, 0, &mut rng), 0);
-    }
-
     /// Linear kernel on explicit points: k(x, y) = <x, y>.
     fn linear_kernel(points: &[Vec<f64>]) -> KernelMatrix {
         KernelMatrix::from_fn(points.len(), |i, j| {
             points[i].iter().zip(&points[j]).map(|(a, b)| a * b).sum()
         })
+    }
+
+    /// A random RBF problem: `n` points in the unit square, labels from
+    /// a noisy circle so some points sit on the wrong side.
+    fn rbf_problem(n: usize, seed: u64) -> (KernelMatrix, Vec<f64>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let pts: Vec<[f64; 2]> = (0..n).map(|_| [rng.gen(), rng.gen()]).collect();
+        let mut labels: Vec<f64> = pts
+            .iter()
+            .map(|p| {
+                let r2 = (p[0] - 0.5).powi(2) + (p[1] - 0.5).powi(2);
+                let flip = rng.gen::<f64>() < 0.1;
+                if (r2 < 0.08) != flip {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        labels[0] = 1.0;
+        labels[n - 1] = -1.0;
+        let k = KernelMatrix::from_fn(n, |i, j| {
+            let d2 = (pts[i][0] - pts[j][0]).powi(2) + (pts[i][1] - pts[j][1]).powi(2);
+            (-4.0 * d2).exp()
+        });
+        (k, labels)
+    }
+
+    /// `E_t = f(x_t) - y_t`, recomputed from the alphas in O(n^2).
+    fn brute_errors(k: &KernelMatrix, y: &[f64], alphas: &[f64], bias: f64) -> Vec<f64> {
+        (0..y.len())
+            .map(|t| {
+                let f: f64 = (0..y.len()).map(|s| alphas[s] * y[s] * k.get(t, s)).sum();
+                f + bias - y[t]
+            })
+            .collect()
+    }
+
+    /// `sum alpha - 1/2 alpha^T Q alpha`, in O(n^2).
+    fn brute_dual(k: &KernelMatrix, y: &[f64], alphas: &[f64]) -> f64 {
+        let n = y.len();
+        let mut w2 = 0.0;
+        for i in 0..n {
+            for j in 0..n {
+                w2 += alphas[i] * alphas[j] * y[i] * y[j] * k.get(i, j);
+            }
+        }
+        alphas.iter().sum::<f64>() - 0.5 * w2
+    }
+
+    /// The certificate and the primal–dual gap, recomputed from the
+    /// alphas and bias alone.
+    fn brute_certificate(k: &KernelMatrix, y: &[f64], m: &TrainedSvm, c: f64) -> (f64, f64) {
+        let e = brute_errors(k, y, &m.alphas, m.bias);
+        let (mut up, mut low) = (f64::INFINITY, f64::NEG_INFINITY);
+        for t in 0..y.len() {
+            if in_up(y[t], m.alphas[t], c) {
+                up = up.min(e[t]);
+            }
+            if in_low(y[t], m.alphas[t], c) {
+                low = low.max(e[t]);
+            }
+        }
+        let dual = brute_dual(k, y, &m.alphas);
+        let w2 = 2.0 * (m.alphas.iter().sum::<f64>() - dual);
+        let hinge: f64 = (0..y.len()).map(|t| (-y[t] * e[t]).max(0.0)).sum();
+        (low - up, 0.5 * w2 + c * hinge - dual)
+    }
+
+    /// Two points on a line, hand-solved: the hard margin between
+    /// `x = 1` (+1) and `x = -3` (-1) is `w = 1/2`, `b = 1/2`, so each
+    /// alpha is `w / 4 = 1/8`. Every value is a dyadic rational, so the
+    /// solver must hit it exactly and certify a zero gap.
+    #[test]
+    fn two_point_problem_is_solved_exactly() {
+        let k = linear_kernel(&[vec![1.0], vec![-3.0]]);
+        let model = train_svc(&k, &[1.0, -1.0], &SmoParams::with_c(10.0));
+        assert_eq!(model.alphas, vec![0.125, 0.125]);
+        assert_eq!(model.bias, 0.5);
+        assert_eq!(model.kkt_violation, 0.0);
+        assert_eq!(model.duality_gap, 0.0);
+        assert_eq!(model.passes, 1);
+    }
+
+    /// At every `C` from heavily regularized to nearly hard-margin, the
+    /// model exits certified: gap at most `tol`, the reported gap and
+    /// duality gap equal to a brute-force recomputation from the alphas,
+    /// and a non-negative duality gap.
+    #[test]
+    fn random_rbf_problems_exit_certified() {
+        for seed in 0..4u64 {
+            let (k, y) = rbf_problem(60, seed);
+            for c in [0.01, 1.0, 256.0] {
+                let params = SmoParams::with_c(c);
+                let m = train_svc(&k, &y, &params);
+                let (kkt, dgap) = brute_certificate(&k, &y, &m, c);
+                assert!(m.passes < params.max_total_passes, "seed {seed} C {c}");
+                assert!(
+                    m.kkt_violation <= params.tol,
+                    "seed {seed} C {c}: gap {}",
+                    m.kkt_violation
+                );
+                assert!(
+                    (m.kkt_violation - kkt).abs() <= 1e-9,
+                    "seed {seed} C {c}: reported {} vs brute force {kkt}",
+                    m.kkt_violation
+                );
+                assert!(
+                    (m.duality_gap - dgap).abs() <= 1e-9 * (1.0 + dgap.abs()),
+                    "seed {seed} C {c}: reported {} vs brute force {dgap}",
+                    m.duality_gap
+                );
+                assert!(m.duality_gap >= 0.0, "seed {seed} C {c}: {}", m.duality_gap);
+                let balance: f64 = m.alphas.iter().zip(&y).map(|(a, yi)| a * yi).sum();
+                assert!(balance.abs() < 1e-9 * (1.0 + c), "sum alpha y = {balance}");
+            }
+        }
+    }
+
+    /// Every single update is an ascent step on the dual objective, at
+    /// every `C` (up to the rounding of the O(n^2) evaluation).
+    #[test]
+    fn dual_objective_never_decreases_across_updates() {
+        for c in [0.01, 1.0, 256.0] {
+            let (k, y) = rbf_problem(40, 11);
+            let diag: Vec<f64> = (0..y.len()).map(|t| k.get(t, t)).collect();
+            let params = SmoParams::with_c(c);
+            let mut st = SmoState::fresh(&y);
+            let mut updates = 0usize;
+            while st.should_continue(&y, &params) {
+                let mut sets = Sets::new(&y, &st.alphas, c);
+                let mut ext = Extremes::scan(&st.errors, &sets);
+                let mut changed = 0usize;
+                while changed < y.len() && ext.gap() > params.tol {
+                    let before = brute_dual(&k, &y, &st.alphas);
+                    let moved = update(&y, &diag, c, &mut st, &mut sets, &mut ext, &mut |i| {
+                        Ok::<_, std::convert::Infallible>(k.row(i))
+                    })
+                    .unwrap();
+                    if !moved {
+                        break;
+                    }
+                    let after = brute_dual(&k, &y, &st.alphas);
+                    assert!(
+                        after >= before - 1e-12 * (1.0 + before.abs()),
+                        "C {c} update {updates}: dual {before} -> {after}"
+                    );
+                    changed += 1;
+                    updates += 1;
+                }
+                if changed == 0 {
+                    break;
+                }
+                st.total_passes += 1;
+                st.refit_bias(c, &ext);
+            }
+            assert!(updates > 0);
+            // The hand-driven loop is pass_over's: same model as train_svc.
+            let model = train_svc(&k, &y, &params);
+            assert_eq!(st.alphas, model.alphas, "C {c}");
+            assert_eq!(st.bias.to_bits(), model.bias.to_bits(), "C {c}");
+        }
+    }
+
+    /// An indefinite kernel has pairs with `K_ii + K_jj - 2 K_ij <= 0`.
+    /// The curvature floor turns those into box-clipped steps, so
+    /// training still terminates — certified or stalled — well before
+    /// the pass cap, with feasible duals.
+    #[test]
+    fn indefinite_kernel_terminates() {
+        let n = 30;
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let vals: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.5..1.5)).collect();
+        let k = KernelMatrix::from_fn(n, |i, j| if i == j { 1.0 } else { vals[i * n + j] });
+        let eta_nonpositive = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .any(|(i, j)| i != j && k.get(i, i) + k.get(j, j) - 2.0 * k.get(i, j) <= 0.0);
+        assert!(
+            eta_nonpositive,
+            "fixture must hold non-positive curvature pairs"
+        );
+        let y: Vec<f64> = (0..n)
+            .map(|i| if i % 3 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        for c in [0.5, 4.0] {
+            let params = SmoParams::with_c(c);
+            let m = train_svc(&k, &y, &params);
+            assert!(m.passes < params.max_total_passes, "C {c}: hit the cap");
+            assert!(m.kkt_violation.is_finite() && m.bias.is_finite());
+            assert!(m.alphas.iter().all(|&a| (0.0..=c).contains(&a)));
+        }
     }
 
     #[test]
@@ -641,7 +923,7 @@ mod tests {
 
     #[test]
     fn noisy_data_terminates() {
-        // Overlapping classes: SMO must terminate via the pass caps.
+        // Overlapping classes: SMO must stop on the certificate.
         let pts: Vec<Vec<f64>> = (0..30)
             .map(|i| vec![((i * 37) % 13) as f64 / 6.0 - 1.0])
             .collect();
@@ -649,8 +931,10 @@ mod tests {
             .map(|i| if (i * 17) % 3 == 0 { 1.0 } else { -1.0 })
             .collect();
         let k = linear_kernel(&pts);
-        let model = train_svc(&k, &y, &SmoParams::with_c(1.0));
-        assert!(model.passes <= SmoParams::default().max_total_passes);
+        let params = SmoParams::with_c(1.0);
+        let model = train_svc(&k, &y, &params);
+        assert!(model.passes < params.max_total_passes);
+        assert!(model.kkt_violation <= params.tol);
         assert!(model.alphas.iter().all(|a| a.is_finite()));
         assert!(model.bias.is_finite());
     }
@@ -680,9 +964,9 @@ mod tests {
         train_svc(&k, &[1.0, 0.0], &SmoParams::default());
     }
 
-    /// A NaN `tol` makes every KKT comparison false, so without the
-    /// up-front validation the solver silently spins to
-    /// `max_total_passes` while updating nothing. It must panic instead.
+    /// A NaN `tol` makes every certificate comparison false, so without
+    /// the up-front validation the solver would silently spin to
+    /// `max_total_passes`. It must panic instead.
     #[test]
     #[should_panic(expected = "tol must be finite")]
     fn nan_tol_panics() {
@@ -728,7 +1012,7 @@ mod tests {
 
     /// Instrumentation must observe the solver, never steer it: the
     /// observed path trains a bit-identical model, and the milestone
-    /// counters land in the shared registry.
+    /// counters and certificate gauges land in the shared registry.
     #[test]
     fn observed_training_is_bitwise_identical() {
         let pts: Vec<Vec<f64>> = (0..12)
@@ -748,5 +1032,9 @@ mod tests {
         let snap = obs.registry_snapshot();
         assert_eq!(snap.counters["svm.smo_passes"], plain.passes as u64);
         assert!(snap.counters.contains_key("svm.smo_updates"));
+        let kkt = snap.gauges["svm.kkt_violation"];
+        assert_eq!(kkt, (plain.kkt_violation * 1e9).ceil() as i64);
+        assert!(kkt <= (params.tol * 1e9) as i64);
+        assert!(snap.gauges["svm.duality_gap"] >= 0);
     }
 }

@@ -5,15 +5,16 @@
 //! At the paper's N=64,000 regime SVM training is a multi-hour job
 //! sitting on top of the tiled Gram engine; this module gives it the
 //! same recovery story the engine itself has. A [`Trainer`] drives the
-//! exact pass loop of [`crate::train_svc`] (same floats, same rng
-//! draws), but:
+//! exact pass loop of [`crate::train_svc`] (same floats, same working
+//! sets), but:
 //!
 //! * every `ckpt_every` passes the full solver state — alphas, bias,
-//!   error cache, pass counters, rng position — is persisted to
-//!   `<dir>/trainer.qks` through a checksummed temp+rename write bound
-//!   to a job fingerprint, so a SIGKILL at any instant loses at most
-//!   the passes since the last snapshot and a resumed run converges to
-//!   a model **bitwise identical** to an uninterrupted one;
+//!   error cache, pass count — is persisted to `<dir>/trainer.qks`
+//!   through a checksummed temp+rename write bound to a job fingerprint.
+//!   Working-set selection is a pure function of that state, so a
+//!   SIGKILL at any instant loses at most the passes since the last
+//!   snapshot and a resumed run converges to a model **bitwise
+//!   identical** to an uninterrupted one;
 //! * kernel rows are served through a byte-budgeted LRU [`RowCache`]
 //!   over a [`RowSource`], so the solver stops re-reading the backing
 //!   store on every row access, with hit/miss/eviction counters;
@@ -28,8 +29,7 @@
 //!
 //! ```text
 //! <dir>/trainer.qks   # QKSVMC1\0 | fingerprint | n | total_passes
-//!                     #   | passes_without_progress | rng_words | bias
-//!                     #   | n alphas | n errors | checksum
+//!                     #   | bias | n alphas | n errors | checksum
 //! ```
 //!
 //! All integers and floats are little-endian; the checksum is FNV-1a 64
@@ -39,11 +39,11 @@
 //! conversion.
 
 use crate::kernel::KernelSource;
-use crate::smo::{pass_over, validate_inputs, SmoParams, SmoState, TrainedSvm};
+use crate::smo::{
+    pass_over, publish_certificate, validate_inputs, SmoParams, SmoState, TrainedSvm,
+};
 use qk_chaos::{sites, Chaos, Fault, RetryPolicy};
 use qk_obs::{Journal, Obs};
-use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
@@ -53,9 +53,12 @@ use std::time::Duration;
 
 const CKPT_MAGIC: &[u8; 8] = b"QKSVMC1\0";
 const CKPT_NAME: &str = "trainer.qks";
+/// Snapshot bytes outside the two `n`-vectors: magic, fingerprint, `n`,
+/// pass count, bias and checksum.
+const SNAPSHOT_FIXED_BYTES: usize = 48;
 /// Snapshot format version, folded into the job fingerprint so old
 /// layouts can never be misread as new ones.
-const CKPT_VERSION: u64 = 1;
+const CKPT_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------
 // FNV-1a 64 (private copy; qk-svm must not depend on qk-gram, which
@@ -76,10 +79,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Fingerprint of one training job: the kernel's identity plus
 /// everything that steers the solver. A checkpoint is only ever resumed
 /// into the exact job that wrote it — different labels, a different
-/// `C`, even a different rng seed all produce a different fingerprint
-/// and force a cold start.
+/// `C`, even a different tolerance or pass cap all produce a different
+/// fingerprint and force a cold start.
 pub fn job_fingerprint(kernel_fingerprint: u64, labels: &[f64], params: &SmoParams) -> u64 {
-    let mut buf = Vec::with_capacity(8 * (7 + labels.len()));
+    let mut buf = Vec::with_capacity(8 * (6 + labels.len()));
     for v in [CKPT_VERSION, kernel_fingerprint, labels.len() as u64] {
         buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -88,13 +91,7 @@ pub fn job_fingerprint(kernel_fingerprint: u64, labels: &[f64], params: &SmoPara
     }
     buf.extend_from_slice(&params.c.to_bits().to_le_bytes());
     buf.extend_from_slice(&params.tol.to_bits().to_le_bytes());
-    for v in [
-        params.max_passes as u64,
-        params.max_total_passes as u64,
-        params.seed,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    buf.extend_from_slice(&(params.max_total_passes as u64).to_le_bytes());
     fnv1a64(&buf)
 }
 
@@ -125,6 +122,8 @@ pub trait RowSource {
     fn load_row(&self, i: usize, out: &mut [f64]) -> io::Result<()>;
     /// Recomputes row `i` into `out` without touching the fast path.
     fn recompute_row(&self, i: usize, out: &mut [f64]) -> io::Result<()>;
+    /// The diagonal `K_tt`, read once per training run (length `n`).
+    fn diagonal(&self) -> Vec<f64>;
 }
 
 /// Every in-memory [`KernelSource`] is trivially a [`RowSource`]: the
@@ -144,6 +143,12 @@ impl<K: KernelSource + ?Sized> RowSource for K {
         out.copy_from_slice(self.row(i));
         Ok(())
     }
+
+    fn diagonal(&self) -> Vec<f64> {
+        (0..KernelSource::order(self))
+            .map(|t| self.entry(t, t))
+            .collect()
+    }
 }
 
 /// A cached kernel row handed to the pass loop. Holding the `Arc` keeps
@@ -162,7 +167,7 @@ impl std::ops::Deref for RowRef {
 /// [`RowSource`].
 ///
 /// Rows are `n * 8` bytes each; the budget is rounded down to whole
-/// rows with a floor of two (a take-step touches exactly two rows).
+/// rows with a floor of two (an update touches exactly two rows).
 /// Eviction scans for the least-recently-used entry in a `BTreeMap`, so
 /// the eviction order — like everything else in the trainer — is
 /// deterministic.
@@ -255,36 +260,6 @@ impl RowCache {
 // ---------------------------------------------------------------------
 // Checkpoint codec.
 
-/// A decoded solver snapshot, minus the reconstructed rng.
-struct Snapshot {
-    alphas: Vec<f64>,
-    bias: f64,
-    errors: Vec<f64>,
-    total_passes: usize,
-    passes_without_progress: usize,
-    rng_words: u64,
-}
-
-impl Snapshot {
-    /// Rebuilds the full solver state: the rng is reseeded and advanced
-    /// to the persisted word position, so the next fallback draw is the
-    /// one the interrupted run would have made.
-    fn into_state(self, seed: u64) -> SmoState {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for _ in 0..self.rng_words {
-            rng.next_u32();
-        }
-        SmoState {
-            alphas: self.alphas,
-            bias: self.bias,
-            errors: self.errors,
-            passes_without_progress: self.passes_without_progress,
-            total_passes: self.total_passes,
-            rng,
-        }
-    }
-}
-
 /// A bounds-checked little-endian reader over a snapshot buffer. Every
 /// read returns `None` once the buffer runs short, so the decoder
 /// rejects truncated or mangled files by construction.
@@ -324,7 +299,7 @@ enum CkptLoad {
     /// deletion and the trainer cold-starts.
     Corrupt,
     /// The snapshot validated.
-    Loaded(Box<Snapshot>),
+    Loaded(Box<SmoState>),
 }
 
 /// The on-disk side of the trainer: one snapshot file per checkpoint
@@ -361,15 +336,9 @@ impl TrainerCkpt {
     }
 
     fn encode(&self, st: &SmoState) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.n * 16);
+        let mut buf = Vec::with_capacity(SNAPSHOT_FIXED_BYTES + self.n * 16);
         buf.extend_from_slice(CKPT_MAGIC);
-        for v in [
-            self.fingerprint,
-            self.n as u64,
-            st.total_passes as u64,
-            st.passes_without_progress as u64,
-            st.rng.word_pos() as u64,
-        ] {
+        for v in [self.fingerprint, self.n as u64, st.total_passes as u64] {
             buf.extend_from_slice(&v.to_le_bytes());
         }
         buf.extend_from_slice(&st.bias.to_bits().to_le_bytes());
@@ -416,8 +385,8 @@ impl TrainerCkpt {
 
     /// The happy-path decoder: every read is bounds-checked through
     /// [`Cursor`], so any short or mangled buffer falls out as `None`.
-    fn decode_checked(bytes: &[u8], fingerprint: u64, n: usize) -> Option<Snapshot> {
-        let expected_len = 64usize.checked_add(n.checked_mul(16)?)?;
+    fn decode_checked(bytes: &[u8], fingerprint: u64, n: usize) -> Option<SmoState> {
+        let expected_len = SNAPSHOT_FIXED_BYTES.checked_add(n.checked_mul(16)?)?;
         if bytes.len() != expected_len {
             return None;
         }
@@ -432,8 +401,6 @@ impl TrainerCkpt {
             return None;
         }
         let total_passes = c.u64()? as usize;
-        let passes_without_progress = c.u64()? as usize;
-        let rng_words = c.u64()?;
         let bias = c.f64()?;
         let mut alphas = Vec::with_capacity(n);
         for _ in 0..n {
@@ -447,13 +414,11 @@ impl TrainerCkpt {
         if fnv1a64(&bytes[..expected_len - 8]) != sum {
             return None;
         }
-        Some(Snapshot {
+        Some(SmoState {
             alphas,
             bias,
             errors,
             total_passes,
-            passes_without_progress,
-            rng_words,
         })
     }
 }
@@ -676,7 +641,6 @@ impl Trainer {
             journal
                 .event("trainer_start")
                 .field_u64("n", n as u64)
-                .field_u64("seed", params.seed)
                 .field_u64("fingerprint", fingerprint)
                 .log();
         }
@@ -695,6 +659,9 @@ impl Trainer {
             &mut cache,
         );
 
+        if let Ok(outcome) = &result {
+            publish_certificate(&obs, &outcome.model);
+        }
         // Mirror the run's recovery and cache activity into the shared
         // registry and export — for finished *and* failed runs, so a
         // drill that interrupts training still sees its counters.
@@ -772,17 +739,18 @@ impl Trainer {
                         .field_u64("pass", pass as u64)
                         .log();
                 }
-                snap.into_state(params.seed)
+                *snap
             }
-            None => SmoState::fresh(labels, params.seed),
+            None => SmoState::fresh(labels),
         };
+        let diag = source.diagonal();
 
         let pass_counter = obs.counter("svm.smo_passes");
         let update_counter = obs.counter("svm.smo_updates");
         let ckpt_every = self.cfg.ckpt_every.max(1);
         let mut passes_this_run = 0usize;
 
-        while st.should_continue(params) {
+        while st.should_continue(labels, params) {
             if let Some(budget) = self.cfg.pass_budget {
                 if passes_this_run >= budget {
                     if let Some(ckpt) = &ckpt {
@@ -803,12 +771,16 @@ impl Trainer {
                 std::thread::sleep(d);
             }
             let _pass_span = obs.span("pass");
-            let changed = pass_over(labels, params.c, params.tol, &mut st, |i, j| {
-                let ki = cache.get(source, i, &self.cfg.chaos, &self.cfg.retry, journal)?;
-                let kj = cache.get(source, j, &self.cfg.chaos, &self.cfg.retry, journal)?;
-                Ok::<_, io::Error>((RowRef(ki), RowRef(kj)))
+            let changed = pass_over(labels, &diag, params.c, params.tol, &mut st, |i| {
+                cache
+                    .get(source, i, &self.cfg.chaos, &self.cfg.retry, journal)
+                    .map(RowRef)
             })?;
-            st.record_pass(changed);
+            if changed == 0 {
+                // A stall: the pass left the state as it was and is not
+                // counted, so a resumed run re-derives the same stop.
+                break;
+            }
             passes_this_run += 1;
             pass_counter.inc();
             update_counter.add(changed as u64);
@@ -832,7 +804,7 @@ impl Trainer {
             self.store_snapshot(ckpt, &st, rec, journal);
         }
 
-        let model = st.into_model(labels);
+        let model = st.into_model(labels, params.c);
         if let Some(journal) = journal {
             journal
                 .event("trainer_done")
@@ -854,7 +826,7 @@ impl Trainer {
         ckpt: &TrainerCkpt,
         rec: &mut Recovery,
         journal: Option<&Journal>,
-    ) -> Option<Box<Snapshot>> {
+    ) -> Option<Box<SmoState>> {
         let retried = self.cfg.retry.run(|| {
             chaos_gate(&self.cfg.chaos, &mut rec.faults, sites::SVM_CKPT_LOAD)?;
             ckpt.load_classified()
@@ -1018,7 +990,8 @@ mod tests {
         let (k, y) = problem(24);
         let params = SmoParams::with_c(1.5);
         let reference = train_svc(&k, &y, &params);
-        for budget in [0usize, 1, 2, 3, 5] {
+        assert!(reference.passes >= 3, "fixture must take several passes");
+        for budget in 0..reference.passes {
             let dir = scratch(&format!("resume{budget}"));
             let interrupted = Trainer::new(TrainerConfig {
                 ckpt_dir: Some(dir.clone()),
@@ -1176,6 +1149,9 @@ mod tests {
             assert_eq!(snap.counters.get(name), Some(&0), "{name}");
         }
         assert!(snap.counters["svm.cache.misses"] > 0);
+        // The exit certificate is published in units of 1e-9.
+        assert!(snap.gauges["svm.kkt_violation"] <= 1_000_000);
+        assert!(snap.gauges.contains_key("svm.duality_gap"));
     }
 
     /// Torn temp files from a previous life are swept on open.

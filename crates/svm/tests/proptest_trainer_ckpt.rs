@@ -12,9 +12,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const N: usize = 12;
-/// Snapshot layout: 64-byte header+bias, 16 bytes per point, 8-byte
+/// Snapshot layout: 40-byte header+bias, 16 bytes per point, 8-byte
 /// checksum — see `qk_svm::trainer`.
-const SNAP_LEN: usize = 64 + 16 * N;
+const SNAP_LEN: usize = 48 + 16 * N;
 
 fn scratch(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -141,16 +141,17 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A snapshot written by a different job — here, a different seed —
-    /// carries a different fingerprint and must cold-start.
+    /// A snapshot written by a different job — here, a different
+    /// certificate tolerance — carries a different fingerprint and must
+    /// cold-start.
     #[test]
-    fn foreign_snapshot_cold_starts(other_seed in 0u64..1_000_000) {
+    fn foreign_snapshot_cold_starts(other_tol in 1e-6f64..1e-1) {
         let (k, y) = problem();
         let mine = params();
-        prop_assume!(other_seed != mine.seed);
+        prop_assume!(other_tol != mine.tol);
         let reference = train_svc(&k, &y, &mine);
         let dir = scratch("foreign");
-        let foreign = SmoParams { seed: other_seed, ..mine };
+        let foreign = SmoParams { tol: other_tol, ..mine };
         ckpt_trainer(&dir).train(&k, &y, &foreign).unwrap();
         let outcome = ckpt_trainer(&dir).train(&k, &y, &mine).unwrap();
         prop_assert!(outcome.resumed_from_pass.is_none(), "foreign snapshot resumed");
