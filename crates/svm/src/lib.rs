@@ -11,8 +11,9 @@
 //! * [`model_select`] — the `C in [0.01, 4]` regularization sweep.
 //! * [`cv`] — stratified k-fold cross-validation on precomputed kernels.
 //! * [`platt`] — probability calibration of SVM decision values.
-//! * [`trainer`] — crash-safe SMO training: checkpointed warm-start, a
-//!   budgeted kernel-row cache, and chaos-drilled recovery paths.
+//! * [`trainer`] — crash-safe SMO training: checkpointed warm-start,
+//!   resident rows read in place, a budgeted row cache for the rest, and
+//!   chaos-drilled recovery paths.
 //! * [`diagnostics`] — spectral concentration diagnostics (effective
 //!   dimension, kernel–target alignment, geometric difference).
 //!

@@ -30,6 +30,28 @@
 //! points and the cache shifted to match. Selection draws no randomness,
 //! so the state at a pass boundary — alphas, errors, bias, pass count —
 //! is a pure function of the state at the previous one.
+//!
+//! # Shrinking
+//!
+//! Each pass works on an active set fixed at its start (Joachims 1999;
+//! the LIBSVM heuristic). With `e_up = min_{I_up} E` and
+//! `e_low = max_{I_low} E` over the whole problem, `t` is active when it
+//! is in `I_up` with `E_t <= e_low` or in `I_low` with `E_t >= e_up`
+//! (every free point is); any other point sits at a bound on the side
+//! that cannot violate the certificate and sits the pass out. The
+//! comparisons are non-strict, so the pass's first violating pair is
+//! always active, and the set is a pure function of (alpha, E, bias):
+//! a resumed run re-derives it from a snapshot.
+//!
+//! When the active set is at most half of `n`, the pass gathers it into
+//! one contiguous block — `K_AA` (at most `n^2 / 4` f64, allocated once
+//! per training run) plus the active labels, alphas, errors, masks and
+//! diagonal — and runs the same `update` body over those arrays;
+//! otherwise it runs over the full rows. A compacted pass ends by
+//! scattering alphas and errors back and bringing every shrunk error up
+//! to date (one row read per active point whose alpha moved), so a pass
+//! boundary never holds a stale error and the certificate that stops
+//! training is always checked over all `n` points.
 
 use crate::kernel::KernelSource;
 use crate::trainer::RowSource;
@@ -212,15 +234,23 @@ pub(crate) fn validate_inputs(n: usize, labels: &[f64], params: &SmoParams) {
     );
 }
 
-/// Publishes a model's exit certificate as `svm.kkt_violation` and
-/// `svm.duality_gap`. Registry gauges hold integers, so both are stored
-/// in units of `1e-9`, rounded up: a gauge at most `tol * 1e9` certifies
-/// the gap at most `tol`.
-pub(crate) fn publish_certificate(obs: &Obs, model: &TrainedSvm) {
+/// Publishes a finished model's gauges: the exit certificate as
+/// `svm.kkt_violation` and `svm.duality_gap`, its `svm.support_vectors`
+/// and `svm.at_bound` (alpha at `C`) counts, and `svm.active_min`, the
+/// smallest active set any pass of the run started from (`n` when no
+/// pass ran). Registry gauges hold integers, so the certificate is
+/// stored in units of `1e-9`, rounded up: a gauge at most `tol * 1e9`
+/// certifies the gap at most `tol`.
+pub(crate) fn publish_model(obs: &Obs, model: &TrainedSvm, c: f64, active_min: usize) {
     let nano = |x: f64| (x * 1e9).ceil() as i64;
     obs.gauge("svm.kkt_violation")
         .set(nano(model.kkt_violation));
     obs.gauge("svm.duality_gap").set(nano(model.duality_gap));
+    obs.gauge("svm.support_vectors")
+        .set(model.support_indices().len() as i64);
+    let at_bound = model.alphas.iter().filter(|&&a| a >= c).count();
+    obs.gauge("svm.at_bound").set(at_bound as i64);
+    obs.gauge("svm.active_min").set(active_min as i64);
 }
 
 /// `t` is in `I_up`: `y_t alpha_t` may grow within its box
@@ -241,6 +271,7 @@ fn in_low(y: f64, a: f64, c: f64) -> bool {
 /// `E_t + low[t]` without branching on labels or alphas. A pure function
 /// of the alphas, rebuilt at every pass start and patched at `i` and `j`
 /// after each step.
+#[derive(Debug, Default)]
 struct Sets {
     up: Vec<f64>,
     low: Vec<f64>,
@@ -418,112 +449,307 @@ impl SmoState {
     }
 }
 
+/// A pass compacts when `COMPACT * |A| <= n`: the active block is then at
+/// most half the problem, and `K_AA` at most a quarter of the Gram.
+const COMPACT: usize = 2;
+
+/// What one [`pass_over`] call did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pass {
+    /// Working-set updates made; `0` leaves the state untouched.
+    pub updates: usize,
+    /// Size of the active set the pass started from.
+    pub active: usize,
+    /// Whether the updates ran on the gathered active block.
+    pub compacted: bool,
+}
+
+/// The arrays a pass's updates read and write, in one index space: the
+/// whole problem, or the gathered active block.
+struct Arrays<'a> {
+    labels: &'a [f64],
+    diag: &'a [f64],
+    alphas: &'a mut [f64],
+    errors: &'a mut [f64],
+    sets: &'a mut Sets,
+}
+
+/// Scratch for compacted passes: the active block, gathered. One per
+/// training run and reused across passes, so `K_AA` (at most `n^2 / 4`
+/// f64) is allocated once.
+#[derive(Debug, Default)]
+pub(crate) struct ActiveBlock {
+    /// Problem index of each active point, ascending.
+    active: Vec<usize>,
+    /// The points that sit the pass out.
+    shrunk: Vec<usize>,
+    /// `K_AA`, row-major.
+    kernel: Vec<f64>,
+    labels: Vec<f64>,
+    diag: Vec<f64>,
+    alphas: Vec<f64>,
+    errors: Vec<f64>,
+    sets: Sets,
+}
+
+impl ActiveBlock {
+    /// Splits the problem into active and shrunk points at the pass
+    /// start (see the module docs for the rule).
+    fn select(&mut self, errors: &[f64], sets: &Sets, ext: &Extremes) {
+        self.active.clear();
+        self.shrunk.clear();
+        for (t, ((&e, &up), &low)) in errors.iter().zip(&sets.up).zip(&sets.low).enumerate() {
+            if e + up <= ext.e_low || e + low >= ext.e_up {
+                self.active.push(t);
+            } else {
+                self.shrunk.push(t);
+            }
+        }
+    }
+
+    /// Copies the active block out of the problem, reading each active
+    /// row once.
+    fn gather<R, E>(
+        &mut self,
+        labels: &[f64],
+        diag: &[f64],
+        st: &SmoState,
+        sets: &Sets,
+        row: &mut impl FnMut(usize) -> Result<R, E>,
+    ) -> Result<(), E>
+    where
+        R: std::ops::Deref<Target = [f64]>,
+    {
+        let m = self.active.len();
+        self.kernel.clear();
+        self.kernel.reserve_exact(m * m);
+        for &s in &self.active {
+            let ks = row(s)?;
+            self.kernel.extend(self.active.iter().map(|&t| ks[t]));
+        }
+        let pick = |out: &mut Vec<f64>, from: &[f64]| {
+            out.clear();
+            out.extend(self.active.iter().map(|&t| from[t]));
+        };
+        pick(&mut self.labels, labels);
+        pick(&mut self.diag, diag);
+        pick(&mut self.alphas, &st.alphas);
+        pick(&mut self.errors, &st.errors);
+        pick(&mut self.sets.up, &sets.up);
+        pick(&mut self.sets.low, &sets.low);
+        Ok(())
+    }
+
+    /// Writes the block's alphas and errors back into `st`, then brings
+    /// every shrunk error up to date: `E_t += y_s (alpha_s' - alpha_s)
+    /// K_st` over the active `s` that moved, one row read each.
+    fn scatter<R, E>(
+        &self,
+        labels: &[f64],
+        st: &mut SmoState,
+        row: &mut impl FnMut(usize) -> Result<R, E>,
+    ) -> Result<(), E>
+    where
+        R: std::ops::Deref<Target = [f64]>,
+    {
+        for ((&s, &a), &e) in self.active.iter().zip(&self.alphas).zip(&self.errors) {
+            let delta = labels[s] * (a - st.alphas[s]);
+            st.alphas[s] = a;
+            st.errors[s] = e;
+            if delta != 0.0 {
+                let ks = row(s)?;
+                for &t in &self.shrunk {
+                    st.errors[t] += delta * ks[t];
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Runs one SMO pass — up to `n` working-set updates — fetching kernel
 /// rows through `row(i)`; `diag[t] = K_tt`.
 ///
 /// This is *the* pass loop — [`train_svc`] closes over direct
 /// [`KernelSource::row`] reads (infallible), while the crash-safe
-/// trainer closes over its budgeted row cache (fallible loads, chaos
-/// gates). Both paths execute identical float operations, which is what
-/// makes a resumed training run bitwise equal to an uninterrupted one.
+/// trainer closes over resident rows or its budgeted row cache (fallible
+/// loads, chaos gates). Both paths execute identical float operations,
+/// which is what makes a resumed training run bitwise equal to an
+/// uninterrupted one. `block` is the run's compaction scratch.
 ///
-/// The pass ends early once the certificate holds or an update makes no
-/// progress. A pass with at least one update counts toward
-/// `total_passes` and ends with the bias refit; a pass with none leaves
-/// the state untouched, so the caller stops on it (converged or stalled)
-/// and a resumed run re-derives the same stop. Returns the number of
-/// updates, or the first row-fetch error.
+/// The pass ends early once the certificate over its active set holds or
+/// an update makes no progress. A pass with at least one update counts
+/// toward `total_passes` and ends with every error current and the bias
+/// refit; a pass with none leaves the state untouched, so the caller
+/// stops on it (converged or stalled) and a resumed run re-derives the
+/// same stop. Returns what the pass did, or the first row-fetch error.
 pub(crate) fn pass_over<R, E>(
     labels: &[f64],
     diag: &[f64],
-    c: f64,
-    tol: f64,
+    params: &SmoParams,
     st: &mut SmoState,
+    block: &mut ActiveBlock,
+    row: impl FnMut(usize) -> Result<R, E>,
+) -> Result<Pass, E>
+where
+    R: std::ops::Deref<Target = [f64]>,
+{
+    pass_with(labels, diag, params, st, block, row, |_, _, _, _| {})
+}
+
+/// [`pass_over`], calling `on_step(i, alpha_i, j, alpha_j)` (problem
+/// indices, new alphas) after every update.
+fn pass_with<R, E>(
+    labels: &[f64],
+    diag: &[f64],
+    params: &SmoParams,
+    st: &mut SmoState,
+    block: &mut ActiveBlock,
     mut row: impl FnMut(usize) -> Result<R, E>,
+    mut on_step: impl FnMut(usize, f64, usize, f64),
+) -> Result<Pass, E>
+where
+    R: std::ops::Deref<Target = [f64]>,
+{
+    let (n, c) = (labels.len(), params.c);
+    let mut sets = Sets::new(labels, &st.alphas, c);
+    let mut ext = Extremes::scan(&st.errors, &sets);
+    block.select(&st.errors, &sets, &ext);
+    let active = block.active.len();
+    let compacted = COMPACT * active <= n;
+    let updates = if compacted {
+        block.gather(labels, diag, st, &sets, &mut row)?;
+        let mut block_ext = Extremes::scan(&block.errors, &block.sets);
+        let (kernel, idx) = (&block.kernel, &block.active);
+        run_updates(
+            Arrays {
+                labels: &block.labels,
+                diag: &block.diag,
+                alphas: &mut block.alphas,
+                errors: &mut block.errors,
+                sets: &mut block.sets,
+            },
+            params,
+            n,
+            &mut block_ext,
+            &mut |a| Ok::<_, E>(&kernel[a * active..(a + 1) * active]),
+            &mut |i, ai, j, aj| on_step(idx[i], ai, idx[j], aj),
+        )?
+    } else {
+        run_updates(
+            Arrays {
+                labels,
+                diag,
+                alphas: &mut st.alphas,
+                errors: &mut st.errors,
+                sets: &mut sets,
+            },
+            params,
+            n,
+            &mut ext,
+            &mut row,
+            &mut on_step,
+        )?
+    };
+    if updates > 0 {
+        if compacted {
+            block.scatter(labels, st, &mut row)?;
+            ext = Extremes::scan(&st.errors, &Sets::new(labels, &st.alphas, c));
+        }
+        st.total_passes += 1;
+        st.refit_bias(c, &ext);
+    }
+    Ok(Pass {
+        updates,
+        active,
+        compacted,
+    })
+}
+
+/// Up to `limit` updates over `b` while its certificate exceeds `tol`;
+/// returns how many made progress.
+fn run_updates<R, E>(
+    mut b: Arrays<'_>,
+    params: &SmoParams,
+    limit: usize,
+    ext: &mut Extremes,
+    row: &mut impl FnMut(usize) -> Result<R, E>,
+    on_step: &mut impl FnMut(usize, f64, usize, f64),
 ) -> Result<usize, E>
 where
     R: std::ops::Deref<Target = [f64]>,
 {
-    let n = labels.len();
-    let mut sets = Sets::new(labels, &st.alphas, c);
-    let mut ext = Extremes::scan(&st.errors, &sets);
-    let mut changed = 0usize;
-    while changed < n && ext.gap() > tol {
-        if !update(labels, diag, c, st, &mut sets, &mut ext, &mut row)? {
+    let mut updates = 0usize;
+    while updates < limit && ext.gap() > params.tol {
+        let Some((i, j)) = update(&mut b, params.c, ext, row)? else {
             break;
-        }
-        changed += 1;
+        };
+        on_step(i, b.alphas[i], j, b.alphas[j]);
+        updates += 1;
     }
-    if changed > 0 {
-        st.total_passes += 1;
-        st.refit_bias(c, &ext);
-    }
-    Ok(changed)
+    Ok(updates)
 }
 
 /// One working-set update starting from `i = ext.i_up`. On progress the
-/// error cache, `sets` and `ext` are refreshed for the next update;
-/// returns `false` (state untouched) when no admissible `j` exists or
-/// the clipped step moves nothing.
+/// errors, sets and `ext` are refreshed for the next update and the
+/// stepped pair is returned; returns `None` (block untouched) when no
+/// admissible `j` exists or the clipped step moves nothing.
 fn update<R, E>(
-    labels: &[f64],
-    diag: &[f64],
+    b: &mut Arrays<'_>,
     c: f64,
-    st: &mut SmoState,
-    sets: &mut Sets,
     ext: &mut Extremes,
     row: &mut impl FnMut(usize) -> Result<R, E>,
-) -> Result<bool, E>
+) -> Result<Option<(usize, usize)>, E>
 where
     R: std::ops::Deref<Target = [f64]>,
 {
     let i = ext.i_up;
     let ki = row(i)?;
-    let Some(j) = select_j(i, diag, &st.errors, &sets.low, &ki) else {
-        return Ok(false);
+    let Some(j) = select_j(i, b.diag, b.errors, &b.sets.low, &ki) else {
+        return Ok(None);
     };
     let kj = row(j)?;
 
-    let (yi, yj) = (labels[i], labels[j]);
-    let (ai, aj) = (st.alphas[i], st.alphas[j]);
+    let (yi, yj) = (b.labels[i], b.labels[j]);
+    let (ai, aj) = (b.alphas[i], b.alphas[j]);
     // Feasible segment for alpha_j.
     let (lo, hi) = if yi != yj {
         ((aj - ai).max(0.0), (c + aj - ai).min(c))
     } else {
         ((ai + aj - c).max(0.0), (ai + aj).min(c))
     };
-    let eta = (diag[i] + diag[j] - 2.0 * ki[j]).max(TAU);
+    let eta = (b.diag[i] + b.diag[j] - 2.0 * ki[j]).max(TAU);
     let aj_new = snap(
-        (aj + yj * (st.errors[i] - st.errors[j]) / eta).clamp(lo, hi),
+        (aj + yj * (b.errors[i] - b.errors[j]) / eta).clamp(lo, hi),
         c,
     );
     let ai_new = snap((ai + yi * yj * (aj - aj_new)).clamp(0.0, c), c);
     if ai_new == ai && aj_new == aj {
-        return Ok(false);
+        return Ok(None);
     }
-    st.alphas[i] = ai_new;
-    st.alphas[j] = aj_new;
-    sets.set(i, yi, ai_new, c);
-    sets.set(j, yj, aj_new, c);
+    b.alphas[i] = ai_new;
+    b.alphas[j] = aj_new;
+    b.sets.set(i, yi, ai_new, c);
+    b.sets.set(j, yj, aj_new, c);
 
     // Error-cache refresh fused with the next update's extremes.
     let di = yi * (ai_new - ai);
     let dj = yj * (aj_new - aj);
     let mut next = Extremes::EMPTY;
-    for (t, ((((e, &kit), &kjt), &up), &low)) in st
+    for (t, ((((e, &kit), &kjt), &up), &low)) in b
         .errors
         .iter_mut()
         .zip(ki.iter())
         .zip(kj.iter())
-        .zip(&sets.up)
-        .zip(&sets.low)
+        .zip(&b.sets.up)
+        .zip(&b.sets.low)
         .enumerate()
     {
         *e += di * kit + dj * kjt;
         next.observe(t, *e, up, low);
     }
     *ext = next;
-    Ok(true)
+    Ok(Some((i, j)))
 }
 
 /// The second-order choice of `j` for a fixed `i`: over `t` in `I_low`
@@ -563,6 +789,7 @@ fn train_impl<K: KernelSource + ?Sized>(
         (
             obs.counter("svm.smo_passes"),
             obs.counter("svm.smo_updates"),
+            obs.counter("svm.shrunk_passes"),
         )
     });
     if let Some((_, Some(journal))) = hooks {
@@ -571,34 +798,39 @@ fn train_impl<K: KernelSource + ?Sized>(
 
     let diag = RowSource::diagonal(kernel);
     let mut st = SmoState::fresh(labels);
+    let mut block = ActiveBlock::default();
+    let mut active_min = n;
 
     while st.should_continue(labels, params) {
         let _pass_span = hooks.map(|(obs, _)| obs.span("pass"));
-        let changed = match pass_over(labels, &diag, params.c, params.tol, &mut st, |i| {
+        let pass = match pass_over(labels, &diag, params, &mut st, &mut block, |i| {
             Ok::<_, std::convert::Infallible>(kernel.row(i))
         }) {
-            Ok(changed) => changed,
+            Ok(pass) => pass,
             Err(never) => match never {},
         };
-        if changed == 0 {
+        active_min = active_min.min(pass.active);
+        if pass.updates == 0 {
             break;
         }
-        if let Some((passes, updates)) = &counters {
+        if let Some((passes, updates, shrunk)) = &counters {
             passes.inc();
-            updates.add(changed as u64);
+            updates.add(pass.updates as u64);
+            shrunk.add(u64::from(pass.compacted));
         }
         if let Some((_, Some(journal))) = hooks {
             journal
                 .event("smo_pass")
                 .field_u64("pass", st.total_passes as u64)
-                .field_u64("changed", changed as u64)
+                .field_u64("changed", pass.updates as u64)
+                .field_u64("active", pass.active as u64)
                 .log();
         }
     }
 
     let model = st.into_model(labels, params.c);
     if let Some((obs, journal)) = hooks {
-        publish_certificate(obs, &model);
+        publish_model(obs, &model, params.c, active_min);
         if let Some(journal) = journal {
             journal
                 .event("smo_done")
@@ -614,7 +846,7 @@ fn train_impl<K: KernelSource + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernel::KernelMatrix;
     use rand::{Rng, SeedableRng};
@@ -649,7 +881,7 @@ mod tests {
 
     /// A random RBF problem: `n` points in the unit square, labels from
     /// a noisy circle so some points sit on the wrong side.
-    fn rbf_problem(n: usize, seed: u64) -> (KernelMatrix, Vec<f64>) {
+    pub(crate) fn rbf_problem(n: usize, seed: u64) -> (KernelMatrix, Vec<f64>) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let pts: Vec<[f64; 2]> = (0..n).map(|_| [rng.gen(), rng.gen()]).collect();
         let mut labels: Vec<f64> = pts
@@ -764,49 +996,96 @@ mod tests {
         }
     }
 
+    /// Large enough that shrinking engages: at `C >= 16` the solver
+    /// needs more than one pass, and after the first at most half the
+    /// points stay active. (`C = 1` certifies in one full pass.)
+    #[test]
+    fn shrunk_runs_exit_certified() {
+        let (k, y) = rbf_problem(200, 1);
+        for c in [1.0, 16.0, 256.0] {
+            let params = SmoParams::with_c(c);
+            let obs = Obs::new();
+            let m = train_svc_observed(&k, &y, &params, &obs, None);
+            let snap = obs.registry_snapshot();
+            if c >= 16.0 {
+                assert!(
+                    snap.counters["svm.shrunk_passes"] >= 1,
+                    "C {c}: no pass ran compacted"
+                );
+                assert!(snap.gauges["svm.active_min"] * 2 <= y.len() as i64);
+            }
+            let (kkt, dgap) = brute_certificate(&k, &y, &m, c);
+            assert!(m.kkt_violation <= params.tol, "C {c}: {}", m.kkt_violation);
+            assert!(
+                (m.kkt_violation - kkt).abs() <= 1e-9,
+                "C {c}: reported {} vs brute force {kkt}",
+                m.kkt_violation
+            );
+            assert!(
+                (m.duality_gap - dgap).abs() <= 1e-9 * (1.0 + dgap.abs()),
+                "C {c}: reported {} vs brute force {dgap}",
+                m.duality_gap
+            );
+            assert!(m.duality_gap >= 0.0, "C {c}: {}", m.duality_gap);
+            assert_eq!(
+                snap.gauges["svm.support_vectors"],
+                m.support_indices().len() as i64
+            );
+            let at_c = m.alphas.iter().filter(|&&a| a == c).count();
+            assert_eq!(snap.gauges["svm.at_bound"], at_c as i64);
+        }
+    }
+
     /// Every single update is an ascent step on the dual objective, at
-    /// every `C` (up to the rounding of the O(n^2) evaluation).
+    /// every `C` (up to the rounding of the O(n^2) evaluation), on full
+    /// and compacted passes alike.
     #[test]
     fn dual_objective_never_decreases_across_updates() {
+        let (k, y) = rbf_problem(120, 11);
+        let diag: Vec<f64> = (0..y.len()).map(|t| k.get(t, t)).collect();
+        let mut compacted = 0usize;
         for c in [0.01, 1.0, 256.0] {
-            let (k, y) = rbf_problem(40, 11);
-            let diag: Vec<f64> = (0..y.len()).map(|t| k.get(t, t)).collect();
             let params = SmoParams::with_c(c);
             let mut st = SmoState::fresh(&y);
+            let mut block = ActiveBlock::default();
+            let mut alphas = st.alphas.clone();
+            let mut dual = brute_dual(&k, &y, &alphas);
             let mut updates = 0usize;
             while st.should_continue(&y, &params) {
-                let mut sets = Sets::new(&y, &st.alphas, c);
-                let mut ext = Extremes::scan(&st.errors, &sets);
-                let mut changed = 0usize;
-                while changed < y.len() && ext.gap() > params.tol {
-                    let before = brute_dual(&k, &y, &st.alphas);
-                    let moved = update(&y, &diag, c, &mut st, &mut sets, &mut ext, &mut |i| {
-                        Ok::<_, std::convert::Infallible>(k.row(i))
-                    })
-                    .unwrap();
-                    if !moved {
-                        break;
-                    }
-                    let after = brute_dual(&k, &y, &st.alphas);
-                    assert!(
-                        after >= before - 1e-12 * (1.0 + before.abs()),
-                        "C {c} update {updates}: dual {before} -> {after}"
-                    );
-                    changed += 1;
-                    updates += 1;
-                }
-                if changed == 0 {
+                let pass = pass_with(
+                    &y,
+                    &diag,
+                    &params,
+                    &mut st,
+                    &mut block,
+                    |i| Ok::<_, std::convert::Infallible>(k.row(i)),
+                    |i, ai, j, aj| {
+                        alphas[i] = ai;
+                        alphas[j] = aj;
+                        let after = brute_dual(&k, &y, &alphas);
+                        assert!(
+                            after >= dual - 1e-12 * (1.0 + dual.abs()),
+                            "C {c} update {updates}: dual {dual} -> {after}"
+                        );
+                        dual = after;
+                        updates += 1;
+                    },
+                )
+                .unwrap();
+                if pass.updates == 0 {
                     break;
                 }
-                st.total_passes += 1;
-                st.refit_bias(c, &ext);
+                compacted += usize::from(pass.compacted);
+                // The hook saw every step the pass scattered back.
+                assert_eq!(alphas, st.alphas, "C {c}");
             }
             assert!(updates > 0);
-            // The hand-driven loop is pass_over's: same model as train_svc.
+            // The hand-driven loop is train_svc's: same model.
             let model = train_svc(&k, &y, &params);
             assert_eq!(st.alphas, model.alphas, "C {c}");
             assert_eq!(st.bias.to_bits(), model.bias.to_bits(), "C {c}");
         }
+        assert!(compacted > 0, "no compacted pass was checked");
     }
 
     /// An indefinite kernel has pairs with `K_ii + K_jj - 2 K_ij <= 0`.

@@ -1,6 +1,6 @@
-//! Crash-safe SMO training: checkpointed warm-start, a budgeted
-//! kernel-row cache with graceful degradation, and chaos-drilled
-//! recovery paths.
+//! Crash-safe SMO training: checkpointed warm-start, in-place reads of
+//! resident kernel rows, a budgeted row cache with graceful degradation
+//! for sources that must load rows, and chaos-drilled recovery paths.
 //!
 //! At the paper's N=64,000 regime SVM training is a multi-hour job
 //! sitting on top of the tiled Gram engine; this module gives it the
@@ -11,16 +11,21 @@
 //! * every `ckpt_every` passes the full solver state — alphas, bias,
 //!   error cache, pass count — is persisted to `<dir>/trainer.qks`
 //!   through a checksummed temp+rename write bound to a job fingerprint.
-//!   Working-set selection is a pure function of that state, so a
-//!   SIGKILL at any instant loses at most the passes since the last
-//!   snapshot and a resumed run converges to a model **bitwise
-//!   identical** to an uninterrupted one;
-//! * kernel rows are served through a byte-budgeted LRU [`RowCache`]
-//!   over a [`RowSource`], so the solver stops re-reading the backing
-//!   store on every row access, with hit/miss/eviction counters;
-//! * every I/O edge (`svm.ckpt.store`, `svm.ckpt.load`,
-//!   `svm.row.load`) is chaos-gated and retried under the configured
-//!   [`RetryPolicy`]; persistent row-load failures degrade to
+//!   Working-set selection and each pass's active set (see
+//!   [`crate::smo`]) are pure functions of that state, and every error
+//!   in it is current at a pass boundary, so a SIGKILL at any instant
+//!   loses at most the passes since the last snapshot and a resumed run
+//!   converges to a model **bitwise identical** to an uninterrupted one;
+//! * a source whose rows are resident in memory (every
+//!   [`KernelSource`]: the dense matrix, `qk-gram`'s assembled view)
+//!   hands them out in place through [`RowSource::resident_row`] — no
+//!   copy, no cache, no failure path. Other sources (`qk-gram`'s
+//!   `RecomputingRows`) are served through a byte-budgeted LRU
+//!   [`RowCache`], so the solver stops re-reading the backing store on
+//!   every row access, with hit/miss/eviction counters;
+//! * every I/O edge (`svm.ckpt.store`, `svm.ckpt.load`, and
+//!   `svm.row.load` on cached sources) is chaos-gated and retried under
+//!   the configured [`RetryPolicy`]; persistent row-load failures degrade to
 //!   recomputation through [`RowSource::recompute_row`], persistent
 //!   checkpoint-store failures degrade to un-checkpointed (but still
 //!   correct) training, and a corrupt / truncated / foreign snapshot is
@@ -40,7 +45,7 @@
 
 use crate::kernel::KernelSource;
 use crate::smo::{
-    pass_over, publish_certificate, validate_inputs, SmoParams, SmoState, TrainedSvm,
+    pass_over, publish_model, validate_inputs, ActiveBlock, SmoParams, SmoState, TrainedSvm,
 };
 use qk_chaos::{sites, Chaos, Fault, RetryPolicy};
 use qk_obs::{Journal, Obs};
@@ -57,8 +62,11 @@ const CKPT_NAME: &str = "trainer.qks";
 /// pass count, bias and checksum.
 const SNAPSHOT_FIXED_BYTES: usize = 48;
 /// Snapshot format version, folded into the job fingerprint so old
-/// layouts can never be misread as new ones.
-const CKPT_VERSION: u64 = 2;
+/// layouts can never be misread as new ones. Also bumped when the solver
+/// trajectory changes under an unchanged layout (3: shrinking), so a
+/// snapshot taken mid-run by an older solver cold-starts instead of
+/// resuming into a trajectory it was not part of.
+const CKPT_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------
 // FNV-1a 64 (private copy; qk-svm must not depend on qk-gram, which
@@ -124,14 +132,24 @@ pub trait RowSource {
     fn recompute_row(&self, i: usize, out: &mut [f64]) -> io::Result<()>;
     /// The diagonal `K_tt`, read once per training run (length `n`).
     fn diagonal(&self) -> Vec<f64>;
+    /// Row `i` in place, when it is resident in memory. The trainer
+    /// reads a resident row directly — no cache, no copy, no load gate —
+    /// and falls back to `load_row` through its row cache otherwise.
+    fn resident_row(&self, _i: usize) -> Option<&[f64]> {
+        None
+    }
 }
 
 /// Every in-memory [`KernelSource`] is trivially a [`RowSource`]: the
-/// row is already resident, so loading and "recomputing" are the same
-/// infallible copy.
+/// row is already resident, so the trainer reads it in place, and
+/// loading and "recomputing" are the same infallible copy.
 impl<K: KernelSource + ?Sized> RowSource for K {
     fn order(&self) -> usize {
         KernelSource::order(self)
+    }
+
+    fn resident_row(&self, i: usize) -> Option<&[f64]> {
+        Some(self.row(i))
     }
 
     fn load_row(&self, i: usize, out: &mut [f64]) -> io::Result<()> {
@@ -151,20 +169,28 @@ impl<K: KernelSource + ?Sized> RowSource for K {
     }
 }
 
-/// A cached kernel row handed to the pass loop. Holding the `Arc` keeps
-/// the row alive even if the cache evicts it mid-step.
-struct RowRef(Arc<Vec<f64>>);
+/// A kernel row handed to the pass loop: borrowed from a resident
+/// source, or shared with the cache (holding the `Arc` keeps the row
+/// alive even if the cache evicts it mid-step).
+enum RowRef<'a> {
+    Resident(&'a [f64]),
+    Cached(Arc<Vec<f64>>),
+}
 
-impl std::ops::Deref for RowRef {
+impl std::ops::Deref for RowRef<'_> {
     type Target = [f64];
 
     fn deref(&self) -> &[f64] {
-        self.0.as_slice()
+        match self {
+            RowRef::Resident(row) => row,
+            RowRef::Cached(row) => row.as_slice(),
+        }
     }
 }
 
 /// Byte-budgeted LRU cache between the SMO pass loop and a
-/// [`RowSource`].
+/// non-resident [`RowSource`]; resident rows bypass it (and count as
+/// hits).
 ///
 /// Rows are `n * 8` bytes each; the budget is rounded down to whole
 /// rows with a floor of two (an update touches exactly two rows).
@@ -201,20 +227,24 @@ impl RowCache {
         }
     }
 
-    fn get<S: RowSource + ?Sized>(
+    fn get<'s, S: RowSource + ?Sized>(
         &mut self,
-        source: &S,
+        source: &'s S,
         i: usize,
         chaos: &Chaos,
         retry: &RetryPolicy,
         journal: Option<&Journal>,
-    ) -> io::Result<Arc<Vec<f64>>> {
+    ) -> io::Result<RowRef<'s>> {
+        if let Some(row) = source.resident_row(i) {
+            self.hits += 1;
+            return Ok(RowRef::Resident(row));
+        }
         self.tick += 1;
         let tick = self.tick;
         if let Some((row, last_used)) = self.rows.get_mut(&i) {
             *last_used = tick;
             self.hits += 1;
-            return Ok(Arc::clone(row));
+            return Ok(RowRef::Cached(Arc::clone(row)));
         }
         self.misses += 1;
 
@@ -253,7 +283,7 @@ impl RowCache {
         }
         let row = Arc::new(buf);
         self.rows.insert(i, (Arc::clone(&row), tick));
-        Ok(row)
+        Ok(RowRef::Cached(row))
     }
 }
 
@@ -465,7 +495,8 @@ impl From<io::Error> for TrainError {
 
 /// Everything a crash-safe training run is wired with. All knobs
 /// default to off: a default-configured [`Trainer`] behaves exactly
-/// like [`crate::train_svc`] plus a row cache of unbounded size.
+/// like [`crate::train_svc`], plus a row cache of unbounded size for
+/// non-resident sources.
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
     /// Checkpoint directory; `None` disables persistence entirely.
@@ -475,6 +506,7 @@ pub struct TrainerConfig {
     /// directory resumes straight to the finished model.
     pub ckpt_every: usize,
     /// Row-cache budget in bytes; `None` caches every row it touches.
+    /// Resident sources never fill the cache.
     pub cache_budget: Option<usize>,
     /// Fingerprint of the kernel being trained on (e.g. the gram
     /// engine's job fingerprint); folded with labels and hyperparams
@@ -517,7 +549,8 @@ impl Default for TrainerConfig {
 /// Operational counters for one training run (this life only).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrainerStats {
-    /// Row-cache hits.
+    /// Row reads served without a load: resident rows read in place,
+    /// plus row-cache hits.
     pub cache_hits: u64,
     /// Row-cache misses (each one a `RowSource` load).
     pub cache_misses: u64,
@@ -659,9 +692,6 @@ impl Trainer {
             &mut cache,
         );
 
-        if let Ok(outcome) = &result {
-            publish_certificate(&obs, &outcome.model);
-        }
         // Mirror the run's recovery and cache activity into the shared
         // registry and export — for finished *and* failed runs, so a
         // drill that interrupts training still sees its counters.
@@ -747,8 +777,11 @@ impl Trainer {
 
         let pass_counter = obs.counter("svm.smo_passes");
         let update_counter = obs.counter("svm.smo_updates");
+        let shrunk_counter = obs.counter("svm.shrunk_passes");
         let ckpt_every = self.cfg.ckpt_every.max(1);
         let mut passes_this_run = 0usize;
+        let mut block = ActiveBlock::default();
+        let mut active_min = n;
 
         while st.should_continue(labels, params) {
             if let Some(budget) = self.cfg.pass_budget {
@@ -771,24 +804,25 @@ impl Trainer {
                 std::thread::sleep(d);
             }
             let _pass_span = obs.span("pass");
-            let changed = pass_over(labels, &diag, params.c, params.tol, &mut st, |i| {
-                cache
-                    .get(source, i, &self.cfg.chaos, &self.cfg.retry, journal)
-                    .map(RowRef)
+            let pass = pass_over(labels, &diag, params, &mut st, &mut block, |i| {
+                cache.get(source, i, &self.cfg.chaos, &self.cfg.retry, journal)
             })?;
-            if changed == 0 {
+            active_min = active_min.min(pass.active);
+            if pass.updates == 0 {
                 // A stall: the pass left the state as it was and is not
                 // counted, so a resumed run re-derives the same stop.
                 break;
             }
             passes_this_run += 1;
             pass_counter.inc();
-            update_counter.add(changed as u64);
+            update_counter.add(pass.updates as u64);
+            shrunk_counter.add(u64::from(pass.compacted));
             if let Some(journal) = journal {
                 journal
                     .event("smo_pass")
                     .field_u64("pass", st.total_passes as u64)
-                    .field_u64("changed", changed as u64)
+                    .field_u64("changed", pass.updates as u64)
+                    .field_u64("active", pass.active as u64)
                     .log();
             }
             if let Some(ckpt) = &ckpt {
@@ -805,6 +839,7 @@ impl Trainer {
         }
 
         let model = st.into_model(labels, params.c);
+        publish_model(obs, &model, params.c, active_min);
         if let Some(journal) = journal {
             journal
                 .event("trainer_done")
@@ -944,6 +979,38 @@ mod tests {
         (k, labels)
     }
 
+    /// A non-resident view of a dense matrix: every row is a load, so
+    /// training over it goes through the row cache, its budget, its
+    /// `svm.row.load` gate and the recompute fallback.
+    struct Loaded<'a>(&'a KernelMatrix);
+
+    impl RowSource for Loaded<'_> {
+        fn order(&self) -> usize {
+            self.0.len()
+        }
+
+        fn load_row(&self, i: usize, out: &mut [f64]) -> io::Result<()> {
+            out.copy_from_slice(self.0.row(i));
+            Ok(())
+        }
+
+        fn recompute_row(&self, i: usize, out: &mut [f64]) -> io::Result<()> {
+            out.copy_from_slice(self.0.row(i));
+            Ok(())
+        }
+
+        fn diagonal(&self) -> Vec<f64> {
+            (0..self.0.len()).map(|t| self.0.get(t, t)).collect()
+        }
+    }
+
+    /// A problem on which shrinking engages: at `C = 256` most passes
+    /// run compacted.
+    fn shrunk_problem() -> (KernelMatrix, Vec<f64>, SmoParams) {
+        let (k, y) = crate::smo::tests::rbf_problem(200, 1);
+        (k, y, SmoParams::with_c(256.0))
+    }
+
     fn assert_models_bitwise_equal(a: &TrainedSvm, b: &TrainedSvm) {
         assert_eq!(a.passes, b.passes);
         assert_eq!(a.bias.to_bits(), b.bias.to_bits());
@@ -953,13 +1020,14 @@ mod tests {
         }
     }
 
-    /// The trainer with everything off is train_svc, bit for bit.
+    /// The trainer with everything off is train_svc, bit for bit, also
+    /// when every row goes through the cache.
     #[test]
     fn trainer_matches_train_svc_bitwise() {
         let (k, y) = problem(24);
         let params = SmoParams::with_c(1.5);
         let reference = train_svc(&k, &y, &params);
-        let outcome = Trainer::default().train(&k, &y, &params).unwrap();
+        let outcome = Trainer::default().train(&Loaded(&k), &y, &params).unwrap();
         assert_models_bitwise_equal(&outcome.model, &reference);
         assert_eq!(outcome.resumed_from_pass, None);
         assert_eq!(outcome.stats.rows_recomputed, 0);
@@ -978,7 +1046,7 @@ mod tests {
             cache_budget: Some(3 * 24 * 8),
             ..TrainerConfig::default()
         });
-        let outcome = trainer.train(&k, &y, &params).unwrap();
+        let outcome = trainer.train(&Loaded(&k), &y, &params).unwrap();
         assert_models_bitwise_equal(&outcome.model, &reference);
         assert!(outcome.stats.cache_evictions > 0, "budget must bind");
     }
@@ -1087,7 +1155,7 @@ mod tests {
             chaos: plan.arm(),
             ..TrainerConfig::default()
         })
-        .train(&k, &y, &params)
+        .train(&Loaded(&k), &y, &params)
         .unwrap();
         // The persistent load fault forced a cold start...
         assert_eq!(outcome.resumed_from_pass, None);
@@ -1136,7 +1204,7 @@ mod tests {
             obs: Some(obs.clone()),
             ..TrainerConfig::default()
         })
-        .train(&k, &y, &SmoParams::with_c(1.0))
+        .train(&Loaded(&k), &y, &SmoParams::with_c(1.0))
         .unwrap();
         let snap = obs.registry_snapshot();
         for name in [
@@ -1149,9 +1217,70 @@ mod tests {
             assert_eq!(snap.counters.get(name), Some(&0), "{name}");
         }
         assert!(snap.counters["svm.cache.misses"] > 0);
+        assert!(snap.counters.contains_key("svm.shrunk_passes"));
         // The exit certificate is published in units of 1e-9.
         assert!(snap.gauges["svm.kkt_violation"] <= 1_000_000);
-        assert!(snap.gauges.contains_key("svm.duality_gap"));
+        for name in [
+            "svm.duality_gap",
+            "svm.support_vectors",
+            "svm.at_bound",
+            "svm.active_min",
+        ] {
+            assert!(snap.gauges.contains_key(name), "{name}");
+        }
+    }
+
+    /// A resident source is read in place: every row read is a hit and
+    /// nothing is loaded, yet the model is bit for bit the one a
+    /// non-resident view of the same matrix trains through the cache —
+    /// on compacted passes too.
+    #[test]
+    fn resident_and_loaded_sources_train_identically() {
+        let (k, y, params) = shrunk_problem();
+        let obs = Obs::new();
+        let resident = Trainer::new(TrainerConfig {
+            obs: Some(obs.clone()),
+            ..TrainerConfig::default()
+        })
+        .train(&k, &y, &params)
+        .unwrap();
+        assert!(obs.registry_snapshot().counters["svm.shrunk_passes"] >= 1);
+        assert_eq!(resident.stats.cache_misses, 0);
+        assert!(resident.stats.cache_hits > 0);
+        let loaded = Trainer::default().train(&Loaded(&k), &y, &params).unwrap();
+        assert!(loaded.stats.cache_misses > 0);
+        assert_models_bitwise_equal(&resident.model, &loaded.model);
+        assert_models_bitwise_equal(&resident.model, &train_svc(&k, &y, &params));
+        assert!(resident.model.kkt_violation <= params.tol);
+    }
+
+    /// Kill at every pass boundary of a run whose passes compact: the
+    /// active set is re-derived from the snapshot, so every resume
+    /// reconverges to the uninterrupted model, bit for bit.
+    #[test]
+    fn interrupt_and_resume_on_shrunk_path_is_bitwise_identical() {
+        let (k, y, params) = shrunk_problem();
+        let reference = train_svc(&k, &y, &params);
+        assert!(reference.passes >= 3, "fixture must take several passes");
+        for budget in 0..reference.passes {
+            let dir = scratch(&format!("shrunk{budget}"));
+            let cfg = TrainerConfig {
+                ckpt_dir: Some(dir.clone()),
+                ..TrainerConfig::default()
+            };
+            let interrupted = Trainer::new(TrainerConfig {
+                pass_budget: Some(budget),
+                ..cfg.clone()
+            })
+            .train(&k, &y, &params);
+            match interrupted {
+                Err(TrainError::Interrupted { passes }) => assert_eq!(passes, budget),
+                other => panic!("expected interruption, got {other:?}"),
+            }
+            let resumed = Trainer::new(cfg).train(&k, &y, &params).unwrap();
+            assert_models_bitwise_equal(&resumed.model, &reference);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     /// Torn temp files from a previous life are swept on open.

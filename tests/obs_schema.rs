@@ -140,3 +140,45 @@ fn pipeline_reports_surface_robustness_counters() {
         }
     }
 }
+
+/// The trainer report carries how the solver shrank next to what it
+/// trained: `svm.shrunk_passes` among the counters; `svm.active_min`
+/// (the smallest active set of the run), `svm.support_vectors` and
+/// `svm.at_bound` among the gauges.
+#[test]
+fn svm_report_carries_shrinking_and_model_counts() {
+    let path = obs_dir().join("obs_svm.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{} missing: {e}", path.display()));
+    let report = json::parse(&text).expect("report parses");
+    let section = |name: &str| {
+        report
+            .get(name)
+            .cloned()
+            .unwrap_or_else(|| panic!("obs_svm.json: missing {name}"))
+    };
+    let (counters, gauges) = (section("counters"), section("gauges"));
+    assert!(
+        counters
+            .get("svm.shrunk_passes")
+            .and_then(Json::as_u64)
+            .is_some(),
+        "obs_svm.json: counters missing svm.shrunk_passes"
+    );
+    let gauge = |key: &str| {
+        gauges
+            .get(key)
+            .and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("obs_svm.json: gauges missing {key}"))
+    };
+    let (active_min, svs, at_bound) = (
+        gauge("svm.active_min"),
+        gauge("svm.support_vectors"),
+        gauge("svm.at_bound"),
+    );
+    assert!(active_min >= 2, "svm.active_min {active_min}");
+    assert!(
+        (0..=svs).contains(&at_bound),
+        "svm.at_bound {at_bound} vs svm.support_vectors {svs}"
+    );
+}
