@@ -590,7 +590,7 @@ mod tests {
             other => panic!("expected Mismatch, got {other:?}"),
         }
         // Even with the manifest out of the way the v2 tile never enters
-        // a v3 job: its header fingerprint fails the per-tile check.
+        // a current job: its header fingerprint fails the per-tile check.
         fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
         let store = CheckpointStore::open(&dir, &spec).unwrap();
         assert_eq!(store.load(&tile).unwrap(), None);

@@ -140,8 +140,10 @@ impl JobSpec {
         // twice: the truncation SVD now converges and pivots its columns,
         // and every d > 1 circuit is routed as one fused sweep per qubit
         // instead of gate-by-gate SWAP conjugation (the same state to
-        // ~1e-15, not bitwise).
-        buf[33..41].copy_from_slice(&3u64.to_le_bytes());
+        // ~1e-15, not bitwise). v4 = d = 1 states apply each RXX by its
+        // exact rank-2 split and compress once per XX block instead of
+        // one SVD per gate (the same bonds, amplitudes moved by ~1e-13).
+        buf[33..41].copy_from_slice(&4u64.to_le_bytes());
         fnv1a64(&buf)
     }
 }

@@ -1,12 +1,13 @@
 //! MPS arithmetic and bond compression.
 //!
 //! Two-qubit gate application truncates locally, but several operations —
-//! adding states, applying an MPO, deserializing a state built elsewhere —
-//! produce an MPS whose bonds are larger than the entanglement warrants.
-//! [`Mps::compress`] restores the minimal bond dimension with a full
-//! right-to-left SVD sweep in canonical form, which makes every local
-//! truncation globally optimal and lets the discarded weight be accounted
-//! against the same eq.-(8) budget the simulator uses.
+//! the simulator's exact RXX splits at d = 1, adding states, applying an
+//! MPO, deserializing a state built elsewhere — produce an MPS whose bonds
+//! are larger than the entanglement warrants. [`Mps::compress`] restores
+//! the minimal bond dimension with a full right-to-left SVD sweep in
+//! canonical form, which makes every local truncation globally optimal and
+//! lets the discarded weight be accounted against the same eq.-(8) budget
+//! the simulator uses.
 
 use crate::mps::{decide_rank, Mps, TruncationConfig, TruncationStats};
 use qk_tensor::backend::ExecutionBackend;
@@ -149,6 +150,19 @@ impl Mps {
         self.set_center(0);
         self.merge_stats(&sweep);
         sweep
+    }
+
+    /// [`Mps::compress`] for a state whose recorded center went stale
+    /// under [`Mps::apply_rxx_split`]. A left-to-right QR sweep from site 0
+    /// needs no prior canonical structure, so recording the center at 0
+    /// makes `compress` rebuild the canonical form from scratch.
+    pub(crate) fn recompress(
+        &mut self,
+        backend: &dyn ExecutionBackend,
+        config: &TruncationConfig,
+    ) -> TruncationStats {
+        self.set_center(0);
+        self.compress(backend, config)
     }
 
     /// Fidelity `|<self|other>|^2 / (|self|^2 |other|^2)` between two

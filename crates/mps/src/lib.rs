@@ -8,9 +8,11 @@
 //!   (Fig. 2), serialization for inter-process shipping.
 //! * [`sim`] — the circuit-walking simulator with the resource telemetry
 //!   used by the paper's evaluation (memory traces, peak bond, truncation
-//!   error budget).
+//!   error budget). d = 1 circuits apply each RXX exactly by its rank-2
+//!   split and compress once per XX block; every other circuit pays one
+//!   SVD per two-qubit gate.
 //! * [`compress`] — MPS addition/scaling and full-sweep bond compression
-//!   with eq.-(8) error accounting.
+//!   with eq.-(8) error accounting (also the simulator's d = 1 truncation).
 //! * [`sample`] — amplitude queries and perfect (Born-rule) sampling,
 //!   plus a shot-noise model for hardware-style kernel estimation.
 //! * [`mpo`] — Matrix Product Operators: Pauli-sum Hamiltonians (the

@@ -12,6 +12,7 @@ use crate::zipper::{self, ZipperWorkspace};
 use qk_tensor::backend::{CpuBackend, ExecutionBackend};
 use qk_tensor::complex::Complex64;
 use qk_tensor::contract::contract_with;
+use qk_tensor::matrix::{conj_transpose, gemm_conj_a};
 use qk_tensor::qr::{lq, qr};
 use qk_tensor::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -25,7 +26,8 @@ thread_local! {
     static INNER_WS: RefCell<ZipperWorkspace> = RefCell::new(ZipperWorkspace::new());
 }
 
-/// Truncation policy applied after every two-qubit gate.
+/// Truncation policy applied at every SVD: after each two-qubit gate on
+/// the per-gate path, at each compression sweep on the exact d = 1 path.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TruncationConfig {
     /// Discard the smallest singular values whose cumulative squared sum
@@ -191,7 +193,8 @@ impl Mps {
     }
 
     /// Sets the orthogonality-center bookkeeping. The caller must have
-    /// re-established the canonical structure around `center`.
+    /// re-established the canonical structure around `center`, or be
+    /// about to rebuild it with a sweep from there ([`Mps::recompress`]).
     pub(crate) fn set_center(&mut self, center: usize) {
         debug_assert!(center < self.sites.len());
         self.center = center;
@@ -422,6 +425,75 @@ impl Mps {
         }
         self.sites[q + 1] = Tensor::from_data(&[kept, 2, chi_r], sv);
         self.center = q + 1;
+    }
+
+    /// Applies `RXX(theta)` to adjacent sites `(q, q+1)` exactly, with no
+    /// SVD and no canonicalization.
+    ///
+    /// `RXX(theta) = c I⊗I - i s X⊗X` (`c = cos(theta/2)`,
+    /// `s = sin(theta/2)`) has operator-Schmidt rank 2, so the gate is a
+    /// sum of two products and fits on a doubled bond: the left site
+    /// becomes `[A | X·A]` and the right site `[c·B ; -i s·X·B]`.
+    ///
+    /// The split breaks the canonical form and leaves the recorded center
+    /// stale. The caller must follow it with [`Mps::recompress`] before
+    /// anything reads the state.
+    pub(crate) fn apply_rxx_split(&mut self, theta: f64, q: usize) {
+        assert!(q + 1 < self.sites.len(), "gate site {q} out of range");
+        let (s, c) = (theta / 2.0).sin_cos();
+        let left = &self.sites[q];
+        let (chi_l, chi) = (left.shape()[0], left.shape()[2]);
+        // Row (l, p) of the new left site: A's row (l, p), then A's
+        // row (l, 1 - p), which is X applied to the physical leg.
+        let a = left.data();
+        let mut out = Vec::with_capacity(chi_l * 2 * 2 * chi);
+        for l in 0..chi_l {
+            for p in 0..2 {
+                out.extend_from_slice(&a[(l * 2 + p) * chi..][..chi]);
+                out.extend_from_slice(&a[(l * 2 + 1 - p) * chi..][..chi]);
+            }
+        }
+        self.sites[q] = Tensor::from_data(&[chi_l, 2, 2 * chi], out);
+
+        let right = &self.sites[q + 1];
+        let chi_r = right.shape()[2];
+        let b = right.data();
+        let (ct, st) = (Complex64::from_real(c), Complex64::new(0.0, -s));
+        let mut out = Vec::with_capacity(2 * chi * 2 * chi_r);
+        out.extend(b.iter().map(|&z| z * ct));
+        for k in 0..chi {
+            for p in 0..2 {
+                let row = &b[(k * 2 + 1 - p) * chi_r..][..chi_r];
+                out.extend(row.iter().map(|&z| z * st));
+            }
+        }
+        self.sites[q + 1] = Tensor::from_data(&[2 * chi, 2, chi_r], out);
+    }
+
+    /// Whether every site left of the center is left-orthogonal and every
+    /// site right of it right-orthogonal, to `tol` per entry of the
+    /// isometry's Gram matrix. Costs `O(m chi^3)`: for debug assertions.
+    pub(crate) fn is_canonical(&self, tol: f64) -> bool {
+        self.sites.iter().enumerate().all(|(q, site)| {
+            let (chi_l, chi_r) = (site.shape()[0], site.shape()[2]);
+            // A left site is an isometry as a (2 chi_l, chi_r) matrix, a
+            // right site's conjugate transpose as a (2 chi_r, chi_l) one.
+            let (rows, cols, a) = match q.cmp(&self.center) {
+                std::cmp::Ordering::Less => (2 * chi_l, chi_r, site.data().to_vec()),
+                std::cmp::Ordering::Equal => return true,
+                std::cmp::Ordering::Greater => (
+                    2 * chi_r,
+                    chi_l,
+                    conj_transpose(chi_l, 2 * chi_r, site.data()),
+                ),
+            };
+            let mut gram = vec![Complex64::ZERO; cols * cols];
+            gemm_conj_a(cols, rows, cols, &a, &a, &mut gram);
+            gram.iter().enumerate().all(|(i, &z)| {
+                let target = if i / cols == i % cols { 1.0 } else { 0.0 };
+                (z - Complex64::from_real(target)).norm() <= tol
+            })
+        })
     }
 
     /// Inner product `<self|other>` via the zipper contraction of Fig. 2;

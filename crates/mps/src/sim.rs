@@ -7,7 +7,7 @@
 
 use crate::mps::{Mps, TruncationConfig, TruncationStats};
 use qk_circuit::routing::route_for_mps;
-use qk_circuit::Circuit;
+use qk_circuit::{Circuit, Gate};
 use qk_tensor::backend::ExecutionBackend;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -34,9 +34,10 @@ pub struct SimRecord {
     pub two_qubit_gates: usize,
     /// Wall-clock simulation time.
     pub duration: Duration,
-    /// Largest bond dimension ever observed during the run.
+    /// Largest bond dimension ever observed during the run (on the exact
+    /// d = 1 path, the uncompressed bonds just before each compression).
     pub peak_bond: usize,
-    /// Peak MPS memory during the run, in bytes.
+    /// Peak MPS memory during the run, in bytes (read like `peak_bond`).
     pub peak_memory_bytes: usize,
     /// Truncation-error budget of the final state.
     pub truncation: TruncationStats,
@@ -95,6 +96,15 @@ impl<'b> MpsSimulator<'b> {
     }
 
     /// Applies a (local) circuit to an existing state.
+    ///
+    /// A circuit whose two-qubit ops are all `Rxx` (any d = 1 ansatz
+    /// circuit) under a truncation policy without a bond cap takes the
+    /// exact path: each RXX is split onto a doubled bond with no SVD
+    /// (`Mps::apply_rxx_split`), and one compression sweep at the end of
+    /// each block of consecutive two-qubit ops restores the canonical form
+    /// and truncates. A block that starts from a product state skips its
+    /// compression (its bonds reach 2 at most); the next one covers it.
+    /// Every other circuit applies each two-qubit gate with its own SVD.
     pub fn run(&self, mut mps: Mps, circuit: &Circuit) -> (Mps, SimRecord) {
         assert!(
             circuit.is_mps_local(),
@@ -106,20 +116,47 @@ impl<'b> MpsSimulator<'b> {
             "register size mismatch"
         );
         let start = Instant::now();
-        let total_gates = circuit.len().max(1);
+        let ops = circuit.ops();
+        let total_gates = ops.len().max(1);
+        let exact = self.truncation.max_bond.is_none()
+            && ops
+                .iter()
+                .all(|op| !op.gate.is_two_qubit() || matches!(op.gate, Gate::Rxx(_)));
+        // Bytes held by the sites, kept current from the sites each op
+        // touches (walking all m sites per gate would cost O(m^2) a state).
+        let mut memory = mps.memory_bytes();
         let mut record = SimRecord {
             gates_applied: 0,
             two_qubit_gates: 0,
             peak_bond: mps.max_bond(),
-            peak_memory_bytes: mps.memory_bytes(),
+            peak_memory_bytes: memory,
             ..SimRecord::default()
         };
+        // Exact path: whether the current block skips its compression
+        // (never the last block: the returned state is always compressed).
+        let mut skip_block = false;
+        let last_two_qubit = ops.iter().rposition(|op| op.gate.is_two_qubit());
 
-        for (idx, op) in circuit.ops().iter().enumerate() {
-            let matrix = op.gate.matrix();
-            match op.qubits.as_slice() {
-                [q] => mps.apply_gate1(&matrix, *q),
-                [a, b] => {
+        for (idx, op) in ops.iter().enumerate() {
+            match (op.qubits.as_slice(), &op.gate) {
+                ([q], gate) => mps.apply_gate1(&gate.matrix(), *q),
+                ([a, b], &Gate::Rxx(theta)) if exact => {
+                    let lo = *a.min(b);
+                    if idx == 0 || !ops[idx - 1].gate.is_two_qubit() {
+                        skip_block = mps.max_bond() == 1;
+                    }
+                    let before = span_bytes(&mps, lo..=lo + 1);
+                    mps.apply_rxx_split(theta, lo);
+                    memory = memory - before + span_bytes(&mps, lo..=lo + 1);
+                    let block_ends = ops
+                        .get(idx + 1)
+                        .is_none_or(|next| !next.gate.is_two_qubit());
+                    if block_ends && (!skip_block || Some(idx) == last_two_qubit) {
+                        self.close_block(&mut mps, &mut record, &mut memory);
+                    }
+                    record.two_qubit_gates += 1;
+                }
+                ([a, b], gate) => {
                     // Orient so the gate acts on (min, min+1). RXX/SWAP are
                     // symmetric; for oriented gates permute the matrix.
                     let (lo, hi) = (*a.min(b), *a.max(b));
@@ -127,37 +164,61 @@ impl<'b> MpsSimulator<'b> {
                     // Reshape the owned matrix to the [2, 2, 2, 2] view
                     // once here (free: reshape moves, it never copies)
                     // instead of letting apply_gate2 clone per call.
+                    let matrix = gate.matrix();
                     let g4 = if a < b {
                         matrix.reshape(&[2, 2, 2, 2])
                     } else {
                         flip_two_qubit(&matrix).reshape(&[2, 2, 2, 2])
                     };
+                    // Moving the center to `lo` rewrites every site between
+                    // the old center and the gate, and nothing else.
+                    let span = mps.center().min(lo)..=mps.center().max(hi);
+                    let before = span_bytes(&mps, span.clone());
                     mps.apply_gate2_reshaped(self.backend, &g4, lo, &self.truncation);
+                    memory = memory - before + span_bytes(&mps, span.clone());
+                    let bond = span.map(|q| mps.sites()[q].shape()[2]).max().unwrap_or(1);
+                    record.peak_bond = record.peak_bond.max(bond);
+                    record.peak_memory_bytes = record.peak_memory_bytes.max(memory);
                     record.two_qubit_gates += 1;
                 }
                 _ => unreachable!(),
             }
             record.gates_applied += 1;
-            if op.gate.is_two_qubit() || self.trace_memory {
-                let mem = mps.memory_bytes();
-                let bond = mps.max_bond();
-                record.peak_bond = record.peak_bond.max(bond);
-                record.peak_memory_bytes = record.peak_memory_bytes.max(mem);
-                if self.trace_memory {
-                    record.trace.push(TracePoint {
-                        gate_index: idx,
-                        progress_percent: 100.0 * (idx + 1) as f64 / total_gates as f64,
-                        memory_bytes: mem,
-                        max_bond: bond,
-                    });
-                }
+            if self.trace_memory {
+                record.trace.push(TracePoint {
+                    gate_index: idx,
+                    progress_percent: 100.0 * (idx + 1) as f64 / total_gates as f64,
+                    memory_bytes: memory,
+                    max_bond: mps.max_bond(),
+                });
             }
         }
+        debug_assert!(
+            !exact || mps.is_canonical(1e-10),
+            "non-canonical state escaped run"
+        );
 
         record.duration = start.elapsed();
         record.truncation = *mps.stats();
         (mps, record)
     }
+
+    /// Closes a block of exact splits: reads the peaks, which the splits
+    /// only ever raise, then compresses once over every bond.
+    fn close_block(&self, mps: &mut Mps, record: &mut SimRecord, memory: &mut usize) {
+        record.peak_bond = record.peak_bond.max(mps.max_bond());
+        record.peak_memory_bytes = record.peak_memory_bytes.max(*memory);
+        mps.recompress(self.backend, &self.truncation);
+        *memory = mps.memory_bytes();
+    }
+}
+
+/// Bytes held by the sites in `span`.
+fn span_bytes(mps: &Mps, span: std::ops::RangeInclusive<usize>) -> usize {
+    mps.sites()[span]
+        .iter()
+        .map(qk_tensor::Tensor::memory_bytes)
+        .sum()
 }
 
 /// Reverses the qubit order of a 4x4 two-qubit gate:
@@ -272,6 +333,48 @@ mod tests {
         let sv = mps.to_statevector();
         let idx = 0b011;
         assert!((sv[idx].norm_sqr() - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn exact_path_rebuilds_canonical_form_from_site_zero() {
+        // A per-gate run leaves the center at the last site. The splits
+        // that follow make that record stale, so the exact path must
+        // sweep from site 0 rather than trust it.
+        let be = CpuBackend::new();
+        let sim = MpsSimulator::new(&be);
+        // Site 0 holds |+>, an X eigenstate: the first split leaves its
+        // doubled bond rank 1, which only the QR sweep reveals.
+        let mut prep = Circuit::new(5);
+        prep.push1(Gate::H, 0).push1(Gate::Ry(0.7), 1);
+        for q in 1..4 {
+            prep.push2(Gate::Cx, q, q + 1);
+        }
+        let (start, _) = sim.simulate(&prep);
+        assert_eq!(start.center(), 4);
+
+        let mut block = Circuit::new(5);
+        for q in 0..4 {
+            block.push2(Gate::Rxx(0.4 + 0.3 * q as f64), q, q + 1);
+        }
+        block.push1(Gate::Rz(0.9), 2);
+        let (out, rec) = sim.run(start.clone(), &block);
+
+        let mut per_gate = start;
+        let cfg = TruncationConfig::default();
+        for op in block.ops() {
+            match op.qubits.as_slice() {
+                [q] => per_gate.apply_gate1(&op.gate.matrix(), *q),
+                [a, _] => per_gate.apply_gate2(&be, &op.gate.matrix(), *a, &cfg),
+                _ => unreachable!(),
+            }
+        }
+        assert!(out.is_canonical(1e-10));
+        assert_eq!(out.bond_dims(), per_gate.bond_dims());
+        // The prep's three SVDs, then one four-SVD sweep.
+        assert_eq!(rec.truncation.truncations, 3 + 4);
+        for (x, y) in out.to_statevector().iter().zip(per_gate.to_statevector()) {
+            assert!((*x - y).norm() < 1e-12);
+        }
     }
 
     #[test]

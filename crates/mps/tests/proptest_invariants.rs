@@ -117,6 +117,39 @@ proptest! {
         prop_assert!((mps.norm() - 1.0).abs() < 1e-9);
     }
 
+    /// d = 1 circuits take the exact split path: the bonds it returns are
+    /// the per-gate path's and its amplitudes the statevector's, also at
+    /// the feature boundaries 0 / 2 and at x = 1 (an exactly zero RXX).
+    #[test]
+    fn exact_d1_path_keeps_per_gate_bonds(
+        features in prop::collection::vec(
+            prop_oneof![Just(0.0), Just(1.0), Just(2.0), 0.0f64..2.0],
+            2..9,
+        ),
+        layers in 1usize..5,
+        gamma in 0.05f64..1.5,
+    ) {
+        let c = feature_map_circuit(&features, &AnsatzConfig::new(layers, 1, gamma));
+        let be = CpuBackend::new();
+        let config = TruncationConfig::paper_default();
+        let (mps, _) = MpsSimulator::new(&be).with_truncation(config).simulate(&c);
+        let mut per_gate = Mps::basis_state(&vec![0; features.len()]);
+        for op in c.ops() {
+            match op.qubits.as_slice() {
+                [q] => per_gate.apply_gate1(&op.gate.matrix(), *q),
+                [a, _] => per_gate.apply_gate2(&be, &op.gate.matrix(), *a, &config),
+                _ => unreachable!(),
+            }
+        }
+        prop_assert_eq!(mps.bond_dims(), per_gate.bond_dims());
+        let sv = StateVector::simulate(&c);
+        let mut dot = qk_tensor::complex::Complex64::ZERO;
+        for (a, b) in mps.to_statevector().iter().zip(sv.amplitudes()) {
+            dot = dot.conj_mul_add(*a, *b);
+        }
+        prop_assert!((dot.norm_sqr() - 1.0).abs() < 1e-8);
+    }
+
     /// GHZ-type circuits: inner products between different basis-aligned
     /// states remain in [0, 1] whatever the gate angles.
     #[test]

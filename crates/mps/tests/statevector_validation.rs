@@ -4,7 +4,8 @@
 
 use qk_circuit::ansatz::{feature_map_circuit, scheduled_xx_ops, AnsatzConfig};
 use qk_circuit::{route_for_mps, Circuit, Gate};
-use qk_mps::{MpsSimulator, TruncationConfig};
+use qk_mps::sim::flip_two_qubit;
+use qk_mps::{Mps, MpsSimulator, TruncationConfig};
 use qk_statevector::StateVector;
 use qk_tensor::backend::{AcceleratorBackend, CpuBackend, DeviceModel};
 
@@ -26,6 +27,60 @@ fn assert_states_match(circuit: &Circuit, tol: f64) {
         "MPS/statevector fidelity {fidelity} for circuit with {} ops",
         circuit.len()
     );
+}
+
+/// A circuit replayed gate by gate through [`Mps::apply_gate2`], walking
+/// every site after every gate: the per-gate path and its telemetry,
+/// recomputed the slow way.
+struct Walked {
+    state: Mps,
+    peak_bond: usize,
+    peak_memory_bytes: usize,
+    /// `(memory bytes, max bond)` after each gate.
+    trace: Vec<(usize, usize)>,
+}
+
+fn walk(circuit: &Circuit, config: &TruncationConfig) -> Walked {
+    let be = CpuBackend::new();
+    let routed = if circuit.is_mps_local() {
+        circuit.clone()
+    } else {
+        route_for_mps(circuit)
+    };
+    let mut state = Mps::basis_state(&vec![0; circuit.num_qubits()]);
+    let (mut peak_bond, mut peak_memory_bytes) = (state.max_bond(), state.memory_bytes());
+    let mut trace = Vec::new();
+    for op in routed.ops() {
+        match op.qubits.as_slice() {
+            [q] => state.apply_gate1(&op.gate.matrix(), *q),
+            [a, b] => {
+                let g = if a < b {
+                    op.gate.matrix()
+                } else {
+                    flip_two_qubit(&op.gate.matrix())
+                };
+                state.apply_gate2(&be, &g, *a.min(b), config);
+            }
+            _ => unreachable!(),
+        }
+        let now = (state.memory_bytes(), state.max_bond());
+        peak_memory_bytes = peak_memory_bytes.max(now.0);
+        peak_bond = peak_bond.max(now.1);
+        trace.push(now);
+    }
+    Walked {
+        state,
+        peak_bond,
+        peak_memory_bytes,
+        trace,
+    }
+}
+
+/// SVDs a d = 1 ansatz state costs: its RXX ops split exactly, and one
+/// compression sweep (m - 1 SVDs) closes every XX block but the first,
+/// which starts from a product state. At least one sweep always runs.
+fn d1_compression_svds(m: usize, r: usize) -> usize {
+    (m - 1) * (r - 1).max(1)
 }
 
 #[test]
@@ -170,7 +225,12 @@ fn ansatz_grid_matches_unrouted_statevector() {
                     );
                     let (mps_a, rec) = sim.simulate(&ca);
                     assert_eq!(rec.two_qubit_gates, r * scheduled_xx_ops(m, d), "{cell}");
-                    assert_eq!(rec.truncation.truncations, rec.two_qubit_gates, "{cell}");
+                    let svds = if d == 1 {
+                        d1_compression_svds(m, r)
+                    } else {
+                        rec.two_qubit_gates
+                    };
+                    assert_eq!(rec.truncation.truncations, svds, "{cell}");
                     let sv_a = StateVector::simulate(&ca);
                     for (a, b) in mps_a.to_statevector().iter().zip(sv_a.amplitudes()) {
                         assert!((*a - *b).norm() <= 1e-12, "{cell}: {a:?} vs {b:?}");
@@ -259,4 +319,146 @@ fn truncation_error_bound_holds() {
         rec.truncation.values_discarded > 0,
         "no truncation exercised"
     );
+}
+
+#[test]
+fn sim_record_matches_a_full_walk_on_the_grid() {
+    // The simulator keeps its peaks and trace from the sites each gate
+    // touches; the reference walks all m sites after every gate. A cap
+    // that never binds keeps d = 1 on the per-gate path too.
+    let be = CpuBackend::new();
+    let config = TruncationConfig::capped(1e-16, usize::MAX);
+    let plain = MpsSimulator::new(&be).with_truncation(config);
+    let traced = MpsSimulator::new(&be)
+        .with_truncation(config)
+        .with_memory_trace(true);
+    for m in [4usize, 7, 10, 12] {
+        let x: Vec<f64> = (0..m)
+            .map(|i| 0.15 + 1.7 * ((i * 7) % m) as f64 / m as f64)
+            .collect();
+        for d in (1..=5).filter(|&d| d < m) {
+            for r in 1..=3 {
+                for gamma in [0.1, 0.5, 1.0] {
+                    let cell = format!("m={m} d={d} r={r} gamma={gamma}");
+                    let c = feature_map_circuit(&x, &AnsatzConfig::new(r, d, gamma));
+                    let reference = walk(&c, &config);
+                    for sim in [&plain, &traced] {
+                        let (mps, rec) = sim.simulate(&c);
+                        assert_eq!(mps.to_bytes(), reference.state.to_bytes(), "{cell}");
+                        assert_eq!(rec.peak_bond, reference.peak_bond, "{cell}");
+                        assert_eq!(rec.peak_memory_bytes, reference.peak_memory_bytes, "{cell}");
+                    }
+                    let trace: Vec<(usize, usize)> = traced
+                        .simulate(&c)
+                        .1
+                        .trace
+                        .iter()
+                        .map(|p| (p.memory_bytes, p.max_bond))
+                        .collect();
+                    assert_eq!(trace, reference.trace, "{cell}");
+                }
+            }
+        }
+    }
+}
+
+/// Exact-path grid features: the boundaries 0 and 2, and x = 1, whose
+/// RXX angle `pi gamma^2 (1 - x_i)(1 - x_j)` is exactly zero.
+fn edge_features(m: usize, shift: usize) -> Vec<f64> {
+    const VALUES: [f64; 8] = [0.0, 1.0, 2.0, 0.35, 1.6, 0.8, 1.0, 1.3];
+    (0..m).map(|i| VALUES[(i + shift) % VALUES.len()]).collect()
+}
+
+/// SVDs the exact d = 1 path's schedule implies for `circuit`: one
+/// (m - 1)-SVD sweep closes each block of consecutive two-qubit ops,
+/// except a block that starts from a product state and is not the last.
+/// After every sweep the bonds are the per-gate walk's, so the walk says
+/// which blocks start from a product state (an all-zero RXX layer leaves
+/// one behind).
+fn exact_schedule_svds(circuit: &Circuit, walked: &Walked) -> usize {
+    let ops = circuit.ops();
+    let two_qubit = |i: usize| ops[i].gate.is_two_qubit();
+    let last = (0..ops.len()).rev().find(|&i| two_qubit(i));
+    let (mut sweeps, mut product, mut skip) = (0, true, false);
+    for i in (0..ops.len()).filter(|&i| two_qubit(i)) {
+        if i == 0 || !two_qubit(i - 1) {
+            skip = product;
+        }
+        if i + 1 == ops.len() || !two_qubit(i + 1) {
+            let swept = !skip || Some(i) == last;
+            sweeps += usize::from(swept);
+            product = swept && walked.trace[i].1 == 1;
+        }
+    }
+    sweeps * (circuit.num_qubits() - 1)
+}
+
+#[test]
+fn exact_d1_path_matches_statevector_and_per_gate_bonds() {
+    let be = CpuBackend::new();
+    let config = TruncationConfig::paper_default();
+    let sim = MpsSimulator::new(&be)
+        .with_truncation(config)
+        .with_memory_trace(true);
+    for m in [2usize, 3, 4, 8, 12] {
+        let (xa, xb) = (edge_features(m, 0), edge_features(m, 3));
+        for r in 1..=4 {
+            for gamma in [0.1, 0.5, 1.0] {
+                let cell = format!("m={m} r={r} gamma={gamma}");
+                let cfg = AnsatzConfig::new(r, 1, gamma);
+                let (ca, cb) = (
+                    feature_map_circuit(&xa, &cfg),
+                    feature_map_circuit(&xb, &cfg),
+                );
+                let (a, rec) = sim.simulate(&ca);
+                let b = sim.simulate(&cb).0;
+                let reference = walk(&ca, &config);
+                assert_eq!(a.bond_dims(), reference.state.bond_dims(), "{cell}");
+                assert_eq!(
+                    b.bond_dims(),
+                    walk(&cb, &config).state.bond_dims(),
+                    "{cell}"
+                );
+                let svds = exact_schedule_svds(&ca, &reference);
+                assert_eq!(rec.truncation.truncations, svds, "{cell}");
+                assert!((a.norm() - 1.0).abs() <= 1e-12, "{cell}: norm {}", a.norm());
+                // The trace ends on the returned state; the peaks cover it.
+                let last = rec.trace.last().expect("traced");
+                assert_eq!(
+                    (last.memory_bytes, last.max_bond),
+                    (a.memory_bytes(), a.max_bond())
+                );
+                assert!(
+                    rec.trace
+                        .iter()
+                        .all(|p| p.memory_bytes <= rec.peak_memory_bytes
+                            && p.max_bond <= rec.peak_bond),
+                    "{cell}"
+                );
+                let k_mps = a.overlap_sqr(&b);
+                let k_sv = StateVector::simulate(&ca).overlap_sqr(&StateVector::simulate(&cb));
+                assert!((k_mps - k_sv).abs() <= 1e-10, "{cell}: {k_mps} vs {k_sv}");
+            }
+        }
+    }
+}
+
+#[test]
+fn exact_d1_path_compresses_every_block() {
+    // Compressing only at the end would let every bond double r times
+    // before the first SVD; one compression per block bounds the peak by
+    // a single doubling of the returned state's bonds.
+    let be = CpuBackend::new();
+    let features: Vec<f64> = (0..32)
+        .map(|i| 0.05 + 1.9 * ((i * 13) % 32) as f64 / 32.0)
+        .collect();
+    let c = feature_map_circuit(&features, &AnsatzConfig::new(6, 1, 0.5));
+    let (mps, rec) = MpsSimulator::new(&be).simulate(&c);
+    assert!(
+        rec.peak_bond <= 2 * mps.max_bond(),
+        "peak bond {} vs final {}",
+        rec.peak_bond,
+        mps.max_bond()
+    );
+    assert_eq!(rec.truncation.truncations, d1_compression_svds(32, 6));
 }

@@ -349,9 +349,11 @@ impl ExecutionBackend for CaptureBackend {
     }
 }
 
-/// Every theta of the paper's feature map at the benchmark's two shapes
-/// (m = 8, d = 1 and m = 12, d = 3 routed, SWAP and fused SWAP-RXX thetas
-/// included) meets the truncation contract, in at most 8 sweeps on average.
+/// Every matrix the simulator factorises for the paper's feature map at
+/// the benchmark's two shapes meets the truncation contract, in at most 8
+/// sweeps on average: at m = 8, d = 1 the m - 1 site matrices of the one
+/// compression sweep that closes the exact RXX splits, at m = 12, d = 3
+/// (routed) one theta per two-qubit op, SWAP and fused SWAP-RXX included.
 #[test]
 fn svd_converges_on_feature_map_thetas() {
     for (m, d, gamma) in [(8usize, 1usize, 0.5f64), (12, 3, 1.0)] {
@@ -373,7 +375,8 @@ fn svd_converges_on_feature_map_thetas() {
             .simulate(&circuit);
         let thetas = be.thetas.into_inner().expect("capture lock");
         let two_qubit = circuit.ops().iter().filter(|op| op.qubits.len() == 2);
-        assert_eq!(thetas.len(), two_qubit.count());
+        let factorised = if d == 1 { m - 1 } else { two_qubit.count() };
+        assert_eq!(thetas.len(), factorised);
         let sweeps: usize = thetas
             .iter()
             .map(|(rows, cols, a)| assert_truncation_svd(*rows, *cols, a).sweeps)
