@@ -17,9 +17,9 @@
 //! The RXX gates within one `e^{-i H_XX}` block commute, so they are emitted
 //! in a schedule of at most `2d` full layers (the paper's footnote 3),
 //! produced by [`xx_layers`]. That layering is the *logical* circuit's: it
-//! is what depth accounting and QASM export see. [`crate::routing`] uses the
-//! same commutation to re-order each block into one sweep per qubit before
-//! the MPS engine applies it ([`scheduled_xx_ops`] two-qubit ops per block).
+//! is what depth accounting sees. [`crate::routing`] uses the same
+//! commutation to re-order each block into one sweep per qubit before the
+//! MPS engine applies it ([`scheduled_xx_ops`] two-qubit ops per block).
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;

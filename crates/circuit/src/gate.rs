@@ -33,8 +33,6 @@ pub enum Gate {
     Ry(f64),
     /// `exp(-i theta/2 Z)`.
     Rz(f64),
-    /// Arbitrary single-qubit unitary (row-major 2x2).
-    Unitary1([Complex64; 4]),
     /// Controlled-X (first qubit is control).
     Cx,
     /// Controlled-Z.
@@ -55,14 +53,7 @@ impl Gate {
     /// Number of qubits the gate acts on (1 or 2).
     pub fn arity(&self) -> usize {
         match self {
-            Gate::H
-            | Gate::X
-            | Gate::Y
-            | Gate::Z
-            | Gate::Rx(_)
-            | Gate::Ry(_)
-            | Gate::Rz(_)
-            | Gate::Unitary1(_) => 1,
+            Gate::H | Gate::X | Gate::Y | Gate::Z | Gate::Rx(_) | Gate::Ry(_) | Gate::Rz(_) => 1,
             _ => 2,
         }
     }
@@ -117,7 +108,6 @@ impl Gate {
                     Complex64::cis(half),
                 ])
             }
-            Gate::Unitary1(u) => mat2(*u),
             Gate::Cx => {
                 let mut u = ident4();
                 u[2 * 4 + 2] = Complex64::ZERO;
@@ -191,7 +181,6 @@ impl Gate {
             Gate::Rx(_) => "Rx",
             Gate::Ry(_) => "Ry",
             Gate::Rz(_) => "Rz",
-            Gate::Unitary1(_) => "U1q",
             Gate::Cx => "CX",
             Gate::Cz => "CZ",
             Gate::Swap => "SWAP",
@@ -217,32 +206,6 @@ fn ident4() -> [Complex64; 16] {
         u[i * 4 + i] = Complex64::ONE;
     }
     u
-}
-
-/// Checks unitarity of a gate matrix: `U^H U = I` within `tol`.
-pub fn is_unitary(t: &Tensor, tol: f64) -> bool {
-    let n = t.shape()[0];
-    if t.shape() != [n, n] {
-        return false;
-    }
-    let d = t.data();
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = Complex64::ZERO;
-            for p in 0..n {
-                acc = acc.conj_mul_add(d[p * n + i], d[p * n + j]);
-            }
-            let expect = if i == j {
-                Complex64::ONE
-            } else {
-                Complex64::ZERO
-            };
-            if (acc - expect).norm() > tol {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -271,7 +234,17 @@ mod tests {
     #[test]
     fn every_gate_is_unitary() {
         for g in all_gates() {
-            assert!(is_unitary(&g.matrix(), 1e-12), "{} not unitary", g.name());
+            let u = g.matrix();
+            let n = u.shape()[0];
+            let uhu = qk_tensor::contract(&u.conj(), &[0], &u, &[0]);
+            for (k, &z) in uhu.data().iter().enumerate() {
+                let target = if k / n == k % n { 1.0 } else { 0.0 };
+                assert!(
+                    approx_eq(z, c64(target, 0.0), 1e-12),
+                    "{} not unitary",
+                    g.name()
+                );
+            }
         }
     }
 

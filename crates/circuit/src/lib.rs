@@ -10,10 +10,6 @@
 //! * [`routing`] — makes every two-qubit gate nearest-neighbour, as the
 //!   MPS simulator requires: each commuting RXX block as one fused sweep
 //!   per qubit, SWAP conjugation for any other long-range gate.
-//! * [`mod@optimize`] — peephole passes (rotation merging, self-inverse
-//!   cancellation, 1q fusion) that cut MPS simulation cost directly.
-//! * [`decompose`] — ZYZ Euler decomposition of single-qubit unitaries.
-//! * [`qasm`] — OpenQASM 2.0 export/import for toolchain interchange.
 //!
 //! ## Example: build and route the paper's feature map
 //!
@@ -36,16 +32,10 @@ pub(crate) mod test_dense;
 
 pub mod ansatz;
 pub mod circuit;
-pub mod decompose;
 pub mod gate;
-pub mod optimize;
-pub mod qasm;
 pub mod routing;
 
 pub use ansatz::{feature_map_circuit, linear_chain_edges, xx_layers, AnsatzConfig};
 pub use circuit::{Circuit, Operation};
-pub use decompose::{decompose_gate, zyz_decompose, Zyz};
 pub use gate::Gate;
-pub use optimize::{gate_histogram, optimize, OptimizeReport};
-pub use qasm::{from_qasm, to_qasm, QasmError};
 pub use routing::route_for_mps;

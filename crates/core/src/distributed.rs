@@ -360,11 +360,22 @@ fn round_robin(
                         continue;
                     }
                     let other_range = blocks[traveling_owner].clone();
+                    // The lower global index is the bra, as in `gram_matrix`,
+                    // so a wrapped ring step yields the same bits.
+                    let wrapped = other_range.start < my_range.start;
                     let t0 = clock.now();
                     for (i, a) in own.iter().enumerate() {
                         for (j, b) in traveling.iter().enumerate() {
-                            let v = a.inner_with(backend, b).norm_sqr();
-                            entries.push((my_range.start + i, other_range.start + j, v));
+                            let ip = if wrapped {
+                                b.inner_with(backend, a)
+                            } else {
+                                a.inner_with(backend, b)
+                            };
+                            entries.push((
+                                my_range.start + i,
+                                other_range.start + j,
+                                ip.norm_sqr(),
+                            ));
                         }
                     }
                     times.inner_products += clock.since(t0);
@@ -445,8 +456,9 @@ mod tests {
         assert_eq!(result.kernel.len(), n);
         for i in 0..n {
             for j in 0..n {
-                assert!(
-                    (result.kernel.get(i, j) - reference.get(i, j)).abs() < 1e-9,
+                assert_eq!(
+                    result.kernel.get(i, j).to_bits(),
+                    reference.get(i, j).to_bits(),
                     "{strategy:?} k={k}: K[{i}][{j}] {} vs {}",
                     result.kernel.get(i, j),
                     reference.get(i, j)

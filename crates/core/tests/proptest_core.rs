@@ -57,8 +57,9 @@ proptest! {
             let out = distributed_gram(&rows, &ansatz, &be, &trunc, k, strategy).kernel;
             for i in 0..rows.len() {
                 for j in 0..rows.len() {
-                    prop_assert!(
-                        (out.get(i, j) - reference.get(i, j)).abs() < 1e-12,
+                    prop_assert_eq!(
+                        out.get(i, j).to_bits(),
+                        reference.get(i, j).to_bits(),
                         "{strategy:?} k={k} [{i}][{j}]"
                     );
                 }

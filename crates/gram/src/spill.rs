@@ -56,7 +56,6 @@ pub struct SpillStore {
     dir: PathBuf,
     band: usize,
     len: usize,
-    owns_dir: bool,
 }
 
 impl SpillStore {
@@ -90,7 +89,6 @@ impl SpillStore {
             dir: dir.to_path_buf(),
             band,
             len,
-            owns_dir: true,
         })
     }
 
@@ -102,11 +100,6 @@ impl SpillStore {
     /// `true` when the store holds no states.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Band size the store was written with.
-    pub fn band_size(&self) -> usize {
-        self.band
     }
 
     /// Loads band `b` back into memory.
@@ -145,24 +138,11 @@ impl SpillStore {
         }
         Ok(states)
     }
-
-    /// Opens a store somebody else already wrote (used by resumed jobs
-    /// that spilled in an earlier life). Does not delete on drop.
-    pub fn attach(dir: &Path, band: usize, len: usize) -> SpillStore {
-        SpillStore {
-            dir: dir.to_path_buf(),
-            band,
-            len,
-            owns_dir: false,
-        }
-    }
 }
 
 impl Drop for SpillStore {
     fn drop(&mut self) {
-        if self.owns_dir {
-            let _ = fs::remove_dir_all(&self.dir);
-        }
+        let _ = fs::remove_dir_all(&self.dir);
     }
 }
 

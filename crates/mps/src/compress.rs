@@ -1,13 +1,11 @@
-//! MPS arithmetic and bond compression.
+//! MPS scaling and bond compression.
 //!
-//! Two-qubit gate application truncates locally, but several operations —
-//! the simulator's exact RXX splits at d = 1, adding states, applying an
-//! MPO, deserializing a state built elsewhere — produce an MPS whose bonds
-//! are larger than the entanglement warrants. [`Mps::compress`] restores
-//! the minimal bond dimension with a full right-to-left SVD sweep in
-//! canonical form, which makes every local truncation globally optimal and
-//! lets the discarded weight be accounted against the same eq.-(8) budget
-//! the simulator uses.
+//! Two-qubit gate application truncates locally, but the simulator's exact
+//! RXX splits at d = 1 produce an MPS whose bonds are larger than the
+//! entanglement warrants. [`Mps::compress`] restores the minimal bond
+//! dimension with a full right-to-left SVD sweep in canonical form, which
+//! makes every local truncation globally optimal and lets the discarded
+//! weight be accounted against the same eq.-(8) budget the simulator uses.
 
 use crate::mps::{decide_rank, Mps, TruncationConfig, TruncationStats};
 use qk_tensor::backend::ExecutionBackend;
@@ -20,71 +18,6 @@ impl Mps {
     pub fn scale(&mut self, k: Complex64) {
         let center = self.center();
         self.sites_mut()[center].scale_inplace(k);
-    }
-
-    /// Returns the direct-sum superposition `|self> + |other>` (not
-    /// normalized). Interior bonds add; boundary bonds stay 1 by summing
-    /// (left edge) and stacking (right edge is handled by the same block
-    /// embedding because chi_r = 1 collapses the column block).
-    ///
-    /// The result's bonds are the *sum* of the operands' bonds, which is
-    /// in general far from minimal — follow with [`Mps::compress`].
-    pub fn add(&self, other: &Mps) -> Mps {
-        let m = self.num_qubits();
-        assert_eq!(
-            m,
-            other.num_qubits(),
-            "MPS addition requires equal qubit counts"
-        );
-        if m == 1 {
-            let mut data = self.sites()[0].data().to_vec();
-            for (z, w) in data.iter_mut().zip(other.sites()[0].data()) {
-                *z += *w;
-            }
-            return Mps::from_sites(vec![Tensor::from_data(&[1, 2, 1], data)]);
-        }
-        let mut sites = Vec::with_capacity(m);
-        for q in 0..m {
-            let a = &self.sites()[q];
-            let b = &other.sites()[q];
-            let (al, ar) = (a.shape()[0], a.shape()[2]);
-            let (bl, br) = (b.shape()[0], b.shape()[2]);
-            let (nl, nr) = if q == 0 {
-                (1, ar + br)
-            } else if q == m - 1 {
-                (al + bl, 1)
-            } else {
-                (al + bl, ar + br)
-            };
-            let mut data = vec![Complex64::ZERO; nl * 2 * nr];
-            // Block-embed A at the top-left and B at the bottom-right of
-            // every physical slice. Boundary sites place the blocks side
-            // by side along the non-trivial bond.
-            let mut write = |src: &Tensor, l_off: usize, r_off: usize| {
-                let (sl, sr) = (src.shape()[0], src.shape()[2]);
-                let sd = src.data();
-                for l in 0..sl {
-                    for p in 0..2 {
-                        for r in 0..sr {
-                            data[((l + l_off) * 2 + p) * nr + (r + r_off)] =
-                                sd[(l * 2 + p) * sr + r];
-                        }
-                    }
-                }
-            };
-            if q == 0 {
-                write(a, 0, 0);
-                write(b, 0, ar);
-            } else if q == m - 1 {
-                write(a, 0, 0);
-                write(b, al, 0);
-            } else {
-                write(a, 0, 0);
-                write(b, al, ar);
-            }
-            sites.push(Tensor::from_data(&[nl, 2, nr], data));
-        }
-        Mps::from_sites(sites)
     }
 
     /// Compresses every virtual bond with a right-to-left SVD sweep under
@@ -164,17 +97,6 @@ impl Mps {
         self.set_center(0);
         self.compress(backend, config)
     }
-
-    /// Fidelity `|<self|other>|^2 / (|self|^2 |other|^2)` between two
-    /// states of equal qubit count; tolerant of unnormalized operands.
-    pub fn fidelity(&self, other: &Mps) -> f64 {
-        let na = self.norm();
-        let nb = other.norm();
-        if na == 0.0 || nb == 0.0 {
-            return 0.0;
-        }
-        self.inner(other).norm_sqr() / (na * na * nb * nb)
-    }
 }
 
 #[cfg(test)]
@@ -199,68 +121,35 @@ mod tests {
         mps
     }
 
-    #[test]
-    fn scale_multiplies_every_amplitude() {
-        let mut mps = Mps::plus_state(3);
-        mps.scale(c64(0.0, 2.0));
-        let sv = mps.to_statevector();
-        let expect = c64(0.0, 2.0 / 8f64.sqrt());
-        for z in sv {
-            assert!(approx_eq(z, expect, 1e-12));
+    /// `RXX(0)` applied by its exact split on every bond: each bond
+    /// doubles, and the added half is exactly zero.
+    fn zero_padded(psi: &Mps) -> Mps {
+        let mut padded = psi.clone();
+        for q in 0..psi.num_qubits() - 1 {
+            padded.apply_rxx_split(0.0, q);
         }
+        let doubled: Vec<usize> = psi.bond_dims().iter().map(|b| 2 * b).collect();
+        assert_eq!(padded.bond_dims(), doubled);
+        padded
     }
 
-    #[test]
-    fn add_superposes_basis_states() {
-        let a = Mps::basis_state(&[0, 0, 0]);
-        let b = Mps::basis_state(&[1, 1, 1]);
-        let sum = a.add(&b);
-        // Unnormalized GHZ: amplitude 1 on both extremes.
-        assert!(approx_eq(sum.amplitude(&[0, 0, 0]), Complex64::ONE, 1e-10));
-        assert!(approx_eq(sum.amplitude(&[1, 1, 1]), Complex64::ONE, 1e-10));
-        assert!(approx_eq(sum.amplitude(&[0, 1, 0]), Complex64::ZERO, 1e-10));
-        assert!((sum.norm() - 2f64.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn add_matches_statevector_sum() {
-        let a = entangled_state(4, 0.8);
-        let b = entangled_state(4, 1.3);
-        let sum = a.add(&b);
-        let sva = a.to_statevector();
-        let svb = b.to_statevector();
-        let svs = sum.to_statevector();
-        for i in 0..16 {
-            assert!(approx_eq(svs[i], sva[i] + svb[i], 1e-10), "index {i}");
+    fn assert_same_state(a: &Mps, b: &Mps, tol: f64) {
+        for (x, y) in a.to_statevector().iter().zip(&b.to_statevector()) {
+            assert!(approx_eq(*x, *y, tol), "{x:?} vs {y:?}");
         }
-    }
-
-    #[test]
-    fn add_single_qubit() {
-        let a = Mps::basis_state(&[0]);
-        let b = Mps::basis_state(&[1]);
-        let mut sum = a.add(&b);
-        sum.normalize();
-        let sv = sum.to_statevector();
-        let amp = std::f64::consts::FRAC_1_SQRT_2;
-        assert!(approx_eq(sv[0], c64(amp, 0.0), 1e-12));
-        assert!(approx_eq(sv[1], c64(amp, 0.0), 1e-12));
     }
 
     #[test]
     fn compress_restores_minimal_bond_after_addition() {
-        // |psi> + |psi| has the same entanglement as |psi>: bonds double
-        // under addition and must return to the original after compression.
+        // Adding an exactly zero half doubles every bond without changing
+        // the state; compression must return the original bonds.
         let be = backend();
         let psi = entangled_state(5, 0.9);
-        let doubled = psi.add(&psi);
-        assert!(doubled.max_bond() >= psi.max_bond());
-        let mut compressed = doubled.clone();
-        let sweep = compressed.compress(&be, &TruncationConfig::default());
-        assert!(compressed.max_bond() <= psi.max_bond());
+        let mut padded = zero_padded(&psi);
+        let sweep = padded.recompress(&be, &TruncationConfig::default());
+        assert_eq!(padded.bond_dims(), psi.bond_dims());
         assert!(sweep.total_discarded_weight < 1e-12);
-        // State unchanged up to normalization: fidelity 1 against psi.
-        assert!((compressed.fidelity(&psi) - 1.0).abs() < 1e-10);
+        assert_same_state(&padded, &psi, 1e-12);
     }
 
     #[test]
@@ -296,7 +185,7 @@ mod tests {
         let psi = entangled_state(6, 1.2);
         let mut lossy = psi.clone();
         let sweep = lossy.compress(&be, &TruncationConfig::capped(1e-16, 3));
-        let f = lossy.fidelity(&psi);
+        let f = lossy.overlap_sqr(&psi);
         // Eq. (8): fidelity >= 1 - total discarded weight.
         assert!(
             f >= 1.0 - sweep.total_discarded_weight - 1e-10,
@@ -316,18 +205,29 @@ mod tests {
     }
 
     #[test]
+    fn scale_multiplies_every_amplitude() {
+        let mut mps = Mps::plus_state(3);
+        mps.scale(c64(0.0, 2.0));
+        let sv = mps.to_statevector();
+        let expect = c64(0.0, 2.0 / 8f64.sqrt());
+        for z in sv {
+            assert!(approx_eq(z, expect, 1e-12));
+        }
+    }
+
+    #[test]
     fn fidelity_of_orthogonal_states_is_zero() {
         let a = Mps::basis_state(&[0, 0]);
         let b = Mps::basis_state(&[1, 1]);
-        assert!(a.fidelity(&b) < 1e-12);
-        assert!((a.fidelity(&a) - 1.0).abs() < 1e-12);
+        assert!(a.overlap_sqr(&b) < 1e-12);
+        assert!((a.overlap_sqr(&a) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn from_sites_roundtrip_preserves_state() {
         let psi = entangled_state(4, 1.0);
         let rebuilt = Mps::from_sites(psi.sites().to_vec());
-        assert!((rebuilt.fidelity(&psi) - 1.0).abs() < 1e-10);
+        assert!((rebuilt.overlap_sqr(&psi) - 1.0).abs() < 1e-10);
         assert!((rebuilt.norm() - 1.0).abs() < 1e-10);
     }
 }

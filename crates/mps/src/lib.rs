@@ -11,15 +11,9 @@
 //!   error budget). d = 1 circuits apply each RXX exactly by its rank-2
 //!   split and compress once per XX block; every other circuit pays one
 //!   SVD per two-qubit gate.
-//! * [`compress`] — MPS addition/scaling and full-sweep bond compression
-//!   with eq.-(8) error accounting (also the simulator's d = 1 truncation).
-//! * [`sample`] — amplitude queries and perfect (Born-rule) sampling,
-//!   plus a shot-noise model for hardware-style kernel estimation.
-//! * [`mpo`] — Matrix Product Operators: Pauli-sum Hamiltonians (the
-//!   paper's encoding generators, eqs. 4-5), expectation values, operator
-//!   application.
-//! * [`observe`] — Pauli matrices, single-site reduced density matrices
-//!   and expectation values.
+//! * [`compress`] — full-sweep bond compression with eq.-(8) error
+//!   accounting: the simulator's d = 1 truncation.
+//! * [`zipper`] — the allocation-free zipper inner-product kernel.
 //!
 //! The cost of simulation scales with the number of two-qubit gates and
 //! the entanglement they generate (bond dimension chi), not with the
@@ -46,16 +40,10 @@
 #![warn(missing_docs)]
 
 pub mod compress;
-pub mod mpo;
 pub mod mps;
-pub mod observe;
-pub mod sample;
 pub mod sim;
 pub mod zipper;
 
-pub use mpo::{encoding_hamiltonian, hxx_mpo, hz_mpo, Mpo, Pauli, PauliString};
 pub use mps::{Mps, MpsDecodeError, TruncationConfig, TruncationStats};
-pub use observe::{pauli_x, pauli_y, pauli_z};
-pub use sample::shot_estimate_overlap;
 pub use sim::{MpsSimulator, SimRecord, TracePoint};
 pub use zipper::ZipperWorkspace;

@@ -186,8 +186,7 @@ impl Mps {
     }
 
     /// Mutable access to the site tensors for in-crate algorithms that
-    /// restore the canonical invariant themselves (compression, MPO
-    /// application).
+    /// restore the canonical invariant themselves (compression).
     pub(crate) fn sites_mut(&mut self) -> &mut Vec<Tensor> {
         &mut self.sites
     }
@@ -200,8 +199,8 @@ impl Mps {
         self.center = center;
     }
 
-    /// Merges an externally accounted truncation record (compression and
-    /// MPO application report their discards through this).
+    /// Merges an externally accounted truncation record (compression
+    /// reports its discards through this).
     pub(crate) fn merge_stats(&mut self, other: &TruncationStats) {
         self.stats.merge(other);
     }

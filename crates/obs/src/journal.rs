@@ -200,12 +200,6 @@ impl EventBuilder<'_> {
         self
     }
 
-    /// Attach a signed integer field.
-    pub fn field_i64(mut self, key: &str, value: i64) -> Self {
-        let _ = write!(self.fields, ",\"{key}\":{value}");
-        self
-    }
-
     /// Attach a boolean field.
     pub fn field_bool(mut self, key: &str, value: bool) -> Self {
         let _ = write!(self.fields, ",\"{key}\":{value}");

@@ -9,7 +9,6 @@
 //! * [`metrics`] — accuracy / precision / recall / ROC-AUC, plus F1,
 //!   balanced accuracy, Matthews correlation and precision-recall curves.
 //! * [`model_select`] — the `C in [0.01, 4]` regularization sweep.
-//! * [`cv`] — stratified k-fold cross-validation on precomputed kernels.
 //! * [`platt`] — probability calibration of SVM decision values.
 //! * [`trainer`] — crash-safe SMO training: checkpointed warm-start,
 //!   resident rows read in place, a budgeted row cache for the rest, and
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cv;
 pub mod diagnostics;
 pub mod gaussian;
 pub mod kernel;
@@ -42,7 +40,6 @@ pub mod platt;
 pub mod smo;
 pub mod trainer;
 
-pub use cv::{cross_validate, select_c_by_cv, stratified_folds, CvResult, Fold};
 pub use diagnostics::{
     concentration_report, effective_dimension, geometric_difference, kernel_target_alignment,
     spectral_entropy, symmetric_eigenvalues, ConcentrationReport,

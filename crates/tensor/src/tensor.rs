@@ -92,12 +92,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the row-major entries.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [Complex64] {
-        &mut self.data
-    }
-
     /// Consumes the tensor and returns its entries.
     pub fn into_data(self) -> Vec<Complex64> {
         self.data
@@ -232,26 +226,6 @@ impl Tensor {
     /// Frobenius norm: sqrt of the sum of squared moduli.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
-    /// Largest entry modulus.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|z| z.norm()).fold(0.0, f64::max)
-    }
-
-    /// `true` if every entry is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|z| z.is_finite())
-    }
-
-    /// Sum of `|a - b|` over all entries (shape must match).
-    pub fn l1_distance(&self, other: &Tensor) -> f64 {
-        assert_eq!(self.shape, other.shape, "shape mismatch in l1_distance");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (*a - *b).norm())
-            .sum()
     }
 }
 

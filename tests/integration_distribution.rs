@@ -29,8 +29,9 @@ fn strategies_agree_with_reference_and_each_other() {
             let result = distributed_gram(&rows, &ansatz, &be, &tc, k, strategy);
             for i in 0..reference.len() {
                 for j in 0..reference.len() {
-                    assert!(
-                        (result.kernel.get(i, j) - reference.get(i, j)).abs() < 1e-9,
+                    assert_eq!(
+                        result.kernel.get(i, j).to_bits(),
+                        reference.get(i, j).to_bits(),
                         "{strategy:?} k={k} [{i}][{j}]"
                     );
                 }
