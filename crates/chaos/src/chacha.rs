@@ -69,12 +69,7 @@ pub(crate) fn key_from_seed(seed: u64) -> [u32; 8] {
 
 /// FNV-1a 64 over a site name: the per-site stream nonce.
 pub(crate) fn site_nonce(site: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in site.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    crate::durable::fnv1a64(site.as_bytes())
 }
 
 #[cfg(test)]

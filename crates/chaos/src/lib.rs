@@ -1,25 +1,34 @@
 //! qk-chaos: deterministic fault injection for the quantum-kernel
-//! pipeline, plus the bounded-backoff retry policy its consumers use to
-//! recover.
+//! pipeline, the bounded-backoff retry policy its consumers use to
+//! recover, and the [`durable`] records their recovery reads back.
 //!
 //! A [`FaultPlan`] arms named fault sites (see [`sites`]) with faults
 //! ([`Fault::Io`], [`Fault::Panic`], [`Fault::Stall`]) on occurrence
 //! triggers ([`Trigger`]). Arming yields a cheap, cloneable [`Chaos`]
-//! handle; hardened code calls `chaos.check(site)` at each guarded
-//! operation and acts out whatever fault comes back. Decisions are a
-//! pure function of `(seed, site, occurrence)` through a hand-rolled
-//! ChaCha8 block, so a plan's fault schedule replays bitwise across
-//! runs, platforms and thread counts. With no plan armed a check is a
-//! single branch; under the `chaos-off` feature it compiles to a
+//! handle; hardened code calls [`Chaos::gate`] (or [`Chaos::check`]) at
+//! each guarded operation and acts out whatever fault comes back.
+//! Decisions are a pure function of `(seed, site, occurrence)` through a
+//! hand-rolled ChaCha8 block, so a plan's fault schedule replays bitwise
+//! across runs, platforms and thread counts. With no plan armed a check
+//! is a single branch; under the `chaos-off` feature it compiles to a
 //! constant `None` and the injection branches vanish entirely.
 //!
-//! The crate is deliberately zero-dependency so the handle can live in
-//! checkpoint and serving hot paths without dragging anything along.
+//! [`durable`] owns everything the pipeline persists with: FNV-1a 64,
+//! the checksummed `magic | body | checksum` record and its
+//! bounds-checked reader, the read-back that quarantines a corrupt file,
+//! the temp-then-rename write and the sweep of the temps a kill leaves
+//! behind. The Gram checkpoint, the SMO snapshot and every
+//! observability export write through it.
+//!
+//! The crate is deliberately zero-dependency so the handle and the
+//! records can live in checkpoint and serving hot paths without
+//! dragging anything along.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chacha;
+pub mod durable;
 mod plan;
 mod retry;
 

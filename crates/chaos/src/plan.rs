@@ -253,6 +253,26 @@ impl Chaos {
         }
     }
 
+    /// Checks `site` and acts out what fires: a stall sleeps in place, a
+    /// panic unwinds, and an I/O fault returns [`Fault::io_error`] for
+    /// the caller's retry policy. `injected` runs once per fault, before
+    /// it is acted out, so the caller counts every injection. A disarmed
+    /// handle makes this a single branch.
+    pub fn gate(&self, site: &str, injected: impl FnOnce()) -> std::io::Result<()> {
+        let Some(fault) = self.check(site) else {
+            return Ok(());
+        };
+        injected();
+        match fault {
+            Fault::Stall(d) => {
+                std::thread::sleep(d);
+                Ok(())
+            }
+            Fault::Panic => panic!("chaos: injected panic at {site}"),
+            Fault::Io => Err(Fault::io_error(site)),
+        }
+    }
+
     /// `chaos-off` build: the check is a constant `None` the optimizer
     /// erases along with the match on it.
     #[cfg(feature = "chaos-off")]

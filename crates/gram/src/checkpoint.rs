@@ -10,23 +10,27 @@
 //!                               #   | rows | cols | payload f64s | checksum
 //! ```
 //!
-//! All integers and floats are little-endian; checksums are FNV-1a 64
-//! over every preceding byte of the file. Tiles are written to a
-//! temporary name and renamed into place, so a SIGKILL can at worst
+//! Both files are [`qk_chaos::durable`] records: little-endian fields
+//! sealed by an FNV-1a 64 checksum over every preceding byte, written
+//! to a temporary name and renamed into place. A SIGKILL can at worst
 //! leave one torn temp file (swept on the next open) — and even a torn
 //! final file fails its checksum and is recomputed rather than loaded.
 //! A checkpoint directory has a single writer at a time (the manifest
 //! binds it to one job); opening it sweeps debris from earlier lives.
 
-use crate::fingerprint::{Fnv1a, JobKind, JobSpec};
+use crate::fingerprint::{JobKind, JobSpec};
 use crate::tiles::Tile;
+use qk_chaos::durable::{self, Reader};
 use std::fs;
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"QKGRAM1\0";
 const TILE_MAGIC: &[u8; 8] = b"QKTILE1\0";
 const MANIFEST_NAME: &str = "manifest.qkg";
+/// Manifest fields: fingerprint, kind tag, rows, cols and tile.
+const MANIFEST_BODY_BYTES: usize = 33;
+/// Tile header fields: fingerprint, bi, bj, rows and cols.
+const TILE_HEADER_BYTES: usize = 40;
 
 /// Why a checkpoint directory could not be used.
 #[derive(Debug)]
@@ -72,42 +76,6 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// A bounds-checked little-endian reader over a raw checkpoint buffer.
-///
-/// Every read returns `None` once the buffer runs short, so the decoders
-/// built on it reject truncated or mangled files by construction instead
-/// of panicking in a slice conversion.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("take(8) is 8 bytes")))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-}
-
 /// The manifest record for one checkpoint directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Manifest {
@@ -125,81 +93,43 @@ pub struct Manifest {
 
 impl Manifest {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(49);
-        buf.extend_from_slice(MANIFEST_MAGIC);
-        buf.extend_from_slice(&self.fingerprint.to_le_bytes());
-        buf.push(self.kind.tag());
-        buf.extend_from_slice(&(self.rows as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.cols as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.tile as u64).to_le_bytes());
-        let sum = crate::fingerprint::fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        let mut body = Vec::with_capacity(MANIFEST_BODY_BYTES);
+        body.extend_from_slice(&self.fingerprint.to_le_bytes());
+        body.push(self.kind.tag());
+        for v in [self.rows, self.cols, self.tile] {
+            body.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+        durable::seal(MANIFEST_MAGIC, &body)
     }
 
     fn decode(bytes: &[u8]) -> Result<Manifest, CheckpointError> {
         let corrupt = |reason| CheckpointError::CorruptManifest { reason };
-        Self::decode_checked(bytes).ok_or(()).map_err(|()| {
-            // Re-walk just far enough to name the failure; the checked
-            // decoder itself only says yes or no.
-            if bytes.len() != 49 {
-                corrupt("wrong length")
-            } else if &bytes[..8] != MANIFEST_MAGIC {
-                corrupt("bad magic")
-            } else if crate::fingerprint::fnv1a64(&bytes[..41])
-                != u64::from_le_bytes(bytes[41..49].try_into().expect("len checked"))
-            {
-                corrupt("checksum mismatch")
-            } else {
-                corrupt("unknown job kind")
-            }
-        })
+        let body = durable::unseal(bytes, MANIFEST_MAGIC, MANIFEST_BODY_BYTES).map_err(corrupt)?;
+        Self::decode_body(body).ok_or_else(|| corrupt("unknown job kind"))
     }
 
-    /// The happy-path decoder: every read is bounds-checked through
-    /// [`Cursor`], so any short or mangled buffer falls out as `None`.
-    fn decode_checked(bytes: &[u8]) -> Option<Manifest> {
-        if bytes.len() != 49 {
-            return None;
-        }
-        let mut c = Cursor::new(bytes);
-        if c.take(8)? != MANIFEST_MAGIC {
-            return None;
-        }
-        let fingerprint = c.u64()?;
-        let kind = match c.u8()? {
+    /// Reads the fields of a body whose length [`durable::unseal`] has
+    /// checked, so only the job kind can still be invalid.
+    fn decode_body(mut r: Reader<'_>) -> Option<Manifest> {
+        let fingerprint = r.u64()?;
+        let kind = match r.u8()? {
             0 => JobKind::Train,
             1 => JobKind::Block,
             _ => return None,
         };
-        let rows = c.u64()? as usize;
-        let cols = c.u64()? as usize;
-        let tile = c.u64()? as usize;
-        let sum = c.u64()?;
-        if crate::fingerprint::fnv1a64(&bytes[..41]) != sum {
-            return None;
-        }
         Some(Manifest {
             fingerprint,
             kind,
-            rows,
-            cols,
-            tile,
+            rows: r.u64()? as usize,
+            cols: r.u64()? as usize,
+            tile: r.u64()? as usize,
         })
     }
 }
 
-/// Outcome of a classified tile load ([`CheckpointStore::load_classified`]).
-#[derive(Debug)]
-pub enum TileLoad {
-    /// No tile file exists — the tile was never checkpointed.
-    Missing,
-    /// A tile file existed but failed validation (torn, corrupted or
-    /// from another job); it has been deleted and must be recomputed.
-    Corrupt,
-    /// The tile validated; its row-major payload.
-    Loaded(Vec<f64>),
-}
+/// Outcome of a classified tile load ([`CheckpointStore::load_classified`]):
+/// the tile's row-major payload, or why there is none to restore.
+pub type TileLoad = durable::Load<Vec<f64>>;
 
 /// A checkpoint directory opened for one job.
 #[derive(Debug)]
@@ -218,18 +148,11 @@ impl CheckpointStore {
     pub fn open(dir: &Path, spec: &JobSpec) -> Result<CheckpointStore, CheckpointError> {
         let fingerprint = spec.fingerprint();
         fs::create_dir_all(dir.join("tiles"))?;
-        // Sweep torn temp tiles a SIGKILL mid-store left behind; they
+        // Sweep the torn temps a SIGKILL mid-store left behind; they
         // would otherwise accumulate across kill/resume cycles (each
         // life embeds its own pid in the temp name).
-        if let Ok(entries) = fs::read_dir(dir.join("tiles")) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with('.') && name.ends_with(".tmp") {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
+        durable::sweep_temps(dir);
+        durable::sweep_temps(&dir.join("tiles"));
         let manifest_path = dir.join(MANIFEST_NAME);
         match fs::read(&manifest_path) {
             Ok(bytes) => {
@@ -249,9 +172,7 @@ impl CheckpointStore {
                     cols: spec.cols,
                     tile: spec.tile,
                 };
-                let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
-                fs::write(&tmp, manifest.encode())?;
-                fs::rename(&tmp, &manifest_path)?;
+                durable::write_atomic(&manifest_path, &manifest.encode())?;
             }
             Err(e) => return Err(e.into()),
         }
@@ -271,12 +192,10 @@ impl CheckpointStore {
         &self.dir
     }
 
-    fn tile_file_name(bi: usize, bj: usize) -> String {
-        format!("t_{bi}_{bj}.qkt")
-    }
-
-    fn tile_path(&self, bi: usize, bj: usize) -> PathBuf {
-        self.dir.join("tiles").join(Self::tile_file_name(bi, bj))
+    /// Where `tile`'s checkpoint file lives under `dir`.
+    fn tile_path(dir: &Path, tile: &Tile) -> PathBuf {
+        dir.join("tiles")
+            .join(format!("t_{}_{}.qkt", tile.bi, tile.bj))
     }
 
     /// Cheap presence probe: `true` when a (possibly stale) tile file
@@ -284,40 +203,24 @@ impl CheckpointStore {
     /// before committing to expensive preparation (e.g. spilling
     /// states); validity is still checked at load time.
     pub fn tile_present(dir: &Path, tile: &Tile) -> bool {
-        dir.join("tiles")
-            .join(Self::tile_file_name(tile.bi, tile.bj))
-            .exists()
+        Self::tile_path(dir, tile).exists()
     }
 
     /// Persists one completed tile payload (row-major `tile.rows x
-    /// tile.cols`). Write-to-temp-then-rename keeps the final name
-    /// atomic under SIGKILL.
+    /// tile.cols`) through [`durable::write_atomic`], so the final name
+    /// is atomic under SIGKILL.
     pub fn store(&self, tile: &Tile, payload: &[f64]) -> Result<(), CheckpointError> {
         debug_assert_eq!(payload.len(), tile.len());
-        let mut buf = Vec::with_capacity(56 + payload.len() * 8 + 8);
-        buf.extend_from_slice(TILE_MAGIC);
-        buf.extend_from_slice(&self.fingerprint.to_le_bytes());
+        let mut body = Vec::with_capacity(TILE_HEADER_BYTES + payload.len() * 8);
+        body.extend_from_slice(&self.fingerprint.to_le_bytes());
         for v in [tile.bi, tile.bj, tile.rows, tile.cols] {
-            buf.extend_from_slice(&(v as u64).to_le_bytes());
+            body.extend_from_slice(&(v as u64).to_le_bytes());
         }
         for v in payload {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            body.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        let mut sum = Fnv1a::new();
-        sum.update(&buf);
-        buf.extend_from_slice(&sum.finish().to_le_bytes());
-
-        let final_path = self.tile_path(tile.bi, tile.bj);
-        let tmp = self.dir.join("tiles").join(format!(
-            ".t_{}_{}.{}.tmp",
-            tile.bi,
-            tile.bj,
-            std::process::id()
-        ));
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&buf)?;
-        drop(f);
-        fs::rename(&tmp, &final_path)?;
+        let record = durable::seal(TILE_MAGIC, &body);
+        durable::write_atomic(&Self::tile_path(&self.dir, tile), &record)?;
         Ok(())
     }
 
@@ -340,52 +243,26 @@ impl CheckpointStore {
     /// was quarantined-by-deletion) — the engine's event journal records
     /// the two outcomes differently.
     pub fn load_classified(&self, tile: &Tile) -> Result<TileLoad, CheckpointError> {
-        let path = self.tile_path(tile.bi, tile.bj);
-        let mut bytes = Vec::new();
-        match fs::File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(TileLoad::Missing),
-            Err(e) => return Err(e.into()),
-        }
-        match Self::decode_tile(&bytes, self.fingerprint, tile) {
-            Some(values) => Ok(TileLoad::Loaded(values)),
-            None => {
-                // Quarantine-by-deletion: the engine recomputes and
-                // rewrites a valid replacement.
-                let _ = fs::remove_file(&path);
-                Ok(TileLoad::Corrupt)
-            }
-        }
+        let path = Self::tile_path(&self.dir, tile);
+        Ok(durable::load(&path, |bytes| {
+            Self::decode_tile(bytes, self.fingerprint, tile)
+        })?)
     }
 
     fn decode_tile(bytes: &[u8], fingerprint: u64, tile: &Tile) -> Option<Vec<f64>> {
-        let expected_len = 48usize
-            .checked_add(tile.len().checked_mul(8)?)?
-            .checked_add(8)?;
-        if bytes.len() != expected_len {
-            return None;
-        }
-        let mut c = Cursor::new(bytes);
-        if c.take(8)? != TILE_MAGIC {
-            return None;
-        }
-        if c.u64()? != fingerprint {
+        let body_len = tile.len().checked_mul(8)?.checked_add(TILE_HEADER_BYTES)?;
+        let mut r = durable::unseal(bytes, TILE_MAGIC, body_len).ok()?;
+        if r.u64()? != fingerprint {
             return None;
         }
         for want in [tile.bi, tile.bj, tile.rows, tile.cols] {
-            if c.u64()? != want as u64 {
+            if r.u64()? != want as u64 {
                 return None;
             }
         }
         let mut values = Vec::with_capacity(tile.len());
         for _ in 0..tile.len() {
-            values.push(c.f64()?);
-        }
-        let sum = c.u64()?;
-        if crate::fingerprint::fnv1a64(&bytes[..expected_len - 8]) != sum {
-            return None;
+            values.push(r.f64()?);
         }
         Some(values)
     }
@@ -394,7 +271,7 @@ impl CheckpointStore {
     /// the engine recomputes and rewrites a valid replacement. Missing
     /// files are fine — quarantine is idempotent.
     pub fn quarantine(&self, tile: &Tile) -> Result<(), CheckpointError> {
-        match fs::remove_file(self.tile_path(tile.bi, tile.bj)) {
+        match fs::remove_file(Self::tile_path(&self.dir, tile)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
@@ -504,7 +381,7 @@ mod tests {
         let tile = plan.tiles[0];
         let payload = vec![0.5f64; tile.len()];
         store.store(&tile, &payload).unwrap();
-        let path = store.tile_path(tile.bi, tile.bj);
+        let path = CheckpointStore::tile_path(&dir, &tile);
 
         // Flip one payload bit: checksum fails, file is deleted.
         let mut bytes = fs::read(&path).unwrap();
@@ -527,11 +404,19 @@ mod tests {
         let dir = scratch("sweep");
         let spec = spec();
         CheckpointStore::open(&dir, &spec).unwrap();
-        // Simulate a SIGKILL mid-store: a torn temp next to a real tile.
-        let torn = dir.join("tiles").join(".t_0_1.12345.tmp");
-        fs::write(&torn, b"half-written").unwrap();
+        // Simulate a SIGKILL mid-store: torn temps next to the manifest
+        // and next to a real tile.
+        let torn = [
+            dir.join(".manifest.qkg.12345.tmp"),
+            dir.join("tiles").join(".t_0_1.qkt.12345.tmp"),
+        ];
+        for path in &torn {
+            fs::write(path, b"half-written").unwrap();
+        }
         let store = CheckpointStore::open(&dir, &spec).unwrap();
-        assert!(!torn.exists(), "torn temp must be swept");
+        for path in &torn {
+            assert!(!path.exists(), "torn temp {} must be swept", path.display());
+        }
         // Real tiles survive the sweep.
         let plan = TilePlan::symmetric(spec.rows, spec.tile);
         let tile = plan.tiles[0];
@@ -613,12 +498,51 @@ mod tests {
         store_a.store(&tile, &vec![1.0; tile.len()]).unwrap();
         // Copy A's tile into B's directory: fingerprint check refuses it.
         fs::copy(
-            store_a.tile_path(tile.bi, tile.bj),
-            store_b.tile_path(tile.bi, tile.bj),
+            CheckpointStore::tile_path(&dir_a, &tile),
+            CheckpointStore::tile_path(&dir_b, &tile),
         )
         .unwrap();
         assert_eq!(store_b.load(&tile).unwrap(), None);
         let _ = fs::remove_dir_all(&dir_a);
         let _ = fs::remove_dir_all(&dir_b);
+    }
+
+    /// The manifest format is pinned: the digest of a fixed encoding was
+    /// recorded when the format last changed, so any byte drift in the
+    /// codec fails here before it strands an existing checkpoint.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let manifest = Manifest {
+            fingerprint: 0x0123_4567_89ab_cdef,
+            kind: JobKind::Block,
+            rows: 6,
+            cols: 9,
+            tile: 3,
+        };
+        let bytes = manifest.encode();
+        assert_eq!(bytes.len(), 49);
+        assert_eq!(crate::fnv1a64(&bytes), 0xf81a_e57e_076e_524f);
+    }
+
+    /// The tile file format is pinned the same way: a fixed 2x3 tile
+    /// written through the store hashes to the recorded digest.
+    #[test]
+    fn tile_file_bytes_are_pinned() {
+        let dir = scratch("pinned");
+        let store = CheckpointStore::open(&dir, &spec()).unwrap();
+        let tile = Tile {
+            bi: 1,
+            bj: 2,
+            row0: 4,
+            rows: 2,
+            col0: 8,
+            cols: 3,
+        };
+        let payload = [1.0, -0.5, 0.25, 1e-300, -0.0, 0.1];
+        store.store(&tile, &payload).unwrap();
+        let bytes = fs::read(CheckpointStore::tile_path(&dir, &tile)).unwrap();
+        assert_eq!(bytes.len(), 48 + 6 * 8 + 8);
+        assert_eq!(crate::fnv1a64(&bytes), 0xf88c_907e_b89d_9e74);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -26,7 +26,7 @@ use crate::metrics::GramMetrics;
 use crate::spill::{SpillError, SpillStore};
 use crate::tiles::{Tile, TilePlan};
 use crate::view::TiledKernel;
-use qk_chaos::{sites, Chaos, Fault};
+use qk_chaos::sites;
 use qk_mps::{Mps, ZipperWorkspace};
 use qk_obs::{Counter, Journal, Obs, TracePhase};
 use qk_svm::KernelBlock;
@@ -209,30 +209,6 @@ impl<'a, 'b> BandCache<'a, 'b> {
                 }
                 Ok(&self.loaded.as_ref().unwrap().1)
             }
-        }
-    }
-}
-
-/// Evaluates the engine's chaos gate at `site`: counts the injection in
-/// the metrics, then acts the fault out — a stall sleeps in place, a
-/// panic unwinds (workers catch it in their supervision loop), and an
-/// I/O fault surfaces as a [`CheckpointError::Io`] for the retry policy
-/// to chew on. Disarmed plans make this a single branch.
-fn chaos_gate(chaos: &Chaos, metrics: &GramMetrics, site: &str) -> Result<(), CheckpointError> {
-    match chaos.check(site) {
-        None => Ok(()),
-        Some(Fault::Stall(d)) => {
-            metrics.record_fault_injected();
-            std::thread::sleep(d);
-            Ok(())
-        }
-        Some(Fault::Panic) => {
-            metrics.record_fault_injected();
-            panic!("chaos: injected panic at {site}");
-        }
-        Some(Fault::Io) => {
-            metrics.record_fault_injected();
-            Err(CheckpointError::Io(Fault::io_error(site)))
         }
     }
 }
@@ -580,7 +556,9 @@ impl GramEngine {
             for tile in &plan.tiles {
                 if let Some(store) = &store {
                     let retried = self.cfg.retry.run(|| {
-                        chaos_gate(&self.cfg.chaos, &self.metrics, sites::GRAM_CKPT_LOAD)?;
+                        self.cfg.chaos.gate(sites::GRAM_CKPT_LOAD, || {
+                            self.metrics.record_fault_injected()
+                        })?;
                         store.load_classified(tile)
                     });
                     self.metrics.record_retries(retried.retries);
@@ -790,7 +768,11 @@ impl GramEngine {
                         // one crash costs one tile recompute, not the job.
                         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                             || -> Result<(Tile, Vec<f64>), GramError> {
-                                chaos_gate(&cfg.chaos, metrics, sites::GRAM_TILE)?;
+                                // An injected panic unwinds into the catch
+                                // below; an I/O fault fails the tile.
+                                cfg.chaos
+                                    .gate(sites::GRAM_TILE, || metrics.record_fault_injected())
+                                    .map_err(CheckpointError::Io)?;
                                 // The tile payload is allocated here, at the
                                 // orchestration layer, and handed down: the
                                 // compute path itself is allocation-free.
@@ -868,11 +850,9 @@ impl GramEngine {
                                             )
                                         });
                                         let retried = cfg.retry.run(|| {
-                                            chaos_gate(
-                                                &cfg.chaos,
-                                                metrics,
-                                                sites::GRAM_CKPT_STORE,
-                                            )?;
+                                            cfg.chaos.gate(sites::GRAM_CKPT_STORE, || {
+                                                metrics.record_fault_injected()
+                                            })?;
                                             store.store(&tile, &payload)
                                         });
                                         metrics.record_retries(retried.retries);

@@ -8,54 +8,9 @@
 //! the checkpoint outright instead of silently mixing incompatible
 //! kernels.
 
+use qk_chaos::durable::fnv1a64;
 use qk_circuit::AnsatzConfig;
 use qk_mps::TruncationConfig;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice — the checksum and fingerprint primitive for
-/// the checkpoint format (fast, dependency-free, stable across
-/// platforms; little-endian serialization keeps digests portable).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Incremental FNV-1a, for checksumming streamed tile payloads without
-/// buffering them twice.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    /// Folds more bytes into the digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// The current digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Digest of the state-preparation encoding: ansatz hyperparameters and
 /// truncation policy. Two state sets simulated with equal encodings from
@@ -158,15 +113,6 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let mut h = Fnv1a::new();
-        h.update(b"foo");
-        h.update(b"");
-        h.update(b"bar");
-        assert_eq!(h.finish(), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -63,8 +63,9 @@ pub mod view;
 pub use checkpoint::{CheckpointError, CheckpointStore, Manifest, TileLoad};
 pub use config::GramConfig;
 pub use engine::{BlockOutcome, GramEngine, GramError, GramOutcome, GramReport};
-pub use fingerprint::{encoding_fingerprint, fnv1a64, JobKind, JobSpec};
+pub use fingerprint::{encoding_fingerprint, JobKind, JobSpec};
 pub use metrics::{GramMetrics, GramProgress};
+pub use qk_chaos::durable::fnv1a64;
 pub use rank::{rank_distributed_gram, RankConfig, RankOutcome, RankReport, RankSummary};
 pub use recompute::RecomputingRows;
 pub use spill::{SpillError, SpillStore};

@@ -3,9 +3,9 @@
 //! Lifecycle events (job start/resume, tile computed/restored,
 //! checkpoint writes, cache evictions, SMO milestones) append one JSON
 //! object per line. The journal follows the checkpoint store's
-//! durability discipline: flushes write the whole journal to a
-//! pid-tagged temp file in the same directory and `rename` it into
-//! place, so a SIGKILL mid-flush leaves either the previous journal or
+//! durability discipline: flushes write the whole journal through
+//! `qk_chaos::durable::write_atomic` (a pid-tagged temp, then a rename),
+//! so a SIGKILL mid-flush leaves either the previous journal or
 //! the new one — never a torn file. Reopening an existing journal
 //! appends, with the sequence counter continuing where the previous
 //! process stopped, so a killed-and-resumed run leaves one auditable
@@ -60,9 +60,7 @@ impl Journal {
     /// [`Journal::open`] with an explicit retained-event cap.
     pub fn open_bounded(path: &Path, max_events: usize) -> io::Result<Journal> {
         if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
+            fs::create_dir_all(parent)?;
         }
         let mut lines = Vec::new();
         if path.exists() {
@@ -167,16 +165,7 @@ impl Journal {
             }
             text
         };
-        let file_name = self
-            .path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("journal");
-        let tmp = self
-            .path
-            .with_file_name(format!(".{file_name}.{}.tmp", std::process::id()));
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, &self.path)
+        qk_chaos::durable::write_atomic(&self.path, text.as_bytes())
     }
 
     /// No-op under `obs-off`.

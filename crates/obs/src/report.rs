@@ -9,6 +9,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use qk_chaos::durable;
 use serde::Serialize;
 
 use crate::hist::{HistSnapshot, BUCKETS};
@@ -69,24 +70,23 @@ impl ObsReport {
         serde_json::to_string_pretty(self).expect("report serialization is infallible")
     }
 
-    /// Durably write the report: parent dirs created, pid-tagged temp
-    /// file in the target directory, then `rename` into place.
+    /// Durably write the report: parent dirs created, then
+    /// [`qk_chaos::durable::write_atomic`].
     pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("obs_report");
-        let tmp = path.with_file_name(format!(".{file_name}.{}.tmp", std::process::id()));
         let mut text = self.to_json();
         text.push('\n');
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, path)
+        write_export(path, &text)
     }
+}
+
+/// Writes an exported artifact: parent directories created, then
+/// [`durable::write_atomic`], so a reader never sees a torn file.
+pub(crate) fn write_export(path: &Path, text: &str) -> io::Result<()> {
+    // `create_dir_all("")`, the parent of a bare file name, is a no-op.
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent)?;
+    }
+    durable::write_atomic(path, text.as_bytes())
 }
 
 impl fmt::Display for ObsReport {

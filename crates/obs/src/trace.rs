@@ -15,12 +15,12 @@
 //! correction before merging.
 //!
 //! The only ambient clock reads live in [`Tracer::new`] and
-//! [`Tracer::now_us`] (plus the pid-tagged temp file in
-//! [`Tracer::write_shards`]), keeping the determinism audit surface to
-//! the same allowlisted-function discipline as the span recorder and
-//! journal. With the `obs-off` feature, recording compiles to no-ops;
-//! the offline merge/analyze/export functions stay available because
-//! they are pure functions over already-written shards.
+//! [`Tracer::now_us`] (shards name their temp files through
+//! `qk_chaos::durable::write_atomic`), keeping the determinism audit
+//! surface to the same allowlisted-function discipline as the span
+//! recorder and journal. With the `obs-off` feature, recording compiles
+//! to no-ops; the offline merge/analyze/export functions stay available
+//! because they are pure functions over already-written shards.
 //!
 //! Artifacts:
 //! * per-rank shards `trace_rank_<r>.jsonl` (one event per line),
@@ -40,6 +40,7 @@ use std::path::{Path, PathBuf};
 use serde::Serialize;
 
 use crate::json::{self, Json};
+use crate::report::write_export;
 
 #[cfg(not(feature = "obs-off"))]
 use std::sync::{Arc, Mutex};
@@ -344,9 +345,8 @@ impl Tracer {
     }
 
     /// Write one `trace_rank_<r>.jsonl` shard per rank that recorded
-    /// events, durably (pid-tagged temp file, then rename). Returns
-    /// the shard paths. Allowlisted ambient read: the process id only
-    /// tags the temp-file name.
+    /// events, each through [`qk_chaos::durable::write_atomic`].
+    /// Returns the shard paths.
     pub fn write_shards(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         #[cfg(not(feature = "obs-off"))]
         {
@@ -358,13 +358,10 @@ impl Tracer {
                 buf.push('\n');
             }
             fs::create_dir_all(dir)?;
-            let pid = std::process::id();
             let mut paths = Vec::with_capacity(by_rank.len());
             for (rank, body) in by_rank {
                 let path = dir.join(format!("trace_rank_{rank}.jsonl"));
-                let tmp = dir.join(format!(".trace_rank_{rank}.{pid}.tmp"));
-                fs::write(&tmp, body)?;
-                fs::rename(&tmp, &path)?;
+                qk_chaos::durable::write_atomic(&path, body.as_bytes())?;
                 paths.push(path);
             }
             Ok(paths)
@@ -569,18 +566,10 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Durably write the Chrome trace for `events` to `path`
-/// (temp + rename; parent dirs created).
+/// Durably write the Chrome trace for `events` to `path` (parent dirs
+/// created, then temp + rename).
 pub fn write_chrome_trace(path: &Path, events: &[TraceEvent]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("trace");
-    let tmp = path.with_file_name(format!(".{file_name}.tmp"));
-    fs::write(&tmp, chrome_trace_json(events))?;
-    fs::rename(&tmp, path)
+    write_export(path, &chrome_trace_json(events))
 }
 
 /// Structural schema gate for an exported Chrome trace — the plain
@@ -757,22 +746,11 @@ impl TraceAnalysis {
         serde_json::to_string_pretty(self).expect("analysis serialization is infallible")
     }
 
-    /// Durably write the analysis (temp + rename; parents created).
+    /// Durably write the analysis (parents created, then temp + rename).
     pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("trace_report");
-        let tmp = path.with_file_name(format!(".{file_name}.tmp"));
         let mut text = self.to_json();
         text.push('\n');
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, path)
+        write_export(path, &text)
     }
 }
 

@@ -52,7 +52,7 @@ pub use metrics::{
 };
 pub use model_select::{default_c_grid, sweep_c, SweepPoint, SweepResult};
 pub use platt::{fit_platt, PlattCalibration};
-pub use smo::{train_svc, train_svc_observed, SmoParams, TrainedSvm};
+pub use smo::{train_svc, SmoParams, TrainedSvm};
 pub use trainer::{
     checkpoint_path, job_fingerprint, RowSource, TrainError, TrainOutcome, Trainer, TrainerConfig,
     TrainerStats,

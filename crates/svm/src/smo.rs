@@ -54,8 +54,8 @@
 //! training is always checked over all `n` points.
 
 use crate::kernel::KernelSource;
-use crate::trainer::RowSource;
-use qk_obs::{Journal, Obs};
+use crate::trainer::Trainer;
+use qk_obs::Obs;
 use serde::{Deserialize, Serialize};
 
 /// Curvature floor for the working-set gain and the step (LIBSVM's
@@ -171,11 +171,13 @@ impl TrainedSvm {
     }
 }
 
-/// Trains a C-SVC on a precomputed kernel.
+/// Trains a C-SVC on a precomputed kernel: a default [`Trainer`] run
+/// (no checkpoint, no pass budget, a private metrics registry).
 ///
 /// Generic over [`KernelSource`], so a dense [`crate::KernelMatrix`] and
 /// an externally assembled view (e.g. `qk-gram`'s `TiledKernel`) train
-/// identically — no dense copy is made of non-`KernelMatrix` sources.
+/// identically — rows are read in place, and no dense copy is made of
+/// non-`KernelMatrix` sources.
 ///
 /// # Panics
 /// Panics if labels are not `+1`/`-1`, sizes mismatch, both classes are
@@ -186,31 +188,16 @@ pub fn train_svc<K: KernelSource + ?Sized>(
     labels: &[f64],
     params: &SmoParams,
 ) -> TrainedSvm {
-    train_impl(kernel, labels, params, None)
-}
-
-/// [`train_svc`] with observability: SMO registers `svm.*` counters,
-/// spans and the exit-certificate gauges in `obs`, and (when a journal is
-/// given) records start / pass / done milestones. Instrumentation only
-/// observes the solver — the trained model is bit-identical to an
-/// unobserved [`train_svc`] run.
-pub fn train_svc_observed<K: KernelSource + ?Sized>(
-    kernel: &K,
-    labels: &[f64],
-    params: &SmoParams,
-    obs: &Obs,
-    journal: Option<&Journal>,
-) -> TrainedSvm {
-    train_impl(kernel, labels, params, Some((obs, journal)))
+    Trainer::default()
+        .train(kernel, labels, params)
+        .expect("a resident kernel with no checkpoint or pass budget cannot fail")
+        .model
 }
 
 /// Validates the training problem up front with clear panic messages.
-///
-/// Shared by [`train_svc`] and the crash-safe `trainer` module so both
-/// entry points reject the same degenerate inputs. Non-finite
-/// hyperparameters are rejected explicitly: a NaN `tol` makes every
-/// certificate comparison false, so the solver would silently spin to
-/// `max_total_passes`.
+/// Non-finite hyperparameters are rejected explicitly: a NaN `tol` makes
+/// every certificate comparison false, so the solver would silently spin
+/// to `max_total_passes`.
 pub(crate) fn validate_inputs(n: usize, labels: &[f64], params: &SmoParams) {
     assert_eq!(labels.len(), n, "label count must match kernel order");
     assert!(n >= 2, "need at least two training points");
@@ -358,9 +345,9 @@ impl Extremes {
 
 /// Resumable SMO solver state: everything the pass loop mutates.
 ///
-/// [`train_svc`] drives one of these from `fresh` to convergence in a
-/// single call; the crash-safe `trainer` module persists and restores it
-/// across process deaths. Bitwise reproducibility hinges on this being
+/// The trainer's loop (which [`train_svc`] runs) drives one of these
+/// from `fresh` to convergence, persisting and restoring it across
+/// process deaths when it checkpoints. Bitwise reproducibility hinges on this being
 /// the *complete* loop state — alphas, bias, the error cache and the
 /// pass count; selection reads nothing else.
 #[derive(Debug, Clone)]
@@ -570,12 +557,11 @@ impl ActiveBlock {
 /// Runs one SMO pass — up to `n` working-set updates — fetching kernel
 /// rows through `row(i)`; `diag[t] = K_tt`.
 ///
-/// This is *the* pass loop — [`train_svc`] closes over direct
-/// [`KernelSource::row`] reads (infallible), while the crash-safe
-/// trainer closes over resident rows or its budgeted row cache (fallible
-/// loads, chaos gates). Both paths execute identical float operations,
-/// which is what makes a resumed training run bitwise equal to an
-/// uninterrupted one. `block` is the run's compaction scratch.
+/// This is *the* pass — the trainer's loop closes over resident rows
+/// read in place or over its budgeted row cache (fallible loads, chaos
+/// gates). Both row routes execute identical float operations, which is
+/// what makes a resumed training run bitwise equal to an uninterrupted
+/// one. `block` is the run's compaction scratch.
 ///
 /// The pass ends early once the certificate over its active set holds or
 /// an update makes no progress. A pass with at least one update counts
@@ -775,80 +761,11 @@ fn select_j(i: usize, diag: &[f64], errors: &[f64], low: &[f64], ki: &[f64]) -> 
     best
 }
 
-fn train_impl<K: KernelSource + ?Sized>(
-    kernel: &K,
-    labels: &[f64],
-    params: &SmoParams,
-    hooks: Option<(&Obs, Option<&Journal>)>,
-) -> TrainedSvm {
-    let n = kernel.order();
-    validate_inputs(n, labels, params);
-
-    let _train_span = hooks.map(|(obs, _)| obs.span("smo_train"));
-    let counters = hooks.map(|(obs, _)| {
-        (
-            obs.counter("svm.smo_passes"),
-            obs.counter("svm.smo_updates"),
-            obs.counter("svm.shrunk_passes"),
-        )
-    });
-    if let Some((_, Some(journal))) = hooks {
-        journal.event("smo_start").field_u64("n", n as u64).log();
-    }
-
-    let diag = RowSource::diagonal(kernel);
-    let mut st = SmoState::fresh(labels);
-    let mut block = ActiveBlock::default();
-    let mut active_min = n;
-
-    while st.should_continue(labels, params) {
-        let _pass_span = hooks.map(|(obs, _)| obs.span("pass"));
-        let pass = match pass_over(labels, &diag, params, &mut st, &mut block, |i| {
-            Ok::<_, std::convert::Infallible>(kernel.row(i))
-        }) {
-            Ok(pass) => pass,
-            Err(never) => match never {},
-        };
-        active_min = active_min.min(pass.active);
-        if pass.updates == 0 {
-            break;
-        }
-        if let Some((passes, updates, shrunk)) = &counters {
-            passes.inc();
-            updates.add(pass.updates as u64);
-            shrunk.add(u64::from(pass.compacted));
-        }
-        if let Some((_, Some(journal))) = hooks {
-            journal
-                .event("smo_pass")
-                .field_u64("pass", st.total_passes as u64)
-                .field_u64("changed", pass.updates as u64)
-                .field_u64("active", pass.active as u64)
-                .log();
-        }
-    }
-
-    let model = st.into_model(labels, params.c);
-    if let Some((obs, journal)) = hooks {
-        publish_model(obs, &model, params.c, active_min);
-        if let Some(journal) = journal {
-            journal
-                .event("smo_done")
-                .field_u64("passes", model.passes as u64)
-                .field_u64("support_vectors", model.support_indices().len() as u64)
-                .log();
-            if let Err(e) = journal.flush() {
-                eprintln!("qk-svm: journal flush failed: {e}");
-            }
-        }
-    }
-    model
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::kernel::KernelMatrix;
+    use crate::trainer::TrainerConfig;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -1005,7 +922,13 @@ pub(crate) mod tests {
         for c in [1.0, 16.0, 256.0] {
             let params = SmoParams::with_c(c);
             let obs = Obs::new();
-            let m = train_svc_observed(&k, &y, &params, &obs, None);
+            let m = Trainer::new(TrainerConfig {
+                obs: Some(obs.clone()),
+                ..TrainerConfig::default()
+            })
+            .train(&k, &y, &params)
+            .unwrap()
+            .model;
             let snap = obs.registry_snapshot();
             if c >= 16.0 {
                 assert!(
@@ -1287,33 +1210,5 @@ pub(crate) mod tests {
     fn nonpositive_c_panics() {
         let k = linear_kernel(&[vec![-1.0], vec![1.0]]);
         train_svc(&k, &[-1.0, 1.0], &SmoParams::with_c(0.0));
-    }
-
-    /// Instrumentation must observe the solver, never steer it: the
-    /// observed path trains a bit-identical model, and the milestone
-    /// counters and certificate gauges land in the shared registry.
-    #[test]
-    fn observed_training_is_bitwise_identical() {
-        let pts: Vec<Vec<f64>> = (0..12)
-            .map(|i| vec![(i as f64) - 5.5, ((i * 3) % 7) as f64 / 2.0])
-            .collect();
-        let y: Vec<f64> = (0..12)
-            .map(|i| if (i * 5) % 3 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let k = linear_kernel(&pts);
-        let params = SmoParams::with_c(1.5);
-        let plain = train_svc(&k, &y, &params);
-        let obs = Obs::new();
-        let observed = train_svc_observed(&k, &y, &params, &obs, None);
-        assert_eq!(plain.alphas, observed.alphas);
-        assert_eq!(plain.bias.to_bits(), observed.bias.to_bits());
-        assert_eq!(plain.passes, observed.passes);
-        let snap = obs.registry_snapshot();
-        assert_eq!(snap.counters["svm.smo_passes"], plain.passes as u64);
-        assert!(snap.counters.contains_key("svm.smo_updates"));
-        let kkt = snap.gauges["svm.kkt_violation"];
-        assert_eq!(kkt, (plain.kkt_violation * 1e9).ceil() as i64);
-        assert!(kkt <= (params.tol * 1e9) as i64);
-        assert!(snap.gauges["svm.duality_gap"] >= 0);
     }
 }

@@ -4,13 +4,14 @@
 //!
 //! At the paper's N=64,000 regime SVM training is a multi-hour job
 //! sitting on top of the tiled Gram engine; this module gives it the
-//! same recovery story the engine itself has. A [`Trainer`] drives the
-//! exact pass loop of [`crate::train_svc`] (same floats, same working
-//! sets), but:
+//! same recovery story the engine itself has. `Trainer::run` holds the
+//! crate's only SMO pass loop: [`crate::train_svc`] is a default
+//! `Trainer`, and the knobs of [`TrainerConfig`] add recovery around the
+//! same floats and working sets:
 //!
 //! * every `ckpt_every` passes the full solver state — alphas, bias,
 //!   error cache, pass count — is persisted to `<dir>/trainer.qks`
-//!   through a checksummed temp+rename write bound to a job fingerprint.
+//!   as a [`qk_chaos::durable`] record bound to a job fingerprint.
 //!   Working-set selection and each pass's active set (see
 //!   [`crate::smo`]) are pure functions of that state, and every error
 //!   in it is current at a pass boundary, so a SIGKILL at any instant
@@ -38,8 +39,9 @@
 //! ```
 //!
 //! All integers and floats are little-endian; the checksum is FNV-1a 64
-//! over every preceding byte. The decoder walks the buffer through a
-//! bounds-checked cursor, so truncated or mangled snapshots are
+//! over every preceding byte. The file is written to a temporary name
+//! and renamed into place, and read back through the record's
+//! bounds-checked reader, so truncated or mangled snapshots are
 //! rejected by construction rather than panicking in a slice
 //! conversion.
 
@@ -47,7 +49,8 @@ use crate::kernel::KernelSource;
 use crate::smo::{
     pass_over, publish_model, validate_inputs, ActiveBlock, SmoParams, SmoState, TrainedSvm,
 };
-use qk_chaos::{sites, Chaos, Fault, RetryPolicy};
+use qk_chaos::durable::{self, Load};
+use qk_chaos::{sites, Chaos, RetryPolicy};
 use qk_obs::{Journal, Obs};
 use std::collections::BTreeMap;
 use std::fs;
@@ -58,31 +61,15 @@ use std::time::Duration;
 
 const CKPT_MAGIC: &[u8; 8] = b"QKSVMC1\0";
 const CKPT_NAME: &str = "trainer.qks";
-/// Snapshot bytes outside the two `n`-vectors: magic, fingerprint, `n`,
-/// pass count, bias and checksum.
-const SNAPSHOT_FIXED_BYTES: usize = 48;
+/// Snapshot body bytes before the two `n`-vectors: fingerprint, `n`,
+/// pass count and bias.
+const SNAPSHOT_HEADER_BYTES: usize = 32;
 /// Snapshot format version, folded into the job fingerprint so old
 /// layouts can never be misread as new ones. Also bumped when the solver
 /// trajectory changes under an unchanged layout (3: shrinking), so a
 /// snapshot taken mid-run by an older solver cold-starts instead of
 /// resuming into a trajectory it was not part of.
 const CKPT_VERSION: u64 = 3;
-
-// ---------------------------------------------------------------------
-// FNV-1a 64 (private copy; qk-svm must not depend on qk-gram, which
-// depends on qk-svm). Verified against the reference vectors below.
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for b in bytes {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Fingerprint of one training job: the kernel's identity plus
 /// everything that steers the solver. A checkpoint is only ever resumed
@@ -100,7 +87,7 @@ pub fn job_fingerprint(kernel_fingerprint: u64, labels: &[f64], params: &SmoPara
     buf.extend_from_slice(&params.c.to_bits().to_le_bytes());
     buf.extend_from_slice(&params.tol.to_bits().to_le_bytes());
     buf.extend_from_slice(&(params.max_total_passes as u64).to_le_bytes());
-    fnv1a64(&buf)
+    durable::fnv1a64(&buf)
 }
 
 /// The checkpoint file a trainer configured with `ckpt_dir = dir`
@@ -250,7 +237,7 @@ impl RowCache {
 
         let mut buf = vec![0.0f64; self.n];
         let retried = retry.run(|| {
-            chaos_gate(chaos, &mut self.faults, sites::SVM_ROW_LOAD)?;
+            chaos.gate(sites::SVM_ROW_LOAD, || self.faults += 1)?;
             source.load_row(i, &mut buf)
         });
         self.retries += retried.retries as u64;
@@ -290,52 +277,10 @@ impl RowCache {
 // ---------------------------------------------------------------------
 // Checkpoint codec.
 
-/// A bounds-checked little-endian reader over a snapshot buffer. Every
-/// read returns `None` once the buffer runs short, so the decoder
-/// rejects truncated or mangled files by construction.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("take(8) is 8 bytes")))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-}
-
-/// Outcome of a classified snapshot load.
-enum CkptLoad {
-    /// No snapshot file exists — cold start.
-    Missing,
-    /// A file existed but failed validation (torn, corrupted, truncated
-    /// or written by a different job); it has been quarantined by
-    /// deletion and the trainer cold-starts.
-    Corrupt,
-    /// The snapshot validated.
-    Loaded(Box<SmoState>),
-}
-
 /// The on-disk side of the trainer: one snapshot file per checkpoint
 /// directory, bound to one job fingerprint.
 struct TrainerCkpt {
-    dir: PathBuf,
+    path: PathBuf,
     fingerprint: u64,
     n: usize,
 }
@@ -345,104 +290,62 @@ impl TrainerCkpt {
     /// mid-store left behind.
     fn open(dir: &Path, fingerprint: u64, n: usize) -> io::Result<TrainerCkpt> {
         fs::create_dir_all(dir)?;
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with('.') && name.ends_with(".tmp") {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
+        durable::sweep_temps(dir);
         Ok(TrainerCkpt {
-            dir: dir.to_path_buf(),
+            path: checkpoint_path(dir),
             fingerprint,
             n,
         })
     }
 
-    fn path(&self) -> PathBuf {
-        checkpoint_path(&self.dir)
-    }
-
     fn encode(&self, st: &SmoState) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(SNAPSHOT_FIXED_BYTES + self.n * 16);
-        buf.extend_from_slice(CKPT_MAGIC);
+        let mut body = Vec::with_capacity(SNAPSHOT_HEADER_BYTES + self.n * 16);
         for v in [self.fingerprint, self.n as u64, st.total_passes as u64] {
-            buf.extend_from_slice(&v.to_le_bytes());
+            body.extend_from_slice(&v.to_le_bytes());
         }
-        buf.extend_from_slice(&st.bias.to_bits().to_le_bytes());
+        body.extend_from_slice(&st.bias.to_bits().to_le_bytes());
         for v in st.alphas.iter().chain(st.errors.iter()) {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            body.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        let sum = fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        durable::seal(CKPT_MAGIC, &body)
     }
 
-    /// Persists the solver state. Write-to-temp-then-rename keeps the
-    /// final name atomic under SIGKILL; the pid in the temp name keeps
-    /// kill/resume cycles from colliding with their predecessors'
-    /// debris (swept on the next open).
+    /// Persists the solver state through [`durable::write_atomic`], so
+    /// the final name is atomic under SIGKILL.
     fn store(&self, st: &SmoState) -> io::Result<()> {
-        let buf = self.encode(st);
-        let tmp = self
-            .dir
-            .join(format!(".trainer.{}.tmp", std::process::id()));
-        fs::write(&tmp, &buf)?;
-        fs::rename(&tmp, self.path())
+        durable::write_atomic(&self.path, &self.encode(st))
     }
 
     /// Attempts to load and validate the snapshot. Anything that is not
     /// a pristine snapshot of *this* job classifies as `Corrupt` and is
     /// quarantined by deletion — the trainer cold-starts rather than
     /// resuming foreign or damaged state.
-    fn load_classified(&self) -> io::Result<CkptLoad> {
-        let path = self.path();
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CkptLoad::Missing),
-            Err(e) => return Err(e),
-        };
-        match Self::decode_checked(&bytes, self.fingerprint, self.n) {
-            Some(snap) => Ok(CkptLoad::Loaded(Box::new(snap))),
-            None => {
-                let _ = fs::remove_file(&path);
-                Ok(CkptLoad::Corrupt)
-            }
-        }
+    fn load_classified(&self) -> io::Result<Load<SmoState>> {
+        durable::load(&self.path, |bytes| {
+            Self::decode_checked(bytes, self.fingerprint, self.n)
+        })
     }
 
-    /// The happy-path decoder: every read is bounds-checked through
-    /// [`Cursor`], so any short or mangled buffer falls out as `None`.
+    /// The decoder: a record that fails its length, magic or checksum,
+    /// or belongs to another job, falls out as `None`.
     fn decode_checked(bytes: &[u8], fingerprint: u64, n: usize) -> Option<SmoState> {
-        let expected_len = SNAPSHOT_FIXED_BYTES.checked_add(n.checked_mul(16)?)?;
-        if bytes.len() != expected_len {
+        let body_len = n.checked_mul(16)?.checked_add(SNAPSHOT_HEADER_BYTES)?;
+        let mut r = durable::unseal(bytes, CKPT_MAGIC, body_len).ok()?;
+        if r.u64()? != fingerprint {
             return None;
         }
-        let mut c = Cursor::new(bytes);
-        if c.take(8)? != CKPT_MAGIC {
+        if r.u64()? as usize != n {
             return None;
         }
-        if c.u64()? != fingerprint {
-            return None;
-        }
-        if c.u64()? as usize != n {
-            return None;
-        }
-        let total_passes = c.u64()? as usize;
-        let bias = c.f64()?;
+        let total_passes = r.u64()? as usize;
+        let bias = r.f64()?;
         let mut alphas = Vec::with_capacity(n);
         for _ in 0..n {
-            alphas.push(c.f64()?);
+            alphas.push(r.f64()?);
         }
         let mut errors = Vec::with_capacity(n);
         for _ in 0..n {
-            errors.push(c.f64()?);
-        }
-        let sum = c.u64()?;
-        if fnv1a64(&bytes[..expected_len - 8]) != sum {
-            return None;
+            errors.push(r.f64()?);
         }
         Some(SmoState {
             alphas,
@@ -494,9 +397,9 @@ impl From<io::Error> for TrainError {
 }
 
 /// Everything a crash-safe training run is wired with. All knobs
-/// default to off: a default-configured [`Trainer`] behaves exactly
-/// like [`crate::train_svc`], plus a row cache of unbounded size for
-/// non-resident sources.
+/// default to off: a default-configured [`Trainer`] is what
+/// [`crate::train_svc`] runs, and over a non-resident source it adds a
+/// row cache of unbounded size.
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
     /// Checkpoint directory; `None` disables persistence entirely.
@@ -594,29 +497,6 @@ struct Recovery {
     degraded: bool,
 }
 
-/// Evaluates the trainer's chaos gate at `site`: counts the injection,
-/// then acts the fault out — a stall sleeps in place, a panic unwinds,
-/// and an I/O fault surfaces as an error for the retry policy to chew
-/// on. Disarmed plans make this a single branch.
-fn chaos_gate(chaos: &Chaos, faults: &mut u64, site: &str) -> io::Result<()> {
-    match chaos.check(site) {
-        None => Ok(()),
-        Some(Fault::Stall(d)) => {
-            *faults += 1;
-            std::thread::sleep(d);
-            Ok(())
-        }
-        Some(Fault::Panic) => {
-            *faults += 1;
-            panic!("chaos: injected panic at {site}");
-        }
-        Some(Fault::Io) => {
-            *faults += 1;
-            Err(Fault::io_error(site))
-        }
-    }
-}
-
 /// The crash-safe SMO training engine. See the module docs for the
 /// recovery model; see [`TrainerConfig`] for the knobs.
 #[derive(Debug, Clone, Default)]
@@ -630,15 +510,11 @@ impl Trainer {
         Trainer { cfg }
     }
 
-    /// Opens the lifecycle journal under `obs_dir`. Export is
-    /// best-effort: an unwritable directory degrades to an un-journaled
-    /// run rather than failing training.
+    /// Opens the lifecycle journal under `obs_dir` (created if missing).
+    /// Export is best-effort: an unwritable directory degrades to an
+    /// un-journaled run rather than failing training.
     fn open_journal(&self) -> Option<Journal> {
         let dir = self.cfg.obs_dir.as_ref()?;
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("qk-svm: journal disabled ({}): {e}", dir.display());
-            return None;
-        }
         match Journal::open(&dir.join("svm_journal.jsonl")) {
             Ok(journal) => Some(journal),
             Err(e) => {
@@ -724,9 +600,7 @@ impl Trainer {
         }
         drop(train_span);
         if let Some(dir) = &self.cfg.obs_dir {
-            if let Err(e) = fs::create_dir_all(dir)
-                .and_then(|()| obs.report("svm").write_json(&dir.join("obs_svm.json")))
-            {
+            if let Err(e) = obs.report("svm").write_json(&dir.join("obs_svm.json")) {
                 eprintln!("qk-svm: obs report export failed ({}): {e}", dir.display());
             }
         }
@@ -769,7 +643,7 @@ impl Trainer {
                         .field_u64("pass", pass as u64)
                         .log();
                 }
-                *snap
+                snap
             }
             None => SmoState::fresh(labels),
         };
@@ -861,16 +735,18 @@ impl Trainer {
         ckpt: &TrainerCkpt,
         rec: &mut Recovery,
         journal: Option<&Journal>,
-    ) -> Option<Box<SmoState>> {
+    ) -> Option<SmoState> {
         let retried = self.cfg.retry.run(|| {
-            chaos_gate(&self.cfg.chaos, &mut rec.faults, sites::SVM_CKPT_LOAD)?;
+            self.cfg
+                .chaos
+                .gate(sites::SVM_CKPT_LOAD, || rec.faults += 1)?;
             ckpt.load_classified()
         });
         rec.ckpt_retries += retried.retries as u64;
         match retried.result {
-            Ok(CkptLoad::Loaded(snap)) => Some(snap),
-            Ok(CkptLoad::Missing) => None,
-            Ok(CkptLoad::Corrupt) => {
+            Ok(Load::Loaded(snap)) => Some(snap),
+            Ok(Load::Missing) => None,
+            Ok(Load::Corrupt) => {
                 if let Some(journal) = journal {
                     journal.event("ckpt_rejected").log();
                 }
@@ -903,7 +779,9 @@ impl Trainer {
             return;
         }
         let retried = self.cfg.retry.run(|| {
-            chaos_gate(&self.cfg.chaos, &mut rec.faults, sites::SVM_CKPT_STORE)?;
+            self.cfg
+                .chaos
+                .gate(sites::SVM_CKPT_STORE, || rec.faults += 1)?;
             ckpt.store(st)
         });
         rec.ckpt_retries += retried.retries as u64;
@@ -945,13 +823,13 @@ mod tests {
         std::env::temp_dir().join(format!("qk-svm-trainer-{}-{tag}-{id}", std::process::id()))
     }
 
-    /// FNV-1a 64 reference vectors — the private copy must match the
-    /// published constants (and qk-gram's implementation).
+    /// FNV-1a 64 reference vectors — the checkpoint fingerprint hash
+    /// must match the published constants.
     #[test]
     fn fnv_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(durable::fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(durable::fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(durable::fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     /// A mildly noisy problem that takes a handful of passes, so
@@ -1018,20 +896,6 @@ mod tests {
         for (x, y) in a.alphas.iter().zip(&b.alphas) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    /// The trainer with everything off is train_svc, bit for bit, also
-    /// when every row goes through the cache.
-    #[test]
-    fn trainer_matches_train_svc_bitwise() {
-        let (k, y) = problem(24);
-        let params = SmoParams::with_c(1.5);
-        let reference = train_svc(&k, &y, &params);
-        let outcome = Trainer::default().train(&Loaded(&k), &y, &params).unwrap();
-        assert_models_bitwise_equal(&outcome.model, &reference);
-        assert_eq!(outcome.resumed_from_pass, None);
-        assert_eq!(outcome.stats.rows_recomputed, 0);
-        assert!(outcome.stats.cache_hits > 0);
     }
 
     /// A tight cache budget forces evictions without changing a bit of
@@ -1195,18 +1059,22 @@ mod tests {
 
     /// The recovery counters land in the shared registry under the
     /// names the obs schema gate requires, and are pre-registered (zero
-    /// on clean runs).
+    /// on clean runs); the pass count and the exit certificate land
+    /// beside them.
     #[test]
     fn recovery_counters_are_registered() {
         let (k, y) = problem(12);
         let obs = Obs::new();
-        Trainer::new(TrainerConfig {
+        let model = Trainer::new(TrainerConfig {
             obs: Some(obs.clone()),
             ..TrainerConfig::default()
         })
         .train(&Loaded(&k), &y, &SmoParams::with_c(1.0))
-        .unwrap();
+        .unwrap()
+        .model;
         let snap = obs.registry_snapshot();
+        assert_eq!(snap.counters["svm.smo_passes"], model.passes as u64);
+        assert!(snap.counters.contains_key("svm.smo_updates"));
         for name in [
             "svm.faults_injected",
             "svm.ckpt.retries",
@@ -1218,8 +1086,11 @@ mod tests {
         }
         assert!(snap.counters["svm.cache.misses"] > 0);
         assert!(snap.counters.contains_key("svm.shrunk_passes"));
-        // The exit certificate is published in units of 1e-9.
-        assert!(snap.gauges["svm.kkt_violation"] <= 1_000_000);
+        // The exit certificate is published in units of 1e-9, rounded up.
+        let kkt = snap.gauges["svm.kkt_violation"];
+        assert_eq!(kkt, (model.kkt_violation * 1e9).ceil() as i64);
+        assert!(kkt <= 1_000_000);
+        assert!(snap.gauges["svm.duality_gap"] >= 0);
         for name in [
             "svm.duality_gap",
             "svm.support_vectors",
@@ -1290,7 +1161,7 @@ mod tests {
         let params = SmoParams::with_c(1.0);
         let dir = scratch("sweep");
         fs::create_dir_all(&dir).unwrap();
-        let torn = dir.join(".trainer.12345.tmp");
+        let torn = dir.join(".trainer.qks.12345.tmp");
         fs::write(&torn, b"half-written").unwrap();
         Trainer::new(TrainerConfig {
             ckpt_dir: Some(dir.clone()),
@@ -1299,6 +1170,26 @@ mod tests {
         .train(&k, &y, &params)
         .unwrap();
         assert!(!torn.exists(), "torn temp must be swept");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The snapshot format is pinned: a fixed solver state stored through
+    /// the checkpoint hashes to the digest recorded when the format last
+    /// changed.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let dir = scratch("pinned");
+        let ckpt = TrainerCkpt::open(&dir, 0x0123_4567_89ab_cdef, 3).unwrap();
+        ckpt.store(&SmoState {
+            alphas: vec![0.0, 1.5, 0.25],
+            bias: -0.125,
+            errors: vec![-1.0, 0.5, 1e-300],
+            total_passes: 7,
+        })
+        .unwrap();
+        let bytes = fs::read(checkpoint_path(&dir)).unwrap();
+        assert_eq!(bytes.len(), 48 + 3 * 16);
+        assert_eq!(durable::fnv1a64(&bytes), 0xafda_4ced_a21b_d6bc);
         let _ = fs::remove_dir_all(&dir);
     }
 }
