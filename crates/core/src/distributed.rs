@@ -1,10 +1,14 @@
 //! Distributed Gram-matrix computation (Section II-D, Fig. 4).
 //!
 //! The paper distributes the kernel computation over MPI ranks on
-//! Perlmutter. Here each "process" is an OS thread that owns its states;
-//! inter-process traffic is an explicit serialized message over a
-//! crossbeam channel, timed as communication (DESIGN.md, substitution 2).
-//! Two strategies are implemented:
+//! Perlmutter. Here each process is a `qk-mpi` rank (an OS thread under
+//! [`qk_mpi::run_world`]) that owns its states: a state crosses a rank
+//! boundary only as one point-to-point message of its serialized bytes,
+//! timed as communication (DESIGN.md, substitution 2). Every kernel entry
+//! comes from `qk_gram`'s tile kernel: each rank contracts its [`Tile`]s
+//! with [`qk_gram::compute_tile`] and [`distributed_gram`] places them
+//! with [`qk_gram::write_tile`], so both strategies are bitwise equal to
+//! `gram_matrix`. Two strategies are implemented:
 //!
 //! * **No-messaging** (Fig. 4a): the kernel matrix is tiled; each process
 //!   independently simulates every state its tiles touch. No communication,
@@ -19,10 +23,13 @@
 use crate::states::simulate_states_serial;
 use crate::timing::PhaseClock;
 use qk_circuit::AnsatzConfig;
-use qk_mps::{Mps, TruncationConfig};
+use qk_gram::{compute_tile, write_tile, JobKind, Tile};
+use qk_mpi::{run_world, Process, Source};
+use qk_mps::{Mps, TruncationConfig, ZipperWorkspace};
 use qk_svm::KernelMatrix;
 use qk_tensor::backend::ExecutionBackend;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Distribution strategy for the Gram matrix.
@@ -99,14 +106,107 @@ pub fn distributed_gram(
 ) -> DistributedResult {
     assert!(num_processes >= 1, "need at least one process");
     assert!(!rows.is_empty(), "need at least one data point");
-    match strategy {
-        Strategy::NoMessaging => no_messaging(rows, ansatz, backend, truncation, num_processes),
-        Strategy::RoundRobin => round_robin(rows, ansatz, backend, truncation, num_processes),
+    let n = rows.len();
+    let start = Instant::now();
+    let job = Job {
+        rows,
+        ansatz,
+        backend,
+        truncation,
+    };
+    let ranks = run_world(num_processes, |p| {
+        let mut work = RankWork::new();
+        match strategy {
+            Strategy::NoMessaging => no_messaging(p, &job, &mut work),
+            Strategy::RoundRobin => round_robin(p, &job, &mut work),
+        }
+        (
+            work.tiles,
+            work.times,
+            work.simulations,
+            p.stats().bytes_sent,
+        )
+    });
+
+    let mut data = vec![0.0f64; n * n];
+    let mut per_process = Vec::with_capacity(num_processes);
+    let (mut simulations_run, mut bytes_communicated) = (0, 0);
+    for (tiles, times, simulations, bytes_sent) in ranks {
+        for (tile, payload) in &tiles {
+            write_tile(&mut data, n, JobKind::Train, tile, payload);
+        }
+        per_process.push(times);
+        simulations_run += simulations;
+        bytes_communicated += bytes_sent;
+    }
+    DistributedResult {
+        kernel: KernelMatrix::from_dense(n, data),
+        per_process,
+        wall_time: start.elapsed(),
+        bytes_communicated,
+        simulations_run,
+    }
+}
+
+/// The inputs every rank reads.
+struct Job<'a> {
+    rows: &'a [Vec<f64>],
+    ansatz: &'a AnsatzConfig,
+    backend: &'a dyn ExecutionBackend,
+    truncation: &'a TruncationConfig,
+}
+
+/// One rank's phase clock, tile-kernel workspace and contracted tiles.
+struct RankWork {
+    clock: PhaseClock,
+    ws: ZipperWorkspace,
+    tiles: Vec<(Tile, Vec<f64>)>,
+    times: ProcessTimes,
+    simulations: usize,
+}
+
+impl RankWork {
+    fn new() -> Self {
+        RankWork {
+            clock: PhaseClock::new(),
+            ws: ZipperWorkspace::new(),
+            tiles: Vec::new(),
+            times: ProcessTimes::default(),
+            simulations: 0,
+        }
+    }
+
+    /// Simulates the states of `range`, timed as simulation.
+    fn simulate(&mut self, job: &Job, range: Range<usize>) -> Vec<Mps> {
+        let slice = &job.rows[range];
+        let t0 = self.clock.now();
+        let states = simulate_states_serial(slice, job.ansatz, job.backend, job.truncation).states;
+        self.times.simulation += self.clock.since(t0);
+        self.simulations += slice.len();
+        states
+    }
+
+    /// Contracts one tile with the Gram engine's kernel, timed as inner
+    /// products.
+    fn contract(&mut self, job: &Job, tile: Tile, row_states: &[Mps], col_states: &[Mps]) {
+        let t0 = self.clock.now();
+        let mut payload = vec![0.0; tile.len()];
+        compute_tile(
+            &tile,
+            JobKind::Train,
+            row_states,
+            col_states,
+            job.backend,
+            &mut self.ws,
+            &mut payload,
+        );
+        self.times.inner_products += self.clock.since(t0);
+        self.tiles.push((tile, payload));
     }
 }
 
 /// Contiguous block boundaries for partitioning `n` items over `k` owners.
-fn block_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
+fn block_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
     let base = n / k;
     let extra = n % k;
     let mut out = Vec::with_capacity(k);
@@ -119,101 +219,16 @@ fn block_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// One kernel entry produced by a worker.
-type Entry = (usize, usize, f64);
-
-// ---------------------------------------------------------------------
-// No-messaging strategy
-// ---------------------------------------------------------------------
-
-fn no_messaging(
-    rows: &[Vec<f64>],
-    ansatz: &AnsatzConfig,
-    backend: &dyn ExecutionBackend,
-    truncation: &TruncationConfig,
-    k: usize,
-) -> DistributedResult {
-    let n = rows.len();
-    let start = Instant::now();
-    // Square tiling with at least k upper-triangle tiles (diagonal incl.).
-    let g = tile_grid_order(k).min(n.max(1));
-    let blocks = block_ranges(n, g);
-    let tiles: Vec<(usize, usize)> = (0..g).flat_map(|a| (a..g).map(move |b| (a, b))).collect();
-    // Tiles are dealt round-robin to processes.
-    let assignments: Vec<Vec<(usize, usize)>> = (0..k)
-        .map(|p| tiles.iter().copied().skip(p).step_by(k).collect())
-        .collect();
-
-    let (entry_tx, entry_rx) = crossbeam::channel::unbounded::<Vec<Entry>>();
-    let mut per_process = vec![ProcessTimes::default(); k];
-    let mut simulations_run = 0usize;
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (p, my_tiles) in assignments.iter().enumerate() {
-            let entry_tx = entry_tx.clone();
-            let blocks = &blocks;
-            handles.push((
-                p,
-                scope.spawn(move || {
-                    let clock = PhaseClock::new();
-                    let mut times = ProcessTimes::default();
-                    let mut sims = 0usize;
-                    let mut entries: Vec<Entry> = Vec::new();
-                    // Simulate the union of blocks this process touches, once
-                    // per process (still redundant across processes).
-                    let mut needed: Vec<usize> =
-                        my_tiles.iter().flat_map(|&(a, b)| [a, b]).collect();
-                    needed.sort_unstable();
-                    needed.dedup();
-                    let mut states: Vec<Option<Vec<Mps>>> = vec![None; blocks.len()];
-                    for &blk in &needed {
-                        let slice = &rows[blocks[blk].clone()];
-                        let t0 = clock.now();
-                        let batch = simulate_states_serial(slice, ansatz, backend, truncation);
-                        times.simulation += clock.since(t0);
-                        sims += slice.len();
-                        states[blk] = Some(batch.states);
-                    }
-                    for &(a, b) in my_tiles {
-                        let sa = states[a].as_ref().unwrap();
-                        let sb = states[b].as_ref().unwrap();
-                        let t0 = clock.now();
-                        for (ia, va) in sa.iter().enumerate() {
-                            for (ib, vb) in sb.iter().enumerate() {
-                                let gi = blocks[a].start + ia;
-                                let gj = blocks[b].start + ib;
-                                if a == b && gj <= gi {
-                                    continue; // symmetric tile: upper half only
-                                }
-                                let v = va.inner_with(backend, vb).norm_sqr();
-                                entries.push((gi, gj, v));
-                            }
-                        }
-                        times.inner_products += clock.since(t0);
-                    }
-                    let t0 = Instant::now();
-                    entry_tx.send(entries).expect("collector alive");
-                    times.communication += t0.elapsed();
-                    (times, sims)
-                }),
-            ));
-        }
-        drop(entry_tx);
-        for (p, h) in handles {
-            let (times, sims) = h.join().expect("worker panicked");
-            per_process[p] = times;
-            simulations_run += sims;
-        }
-    });
-
-    let kernel = assemble(n, entry_rx.into_iter().flatten());
-    DistributedResult {
-        kernel,
-        per_process,
-        wall_time: start.elapsed(),
-        bytes_communicated: 0,
-        simulations_run,
+/// The tile with block `a` as its row band and block `b` as its column
+/// band (`a <= b`; `a == b` is a diagonal tile).
+fn block_tile(blocks: &[Range<usize>], a: usize, b: usize) -> Tile {
+    Tile {
+        bi: a,
+        bj: b,
+        row0: blocks[a].start,
+        rows: blocks[a].len(),
+        col0: blocks[b].start,
+        cols: blocks[b].len(),
     }
 }
 
@@ -227,204 +242,80 @@ fn tile_grid_order(k: usize) -> usize {
     g
 }
 
-// ---------------------------------------------------------------------
-// Round-robin strategy
-// ---------------------------------------------------------------------
-
-/// Serializes a block of states with length framing.
-fn pack_states(states: &[Mps]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(states.len() as u64).to_le_bytes());
-    for s in states {
-        let bytes = s.to_bytes();
-        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&bytes);
+/// No-messaging rank: deals the g×g upper block triangle round-robin and
+/// simulates every block its tiles touch.
+fn no_messaging(p: &Process, job: &Job, work: &mut RankWork) {
+    let (rank, k) = (p.rank(), p.world_size());
+    let g = tile_grid_order(k).min(job.rows.len());
+    let blocks = block_ranges(job.rows.len(), g);
+    let mine: Vec<Tile> = (0..g)
+        .flat_map(|a| (a..g).map(move |b| (a, b)))
+        .skip(rank)
+        .step_by(k)
+        .map(|(a, b)| block_tile(&blocks, a, b))
+        .collect();
+    // Each touched block is simulated once per rank (still redundant
+    // across ranks).
+    let mut needed: Vec<usize> = mine.iter().flat_map(|t| [t.bi, t.bj]).collect();
+    needed.sort_unstable();
+    needed.dedup();
+    let mut states = vec![Vec::new(); g];
+    for b in needed {
+        states[b] = work.simulate(job, blocks[b].clone());
     }
-    out
+    for tile in mine {
+        work.contract(job, tile, &states[tile.bi], &states[tile.bj]);
+    }
 }
 
-/// Inverse of [`pack_states`].
-fn unpack_states(bytes: &[u8]) -> Vec<Mps> {
-    let mut pos = 0usize;
-    let count = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
-    pos += 8;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
-        pos += 8;
-        out.push(Mps::from_bytes(&bytes[pos..pos + len]));
-        pos += len;
-    }
-    out
-}
+/// Round-robin rank: simulates its own block once, contracts its
+/// diagonal tile, then passes blocks to the left for `k / 2` steps,
+/// contracting one cross tile per step. For even `k` the last step is a
+/// half-step: only ranks below `k / 2` compute, so only their right
+/// neighbours send.
+fn round_robin(p: &mut Process, job: &Job, work: &mut RankWork) {
+    const STATE_TAG: u32 = 0;
+    let (rank, k) = (p.rank(), p.world_size());
+    let blocks = block_ranges(job.rows.len(), k);
+    let own = work.simulate(job, blocks[rank].clone());
+    work.contract(job, block_tile(&blocks, rank, rank), &own, &own);
 
-/// A traveling message: the owner block index plus serialized states.
-struct RingMessage {
-    owner: usize,
-    payload: Vec<u8>,
-}
-
-fn round_robin(
-    rows: &[Vec<f64>],
-    ansatz: &AnsatzConfig,
-    backend: &dyn ExecutionBackend,
-    truncation: &TruncationConfig,
-    k: usize,
-) -> DistributedResult {
-    let n = rows.len();
-    if k == 1 {
-        // Degenerate ring: fall back to a single-process computation with
-        // the same accounting.
-        return no_messaging(rows, ansatz, backend, truncation, 1);
-    }
-    let start = Instant::now();
-    let blocks = block_ranges(n, k);
-
-    // Ring channels: process p sends to (p + k - 1) % k, receives on rx[p].
-    let mut txs = Vec::with_capacity(k);
-    let mut rxs = Vec::with_capacity(k);
-    for _ in 0..k {
-        let (tx, rx) = crossbeam::channel::bounded::<RingMessage>(1);
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-    let (entry_tx, entry_rx) = crossbeam::channel::unbounded::<Vec<Entry>>();
-
-    // Number of full ring steps; for even k the final half-step is done by
-    // the lower half of the ring only.
-    let full_steps = (k - 1) / 2;
-    let half_step = k.is_multiple_of(2);
-
-    let mut per_process = vec![ProcessTimes::default(); k];
-    let mut bytes_communicated = 0usize;
-    let mut simulations_run = 0usize;
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for p in 0..k {
-            let entry_tx = entry_tx.clone();
-            let tx_left = txs[(p + k - 1) % k].clone();
-            let rx = rxs[p].take().expect("rx taken once");
-            let blocks = &blocks;
-            handles.push(scope.spawn(move || {
-                let clock = PhaseClock::new();
-                let mut times = ProcessTimes::default();
-                let mut entries: Vec<Entry> = Vec::new();
-                let my_range = blocks[p].clone();
-                let slice = &rows[my_range.clone()];
-
-                // Phase 1: simulate own block exactly once.
-                let t0 = clock.now();
-                let own = simulate_states_serial(slice, ansatz, backend, truncation).states;
-                times.simulation += clock.since(t0);
-                let sims = slice.len();
-
-                // Phase 2: local tile (p, p), upper half.
-                let t0 = clock.now();
-                for i in 0..own.len() {
-                    for j in (i + 1)..own.len() {
-                        let v = own[i].inner_with(backend, &own[j]).norm_sqr();
-                        entries.push((my_range.start + i, my_range.start + j, v));
-                    }
-                }
-                times.inner_products += clock.since(t0);
-
-                // Phase 3: ring steps. The traveling block starts as a
-                // copy of the owned block.
-                let mut traveling_owner = p;
-                let mut traveling = own.clone();
-                let mut comm_bytes = 0usize;
-                let steps = full_steps + usize::from(half_step);
-                for step in 1..=steps {
-                    // Ship the traveling block to the left neighbour and
-                    // receive the block arriving from the right.
-                    let t0 = Instant::now();
-                    let payload = pack_states(&traveling);
-                    comm_bytes += payload.len();
-                    tx_left
-                        .send(RingMessage {
-                            owner: traveling_owner,
-                            payload,
-                        })
-                        .expect("ring neighbour alive");
-                    let msg = rx.recv().expect("ring neighbour alive");
-                    traveling_owner = msg.owner;
-                    traveling = unpack_states(&msg.payload);
-                    times.communication += t0.elapsed();
-                    debug_assert_eq!(traveling_owner, (p + step) % k);
-
-                    // On the optional half-step only the lower half of the
-                    // ring computes, so each cross tile is done once.
-                    let is_half = half_step && step == steps;
-                    if is_half && p >= k / 2 {
-                        continue;
-                    }
-                    let other_range = blocks[traveling_owner].clone();
-                    // The lower global index is the bra, as in `gram_matrix`,
-                    // so a wrapped ring step yields the same bits.
-                    let wrapped = other_range.start < my_range.start;
-                    let t0 = clock.now();
-                    for (i, a) in own.iter().enumerate() {
-                        for (j, b) in traveling.iter().enumerate() {
-                            let ip = if wrapped {
-                                b.inner_with(backend, a)
-                            } else {
-                                a.inner_with(backend, b)
-                            };
-                            entries.push((
-                                my_range.start + i,
-                                other_range.start + j,
-                                ip.norm_sqr(),
-                            ));
-                        }
-                    }
-                    times.inner_products += clock.since(t0);
-                }
-
-                // Phase 4: send entries to the collector.
-                let t0 = Instant::now();
-                entry_tx.send(entries).expect("collector alive");
-                times.communication += t0.elapsed();
-                (times, comm_bytes, sims)
-            }));
+    let steps = k / 2;
+    let left = (rank + k - 1) % k;
+    let right = (rank + 1) % k;
+    let mut traveling = Vec::new();
+    for step in 1..=steps {
+        let half = k.is_multiple_of(2) && step == steps;
+        let computes = |r: usize| !half || r < k / 2;
+        // Owner of the block arriving from the right.
+        let from = (rank + step) % k;
+        let outgoing = if step == 1 { &own } else { &traveling };
+        let t0 = Instant::now();
+        if computes(left) {
+            for state in outgoing {
+                p.send(left, STATE_TAG, &state.to_bytes());
+            }
         }
-        drop(entry_tx);
-        drop(txs);
-        for (p, h) in handles.into_iter().enumerate() {
-            let (times, bytes, sims) = h.join().expect("worker panicked");
-            per_process[p] = times;
-            bytes_communicated += bytes;
-            simulations_run += sims;
+        let incoming: Vec<Mps> = if computes(rank) {
+            (0..blocks[from].len())
+                .map(|_| Mps::from_bytes(&p.recv(Source::Rank(right), STATE_TAG).payload))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        work.times.communication += t0.elapsed();
+        traveling = incoming;
+        if !computes(rank) {
+            continue;
         }
-    });
-
-    let kernel = assemble(n, entry_rx.into_iter().flatten());
-    DistributedResult {
-        kernel,
-        per_process,
-        wall_time: start.elapsed(),
-        bytes_communicated,
-        simulations_run,
+        // The lower-indexed block is the row band, so every entry keeps
+        // `gram_matrix`'s operand order.
+        if rank < from {
+            work.contract(job, block_tile(&blocks, rank, from), &own, &traveling);
+        } else {
+            work.contract(job, block_tile(&blocks, from, rank), &traveling, &own);
+        }
     }
-}
-
-/// Builds the symmetric kernel from a stream of upper-triangle entries.
-fn assemble(n: usize, entries: impl Iterator<Item = Entry>) -> KernelMatrix {
-    let mut data = vec![0.0f64; n * n];
-    let mut seen = vec![false; n * n];
-    for i in 0..n {
-        data[i * n + i] = 1.0;
-        seen[i * n + i] = true;
-    }
-    for (i, j, v) in entries {
-        debug_assert!(!seen[i * n + j], "entry ({i},{j}) computed twice");
-        data[i * n + j] = v;
-        data[j * n + i] = v;
-        seen[i * n + j] = true;
-        seen[j * n + i] = true;
-    }
-    debug_assert!(seen.iter().all(|&s| s), "kernel has uncomputed entries");
-    KernelMatrix::from_dense(n, data)
 }
 
 #[cfg(test)]
@@ -470,8 +361,19 @@ mod tests {
 
     #[test]
     fn no_messaging_matches_reference() {
-        for k in [1usize, 2, 3, 4, 7] {
-            check_strategy(9, k, Strategy::NoMessaging);
+        // The last three shapes have fewer points than processes: ranks
+        // without tiles.
+        for (n, k) in [
+            (9, 1),
+            (9, 2),
+            (9, 3),
+            (9, 4),
+            (9, 7),
+            (3, 5),
+            (2, 4),
+            (1, 3),
+        ] {
+            check_strategy(n, k, Strategy::NoMessaging);
         }
     }
 
@@ -491,9 +393,34 @@ mod tests {
 
     #[test]
     fn round_robin_with_ragged_blocks() {
-        // n not divisible by k.
-        check_strategy(11, 4, Strategy::RoundRobin);
-        check_strategy(7, 3, Strategy::RoundRobin);
+        // n not divisible by k; the last three shapes have fewer points
+        // than processes: empty blocks and ring steps with no messages.
+        for (n, k) in [(11, 4), (7, 3), (3, 5), (2, 4), (1, 3)] {
+            check_strategy(n, k, Strategy::RoundRobin);
+        }
+    }
+
+    #[test]
+    fn even_ring_ships_only_the_states_the_schedule_needs() {
+        // Every full step ships all n states; the half-step ships only
+        // blocks k/2..k-1, the ones ranks below k/2 contract.
+        let n = 13;
+        let data = rows(n, 4);
+        let be = CpuBackend::new();
+        let cfg = AnsatzConfig::new(2, 1, 0.6);
+        let trunc = TruncationConfig::default();
+        let sizes: Vec<usize> = simulate_states(&data, &cfg, &be, &trunc)
+            .states
+            .iter()
+            .map(|s| s.to_bytes().len())
+            .collect();
+        for k in [2usize, 4, 6] {
+            let blocks = block_ranges(n, k);
+            let half_step: usize = blocks[k / 2..].iter().flat_map(|b| &sizes[b.clone()]).sum();
+            let expected = (k / 2 - 1) * sizes.iter().sum::<usize>() + half_step;
+            let result = distributed_gram(&data, &cfg, &be, &trunc, k, Strategy::RoundRobin);
+            assert_eq!(result.bytes_communicated, expected, "k={k}");
+        }
     }
 
     #[test]
@@ -554,20 +481,6 @@ mod tests {
         assert_eq!(tile_grid_order(4), 3);
         assert_eq!(tile_grid_order(6), 3);
         assert_eq!(tile_grid_order(7), 4);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let data = rows(3, 4);
-        let be = CpuBackend::new();
-        let cfg = AnsatzConfig::new(2, 1, 0.6);
-        let states = simulate_states(&data, &cfg, &be, &TruncationConfig::default()).states;
-        let packed = pack_states(&states);
-        let back = unpack_states(&packed);
-        assert_eq!(back.len(), 3);
-        for (a, b) in states.iter().zip(&back) {
-            assert!((a.overlap_sqr(b) - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

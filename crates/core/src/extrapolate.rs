@@ -100,7 +100,8 @@ impl PrimitiveCosts {
         let total = |f: fn(&crate::distributed::ProcessTimes) -> Duration| {
             result.per_process.iter().map(f).sum::<Duration>()
         };
-        let pairs = (n * (n.saturating_sub(1))) / 2 + n; // off-diagonal + diagonal
+        // The unit diagonal is never contracted.
+        let pairs = (n * n.saturating_sub(1) / 2).max(1);
         let sims = result.simulations_run.max(1);
         PrimitiveCosts {
             simulation: total(|p| p.simulation).div_f64(sims as f64),
@@ -396,6 +397,19 @@ mod tests {
         let rel = (forecast_sim.as_secs_f64() - measured_sim.as_secs_f64()).abs()
             / measured_sim.as_secs_f64().max(1e-12);
         assert!(rel < 0.35, "simulation forecast off by {:.0}%", rel * 100.0);
+
+        // Every contracted pair is counted once, so the inner-product
+        // bill reconstructs exactly up to `Duration`'s whole nanoseconds:
+        // at most 1 ns per pair from the per-pair cost, plus 1 ns per
+        // rounding in the forecast and in the product by k.
+        let measured_ip: Duration = run.per_process.iter().map(|p| p.inner_products).sum();
+        let forecast_ip = f.inner_products.mul_f64(k as f64);
+        let err_ns = forecast_ip.abs_diff(measured_ip).as_nanos();
+        let bound_ns = (n * (n - 1) / 2 + k + 1) as u128;
+        assert!(
+            err_ns <= bound_ns,
+            "inner-product forecast off by {err_ns} ns of {measured_ip:?} (bound {bound_ns} ns)"
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`gram`] — Gram-matrix assembly from pairwise inner products (the
 //!   quadratic-but-cheap half).
 //! * [`distributed`] — the paper's two multi-process strategies
-//!   (no-messaging and round-robin) with per-phase wall-clock accounting.
+//!   (no-messaging and round-robin) as `qk-mpi` ranks contracting
+//!   `qk-gram` tiles, with per-phase wall-clock accounting.
 //! * [`pipeline`] — end-to-end classification experiments, quantum and
 //!   Gaussian-baseline, with the `C in [0.01, 4]` sweep protocol.
 //!

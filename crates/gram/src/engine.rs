@@ -223,7 +223,7 @@ impl<'a, 'b> BandCache<'a, 'b> {
 /// the per-tile allocation lives at the orchestration layer, keeping
 /// this function on the analyzer's no-alloc list alongside the zipper
 /// kernel it drives.
-pub(crate) fn compute_tile(
+pub fn compute_tile(
     tile: &Tile,
     kind: JobKind,
     row_states: &[Mps],
@@ -263,7 +263,7 @@ pub(crate) fn compute_tile(
 
 /// Writes a completed tile payload into the dense row-major output,
 /// mirroring off-diagonal train tiles across the main diagonal.
-pub(crate) fn write_tile(
+pub fn write_tile(
     data: &mut [f64],
     total_cols: usize,
     kind: JobKind,

@@ -13,7 +13,10 @@
 //! * [`engine`] — a work-stealing worker pool contracts tiles and
 //!   streams them to an assembler; every entry keeps the exact operand
 //!   order of the single-pass path, so output is bitwise identical for
-//!   any tile size, worker count, spill mode or resume history.
+//!   any tile size, worker count, spill mode or resume history. Its
+//!   [`compute_tile`] / [`write_tile`] pair is the shared tile kernel:
+//!   the engine, the [`rank`] drill and `qk_core::distributed`'s Fig. 4
+//!   strategies all contract and place every entry through it.
 //! * [`checkpoint`] — each completed tile persists to a checksummed file
 //!   under a manifest bound to the job fingerprint (encoding hash,
 //!   truncation, shape, tile size). A killed job resumes from the last
@@ -62,7 +65,9 @@ pub mod view;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, Manifest, TileLoad};
 pub use config::GramConfig;
-pub use engine::{BlockOutcome, GramEngine, GramError, GramOutcome, GramReport};
+pub use engine::{
+    compute_tile, write_tile, BlockOutcome, GramEngine, GramError, GramOutcome, GramReport,
+};
 pub use fingerprint::{encoding_fingerprint, JobKind, JobSpec};
 pub use metrics::{GramMetrics, GramProgress};
 pub use qk_chaos::durable::fnv1a64;

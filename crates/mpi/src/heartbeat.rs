@@ -1,7 +1,7 @@
 //! Liveness tracking for rank-death detection.
 //!
 //! MPI itself has no failure detector: a dead rank simply stops
-//! answering and every collective involving it wedges. The standard
+//! answering and every receive waiting on it wedges. The standard
 //! operational fix — and the one the distributed Gram drill uses — is
 //! an application-level heartbeat: workers send periodic progress
 //! beats to a coordinator, which declares a rank dead once it has been

@@ -48,19 +48,13 @@ pub struct Message {
 pub(crate) struct Envelope {
     pub src: usize,
     pub tag: u32,
-    pub class: Class,
     pub payload: Vec<u8>,
 }
 
-/// Message class separates user traffic from internal collective
-/// traffic, so a collective can never consume (or be confused by) a
-/// user-tagged message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
-    /// User point-to-point traffic.
-    User,
-    /// Internal collective round `r` of collective sequence number `seq`.
-    Collective { seq: u64, round: u32 },
+impl Envelope {
+    fn matches(&self, source: Source, tag: u32) -> bool {
+        source.matches(self.src) && (tag == ANY_TAG || self.tag == tag)
+    }
 }
 
 /// One rank's mailbox.
@@ -80,12 +74,10 @@ impl Mailbox {
     /// Blocks until an envelope matching the filter is queued, removes and
     /// returns it. The earliest matching envelope wins, preserving
     /// per-sender ordering.
-    pub(crate) fn take(&self, class: Class, source: Source, tag: u32) -> Envelope {
+    pub(crate) fn take(&self, source: Source, tag: u32) -> Envelope {
         let mut q = self.queue.lock();
         loop {
-            if let Some(pos) = q.iter().position(|e| {
-                e.class == class && source.matches(e.src) && (tag == ANY_TAG || e.tag == tag)
-            }) {
+            if let Some(pos) = q.iter().position(|e| e.matches(source, tag)) {
                 return q.remove(pos);
             }
             self.arrived.wait(&mut q);
@@ -93,17 +85,14 @@ impl Mailbox {
     }
 
     /// Non-blocking variant of [`Mailbox::take`].
-    pub(crate) fn try_take(&self, class: Class, source: Source, tag: u32) -> Option<Envelope> {
+    pub(crate) fn try_take(&self, source: Source, tag: u32) -> Option<Envelope> {
         let mut q = self.queue.lock();
         q.iter()
-            .position(|e| {
-                e.class == class && source.matches(e.src) && (tag == ANY_TAG || e.tag == tag)
-            })
+            .position(|e| e.matches(source, tag))
             .map(|pos| q.remove(pos))
     }
 
-    /// Number of queued envelopes (any class); used to assert clean
-    /// shutdown.
+    /// Number of queued envelopes; used to assert clean shutdown.
     pub(crate) fn pending(&self) -> usize {
         self.queue.lock().len()
     }
@@ -117,7 +106,6 @@ mod tests {
         Envelope {
             src,
             tag,
-            class: Class::User,
             payload: vec![byte],
         }
     }
@@ -128,11 +116,11 @@ mod tests {
         mb.deposit(user(0, 7, 1));
         mb.deposit(user(1, 7, 2));
         mb.deposit(user(0, 9, 3));
-        let e = mb.take(Class::User, Source::Rank(1), 7);
+        let e = mb.take(Source::Rank(1), 7);
         assert_eq!(e.payload, vec![2]);
-        let e = mb.take(Class::User, Source::Rank(0), 9);
+        let e = mb.take(Source::Rank(0), 9);
         assert_eq!(e.payload, vec![3]);
-        let e = mb.take(Class::User, Source::Any, ANY_TAG);
+        let e = mb.take(Source::Any, ANY_TAG);
         assert_eq!(e.payload, vec![1]);
         assert_eq!(mb.pending(), 0);
     }
@@ -144,34 +132,18 @@ mod tests {
         mb.deposit(user(0, 5, 11));
         mb.deposit(user(0, 5, 12));
         for expect in [10u8, 11, 12] {
-            let e = mb.take(Class::User, Source::Rank(0), 5);
+            let e = mb.take(Source::Rank(0), 5);
             assert_eq!(e.payload, vec![expect]);
         }
-    }
-
-    #[test]
-    fn collective_class_is_isolated_from_user_traffic() {
-        let mb = Mailbox::default();
-        mb.deposit(user(0, 3, 1));
-        mb.deposit(Envelope {
-            src: 0,
-            tag: 3,
-            class: Class::Collective { seq: 1, round: 0 },
-            payload: vec![99],
-        });
-        let e = mb.take(Class::Collective { seq: 1, round: 0 }, Source::Any, ANY_TAG);
-        assert_eq!(e.payload, vec![99]);
-        let e = mb.take(Class::User, Source::Any, ANY_TAG);
-        assert_eq!(e.payload, vec![1]);
     }
 
     #[test]
     fn try_take_returns_none_on_no_match() {
         let mb = Mailbox::default();
         mb.deposit(user(2, 4, 7));
-        assert!(mb.try_take(Class::User, Source::Rank(0), 4).is_none());
-        assert!(mb.try_take(Class::User, Source::Rank(2), 5).is_none());
-        assert!(mb.try_take(Class::User, Source::Rank(2), 4).is_some());
+        assert!(mb.try_take(Source::Rank(0), 4).is_none());
+        assert!(mb.try_take(Source::Rank(2), 5).is_none());
+        assert!(mb.try_take(Source::Rank(2), 4).is_some());
         assert_eq!(mb.pending(), 0);
     }
 
@@ -181,7 +153,7 @@ mod tests {
         let mb = Arc::new(Mailbox::default());
         let mb2 = Arc::clone(&mb);
         let handle = std::thread::spawn(move || {
-            let e = mb2.take(Class::User, Source::Rank(3), 1);
+            let e = mb2.take(Source::Rank(3), 1);
             e.payload[0]
         });
         std::thread::sleep(std::time::Duration::from_millis(20));

@@ -1,6 +1,6 @@
 //! Rank spawning and the per-rank process handle.
 
-use crate::p2p::{Class, Envelope, Mailbox, Message, Source};
+use crate::p2p::{Envelope, Mailbox, Message, Source};
 use crate::stats::CommStats;
 use std::sync::Arc;
 use std::time::Instant;
@@ -36,7 +36,6 @@ where
                         world_size,
                         mailboxes,
                         stats: CommStats::default(),
-                        collective_seq: 0,
                     };
                     body(&mut process)
                 })
@@ -66,10 +65,6 @@ pub struct Process {
     pub(crate) world_size: usize,
     pub(crate) mailboxes: Arc<Vec<Mailbox>>,
     pub(crate) stats: CommStats,
-    /// Monotone counter giving each collective call a distinct sequence
-    /// number; all ranks call collectives in the same order (the MPI
-    /// contract), so counters agree across ranks.
-    pub(crate) collective_seq: u64,
 }
 
 impl Process {
@@ -105,7 +100,6 @@ impl Process {
         self.mailboxes[dest].deposit(Envelope {
             src: self.rank,
             tag,
-            class: Class::User,
             payload: payload.to_vec(),
         });
     }
@@ -113,7 +107,7 @@ impl Process {
     /// Blocks until a message matching the filter arrives and returns it.
     pub fn recv(&mut self, source: Source, tag: u32) -> Message {
         let t0 = Instant::now();
-        let e = self.mailboxes[self.rank].take(Class::User, source, tag);
+        let e = self.mailboxes[self.rank].take(source, tag);
         self.stats.blocked += t0.elapsed();
         self.stats.bytes_received += e.payload.len();
         self.stats.messages_received += 1;
@@ -126,7 +120,7 @@ impl Process {
 
     /// Non-blocking receive; `None` when no matching message is queued.
     pub fn try_recv(&mut self, source: Source, tag: u32) -> Option<Message> {
-        let e = self.mailboxes[self.rank].try_take(Class::User, source, tag)?;
+        let e = self.mailboxes[self.rank].try_take(source, tag)?;
         self.stats.bytes_received += e.payload.len();
         self.stats.messages_received += 1;
         Some(Message {
@@ -148,33 +142,6 @@ impl Process {
     ) -> Message {
         self.send(dest, send_tag, payload);
         self.recv(source, recv_tag)
-    }
-
-    // -- internal plumbing used by the collectives module ---------------
-
-    pub(crate) fn send_internal(&mut self, dest: usize, class: Class, payload: Vec<u8>) {
-        self.stats.bytes_sent += payload.len();
-        self.stats.messages_sent += 1;
-        self.mailboxes[dest].deposit(Envelope {
-            src: self.rank,
-            tag: 0,
-            class,
-            payload,
-        });
-    }
-
-    pub(crate) fn recv_internal(&mut self, src: usize, class: Class) -> Vec<u8> {
-        let t0 = Instant::now();
-        let e = self.mailboxes[self.rank].take(class, Source::Rank(src), crate::ANY_TAG);
-        self.stats.blocked += t0.elapsed();
-        self.stats.bytes_received += e.payload.len();
-        self.stats.messages_received += 1;
-        e.payload
-    }
-
-    pub(crate) fn next_collective_seq(&mut self) -> u64 {
-        self.collective_seq += 1;
-        self.collective_seq
     }
 }
 
