@@ -360,8 +360,8 @@ fn live_workspace_is_violation_free() {
     );
     assert_eq!(
         analysis.unsafe_inventory.len(),
-        3,
-        "unsafe surface is pinned to the two AVX GEMM kernels: {:?}",
+        4,
+        "unsafe surface is pinned to the two AVX GEMM kernels and the fused zipper site: {:?}",
         analysis.unsafe_inventory
     );
     assert!(analysis

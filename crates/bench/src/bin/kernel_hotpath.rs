@@ -8,7 +8,8 @@
 //!   (`gemm_unblocked_reference`): exactly the code that computed every
 //!   Gram entry before the zipper kernel landed;
 //! * **single-pair, new path** — `Mps::inner_into` with a reused
-//!   [`ZipperWorkspace`] over the blocked, register-tiled GEMM;
+//!   [`ZipperWorkspace`] on the CPU backend: the fused small-bond site
+//!   kernel at χ ≤ 4, the small and blocked GEMMs above;
 //! * **tile-batched, new path** — one workspace carried across a whole
 //!   row of inner products, the way `qk-gram` tile workers and `qk-serve`
 //!   batch workers run it.

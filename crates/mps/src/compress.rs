@@ -13,13 +13,6 @@ use qk_tensor::complex::Complex64;
 use qk_tensor::tensor::Tensor;
 
 impl Mps {
-    /// Multiplies the state by a complex scalar (applied at the center
-    /// tensor, so the canonical structure is untouched).
-    pub fn scale(&mut self, k: Complex64) {
-        let center = self.center();
-        self.sites_mut()[center].scale_inplace(k);
-    }
-
     /// Compresses every virtual bond with a right-to-left SVD sweep under
     /// `config`, returning the truncation record of the sweep (also merged
     /// into the state's cumulative stats).
@@ -104,7 +97,7 @@ mod tests {
     use super::*;
     use qk_circuit::Gate;
     use qk_tensor::backend::CpuBackend;
-    use qk_tensor::complex::{approx_eq, c64};
+    use qk_tensor::complex::approx_eq;
 
     fn backend() -> CpuBackend {
         CpuBackend::new()
@@ -202,17 +195,6 @@ mod tests {
         assert_eq!(psi.center(), 0);
         // Canonical invariant: norm still reads correctly at the center.
         assert!((psi.norm() - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn scale_multiplies_every_amplitude() {
-        let mut mps = Mps::plus_state(3);
-        mps.scale(c64(0.0, 2.0));
-        let sv = mps.to_statevector();
-        let expect = c64(0.0, 2.0 / 8f64.sqrt());
-        for z in sv {
-            assert!(approx_eq(z, expect, 1e-12));
-        }
     }
 
     #[test]

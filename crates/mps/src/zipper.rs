@@ -4,7 +4,8 @@
 //! calls per site) allocates a conjugated copy of every site tensor,
 //! permute-copies both operands and heap-allocates the environment at
 //! each of the `m` sites. This module walks the site slices directly:
-//! per site, exactly two GEMM calls into preallocated buffers —
+//! per site, one [`ExecutionBackend::zipper_site`] call into preallocated
+//! buffers, which computes
 //!
 //! 1. transfer: `T[l_a, (p, r_b)] = E[l_a, l_b] · B[l_b, (p, r_b)]`
 //!    (no permute needed: the contracted bond of `E` and of `B` already
@@ -12,27 +13,37 @@
 //! 2. fused-conjugate absorb:
 //!    `E'[r_a, r_b] = Σ_{l_a, p} conj(A[(l_a, p), r_a]) · T[(l_a, p), r_b]`,
 //!    which is `A^H · T` with `A` read as an `(l_a·2) x r_a` matrix —
-//!    conjugation happens inside [`ExecutionBackend::gemm_conj_a`], so
-//!    `conj(A)` is never materialized.
+//!    conjugation happens inside the kernel, so `conj(A)` is never
+//!    materialized.
+//!
+//! The trait's default runs these as two GEMM calls (`gemm`, then
+//! `gemm_conj_a`), which is what the accelerator's cost model prices.
+//! `CpuBackend` runs a site whose four bonds are all at most 4 (the
+//! paper's d = 1, r = 2 regime) as one fused AVX kernel
+//! (`qk_tensor::matrix::zipper_site`): `T` is computed in registers and
+//! parked in the panel, and `E'` is absorbed from there in the same
+//! call. Any larger site takes the two GEMMs. Between sites the
+//! environment is always row-major `l_a x l_b`, so fused and general
+//! sites mix in one chain.
 //!
 //! A [`ZipperWorkspace`] holds two ping-pong environment buffers and one
-//! transfer panel, sized once from the largest bond product and reused
+//! transfer panel, grown during the walk (never shrunk) and reused
 //! across calls; after warm-up an inner product performs **zero** heap
 //! allocation. `qk-gram`'s tile workers (behind `core::gram` too) and
 //! `qk-serve`'s batch workers each hold one workspace per worker, which
 //! amortizes the buffers across whole Gram tiles and kernel rows.
 //!
-//! **Determinism.** The per-element accumulation order of both GEMMs is
+//! **Determinism.** The per-element accumulation order of a site is
 //! fixed by `qk-tensor`'s kernels independent of path, backend or thread
-//! count: the shape of a step picks the blocked kernel (χ ≥ 13), the
-//! unpacked small AVX kernel (χ ≤ 12, so all of the paper's d = 1 regime)
-//! or, without AVX, the scalar loops, and all three produce the same bits.
-//! So every caller of [`crate::Mps::inner_with`] /
-//! [`crate::Mps::inner_into`] sees bitwise-identical values for the same
-//! operands — the property `qk-gram`'s tile × workers × spill × resume
-//! reproducibility pins rely on. The backend is shared by every worker and
-//! called twice per site, so it must stay free of shared mutable state
-//! (`CpuBackend` is zero-sized).
+//! count: the fused small-bond step (bonds ≤ 4), the blocked GEMM
+//! (χ ≥ 13), the unpacked small AVX GEMM (χ ≤ 12) or, without AVX, the
+//! scalar loops, and all of them produce the same bits. So every caller
+//! of [`crate::Mps::inner_with`] / [`crate::Mps::inner_into`] sees
+//! bitwise-identical values for the same operands — the property
+//! `qk-gram`'s tile × workers × spill × resume reproducibility pins rely
+//! on. The backend is shared by every worker and called once per site,
+//! so it must stay free of shared mutable state (`CpuBackend` is
+//! zero-sized).
 
 use qk_tensor::backend::ExecutionBackend;
 use qk_tensor::complex::Complex64;
@@ -93,40 +104,25 @@ pub(crate) fn zip_inner(
     b_sites: &[Tensor],
     backend: &dyn ExecutionBackend,
 ) -> Complex64 {
-    // Size pass (no allocation: reads shapes only), so the walk below
-    // never reallocates mid-chain.
-    let mut env_len = 1usize;
-    let mut panel_len = 2usize;
-    for (a, b) in a_sites.iter().zip(b_sites) {
-        let (la, ra) = (a.shape()[0], a.shape()[2]);
-        let (lb, rb) = (b.shape()[0], b.shape()[2]);
-        env_len = env_len.max(la * lb).max(ra * rb);
-        panel_len = panel_len.max(la * 2 * rb);
-    }
-    ws.ensure(env_len, panel_len);
-
+    // Buffers grow during the walk (`Vec::resize` keeps the live
+    // environment); on a warm workspace each check is two compares.
+    ws.ensure(1, 0);
     // Trivial 1x1 boundary environment.
     ws.env[0] = Complex64::ONE;
     for (a, b) in a_sites.iter().zip(b_sites) {
         let (la, ra) = (a.shape()[0], a.shape()[2]);
         let (lb, rb) = (b.shape()[0], b.shape()[2]);
-        // T[l_a, (p, r_b)] = E · B, with B read as an (l_b x 2 r_b) matrix.
-        backend.gemm(
+        ws.ensure((la * lb).max(ra * rb), la * 2 * rb);
+        // T[l_a, (p, r_b)] = E · B, then E'[r_a, r_b] = A^H · T.
+        backend.zipper_site(
             la,
             lb,
-            2 * rb,
+            ra,
+            rb,
             &ws.env[..la * lb],
+            a.data(),
             b.data(),
             &mut ws.panel[..la * 2 * rb],
-        );
-        // E'[r_a, r_b] = A^H · T, with A read as an (l_a·2 x r_a) matrix;
-        // conjugation is fused into the kernel.
-        backend.gemm_conj_a(
-            ra,
-            la * 2,
-            rb,
-            a.data(),
-            &ws.panel[..la * 2 * rb],
             &mut ws.env_next[..ra * rb],
         );
         std::mem::swap(&mut ws.env, &mut ws.env_next);
@@ -137,6 +133,7 @@ pub(crate) fn zip_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qk_tensor::backend::{AcceleratorBackend, CpuBackend, DeviceModel};
 
     #[test]
     fn workspace_grows_and_reports_capacity() {
@@ -150,5 +147,66 @@ mod tests {
         assert_eq!(ws.capacity_bytes(), bytes);
         let pre = ZipperWorkspace::with_bond_capacity(8);
         assert_eq!(pre.capacity_bytes(), (64 + 64 + 128) * 16);
+    }
+
+    /// A site chain with the given bonds and pseudo-random entries.
+    fn chain(bonds: &[usize], seed: u64) -> Vec<Tensor> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        bonds
+            .windows(2)
+            .map(|w| {
+                let data = (0..w[0] * 2 * w[1])
+                    .map(|_| Complex64::new(next(), next()))
+                    .collect();
+                Tensor::from_data(&[w[0], 2, w[1]], data)
+            })
+            .collect()
+    }
+
+    fn dirty(ws: &mut ZipperWorkspace) {
+        let nan = Complex64::new(f64::NAN, -7.0);
+        for buf in [&mut ws.env, &mut ws.env_next, &mut ws.panel] {
+            buf.fill(nan);
+        }
+    }
+
+    #[test]
+    fn fused_and_general_sites_mix_in_one_chain() {
+        // Bra and ket bonds differ, so sites go fused (every bond <= 4),
+        // general at chi = 5 and general at chi = 8 within one walk; the
+        // workspace starts empty (it grows mid-walk), is reused across
+        // calls in both size orders and is NaN-dirtied before each one.
+        let bras = [
+            vec![1, 2, 4, 5, 8, 8, 5, 4, 2, 1],
+            vec![1, 2, 3, 4, 4, 3, 4, 2, 2, 1],
+        ];
+        let kets = [
+            vec![1, 2, 4, 4, 8, 5, 4, 3, 2, 1],
+            vec![1, 2, 4, 3, 4, 4, 2, 4, 2, 1],
+        ];
+        // The accelerator inherits the trait's two-GEMM `zipper_site`.
+        let two_gemm = AcceleratorBackend::new(DeviceModel::ideal());
+        let (mut ws_fused, mut ws_two) = (ZipperWorkspace::new(), ZipperWorkspace::new());
+        for round in 0..2u64 {
+            for (i, bra) in bras.iter().enumerate() {
+                for (j, ket) in kets.iter().enumerate() {
+                    let a = chain(bra, round * 10 + i as u64);
+                    let b = chain(ket, round * 10 + 5 + j as u64);
+                    let fused = zip_inner(&mut ws_fused, &a, &b, &CpuBackend);
+                    let two = zip_inner(&mut ws_two, &a, &b, &two_gemm);
+                    assert!(fused.norm() > 0.0);
+                    assert_eq!(fused.re.to_bits(), two.re.to_bits(), "{bra:?} {ket:?}");
+                    assert_eq!(fused.im.to_bits(), two.im.to_bits(), "{bra:?} {ket:?}");
+                    dirty(&mut ws_fused);
+                    dirty(&mut ws_two);
+                }
+            }
+        }
     }
 }

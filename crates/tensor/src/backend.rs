@@ -57,6 +57,33 @@ pub trait ExecutionBackend: Send + Sync {
         crate::matrix::gemm_conj_a(m, k, n, a, b, c);
     }
 
+    /// One site of the zipper inner product: the transfer
+    /// `panel = env · b` (`env: la x lb`, `b: lb x 2·rb`) and then the
+    /// absorb `out = a^H · panel` (`a: 2·la x ra`, `panel` read as
+    /// `2·la x rb`), overwriting `out` (`ra x rb`).
+    ///
+    /// The default is exactly those two calls, so backends that price
+    /// each GEMM (the accelerator's virtual clock) keep charging two
+    /// primitives per site. [`CpuBackend`] overrides it with a kernel
+    /// that fuses both steps when every bond is at most 4 and produces
+    /// the same bits.
+    #[allow(clippy::too_many_arguments)]
+    fn zipper_site(
+        &self,
+        la: usize,
+        lb: usize,
+        ra: usize,
+        rb: usize,
+        env: &[Complex64],
+        a: &[Complex64],
+        b: &[Complex64],
+        panel: &mut [Complex64],
+        out: &mut [Complex64],
+    ) {
+        self.gemm(la, lb, 2 * rb, env, b, panel);
+        self.gemm_conj_a(ra, 2 * la, rb, a, panel, out);
+    }
+
     /// Thin SVD of a row-major `m x n` matrix.
     fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd;
 
@@ -100,6 +127,21 @@ impl ExecutionBackend for CpuBackend {
         c: &mut [Complex64],
     ) {
         gemm_serial(m, k, n, a, b, c);
+    }
+
+    fn zipper_site(
+        &self,
+        la: usize,
+        lb: usize,
+        ra: usize,
+        rb: usize,
+        env: &[Complex64],
+        a: &[Complex64],
+        b: &[Complex64],
+        panel: &mut [Complex64],
+        out: &mut [Complex64],
+    ) {
+        crate::matrix::zipper_site(la, lb, ra, rb, env, a, b, panel, out);
     }
 
     fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {

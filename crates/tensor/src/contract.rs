@@ -97,13 +97,6 @@ fn validate_axes(t: &Tensor, axes: &[usize]) {
     }
 }
 
-/// Contracts all axes of two equal-shape tensors with the first operand
-/// conjugated: the Hilbert-space inner product `<a, b>`.
-pub fn inner_full(a: &Tensor, b: &Tensor) -> Complex64 {
-    assert_eq!(a.shape(), b.shape(), "inner_full requires equal shapes");
-    crate::matrix::dot_conj(a.data(), b.data())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,13 +206,6 @@ mod tests {
         let a = fill(&[2, 2], 13);
         let b = fill(&[2, 2], 14);
         let _ = contract(&a, &[0, 0], &b, &[0, 1]);
-    }
-
-    #[test]
-    fn inner_full_is_conjugate_linear() {
-        let a = Tensor::from_data(&[2], vec![c64(0.0, 1.0), c64(1.0, 0.0)]);
-        let b = Tensor::from_data(&[2], vec![c64(0.0, 1.0), c64(1.0, 0.0)]);
-        assert!(approx_eq(inner_full(&a, &b), c64(2.0, 0.0), 1e-12));
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod tensor;
 
 pub use backend::{AcceleratorBackend, BackendKind, CpuBackend, DeviceModel, ExecutionBackend};
 pub use complex::{c64, Complex64};
-pub use contract::{contract, contract_with, inner_full};
+pub use contract::{contract, contract_with};
 pub use svd::{split_two_qubit_gate, svd, svd_parallel, Svd};
 pub use tensor::Tensor;

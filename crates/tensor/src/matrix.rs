@@ -26,18 +26,26 @@
 //! * The dense inner loop is branch-free: no per-element zero check (see
 //!   [`gemm_row`] for why the old check was removed).
 //!
-//! The small path ([`gemm_small_avx`]) is the zipper at χ ≤ 12 — which
-//! includes the paper's d = 1 regime (χ = 4), where both GEMMs of a site
-//! are a few hundred multiply-adds and packing, zero-filling `c` and
-//! re-loading it per `p` cost more than the arithmetic. It reads the
-//! interleaved operands in place, two complex per 256-bit vector.
+//! The small path ([`gemm_small_avx`]) is the zipper at 5 ≤ χ ≤ 12, where
+//! both GEMMs of a site are a few hundred multiply-adds and packing,
+//! zero-filling `c` and re-loading it per `p` cost more than the
+//! arithmetic. It reads the interleaved operands in place, two complex
+//! per 256-bit vector.
+//!
+//! Below that, a zipper site whose four bonds are all at most
+//! `FUSED_MAX_BOND` = 4 (the paper's d = 1 regime) does not go through
+//! GEMM at all: `zipper_site` runs the transfer `T = E · B` and the
+//! absorb `E' = A^H · T` as one fused AVX kernel with the column count a
+//! constant — no per-call shape checks, path choice or tile loops, and
+//! each `T` row loaded once for every output row. Without AVX, or at any
+//! larger bond, `zipper_site` is the two GEMM calls.
 //!
 //! **Determinism contract.** Every kernel in this module accumulates each
 //! output element in strictly increasing `p` order with the exact
 //! [`Complex64::mul_add`] / [`Complex64::conj_mul_add`] operation order.
 //! Blocking only changes *when* partial sums are parked in memory, never
-//! the order terms are added, so the blocked, small and scalar paths are
-//! bitwise identical on the same finite operands.
+//! the order terms are added, so the blocked, small, fused and scalar
+//! paths are bitwise identical on the same finite operands.
 //! (A skipped `0 * x` term cannot show either: every element starts from
 //! `+0.0`, and under round-to-nearest a sum that starts there never
 //! becomes `-0.0`, so adding `±0` leaves it as it was.) The Gram engine's
@@ -355,6 +363,204 @@ fn small_tile_avx<const R: usize, const NV: usize, const CONJ: bool>(
             let hi = _mm256_extractf128_pd::<1>(*acc_v);
             pair[0] = Complex64::new(_mm_cvtsd_f64(lo), _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)));
             pair[1] = Complex64::new(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
+        }
+    }
+}
+
+/// Largest bond on every side of a zipper site that [`zipper_site`] runs
+/// fused: the paper's d = 1, r = 2 regime, where no bond exceeds
+/// `2^r = 4`.
+const FUSED_MAX_BOND: usize = 4;
+
+/// Zero `env` entries for the missing second row of an odd-`la` pass.
+const ZERO_ROW: [Complex64; FUSED_MAX_BOND] = [Complex64::ZERO; FUSED_MAX_BOND];
+
+/// One zipper site: the transfer `panel = env · b` (`env: la x lb`,
+/// `b: lb x 2·rb`) and then the absorb `out = a^H · panel` (`a` stored
+/// `2·la x ra`, `panel` read as `2·la x rb`), overwriting `out`
+/// (`ra x rb`).
+///
+/// With every bond at most [`FUSED_MAX_BOND`] and AVX present this runs
+/// the fused AVX kernel, both steps in one call with the column count a
+/// constant; otherwise it is [`gemm_serial`] followed by [`gemm_conj_a`].
+/// The two produce the same bits.
+///
+/// # Panics
+/// Panics if slice lengths do not match the bonds.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn zipper_site(
+    la: usize,
+    lb: usize,
+    ra: usize,
+    rb: usize,
+    env: &[Complex64],
+    a: &[Complex64],
+    b: &[Complex64],
+    panel: &mut [Complex64],
+    out: &mut [Complex64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if la.max(lb).max(ra) <= FUSED_MAX_BOND
+        && (1..=FUSED_MAX_BOND).contains(&rb)
+        && std::arch::is_x86_feature_detected!("avx")
+    {
+        // SAFETY: AVX support was just verified at runtime, the only
+        // requirement of `zipper_site_avx`: it is a safe `#[target_feature]`
+        // fn over bounds-checked slices and register-only intrinsics.
+        unsafe { zipper_site_avx(la, lb, ra, rb, env, a, b, panel, out) };
+        return;
+    }
+    gemm_serial(la, lb, 2 * rb, env, b, panel);
+    gemm_conj_a(ra, 2 * la, rb, a, panel, out);
+}
+
+/// The fused small-bond site: dispatches `rb` to a const vector count
+/// (`rb` vectors per transfer row, `ceil(rb / 2)` per absorb row) so
+/// [`fused_site_avx`] runs with every column offset a constant; `la`,
+/// `lb` and `ra` stay runtime loop bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+fn zipper_site_avx(
+    la: usize,
+    lb: usize,
+    ra: usize,
+    rb: usize,
+    env: &[Complex64],
+    a: &[Complex64],
+    b: &[Complex64],
+    panel: &mut [Complex64],
+    out: &mut [Complex64],
+) {
+    assert!(
+        env.len() == la * lb
+            && b.len() == lb * 2 * rb
+            && a.len() == 2 * la * ra
+            && panel.len() == la * 2 * rb
+            && out.len() == ra * rb,
+        "zipper site operands must match bonds ({la}, {lb}, {ra}, {rb})"
+    );
+    match rb {
+        1 => fused_site_avx::<1, 1, true>(la, lb, ra, env, a, b, panel, out),
+        2 => fused_site_avx::<2, 1, false>(la, lb, ra, env, a, b, panel, out),
+        3 => fused_site_avx::<3, 2, true>(la, lb, ra, env, a, b, panel, out),
+        _ => fused_site_avx::<4, 2, false>(la, lb, ra, env, a, b, panel, out),
+    }
+}
+
+/// [`zipper_site_avx`] at `rb = RB`, in one body with no call inside.
+///
+/// Transfer: two rows of `T = env · b` per pass, `RB` accumulators each
+/// (at most 8 `ymm` registers), `env` entries broadcast straight from
+/// memory; an odd last row is paired with a zero row that is never
+/// stored. Each finished row pair is parked in `panel`.
+///
+/// Absorb: every row of `out = a^H · T` at once, `NA` accumulators per
+/// row (at most 8), so each `T` row is loaded and re/im-swapped once for
+/// all `ra` outputs. With `ODD` the last vector's upper lane pair is
+/// loaded as `0.0`; lanes never mix in `vmulpd`/`vaddpd`/`vaddsubpd`,
+/// and the in-lane swap only pairs a complex with itself, so that lane
+/// pair is discarded unstored.
+///
+/// Every element runs [`small_tile_avx`]'s exact sequence: from `+0.0`,
+/// strictly increasing `p`, `t1 = acc + bcast(re) * b`,
+/// `acc = addsub(t1, bcast(im) * s)` with `s` negated for `a^H`, no FMA.
+/// Unlike that kernel the absorb does not skip zero `a` entries: a sum
+/// that starts at `+0.0` never becomes `-0.0` under round-to-nearest, so
+/// adding the `±0` term of a zero entry (and finite `T`) leaves it as it
+/// was, and the bits agree (the module doc's zero-skip argument).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn fused_site_avx<const RB: usize, const NA: usize, const ODD: bool>(
+    la: usize,
+    lb: usize,
+    ra: usize,
+    env: &[Complex64],
+    a: &[Complex64],
+    b: &[Complex64],
+    panel: &mut [Complex64],
+    out: &mut [Complex64],
+) {
+    use std::arch::x86_64::*;
+    let mut i = 0;
+    while i < la {
+        let pair = la - i >= 2;
+        let e0_row = &env[i * lb..][..lb];
+        let e1_row = if pair {
+            &env[(i + 1) * lb..][..lb]
+        } else {
+            &ZERO_ROW[..lb]
+        };
+        let mut acc = [[_mm256_setzero_pd(); RB]; 2];
+        for p in 0..lb {
+            let (e0, e1) = (&e0_row[p], &e1_row[p]);
+            let are = [_mm256_broadcast_sd(&e0.re), _mm256_broadcast_sd(&e1.re)];
+            let aim = [_mm256_broadcast_sd(&e0.im), _mm256_broadcast_sd(&e1.im)];
+            let b_row = &b[p * 2 * RB..][..2 * RB];
+            for v in 0..RB {
+                let (b0, b1) = (b_row[2 * v], b_row[2 * v + 1]);
+                let bv = _mm256_setr_pd(b0.re, b0.im, b1.re, b1.im);
+                let sv = _mm256_permute_pd::<0b0101>(bv);
+                for r in 0..2 {
+                    let t1 = _mm256_add_pd(acc[r][v], _mm256_mul_pd(are[r], bv));
+                    acc[r][v] = _mm256_addsub_pd(t1, _mm256_mul_pd(aim[r], sv));
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate().take(if pair { 2 } else { 1 }) {
+            let t_row = &mut panel[(i + r) * 2 * RB..][..2 * RB];
+            for (v, acc_v) in acc_row.iter().enumerate() {
+                let (lo, hi) = (
+                    _mm256_castpd256_pd128(*acc_v),
+                    _mm256_extractf128_pd::<1>(*acc_v),
+                );
+                t_row[2 * v] =
+                    Complex64::new(_mm_cvtsd_f64(lo), _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)));
+                t_row[2 * v + 1] =
+                    Complex64::new(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
+            }
+        }
+        i += 2;
+    }
+
+    let neg = _mm256_set1_pd(-0.0);
+    let mut acc = [[_mm256_setzero_pd(); NA]; FUSED_MAX_BOND];
+    for q in 0..2 * la {
+        let t_row = &panel[q * RB..][..RB];
+        let mut tv = [_mm256_setzero_pd(); NA];
+        let mut sv = [_mm256_setzero_pd(); NA];
+        for v in 0..NA {
+            let t0 = t_row[2 * v];
+            let t1 = if ODD && v == NA - 1 {
+                Complex64::ZERO
+            } else {
+                t_row[2 * v + 1]
+            };
+            tv[v] = _mm256_setr_pd(t0.re, t0.im, t1.re, t1.im);
+            sv[v] = _mm256_xor_pd(_mm256_permute_pd::<0b0101>(tv[v]), neg);
+        }
+        let a_row = &a[q * ra..][..ra];
+        for (acc_row, x) in acc.iter_mut().zip(a_row) {
+            let (xre, xim) = (_mm256_broadcast_sd(&x.re), _mm256_broadcast_sd(&x.im));
+            for v in 0..NA {
+                let t1 = _mm256_add_pd(acc_row[v], _mm256_mul_pd(xre, tv[v]));
+                acc_row[v] = _mm256_addsub_pd(t1, _mm256_mul_pd(xim, sv[v]));
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate().take(ra) {
+        let o_row = &mut out[r * RB..][..RB];
+        for (v, acc_v) in acc_row.iter().enumerate() {
+            let lo = _mm256_castpd256_pd128(*acc_v);
+            o_row[2 * v] =
+                Complex64::new(_mm_cvtsd_f64(lo), _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)));
+            if !(ODD && v == NA - 1) {
+                let hi = _mm256_extractf128_pd::<1>(*acc_v);
+                o_row[2 * v + 1] =
+                    Complex64::new(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
+            }
         }
     }
 }
@@ -745,21 +951,6 @@ fn gemm_conj_a_scalar(
     }
 }
 
-/// Matrix-vector product `y = a * x` with `a: m x n`.
-pub fn matvec(m: usize, n: usize, a: &[Complex64], x: &[Complex64], y: &mut [Complex64]) {
-    assert_eq!(a.len(), m * n);
-    assert_eq!(x.len(), n);
-    assert_eq!(y.len(), m);
-    for i in 0..m {
-        let row = &a[i * n..(i + 1) * n];
-        let mut acc = Complex64::ZERO;
-        for (aij, xj) in row.iter().zip(x) {
-            acc = acc.mul_add(*aij, *xj);
-        }
-        y[i] = acc;
-    }
-}
-
 /// Conjugated dot product `sum_i conj(a_i) * b_i` (the Hilbert-space inner
 /// product convention: antilinear in the first argument).
 pub fn dot_conj(a: &[Complex64], b: &[Complex64]) -> Complex64 {
@@ -987,15 +1178,45 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_gemm() {
-        let (m, n) = (6, 4);
-        let a = test_matrix(m, n, 8);
-        let x = test_matrix(n, 1, 9);
-        let mut y = vec![Complex64::ZERO; m];
-        matvec(m, n, &a, &x, &mut y);
-        let expect = naive_gemm(m, n, 1, &a, &x);
-        for (u, v) in y.iter().zip(&expect) {
-            assert!(approx_eq(*u, *v, 1e-10));
+    fn fused_zipper_site_is_bitwise_identical_to_two_gemms() {
+        // Every bond shape the fused step takes, (la, lb, ra, rb) in
+        // {1..4}^4: even and odd `la` (a transfer row paired with a zero
+        // row), odd `rb` (the padded absorb lane) and `ra` below 4 (the
+        // skipped output rows). Operands dense and full of 0.0 / -0.0 /
+        // pure-real / pure-imaginary entries, where the fused absorb adds
+        // the zero terms the two-GEMM path skips; `panel` and `out` start
+        // NaN-dirty, so an unwritten or misplaced entry shows.
+        for la in 1..=FUSED_MAX_BOND {
+            for lb in 1..=FUSED_MAX_BOND {
+                for ra in 1..=FUSED_MAX_BOND {
+                    for rb in 1..=FUSED_MAX_BOND {
+                        let seed = (la * 1000 + lb * 100 + ra * 10 + rb) as u64;
+                        let dense = (
+                            test_matrix(la, lb, seed),
+                            test_matrix(2 * la, ra, seed + 1),
+                            test_matrix(lb, 2 * rb, seed + 2),
+                        );
+                        let sparse = (
+                            sparse_matrix(la, lb, seed),
+                            sparse_matrix(2 * la, ra, seed + 1),
+                            sparse_matrix(lb, 2 * rb, seed + 2),
+                        );
+                        for (env, a, b) in [dense, sparse] {
+                            let dirty = c64(f64::NAN, -7.0);
+                            let mut panel = vec![dirty; la * 2 * rb];
+                            let mut out = vec![dirty; ra * rb];
+                            zipper_site(la, lb, ra, rb, &env, &a, &b, &mut panel, &mut out);
+                            let mut panel2 = vec![Complex64::ZERO; la * 2 * rb];
+                            let mut out2 = vec![Complex64::ZERO; ra * rb];
+                            gemm_serial(la, lb, 2 * rb, &env, &b, &mut panel2);
+                            gemm_conj_a(ra, 2 * la, rb, &a, &panel2, &mut out2);
+                            let shape = (la, lb, ra, rb);
+                            assert_eq!(bits(&panel), bits(&panel2), "panel {shape:?}");
+                            assert_eq!(bits(&out), bits(&out2), "out {shape:?}");
+                        }
+                    }
+                }
+            }
         }
     }
 

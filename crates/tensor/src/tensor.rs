@@ -45,23 +45,6 @@ impl Tensor {
         }
     }
 
-    /// A rank-0 scalar tensor.
-    pub fn scalar(value: Complex64) -> Self {
-        Tensor {
-            shape: vec![],
-            data: vec![value],
-        }
-    }
-
-    /// The identity matrix as a rank-2 tensor.
-    pub fn identity(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = Complex64::ONE;
-        }
-        t
-    }
-
     /// Tensor shape (bond dimensions of each axis).
     #[inline]
     pub fn shape(&self) -> &[usize] {
@@ -209,13 +192,6 @@ impl Tensor {
         }
     }
 
-    /// Scales every entry by a complex factor in place.
-    pub fn scale_inplace(&mut self, k: Complex64) {
-        for z in &mut self.data {
-            *z *= k;
-        }
-    }
-
     /// Scales every entry by a real factor in place.
     pub fn scale_real_inplace(&mut self, k: f64) {
         for z in &mut self.data {
@@ -261,29 +237,6 @@ mod tests {
         assert_eq!(t.len(), 24);
         assert_eq!(t.rank(), 3);
         assert!(t.data().iter().all(|z| *z == Complex64::ZERO));
-    }
-
-    #[test]
-    fn scalar_tensor() {
-        let t = Tensor::scalar(c64(2.0, 1.0));
-        assert_eq!(t.rank(), 0);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.data()[0], c64(2.0, 1.0));
-    }
-
-    #[test]
-    fn identity_matrix() {
-        let t = Tensor::identity(3);
-        for i in 0..3 {
-            for j in 0..3 {
-                let expect = if i == j {
-                    Complex64::ONE
-                } else {
-                    Complex64::ZERO
-                };
-                assert_eq!(t.get(&[i, j]), expect);
-            }
-        }
     }
 
     #[test]
@@ -373,13 +326,5 @@ mod tests {
     fn memory_bytes_counts_entries() {
         let t = Tensor::zeros(&[4, 4]);
         assert_eq!(t.memory_bytes(), 16 * 16);
-    }
-
-    #[test]
-    fn scale_inplace_works() {
-        let mut t = Tensor::from_data(&[2], vec![c64(1.0, 0.0), c64(0.0, 1.0)]);
-        t.scale_inplace(c64(0.0, 1.0));
-        assert_eq!(t.data()[0], c64(0.0, 1.0));
-        assert_eq!(t.data()[1], c64(-1.0, 0.0));
     }
 }
