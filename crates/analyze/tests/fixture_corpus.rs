@@ -360,8 +360,9 @@ fn live_workspace_is_violation_free() {
     );
     assert_eq!(
         analysis.unsafe_inventory.len(),
-        4,
-        "unsafe surface is pinned to the two AVX GEMM kernels and the fused zipper site: {:?}",
+        6,
+        "unsafe surface is pinned to the two AVX GEMM kernels, the fused zipper site and \
+         the two AVX Jacobi drivers: {:?}",
         analysis.unsafe_inventory
     );
     assert!(analysis

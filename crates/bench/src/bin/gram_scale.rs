@@ -11,6 +11,8 @@
 //!   SIGKILLed run picks up from its last completed tile. `--out FILE`
 //!   writes the raw little-endian matrix bytes, which CI diffs between
 //!   a killed+resumed run and a clean run (they must be identical).
+//!   The checkpoint directory defaults to `gram_scale_ckpt` under
+//!   `qk_bench::results_dir()`, as `BENCH_gram_scale_smoke.json` does.
 //!
 //! Usage:
 //!   cargo run --release -p qk-bench --bin gram_scale -- \
@@ -44,7 +46,7 @@
 //! `--hb-timeout-ms` — the CI chaos drill drives both paths.
 
 use qk_bench::schema::{BenchMeta, BenchResult, Direction};
-use qk_bench::{export_trace, sample_rows, Args, Scale};
+use qk_bench::{export_trace, results_dir, sample_rows, Args, Scale};
 use qk_chaos::{Chaos, FaultPlan};
 use qk_circuit::AnsatzConfig;
 use qk_core::simulate_states;
@@ -106,10 +108,9 @@ fn smoke(args: &Args) {
     let features = args.get_or("features", 6usize);
     let tile = args.get_or("tile", 8usize);
     let workers = args.get_or("workers", 2usize);
-    let dir = PathBuf::from(
-        args.get("checkpoint-dir")
-            .unwrap_or("results/gram_scale_ckpt"),
-    );
+    let dir = args
+        .get("checkpoint-dir")
+        .map_or_else(|| results_dir().join("gram_scale_ckpt"), PathBuf::from);
     let resume = args.flag("resume");
     if !resume && dir.exists() {
         std::fs::remove_dir_all(&dir).expect("wiping stale checkpoint dir");

@@ -8,7 +8,9 @@
 //! degrade to bitwise-identical recomputation instead of aborting.
 //!
 //! A fresh run wipes the checkpoint directory first; `--resume` keeps
-//! it, so a SIGKILLed run warm-starts from its last stored snapshot.
+//! it, so a SIGKILLed run warm-starts from its last stored snapshot. The
+//! directory defaults to `svm_train_ckpt` under `qk_bench::results_dir()`
+//! (`$QK_RESULTS_DIR`, else the system temp directory).
 //! `--out FILE` writes the model bytes (pass count, bias, then every
 //! alpha, all little-endian), which CI `cmp`s between a killed+resumed
 //! run and a clean run — they must be identical. The report prints the
@@ -30,7 +32,7 @@
 //! `robustness:` section carries the recovery counters CI asserts on.
 
 use qk_bench::schema::{BenchMeta, BenchResult, Direction};
-use qk_bench::{sample_rows, Args};
+use qk_bench::{results_dir, sample_rows, Args};
 use qk_chaos::{Chaos, FaultPlan};
 use qk_circuit::AnsatzConfig;
 use qk_core::simulate_states;
@@ -75,7 +77,9 @@ fn smoke(args: &Args) {
     let features = args.get_or("features", 4usize);
     let tile = args.get_or("tile", 8usize);
     let c = args.get_or("c", 2.0f64);
-    let dir = PathBuf::from(args.get("ckpt-dir").unwrap_or("results/svm_train_ckpt"));
+    let dir = args
+        .get("ckpt-dir")
+        .map_or_else(|| results_dir().join("svm_train_ckpt"), PathBuf::from);
     let resume = args.flag("resume");
     if !resume && dir.exists() {
         std::fs::remove_dir_all(&dir).expect("wiping stale checkpoint dir");

@@ -2,7 +2,7 @@
 //!
 //! Every binary accepts `--scale ci|default|paper` plus experiment-specific
 //! overrides, prints the paper's rows/series to stdout, and writes a JSON
-//! record under `results/` so plots can be regenerated offline. "paper"
+//! record to [`results_dir`] so plots can be regenerated offline. "paper"
 //! scale uses the manuscript's exact parameters (slow without cluster
 //! hardware); "default" reproduces each figure's *shape* at laptop scale;
 //! "ci" is a smoke test.
@@ -100,16 +100,21 @@ impl Args {
     }
 }
 
-/// Writes a serializable record to `<dir>/<name>.json`, where `<dir>`
-/// is `$QK_RESULTS_DIR` if set, else `results/` under the current
-/// directory (best effort; the harness still succeeds if the directory
-/// is unwritable). CI points `QK_RESULTS_DIR` at a scratch directory so
-/// fresh runs never clobber the committed baselines they are compared
-/// against.
-pub fn write_results<T: Serialize>(name: &str, value: &T) {
-    let dir = std::env::var_os("QK_RESULTS_DIR")
+/// Where harness output goes: `$QK_RESULTS_DIR` if set, else
+/// `qk-results` under the system temp directory. Nothing lands in the
+/// checkout's `results/`, which holds the committed perf-gate baselines,
+/// unless `QK_RESULTS_DIR` names it.
+pub fn results_dir() -> PathBuf {
+    std::env::var_os("QK_RESULTS_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
+        .unwrap_or_else(|| std::env::temp_dir().join("qk-results"))
+}
+
+/// Writes a serializable record to `<dir>/<name>.json` with `<dir>` the
+/// [`results_dir`] (best effort; the harness still succeeds if the
+/// directory is unwritable).
+pub fn write_results<T: Serialize>(name: &str, value: &T) {
+    let dir = results_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }

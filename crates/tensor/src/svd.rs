@@ -36,6 +36,22 @@
 //!
 //! The matrix is stored column-major internally so that a Jacobi rotation
 //! touches two contiguous columns.
+//!
+//! **Kernels.** Each driver has one body, generic over its inner loops:
+//! the dot product `x^H y`, the rotation of a column pair and, in the
+//! serial driver, the fused step that rotates a pair (and its `V` columns)
+//! and returns the next pair's dot product on the rotated column. That
+//! next pair is known before the rotation (only a pair's own rotation
+//! moves its second column's norm), and a pair that does not rotate gets
+//! a plain dot product instead. [`svd`] and [`svd_parallel`] check for AVX
+//! once per call and then run the body inside a `#[target_feature(enable
+//! = "avx")]` wrapper on AVX kernels (two complex entries per 256-bit
+//! vector); [`svd_scalar`] and [`svd_parallel_scalar`] run it on the
+//! portable scalar kernels. The two return the same bits: every value
+//! goes through the scalar code's float operations in the scalar code's
+//! order, lane for lane, with no FMA, and the dot product stays one chain
+//! over the entries in increasing order. The serial dot chain's add
+//! latency is what the fused step hides the rotations behind.
 
 use crate::complex::Complex64;
 use crate::matrix::conj_transpose;
@@ -112,6 +128,9 @@ const MAX_SWEEPS: usize = 60;
 
 /// Computes the thin SVD of a row-major `m x n` complex matrix.
 ///
+/// Runs the AVX kernels when the CPU has AVX (one check per call) and
+/// [`svd_scalar`] otherwise; the two return the same bits.
+///
 /// # Panics
 /// Panics if `a.len() != m * n`.
 pub fn svd(m: usize, n: usize, a: &[Complex64]) -> Svd {
@@ -120,7 +139,44 @@ pub fn svd(m: usize, n: usize, a: &[Complex64]) -> Svd {
         a.iter().all(|z| z.is_finite()),
         "svd input contains non-finite entries"
     );
-    via_tall(m, n, a, svd_tall)
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX support was just verified at runtime, the only
+        // requirement of `svd_avx`: it is a safe `#[target_feature]` fn
+        // over bounds-checked slices and register-only intrinsics.
+        return unsafe { svd_avx(m, n, a) };
+    }
+    svd_scalar(m, n, a)
+}
+
+/// [`svd`] on the portable scalar kernels: the fallback without AVX and
+/// the bitwise reference of the AVX path.
+///
+/// # Panics
+/// Panics if `a.len() != m * n`.
+pub fn svd_scalar(m: usize, n: usize, a: &[Complex64]) -> Svd {
+    assert_eq!(a.len(), m * n, "svd: matrix size mismatch");
+    via_tall(m, n, a, |m, n, a| {
+        svd_tall(m, n, a, dot, rotate_slices, rotate_dot)
+    })
+}
+
+/// [`svd`]'s driver on the AVX kernels. The closures inherit the AVX
+/// feature, so the `#[inline(always)]` driver body and the kernels
+/// compile into this one function.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn svd_avx(m: usize, n: usize, a: &[Complex64]) -> Svd {
+    via_tall(m, n, a, |m, n, a| {
+        svd_tall(
+            m,
+            n,
+            a,
+            |x, y| dot_avx(x, y),
+            |x, y, c, sn, sp| rotate_avx(x, y, c, sn, sp),
+            |c, v, next, cos, sn, sp| rotate_dot_avx(c, v, next, cos, sn, sp),
+        )
+    })
 }
 
 /// Runs a tall-matrix driver on either orientation: `a = u s vh  <=>
@@ -208,11 +264,26 @@ fn jacobi_rotation(
     Some((c, phase.conj() * s, phase * s))
 }
 
-/// One-sided Jacobi on a tall (or square) matrix, `m >= n`.
-fn svd_tall(m: usize, n: usize, a: &[Complex64]) -> Svd {
+/// One-sided Jacobi on a tall (or square) matrix, `m >= n`, on the kernels
+/// `dot` ([`dot`]'s contract), `rotate` ([`rotate_slices`]'s) and
+/// `rotate_dot` ([`rotate_dot`]'s). Inlined into each caller so the
+/// kernels inline into the body.
+#[inline(always)]
+fn svd_tall(
+    m: usize,
+    n: usize,
+    a: &[Complex64],
+    dot: impl Fn(&[Complex64], &[Complex64]) -> Complex64,
+    rotate: impl Fn(&mut [Complex64], &mut [Complex64], f64, Complex64, Complex64),
+    rotate_dot: impl Fn(Pair<'_>, Pair<'_>, &[Complex64], f64, Complex64, Complex64) -> Complex64,
+) -> Svd {
     let (mut cols, mut vcols) = jacobi_columns(m, n, a);
     let mut norms_sqr = vec![0.0f64; n];
     let floor = f64::EPSILON * f64::EPSILON * norm_sqr(a);
+    // First column at or after `j` above the deflation floor (deflated
+    // columns are not worth a dot product). Only the pair `(i, j)`'s own
+    // rotation changes `norms_sqr[j]`, so this can be asked ahead.
+    let live = |norms_sqr: &[f64], j: usize| (j..n).find(|&j| norms_sqr[j] > floor).unwrap_or(n);
 
     let mut sweeps = 0;
     let mut rotated = true;
@@ -237,30 +308,61 @@ fn svd_tall(m: usize, n: usize, a: &[Complex64]) -> Svd {
             if norms_sqr[i] <= floor {
                 break; // every remaining column is deflated
             }
-            for j in i + 1..n {
+            let mut j = live(&norms_sqr, i + 1);
+            let mut gamma_c = if j < n {
+                dot(&cols[i], &cols[j])
+            } else {
+                Complex64::ZERO
+            };
+            while j < n {
+                let next = live(&norms_sqr, j + 1);
                 let (alpha, beta) = (norms_sqr[i], norms_sqr[j]);
-                if beta <= floor {
-                    continue; // deflated: not worth the dot product
-                }
-                let (lo, hi) = cols.split_at_mut(j);
-                let (ci, cj) = (&mut lo[i], &mut hi[0]);
-                let gamma_c = dot(ci, cj);
                 let Some((c, s_neg, s_pos)) = jacobi_rotation(alpha, beta, gamma_c, floor) else {
+                    if next < n {
+                        gamma_c = dot(&cols[i], &cols[next]);
+                    }
+                    j = next;
                     continue;
                 };
                 rotated = true;
-                rotate_slices(ci, cj, c, s_neg, s_pos);
-                let (lo, hi) = vcols.split_at_mut(j);
-                rotate_slices(&mut lo[i], &mut hi[0], c, s_neg, s_pos);
+                let (ci, cj, cn) = three_columns(&mut cols, i, j, next);
+                let (vi, vj, _) = three_columns(&mut vcols, i, j, next);
+                // The next pair's dot product rides on this rotation.
+                let gamma_next = match cn {
+                    Some(cn) => rotate_dot((ci, cj), (vi, vj), cn, c, s_neg, s_pos),
+                    None => {
+                        rotate(ci, cj, c, s_neg, s_pos);
+                        rotate(vi, vj, c, s_neg, s_pos);
+                        Complex64::ZERO
+                    }
+                };
                 // The rotation moves t * gamma of squared norm from column i
                 // to column j; s_pos * conj(gamma_c) = s * gamma, real.
                 let shift = (s_pos * gamma_c.conj()).re / c;
                 norms_sqr[i] = alpha - shift;
                 norms_sqr[j] = beta + shift;
+                gamma_c = gamma_next;
+                j = next;
             }
         }
     }
     finalize_svd(m, n, cols, vcols, floor, sweeps)
+}
+
+/// Two columns a rotation updates together.
+type Pair<'a> = (&'a mut [Complex64], &'a mut [Complex64]);
+
+/// Columns `i < j` mutably and column `next > j` (when `next < n`) shared.
+fn three_columns(
+    cols: &mut [Vec<Complex64>],
+    i: usize,
+    j: usize,
+    next: usize,
+) -> (&mut [Complex64], &mut [Complex64], Option<&[Complex64]>) {
+    let (lo, hi) = cols.split_at_mut(j);
+    let (cj, rest) = hi.split_first_mut().expect("j < n");
+    let cn = rest.get(next - j - 1).map(Vec::as_slice);
+    (&mut lo[i], cj, cn)
 }
 
 /// Computes the thin SVD with Jacobi rotations in round-robin order.
@@ -274,10 +376,52 @@ fn svd_tall(m: usize, n: usize, a: &[Complex64]) -> Svd {
 /// rotation decision and the deflation floor are the serial driver's.
 pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
     assert_eq!(a.len(), m * n, "svd_parallel: matrix size mismatch");
-    via_tall(m, n, a, svd_tall_parallel)
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX support was just verified at runtime, the only
+        // requirement of `svd_parallel_avx`, a safe `#[target_feature]` fn
+        // over bounds-checked slices and register-only intrinsics.
+        return unsafe { svd_parallel_avx(m, n, a) };
+    }
+    svd_parallel_scalar(m, n, a)
 }
 
-fn svd_tall_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
+/// [`svd_parallel`] on the portable scalar kernels, the bitwise reference
+/// of its AVX path.
+///
+/// # Panics
+/// Panics if `a.len() != m * n`.
+pub fn svd_parallel_scalar(m: usize, n: usize, a: &[Complex64]) -> Svd {
+    assert_eq!(a.len(), m * n, "svd_parallel: matrix size mismatch");
+    via_tall(m, n, a, |m, n, a| {
+        svd_tall_parallel(m, n, a, dot, rotate_slices)
+    })
+}
+
+/// [`svd_parallel`]'s driver on the AVX kernels (see [`svd_avx`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn svd_parallel_avx(m: usize, n: usize, a: &[Complex64]) -> Svd {
+    via_tall(m, n, a, |m, n, a| {
+        svd_tall_parallel(
+            m,
+            n,
+            a,
+            |x, y| dot_avx(x, y),
+            |x, y, c, sn, sp| rotate_avx(x, y, c, sn, sp),
+        )
+    })
+}
+
+/// The round-robin driver on the kernel pair `dot` and `rotate`.
+#[inline(always)]
+fn svd_tall_parallel(
+    m: usize,
+    n: usize,
+    a: &[Complex64],
+    dot: impl Fn(&[Complex64], &[Complex64]) -> Complex64,
+    rotate: impl Fn(&mut [Complex64], &mut [Complex64], f64, Complex64, Complex64),
+) -> Svd {
     let floor = f64::EPSILON * f64::EPSILON * norm_sqr(a);
     let (mut cols, mut vcols) = jacobi_columns(m, n, a);
 
@@ -305,9 +449,9 @@ fn svd_tall_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
                     continue;
                 };
                 rotated = true;
-                rotate_slices(ci, cj, c, s_neg, s_pos);
+                rotate(ci, cj, c, s_neg, s_pos);
                 let (lo, hi) = vcols.split_at_mut(j);
-                rotate_slices(&mut lo[i], &mut hi[0], c, s_neg, s_pos);
+                rotate(&mut lo[i], &mut hi[0], c, s_neg, s_pos);
             }
         }
     }
@@ -387,6 +531,209 @@ fn rotate_slices(
         *x = xi * c - s_neg * yj;
         *y = s_pos * xi + yj * c;
     }
+}
+
+/// Rotates the columns `c = (c_i, c_j)` and their `V` columns `v` and
+/// returns `c_i'^H next`: the next pair's dot product, on the rotated
+/// column.
+#[inline]
+fn rotate_dot(
+    c: Pair<'_>,
+    v: Pair<'_>,
+    next: &[Complex64],
+    cos: f64,
+    s_neg: Complex64,
+    s_pos: Complex64,
+) -> Complex64 {
+    rotate_slices(c.0, c.1, cos, s_neg, s_pos);
+    rotate_slices(v.0, v.1, cos, s_neg, s_pos);
+    dot(c.0, next)
+}
+
+/// [`dot`] with AVX: the same single chain, one entry at a time in
+/// increasing order (see [`dot_step_avx`]); an odd last entry runs the
+/// scalar `conj_mul_add`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn dot_avx(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    use std::arch::x86_64::*;
+    let mut acc = _mm_setzero_pd();
+    let (xs, ys) = (x.chunks_exact(2), y.chunks_exact(2));
+    let (x_tail, y_tail) = (xs.remainder(), ys.remainder());
+    for (a, b) in xs.zip(ys) {
+        acc = dot_step_avx(acc, load_pair(a), b);
+    }
+    finish_dot(acc, x_tail, y_tail)
+}
+
+/// [`rotate_slices`] with AVX, two entries per 256-bit vector (see
+/// [`rotate_pair_avx`]); an odd last entry runs the scalar code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn rotate_avx(
+    ci: &mut [Complex64],
+    cj: &mut [Complex64],
+    c: f64,
+    s_neg: Complex64,
+    s_pos: Complex64,
+) {
+    let rot = Rotation::new(c, s_neg, s_pos);
+    let mut xs = ci.chunks_exact_mut(2);
+    let mut ys = cj.chunks_exact_mut(2);
+    for (x, y) in (&mut xs).zip(&mut ys) {
+        rotate_pair_avx(x, y, &rot);
+    }
+    rotate_slices(xs.into_remainder(), ys.into_remainder(), c, s_neg, s_pos);
+}
+
+/// [`rotate_dot`] with AVX in one pass: entry pair `k` of `c` is rotated,
+/// stored and fed straight to the dot product with `next`, and the `V`
+/// pair `k` is rotated beside it while `k < v.len()`. The dot product
+/// still visits the entries in increasing order on one chain, so both
+/// rotations ride on its latency and every value gets [`rotate_avx`]'s
+/// and [`dot_avx`]'s bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn rotate_dot_avx(
+    (ci, cj): Pair<'_>,
+    (vi, vj): Pair<'_>,
+    next: &[Complex64],
+    cos: f64,
+    s_neg: Complex64,
+    s_pos: Complex64,
+) -> Complex64 {
+    let rot = Rotation::new(cos, s_neg, s_pos);
+    let (m, n) = (ci.len(), vi.len());
+    let mut acc = std::arch::x86_64::_mm_setzero_pd();
+    let mut k = 0;
+    while k + 2 <= m {
+        let rotated = rotate_pair_avx(&mut ci[k..k + 2], &mut cj[k..k + 2], &rot);
+        if k + 2 <= n {
+            rotate_pair_avx(&mut vi[k..k + 2], &mut vj[k..k + 2], &rot);
+        }
+        acc = dot_step_avx(acc, rotated, &next[k..k + 2]);
+        k += 2;
+    }
+    let v_even = n - n % 2;
+    rotate_slices(&mut vi[v_even..], &mut vj[v_even..], cos, s_neg, s_pos);
+    rotate_slices(&mut ci[k..], &mut cj[k..], cos, s_neg, s_pos);
+    finish_dot(acc, &ci[k..], &next[k..])
+}
+
+/// A rotation's scalars broadcast to every lane.
+#[cfg(target_arch = "x86_64")]
+struct Rotation {
+    c: std::arch::x86_64::__m256d,
+    neg_re: std::arch::x86_64::__m256d,
+    neg_im: std::arch::x86_64::__m256d,
+    pos_re: std::arch::x86_64::__m256d,
+    pos_im: std::arch::x86_64::__m256d,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Rotation {
+    #[target_feature(enable = "avx")]
+    #[inline]
+    fn new(c: f64, s_neg: Complex64, s_pos: Complex64) -> Self {
+        use std::arch::x86_64::_mm256_set1_pd;
+        Rotation {
+            c: _mm256_set1_pd(c),
+            neg_re: _mm256_set1_pd(s_neg.re),
+            neg_im: _mm256_set1_pd(s_neg.im),
+            pos_re: _mm256_set1_pd(s_pos.re),
+            pos_im: _mm256_set1_pd(s_pos.im),
+        }
+    }
+}
+
+/// Rotates the entry pairs `x[0..2]`, `y[0..2]` in place and returns the
+/// new `x`. Each entry keeps [`rotate_slices`]'s sequence: `x c`, the
+/// complex product `s_neg y` as `addsub(bcast(s.re) * y, bcast(s.im) *
+/// swap(y))` (lane for lane `Mul`'s `re = s.re y.re - s.im y.im`,
+/// `im = s.re y.im + s.im y.re`), then the subtraction; `y'` likewise with
+/// `s_pos x` and an addition. No FMA is issued.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn rotate_pair_avx(
+    x: &mut [Complex64],
+    y: &mut [Complex64],
+    rot: &Rotation,
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    let (xv, yv) = (load_pair(x), load_pair(y));
+    let neg_y = _mm256_addsub_pd(
+        _mm256_mul_pd(rot.neg_re, yv),
+        _mm256_mul_pd(rot.neg_im, _mm256_permute_pd::<0b0101>(yv)),
+    );
+    let pos_x = _mm256_addsub_pd(
+        _mm256_mul_pd(rot.pos_re, xv),
+        _mm256_mul_pd(rot.pos_im, _mm256_permute_pd::<0b0101>(xv)),
+    );
+    let x_new = _mm256_sub_pd(_mm256_mul_pd(xv, rot.c), neg_y);
+    store_pair(x, x_new);
+    store_pair(y, _mm256_add_pd(pos_x, _mm256_mul_pd(yv, rot.c)));
+    x_new
+}
+
+/// `acc + conj(a) b` over the two entries of `a` and `b[0..2]`, the first
+/// entry first, with `acc` packed as `[re, im]`. Per entry it adds
+/// `a.re * [b.re, b.im]` and then `a.im * [b.im, -b.re]`; `y * (-x)` is
+/// exactly `-(y * x)` and `t + (-u)` exactly `t - u`, so each lane rounds
+/// as [`Complex64::conj_mul_add`] does. Both entries' products come from
+/// one 256-bit multiply each; only the four adds are serial. No FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn dot_step_avx(
+    acc: std::arch::x86_64::__m128d,
+    a: std::arch::x86_64::__m256d,
+    b: &[Complex64],
+) -> std::arch::x86_64::__m128d {
+    use std::arch::x86_64::*;
+    let bv = load_pair(b);
+    let p_re = _mm256_mul_pd(_mm256_movedup_pd(a), bv);
+    let b_swapped = _mm256_permute_pd::<0b0101>(bv);
+    let b_conj = _mm256_xor_pd(b_swapped, _mm256_setr_pd(0.0, -0.0, 0.0, -0.0));
+    let p_im = _mm256_mul_pd(_mm256_permute_pd::<0b1111>(a), b_conj);
+    let acc = _mm_add_pd(acc, _mm256_castpd256_pd128(p_re));
+    let acc = _mm_add_pd(acc, _mm256_castpd256_pd128(p_im));
+    let acc = _mm_add_pd(acc, _mm256_extractf128_pd::<1>(p_re));
+    _mm_add_pd(acc, _mm256_extractf128_pd::<1>(p_im))
+}
+
+/// Unpacks `acc` and runs the scalar chain on the tails left over.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn finish_dot(acc: std::arch::x86_64::__m128d, x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    use std::arch::x86_64::*;
+    let acc = Complex64::new(_mm_cvtsd_f64(acc), _mm_cvtsd_f64(_mm_unpackhi_pd(acc, acc)));
+    x.iter()
+        .zip(y)
+        .fold(acc, |acc, (a, b)| acc.conj_mul_add(*a, *b))
+}
+
+/// `[p[0].re, p[0].im, p[1].re, p[1].im]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn load_pair(p: &[Complex64]) -> std::arch::x86_64::__m256d {
+    std::arch::x86_64::_mm256_setr_pd(p[0].re, p[0].im, p[1].re, p[1].im)
+}
+
+/// Writes the two entries of `v` to `p[0]`, `p[1]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn store_pair(p: &mut [Complex64], v: std::arch::x86_64::__m256d) {
+    use std::arch::x86_64::*;
+    let (lo, hi) = (_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+    p[0] = Complex64::new(_mm_cvtsd_f64(lo), _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)));
+    p[1] = Complex64::new(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
 }
 
 /// Splits a two-qubit gate (4x4 unitary reshaped to act on two physical
@@ -640,6 +987,150 @@ mod tests {
                 assert!(approx_eq(*x, *y, 1e-9));
             }
         }
+    }
+
+    /// Both factorizations' `u`, `s`, `vh` and sweeps, bit for bit.
+    fn assert_same_bits(x: &Svd, y: &Svd, what: &str) {
+        assert_eq!(bits(&x.u), bits(&y.u), "{what}: u differs");
+        assert_eq!(bits(&x.vh), bits(&y.vh), "{what}: vh differs");
+        let s_bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(s_bits(&x.s), s_bits(&y.s), "{what}: s differs");
+        assert_eq!(x.sweeps, y.sweeps, "{what}: sweeps differ");
+    }
+
+    /// The dispatched drivers (AVX kernels on an AVX host) against the
+    /// scalar ones on `a` in both orientations.
+    fn assert_paths_agree(m: usize, n: usize, a: &[Complex64]) {
+        let at = conj_transpose(m, n, a);
+        for (rows, cols, x) in [(m, n, a), (n, m, &at[..])] {
+            let what = format!("{rows}x{cols}");
+            assert_same_bits(&svd(rows, cols, x), &svd_scalar(rows, cols, x), &what);
+            assert_same_bits(
+                &svd_parallel(rows, cols, x),
+                &svd_parallel_scalar(rows, cols, x),
+                &format!("{what} round-robin"),
+            );
+        }
+    }
+
+    /// `m x n` with singular values `sigmas` (fewer than `min(m, n)` makes
+    /// it rank-deficient): a sum of outer products of pseudo-random vectors.
+    fn with_spectrum(m: usize, n: usize, sigmas: &[f64], seed: u64) -> Vec<Complex64> {
+        let mut a = vec![Complex64::ZERO; m * n];
+        for (r, &sigma) in sigmas.iter().enumerate() {
+            let u = test_matrix(m, 1, seed + 2 * r as u64);
+            let v = test_matrix(1, n, seed + 2 * r as u64 + 1);
+            for i in 0..m {
+                for j in 0..n {
+                    a[i * n + j] += u[i] * v[j] * sigma;
+                }
+            }
+        }
+        a
+    }
+
+    fn bits(v: &[Complex64]) -> Vec<[u64; 2]> {
+        v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+    }
+
+    #[test]
+    fn avx_kernels_match_scalar_kernels_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            // Signed zeros, pure-real and pure-imaginary entries and an odd
+            // tail are where a lane-level mistake would show first.
+            let specials = [
+                c64(0.0, 0.0),
+                c64(-0.0, 0.0),
+                c64(0.0, -0.0),
+                c64(-0.0, -0.0),
+                c64(1.5, 0.0),
+                c64(0.0, -2.25),
+                c64(-3.0, 0.5),
+                c64(1e-300, -1e300),
+            ];
+            for len in 0..=9 {
+                for seed in 0..8u64 {
+                    let mut x = test_matrix(len, 1, 100 + seed);
+                    let mut y = test_matrix(len, 1, 200 + seed);
+                    for (k, z) in x.iter_mut().chain(&mut y).enumerate() {
+                        if (k as u64 + seed).is_multiple_of(3) {
+                            *z = specials[(k + seed as usize) % specials.len()];
+                        }
+                    }
+                    // SAFETY: AVX support was just verified at runtime.
+                    let fast = unsafe { dot_avx(&x, &y) };
+                    let slow = dot(&x, &y);
+                    assert_eq!(bits(&[fast]), bits(&[slow]), "dot, len {len}, seed {seed}");
+                    let (c, s) = (0.8, c64(0.36, -0.48));
+                    let (mut x2, mut y2) = (x.clone(), y.clone());
+                    // SAFETY: AVX support was just verified at runtime.
+                    unsafe { rotate_avx(&mut x, &mut y, c, s.conj(), s) };
+                    rotate_slices(&mut x2, &mut y2, c, s.conj(), s);
+                    assert_eq!(bits(&x), bits(&x2), "rotate x, len {len}, seed {seed}");
+                    assert_eq!(bits(&y), bits(&y2), "rotate y, len {len}, seed {seed}");
+                    // The fused step on every `V` length up to the column's.
+                    for vlen in 0..=len {
+                        let next = test_matrix(len, 1, 300 + seed);
+                        let mut v = test_matrix(vlen, 2, 400 + seed);
+                        let (mut c1, mut v1) = ([x.clone(), y.clone()], v.clone());
+                        let (vi, vj) = v.split_at_mut(vlen);
+                        let [ci, cj] = &mut [x.clone(), y.clone()];
+                        // SAFETY: AVX support was just verified at runtime.
+                        let fast =
+                            unsafe { rotate_dot_avx((ci, cj), (vi, vj), &next, c, s.conj(), s) };
+                        let [ci1, cj1] = &mut c1;
+                        let (vi1, vj1) = v1.split_at_mut(vlen);
+                        let slow = rotate_dot((ci1, cj1), (vi1, vj1), &next, c, s.conj(), s);
+                        let what = format!("rotate_dot, len {len}, v {vlen}, seed {seed}");
+                        assert_eq!(bits(&[fast]), bits(&[slow]), "{what}");
+                        assert_eq!(bits(ci), bits(ci1), "{what}");
+                        assert_eq!(bits(cj), bits(cj1), "{what}");
+                        assert_eq!(bits(&v), bits(&v1), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_svd_matches_scalar_on_a_shape_grid() {
+        // Column lengths 1..=70, odd and even, against a few widths.
+        for len in 1..=70usize {
+            for n in [1, 2, 3, 8, 17] {
+                if n <= len {
+                    assert_paths_agree(len, n, &test_matrix(len, n, (len * 100 + n) as u64));
+                }
+            }
+        }
+        for len in [4usize, 9, 16, 33] {
+            assert_paths_agree(len, len, &test_matrix(len, len, 7 + len as u64));
+        }
+    }
+
+    #[test]
+    fn dispatched_svd_matches_scalar_on_degenerate_input() {
+        // Rank-deficient, every rank from 0 (the zero matrix) up.
+        for rank in 0..=5usize {
+            let sigmas: Vec<f64> = (0..rank).map(|r| 1.0 + r as f64).collect();
+            assert_paths_agree(12, 7, &with_spectrum(12, 7, &sigmas, 31 + rank as u64));
+        }
+        // Graded spectra over up to fourteen orders of magnitude.
+        for (spread, len) in [(2.0f64, 10usize), (6.0, 15), (14.0, 24)] {
+            let sigmas: Vec<f64> = (0..len)
+                .map(|r| 10f64.powf(-spread * r as f64 / (len - 1) as f64))
+                .collect();
+            assert_paths_agree(len + 3, len, &with_spectrum(len + 3, len, &sigmas, 57));
+        }
+        // Zero columns, and a duplicated column the first rotation deflates.
+        let (m, n) = (11usize, 6usize);
+        let mut a = test_matrix(m, n, 77);
+        for i in 0..m {
+            a[i * n + 1] = Complex64::ZERO;
+            a[i * n + 4] = a[i * n + 2];
+        }
+        assert_paths_agree(m, n, &a);
+        assert_paths_agree(m, n, &vec![Complex64::ZERO; m * n]);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 
 use proptest::prelude::*;
 use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
-use qk_circuit::{route_for_mps, Gate};
+use qk_circuit::{route_for_mps, Circuit, Gate};
 use qk_mps::{MpsSimulator, TruncationConfig};
 use qk_tensor::backend::ExecutionBackend;
 use qk_tensor::complex::{c64, Complex64};
 use qk_tensor::contract::contract;
 use qk_tensor::matrix::{conj_transpose, gemm_serial};
 use qk_tensor::qr::{lq, qr};
-use qk_tensor::svd::{svd, svd_parallel, Svd};
+use qk_tensor::svd::{svd, svd_parallel, svd_parallel_scalar, svd_scalar, Svd};
 use qk_tensor::tensor::Tensor;
 use std::sync::Mutex;
 
@@ -61,8 +61,9 @@ proptest! {
     }
 
     /// Exact rank-r matrices (sums of r outer products, r < n <= 64, both
-    /// orientations) meet the truncation contract, and the parallel driver
-    /// agrees on them.
+    /// orientations) meet the truncation contract, the parallel driver
+    /// agrees on them, and each driver's dispatched path (AVX kernels on
+    /// an AVX host) returns its scalar path's bits.
     #[test]
     fn svd_converges_on_exact_rank_r(
         (n, extra, wide) in (2usize..65, 0usize..9, prop::bool::ANY),
@@ -77,7 +78,9 @@ proptest! {
         gemm_serial(rows, r, cols, &left, &right, &mut a);
         let fs = assert_truncation_svd(rows, cols, &a);
         prop_assert!(fs.s[r..].iter().all(|&s| s == 0.0), "rank {r}: {:?}", fs.s);
+        assert_same_bits(&fs, &svd_scalar(rows, cols, &a), "serial");
         let fp = svd_parallel(rows, cols, &a);
+        assert_same_bits(&fp, &svd_parallel_scalar(rows, cols, &a), "round-robin");
         prop_assert!(fp.converged(), "parallel driver hit the sweep cap");
         for (x, y) in fs.s.iter().zip(&fp.s) {
             prop_assert!((x - y).abs() <= 1e-12 * frob(&a), "{x} vs {y}");
@@ -349,6 +352,31 @@ impl ExecutionBackend for CaptureBackend {
     }
 }
 
+/// Every matrix the simulator factorises for one feature-map state on
+/// `m` qubits at interaction distance `d` (routed), under the paper's
+/// 1e-16 cutoff, with the circuit that produced them.
+fn feature_map_thetas(
+    m: usize,
+    d: usize,
+    gamma: f64,
+) -> (Circuit, Vec<(usize, usize, Vec<Complex64>)>) {
+    let features: Vec<f64> = (0..m)
+        .map(|i| 0.1 + 1.8 * (i as f64 * 0.618_033_988_75).fract())
+        .collect();
+    let circuit = route_for_mps(&feature_map_circuit(
+        &features,
+        &AnsatzConfig::new(2, d, gamma),
+    ));
+    let be = CaptureBackend::default();
+    MpsSimulator::new(&be)
+        .with_truncation(TruncationConfig {
+            cutoff: 1e-16,
+            max_bond: None,
+        })
+        .simulate(&circuit);
+    (circuit, be.thetas.into_inner().expect("capture lock"))
+}
+
 /// Every matrix the simulator factorises for the paper's feature map at
 /// the benchmark's two shapes meets the truncation contract, in at most 8
 /// sweeps on average: at m = 8, d = 1 the m - 1 site matrices of the one
@@ -357,23 +385,9 @@ impl ExecutionBackend for CaptureBackend {
 #[test]
 fn svd_converges_on_feature_map_thetas() {
     for (m, d, gamma) in [(8usize, 1usize, 0.5f64), (12, 3, 1.0)] {
-        let features: Vec<f64> = (0..m)
-            .map(|i| 0.1 + 1.8 * (i as f64 * 0.618_033_988_75).fract())
-            .collect();
-        let circuit = route_for_mps(&feature_map_circuit(
-            &features,
-            &AnsatzConfig::new(2, d, gamma),
-        ));
+        let (circuit, thetas) = feature_map_thetas(m, d, gamma);
         let swaps = circuit.ops().iter().filter(|op| op.gate == Gate::Swap);
         assert_eq!(swaps.count() > 0, d > 1, "routing inserts SWAPs for d > 1");
-        let be = CaptureBackend::default();
-        MpsSimulator::new(&be)
-            .with_truncation(TruncationConfig {
-                cutoff: 1e-16,
-                max_bond: None,
-            })
-            .simulate(&circuit);
-        let thetas = be.thetas.into_inner().expect("capture lock");
         let two_qubit = circuit.ops().iter().filter(|op| op.qubits.len() == 2);
         let factorised = if d == 1 { m - 1 } else { two_qubit.count() };
         assert_eq!(thetas.len(), factorised);
@@ -387,6 +401,38 @@ fn svd_converges_on_feature_map_thetas() {
             thetas.len()
         );
     }
+}
+
+/// The dispatched drivers return the scalar drivers' bits on every theta
+/// of a `deep_d3`-shaped (m = 12, d = 3) and a `wide_d1`-shaped (m = 64,
+/// d = 1) state: the matrices whose factors become the states' bits.
+#[test]
+fn dispatched_svd_matches_scalar_on_feature_map_thetas() {
+    for (m, d, gamma) in [(12usize, 3usize, 1.0f64), (64, 1, 0.5)] {
+        let (_, thetas) = feature_map_thetas(m, d, gamma);
+        assert!(!thetas.is_empty());
+        for (rows, cols, a) in &thetas {
+            let what = format!("m={m} d={d} {rows}x{cols}");
+            assert_same_bits(&svd(*rows, *cols, a), &svd_scalar(*rows, *cols, a), &what);
+            assert_same_bits(
+                &svd_parallel(*rows, *cols, a),
+                &svd_parallel_scalar(*rows, *cols, a),
+                &format!("{what} round-robin"),
+            );
+        }
+    }
+}
+
+/// Two factorizations' `u`, `s`, `vh` and sweeps, bit for bit.
+fn assert_same_bits(x: &Svd, y: &Svd, what: &str) {
+    let bits = |v: &[Complex64]| -> Vec<[u64; 2]> {
+        v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+    };
+    assert_eq!(bits(&x.u), bits(&y.u), "{what}: u differs");
+    assert_eq!(bits(&x.vh), bits(&y.vh), "{what}: vh differs");
+    let s_bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(s_bits(&x.s), s_bits(&y.s), "{what}: s differs");
+    assert_eq!(x.sweeps, y.sweeps, "{what}: sweeps differ");
 }
 
 /// Deterministic pseudo-random matrix (xorshift), so failures replay.
