@@ -271,9 +271,12 @@ fn time_per_call<F: FnMut()>(mut f: F, min_total: Duration, max_reps: usize) -> 
 
 /// Pairs per second of `threads` workers that share `be`, each carrying
 /// its own workspace through `rounds` passes over `others` — the way a
-/// Gram pool holds the backend. Workers start together on a barrier; the
-/// second value is each worker's checksum (the bits of its running sum
-/// of fidelities), equal across workers and thread counts.
+/// Gram pool holds the backend. Workers start together on a barrier and
+/// each stamps its own start (after the barrier) and end, so the run is
+/// timed from the earliest start to the latest end, whichever thread
+/// the scheduler runs first. The second value is each worker's checksum
+/// (the bits of its running sum of fidelities), equal across workers
+/// and thread counts.
 fn shared_backend_pairs_per_s(
     threads: usize,
     rounds: usize,
@@ -281,14 +284,15 @@ fn shared_backend_pairs_per_s(
     others: &[Mps],
     be: &CpuBackend,
 ) -> (f64, Vec<u64>) {
-    let gate = Barrier::new(threads + 1);
-    let (elapsed, sums) = std::thread::scope(|s| {
+    let gate = Barrier::new(threads);
+    let runs: Vec<(Instant, Instant, u64)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
                     let mut ws = ZipperWorkspace::new();
                     black_box(a.inner_into(&mut ws, be, &others[0])); // warm-up
                     gate.wait();
+                    let start = Instant::now();
                     let mut sum = 0.0f64;
                     for _ in 0..rounds {
                         for other in others {
@@ -296,20 +300,20 @@ fn shared_backend_pairs_per_s(
                                 black_box(a.inner_into(&mut ws, be, black_box(other))).norm_sqr();
                         }
                     }
-                    sum.to_bits()
+                    (start, Instant::now(), sum.to_bits())
                 })
             })
             .collect();
-        gate.wait();
-        let t0 = Instant::now();
-        let sums: Vec<u64> = workers
+        workers
             .into_iter()
             .map(|w| w.join().expect("shared-backend worker panicked"))
-            .collect();
-        (t0.elapsed(), sums)
+            .collect()
     });
+    let start = runs.iter().map(|r| r.0).min().expect("at least one worker");
+    let end = runs.iter().map(|r| r.1).max().expect("at least one worker");
     let pairs = (threads * rounds * others.len()) as f64;
-    (pairs / elapsed.as_secs_f64().max(1e-12), sums)
+    let rate = pairs / end.duration_since(start).as_secs_f64().max(1e-12);
+    (rate, runs.iter().map(|r| r.2).collect())
 }
 
 struct Row {
@@ -452,6 +456,16 @@ fn main() {
          {:.0} on 2 (median ratio {shared_scaling:.2}x; available_parallelism {cores})",
         best[0], best[1]
     );
+    if smoke {
+        // Two threads cannot beat two of one thread by more than noise;
+        // a rate past that bound means the run was timed short.
+        assert!(
+            best[1] <= 1.25 * 2.0 * best[0],
+            "2-thread rate {:.0} pairs/s exceeds 1.25 x 2 x the 1-thread rate {:.0}",
+            best[1],
+            best[0]
+        );
+    }
 
     // Theta rows: the truncation SVD on one state's worth of real inputs
     // at the benchmark's two shapes (wide_d1: chi = 4; deep_d3: chi ~ 32).

@@ -158,9 +158,17 @@ fn smoke(args: &Args) {
         params.tol,
         outcome.resumed_from_pass.map_or(-1, |p| p as i64),
     );
+    // The slowest snapshot write: a replacing write that paid for a
+    // forced flush reads tens of milliseconds here, not tens of µs. It
+    // is printed on its own line and kept off the report below, whose
+    // `svm.` lines the CI chaos drill diffs across replays.
+    let mut report = obs.report("svm");
+    let stores = report.histograms.remove("svm.ckpt.store_us");
+    let (max, count) = stores.map_or((0, 0), |h| (h.max, h.count));
+    println!("ckpt_store_us_max={max} over {count} stores");
     // The robustness section of this report is what the CI chaos drill
     // greps for nonzero recovery counters.
-    println!("{}", obs.report("svm"));
+    println!("{report}");
 
     if let Some(path) = args.get("out") {
         let mut bytes = Vec::with_capacity(16 + model.alphas.len() * 8);

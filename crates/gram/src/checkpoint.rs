@@ -148,9 +148,10 @@ impl CheckpointStore {
     pub fn open(dir: &Path, spec: &JobSpec) -> Result<CheckpointStore, CheckpointError> {
         let fingerprint = spec.fingerprint();
         fs::create_dir_all(dir.join("tiles"))?;
-        // Sweep the torn temps a SIGKILL mid-store left behind; they
-        // would otherwise accumulate across kill/resume cycles (each
-        // life embeds its own pid in the temp name).
+        // Settle the temps a SIGKILL mid-store left behind: adopt a
+        // complete record whose final name is missing, remove the rest,
+        // which would otherwise accumulate across kill/resume cycles
+        // (each life embeds its own pid in the temp name).
         durable::sweep_temps(dir);
         durable::sweep_temps(&dir.join("tiles"));
         let manifest_path = dir.join(MANIFEST_NAME);

@@ -4,9 +4,12 @@
 //! checkpoint writes, cache evictions, SMO milestones) append one JSON
 //! object per line. The journal follows the checkpoint store's
 //! durability discipline: flushes write the whole journal through
-//! `qk_chaos::durable::write_atomic` (a pid-tagged temp, then a rename),
-//! so a SIGKILL mid-flush leaves either the previous journal or
-//! the new one — never a torn file. Reopening an existing journal
+//! `qk_chaos::durable::write_atomic` (a pid-tagged temp, the old file
+//! removed, then a rename), so a SIGKILL mid-flush leaves the previous
+//! journal or the new one, never a torn file — except in the
+//! microseconds between remove and rename, where a kill loses the
+//! journal (text carries no seal for the next sweep to adopt) and the
+//! next life starts it afresh. Reopening an existing journal
 //! appends, with the sequence counter continuing where the previous
 //! process stopped, so a killed-and-resumed run leaves one auditable
 //! trail.

@@ -109,6 +109,12 @@ impl Obs {
         SpanGuard::enter(&self.inner.spans, name)
     }
 
+    /// Open a span like [`Obs::span`] that also records its duration,
+    /// in microseconds, into the histogram named `histogram`.
+    pub fn timed_span(&self, name: &str, histogram: &str) -> SpanGuard {
+        SpanGuard::enter(&self.inner.spans, name).recording_into(self.histogram(histogram))
+    }
+
     /// Deterministic rollup of every span closed so far.
     pub fn span_rollup(&self) -> Vec<SpanEntry> {
         self.inner.spans.rollup()

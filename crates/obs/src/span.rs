@@ -25,6 +25,8 @@ use std::sync::Arc;
 #[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
+use crate::registry::Histogram;
+
 #[derive(Debug, Default, Clone, Copy)]
 struct SpanStat {
     count: u64,
@@ -97,6 +99,7 @@ pub struct SpanEntry {
 pub struct SpanGuard {
     rec: Arc<SpanRecorder>,
     start: Instant,
+    hist: Option<Histogram>,
 }
 
 #[cfg(not(feature = "obs-off"))]
@@ -116,7 +119,14 @@ impl SpanGuard {
         SpanGuard {
             rec: Arc::clone(rec),
             start: Instant::now(),
+            hist: None,
         }
+    }
+
+    /// Also records the span's duration, in microseconds, into `hist`.
+    pub(crate) fn recording_into(mut self, hist: Histogram) -> SpanGuard {
+        self.hist = Some(hist);
+        self
     }
 }
 
@@ -134,6 +144,9 @@ impl Drop for SpanGuard {
             }
             frame
         });
+        if let Some(hist) = &self.hist {
+            hist.record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+        }
         self.rec.merge(frame.path, elapsed, frame.child);
     }
 }
@@ -152,6 +165,11 @@ impl SpanGuard {
     #[inline(always)]
     pub(crate) fn enter(_rec: &std::sync::Arc<SpanRecorder>, _name: &str) -> SpanGuard {
         SpanGuard { _priv: () }
+    }
+
+    #[inline(always)]
+    pub(crate) fn recording_into(self, _hist: Histogram) -> SpanGuard {
+        self
     }
 }
 
@@ -202,6 +220,23 @@ mod tests {
             outer.self_us <= outer.total_us - inner.total_us + 5_000,
             "outer self time should exclude the child: {outer:?} vs {inner:?}"
         );
+    }
+
+    #[test]
+    fn a_recording_span_feeds_its_histogram() {
+        let rec = recorder();
+        let hist = Histogram::default();
+        {
+            let _s = SpanGuard::enter(&rec, "store").recording_into(hist.clone());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let snap = hist.snapshot();
+        assert_eq!(snap.count, 1);
+        assert!(
+            snap.max >= 2_000,
+            "the histogram saw the sleep in µs: {snap:?}"
+        );
+        assert!(snap.max <= rec.rollup()[0].total_us + 1);
     }
 
     #[test]

@@ -40,7 +40,9 @@
 //!
 //! All integers and floats are little-endian; the checksum is FNV-1a 64
 //! over every preceding byte. The file is written to a temporary name
-//! and renamed into place, and read back through the record's
+//! and renamed into place once the old snapshot is removed (see
+//! [`qk_chaos::durable`] for what a kill between the steps leaves), and
+//! read back through the record's
 //! bounds-checked reader, so truncated or mangled snapshots are
 //! rejected by construction rather than panicking in a slice
 //! conversion.
@@ -286,8 +288,9 @@ struct TrainerCkpt {
 }
 
 impl TrainerCkpt {
-    /// Opens (or initializes) `dir`, sweeping torn temp files a SIGKILL
-    /// mid-store left behind.
+    /// Opens (or initializes) `dir`, settling the temp files a SIGKILL
+    /// mid-store left behind: a complete snapshot whose old file was
+    /// already removed is adopted, anything else is removed.
     fn open(dir: &Path, fingerprint: u64, n: usize) -> io::Result<TrainerCkpt> {
         fs::create_dir_all(dir)?;
         durable::sweep_temps(dir);
@@ -661,7 +664,7 @@ impl Trainer {
             if let Some(budget) = self.cfg.pass_budget {
                 if passes_this_run >= budget {
                     if let Some(ckpt) = &ckpt {
-                        self.store_snapshot(ckpt, &st, rec, journal);
+                        self.store_snapshot(ckpt, &st, obs, rec, journal);
                     }
                     if let Some(journal) = journal {
                         journal
@@ -701,7 +704,7 @@ impl Trainer {
             }
             if let Some(ckpt) = &ckpt {
                 if st.total_passes % ckpt_every == 0 {
-                    self.store_snapshot(ckpt, &st, rec, journal);
+                    self.store_snapshot(ckpt, &st, obs, rec, journal);
                 }
             }
         }
@@ -709,7 +712,7 @@ impl Trainer {
         // Final snapshot: a kill *after* convergence resumes straight
         // to the finished model instead of retraining.
         if let Some(ckpt) = &ckpt {
-            self.store_snapshot(ckpt, &st, rec, journal);
+            self.store_snapshot(ckpt, &st, obs, rec, journal);
         }
 
         let model = st.into_model(labels, params.c);
@@ -767,11 +770,13 @@ impl Trainer {
 
     /// Retried, chaos-gated snapshot store; persistent failure degrades
     /// checkpointing to off for the rest of the run (training proceeds,
-    /// crash-safety is lost until the next life).
+    /// crash-safety is lost until the next life). Each write attempt's
+    /// duration lands in the `svm.ckpt.store_us` histogram.
     fn store_snapshot(
         &self,
         ckpt: &TrainerCkpt,
         st: &SmoState,
+        obs: &Obs,
         rec: &mut Recovery,
         journal: Option<&Journal>,
     ) {
@@ -782,6 +787,7 @@ impl Trainer {
             self.cfg
                 .chaos
                 .gate(sites::SVM_CKPT_STORE, || rec.faults += 1)?;
+            let _store = obs.timed_span("ckpt_store", "svm.ckpt.store_us");
             ckpt.store(st)
         });
         rec.ckpt_retries += retried.retries as u64;
@@ -1170,6 +1176,48 @@ mod tests {
         .train(&k, &y, &params)
         .unwrap();
         assert!(!torn.exists(), "torn temp must be swept");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A kill between `write_atomic`'s remove and rename leaves the new
+    /// snapshot only as the dead life's temp. The next life adopts it
+    /// and resumes from it to the uninterrupted model, bit for bit, and
+    /// every store it makes is timed into `svm.ckpt.store_us`.
+    #[test]
+    fn snapshot_adopted_after_a_window_kill_resumes_bitwise() {
+        let (k, y) = problem(24);
+        let params = SmoParams::with_c(1.5);
+        let reference = train_svc(&k, &y, &params);
+        let dir = scratch("window");
+        let interrupted = Trainer::new(TrainerConfig {
+            ckpt_dir: Some(dir.clone()),
+            pass_budget: Some(2),
+            ..TrainerConfig::default()
+        })
+        .train(&k, &y, &params);
+        assert!(matches!(
+            interrupted,
+            Err(TrainError::Interrupted { passes: 2 })
+        ));
+        // The disk as that kill leaves it: the snapshot only in the temp.
+        let orphan = dir.join(".trainer.qks.4000000.tmp");
+        fs::write(&orphan, fs::read(checkpoint_path(&dir)).unwrap()).unwrap();
+        fs::remove_file(checkpoint_path(&dir)).unwrap();
+
+        let obs = Obs::new();
+        let resumed = Trainer::new(TrainerConfig {
+            ckpt_dir: Some(dir.clone()),
+            obs: Some(obs.clone()),
+            ..TrainerConfig::default()
+        })
+        .train(&k, &y, &params)
+        .unwrap();
+        assert_eq!(resumed.resumed_from_pass, Some(2), "the orphan was adopted");
+        assert_models_bitwise_equal(&resumed.model, &reference);
+        assert!(!orphan.exists());
+        let stores = &obs.registry_snapshot().histograms["svm.ckpt.store_us"];
+        assert_eq!(stores.count, resumed.stats.ckpt_stores);
+        assert!(stores.count > 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
