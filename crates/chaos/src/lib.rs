@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(feature = "chaos-off"))]
 mod chacha;
 pub mod durable;
 mod plan;

@@ -1,5 +1,6 @@
 //! Seeded fault plans and the armed [`Chaos`] handle consumers carry.
 
+#[cfg(not(feature = "chaos-off"))]
 use crate::chacha;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +48,9 @@ pub enum Trigger {
 
 #[derive(Debug)]
 struct Site {
+    #[cfg(not(feature = "chaos-off"))]
     fault: Fault,
+    #[cfg(not(feature = "chaos-off"))]
     trigger: Trigger,
     occurrence: AtomicU64,
     injected: AtomicU64,
@@ -55,8 +58,10 @@ struct Site {
 
 #[derive(Debug)]
 struct PlanState {
+    #[cfg(not(feature = "chaos-off"))]
     key: [u32; 8],
     sites: BTreeMap<String, Site>,
+    #[cfg(not(feature = "chaos-off"))]
     rank_deaths: BTreeMap<usize, u64>,
     injected_total: AtomicU64,
 }
@@ -167,12 +172,14 @@ impl FaultPlan {
         let sites = self
             .rules
             .into_iter()
-            .map(|(name, (fault, trigger))| {
+            .map(|(name, _rule)| {
                 (
                     name,
                     Site {
-                        fault,
-                        trigger,
+                        #[cfg(not(feature = "chaos-off"))]
+                        fault: _rule.0,
+                        #[cfg(not(feature = "chaos-off"))]
+                        trigger: _rule.1,
                         occurrence: AtomicU64::new(0),
                         injected: AtomicU64::new(0),
                     },
@@ -181,8 +188,10 @@ impl FaultPlan {
             .collect();
         Chaos {
             inner: Some(Arc::new(PlanState {
+                #[cfg(not(feature = "chaos-off"))]
                 key: chacha::key_from_seed(self.seed),
                 sites,
+                #[cfg(not(feature = "chaos-off"))]
                 rank_deaths: self.rank_deaths,
                 injected_total: AtomicU64::new(0),
             })),

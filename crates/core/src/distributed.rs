@@ -4,10 +4,11 @@
 //! Perlmutter. Here each process is a `qk-mpi` rank (an OS thread under
 //! [`qk_mpi::run_world`]) that owns its states: a state crosses a rank
 //! boundary only as one point-to-point message of its serialized bytes,
-//! timed as communication (DESIGN.md, substitution 2). Every kernel entry
-//! comes from `qk_gram`'s tile kernel: each rank contracts its [`Tile`]s
-//! with [`qk_gram::compute_tile`] and [`distributed_gram`] places them
-//! with [`qk_gram::write_tile`], so both strategies are bitwise equal to
+//! timed as communication (DESIGN.md, substitution 2). Both strategies
+//! tile the matrix with a balanced [`TilePlan`] and run every tile
+//! through `qk_gram`'s one tile path: each rank contracts its tiles with
+//! a [`TileRunner`] and [`distributed_gram`] places them with
+//! [`qk_gram::write_tile`], so both strategies are bitwise equal to
 //! `gram_matrix`. Two strategies are implemented:
 //!
 //! * **No-messaging** (Fig. 4a): the kernel matrix is tiled; each process
@@ -23,13 +24,12 @@
 use crate::states::simulate_states_serial;
 use crate::timing::PhaseClock;
 use qk_circuit::AnsatzConfig;
-use qk_gram::{compute_tile, write_tile, JobKind, Tile};
+use qk_gram::{write_tile, JobKind, Tile, TilePlan, TileRunner};
 use qk_mpi::{run_world, Process, Source};
 use qk_mps::{Mps, TruncationConfig, ZipperWorkspace};
 use qk_svm::KernelMatrix;
 use qk_tensor::backend::ExecutionBackend;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Distribution strategy for the Gram matrix.
@@ -111,32 +111,28 @@ pub fn distributed_gram(
     let job = Job {
         rows,
         ansatz,
-        backend,
         truncation,
+        runner: TileRunner::new(JobKind::Train, backend),
+        backend,
     };
     let ranks = run_world(num_processes, |p| {
-        let mut work = RankWork::new();
+        let mut rank = Rank::default();
         match strategy {
-            Strategy::NoMessaging => no_messaging(p, &job, &mut work),
-            Strategy::RoundRobin => round_robin(p, &job, &mut work),
+            Strategy::NoMessaging => no_messaging(p, &job, &mut rank),
+            Strategy::RoundRobin => round_robin(p, &job, &mut rank),
         }
-        (
-            work.tiles,
-            work.times,
-            work.simulations,
-            p.stats().bytes_sent,
-        )
+        (rank, p.stats().bytes_sent)
     });
 
     let mut data = vec![0.0f64; n * n];
     let mut per_process = Vec::with_capacity(num_processes);
     let (mut simulations_run, mut bytes_communicated) = (0, 0);
-    for (tiles, times, simulations, bytes_sent) in ranks {
-        for (tile, payload) in &tiles {
+    for (rank, bytes_sent) in ranks {
+        for (tile, payload) in &rank.tiles {
             write_tile(&mut data, n, JobKind::Train, tile, payload);
         }
-        per_process.push(times);
-        simulations_run += simulations;
+        per_process.push(rank.times);
+        simulations_run += rank.simulations;
         bytes_communicated += bytes_sent;
     }
     DistributedResult {
@@ -148,87 +144,49 @@ pub fn distributed_gram(
     }
 }
 
-/// The inputs every rank reads.
+/// The inputs every rank reads, and the tile runner every rank
+/// contracts through.
 struct Job<'a> {
     rows: &'a [Vec<f64>],
     ansatz: &'a AnsatzConfig,
     backend: &'a dyn ExecutionBackend,
     truncation: &'a TruncationConfig,
+    runner: TileRunner<'a>,
 }
 
-/// One rank's phase clock, tile-kernel workspace and contracted tiles.
-struct RankWork {
-    clock: PhaseClock,
+/// One rank's zipper workspace, and what the rank hands back: its
+/// contracted tiles, phase times and simulation count.
+#[derive(Default)]
+struct Rank {
     ws: ZipperWorkspace,
     tiles: Vec<(Tile, Vec<f64>)>,
     times: ProcessTimes,
     simulations: usize,
 }
 
-impl RankWork {
-    fn new() -> Self {
-        RankWork {
-            clock: PhaseClock::new(),
-            ws: ZipperWorkspace::new(),
-            tiles: Vec::new(),
-            times: ProcessTimes::default(),
-            simulations: 0,
-        }
-    }
-
-    /// Simulates the states of `range`, timed as simulation.
-    fn simulate(&mut self, job: &Job, range: Range<usize>) -> Vec<Mps> {
-        let slice = &job.rows[range];
-        let t0 = self.clock.now();
-        let states = simulate_states_serial(slice, job.ansatz, job.backend, job.truncation).states;
-        self.times.simulation += self.clock.since(t0);
-        self.simulations += slice.len();
+impl Job<'_> {
+    /// Simulates the states of `band`'s rows, timed as simulation.
+    fn simulate(&self, band: &Tile, rank: &mut Rank) -> Vec<Mps> {
+        let slice = &self.rows[band.row0..band.row0 + band.rows];
+        let clock = PhaseClock::new();
+        let t0 = clock.now();
+        let states =
+            simulate_states_serial(slice, self.ansatz, self.backend, self.truncation).states;
+        rank.times.simulation += clock.since(t0);
+        rank.simulations += slice.len();
         states
     }
 
-    /// Contracts one tile with the Gram engine's kernel, timed as inner
-    /// products.
-    fn contract(&mut self, job: &Job, tile: Tile, row_states: &[Mps], col_states: &[Mps]) {
-        let t0 = self.clock.now();
-        let mut payload = vec![0.0; tile.len()];
-        compute_tile(
-            &tile,
-            JobKind::Train,
-            row_states,
-            col_states,
-            job.backend,
-            &mut self.ws,
-            &mut payload,
-        );
-        self.times.inner_products += self.clock.since(t0);
-        self.tiles.push((tile, payload));
-    }
-}
-
-/// Contiguous block boundaries for partitioning `n` items over `k` owners.
-fn block_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
-    let base = n / k;
-    let extra = n % k;
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0;
-    for p in 0..k {
-        let len = base + usize::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// The tile with block `a` as its row band and block `b` as its column
-/// band (`a <= b`; `a == b` is a diagonal tile).
-fn block_tile(blocks: &[Range<usize>], a: usize, b: usize) -> Tile {
-    Tile {
-        bi: a,
-        bj: b,
-        row0: blocks[a].start,
-        rows: blocks[a].len(),
-        col0: blocks[b].start,
-        cols: blocks[b].len(),
+    /// Runs `tile` through the tile runner, timed as inner products.
+    fn run_tile(&self, tile: &Tile, row_states: &[Mps], col_states: &[Mps], rank: &mut Rank) {
+        let clock = PhaseClock::new();
+        let t0 = clock.now();
+        let payload = self
+            .runner
+            .run(tile, None, &mut rank.ws, || Ok((row_states, col_states)))
+            .expect("a runner without store or faults cannot fail");
+        rank.times.inner_products += clock.since(t0);
+        rank.tiles.push((*tile, payload));
     }
 }
 
@@ -242,53 +200,48 @@ fn tile_grid_order(k: usize) -> usize {
     g
 }
 
-/// No-messaging rank: deals the g×g upper block triangle round-robin and
-/// simulates every block its tiles touch.
-fn no_messaging(p: &Process, job: &Job, work: &mut RankWork) {
-    let (rank, k) = (p.rank(), p.world_size());
+/// No-messaging rank: deals a balanced g-band plan's tiles round-robin
+/// and simulates every band its tiles touch.
+fn no_messaging(p: &Process, job: &Job, rank: &mut Rank) {
+    let k = p.world_size();
     let g = tile_grid_order(k).min(job.rows.len());
-    let blocks = block_ranges(job.rows.len(), g);
-    let mine: Vec<Tile> = (0..g)
-        .flat_map(|a| (a..g).map(move |b| (a, b)))
-        .skip(rank)
-        .step_by(k)
-        .map(|(a, b)| block_tile(&blocks, a, b))
-        .collect();
-    // Each touched block is simulated once per rank (still redundant
+    let plan = TilePlan::balanced(job.rows.len(), g);
+    let mine: Vec<&Tile> = plan.owned_by(p.rank(), k).collect();
+    // Each touched band is simulated once per rank (still redundant
     // across ranks).
     let mut needed: Vec<usize> = mine.iter().flat_map(|t| [t.bi, t.bj]).collect();
     needed.sort_unstable();
     needed.dedup();
     let mut states = vec![Vec::new(); g];
     for b in needed {
-        states[b] = work.simulate(job, blocks[b].clone());
+        states[b] = job.simulate(diagonal(&plan, b), rank);
     }
     for tile in mine {
-        work.contract(job, tile, &states[tile.bi], &states[tile.bj]);
+        job.run_tile(tile, &states[tile.bi], &states[tile.bj], rank);
     }
 }
 
-/// Round-robin rank: simulates its own block once, contracts its
-/// diagonal tile, then passes blocks to the left for `k / 2` steps,
-/// contracting one cross tile per step. For even `k` the last step is a
-/// half-step: only ranks below `k / 2` compute, so only their right
-/// neighbours send.
-fn round_robin(p: &mut Process, job: &Job, work: &mut RankWork) {
+/// Round-robin rank: simulates its own band of a balanced k-band plan
+/// once, runs its diagonal tile, then passes bands to the left for
+/// `k / 2` steps, running one cross tile per step. For even `k` the
+/// last step is a half-step: only ranks below `k / 2` compute, so only
+/// their right neighbours send.
+fn round_robin(p: &mut Process, job: &Job, rank: &mut Rank) {
     const STATE_TAG: u32 = 0;
-    let (rank, k) = (p.rank(), p.world_size());
-    let blocks = block_ranges(job.rows.len(), k);
-    let own = work.simulate(job, blocks[rank].clone());
-    work.contract(job, block_tile(&blocks, rank, rank), &own, &own);
+    let (me, k) = (p.rank(), p.world_size());
+    let plan = TilePlan::balanced(job.rows.len(), k);
+    let own = job.simulate(diagonal(&plan, me), rank);
+    job.run_tile(diagonal(&plan, me), &own, &own, rank);
 
     let steps = k / 2;
-    let left = (rank + k - 1) % k;
-    let right = (rank + 1) % k;
+    let left = (me + k - 1) % k;
+    let right = (me + 1) % k;
     let mut traveling = Vec::new();
     for step in 1..=steps {
         let half = k.is_multiple_of(2) && step == steps;
         let computes = |r: usize| !half || r < k / 2;
-        // Owner of the block arriving from the right.
-        let from = (rank + step) % k;
+        // Owner of the band arriving from the right.
+        let from = (me + step) % k;
         let outgoing = if step == 1 { &own } else { &traveling };
         let t0 = Instant::now();
         if computes(left) {
@@ -296,26 +249,33 @@ fn round_robin(p: &mut Process, job: &Job, work: &mut RankWork) {
                 p.send(left, STATE_TAG, &state.to_bytes());
             }
         }
-        let incoming: Vec<Mps> = if computes(rank) {
-            (0..blocks[from].len())
+        let incoming: Vec<Mps> = if computes(me) {
+            (0..diagonal(&plan, from).rows)
                 .map(|_| Mps::from_bytes(&p.recv(Source::Rank(right), STATE_TAG).payload))
                 .collect()
         } else {
             Vec::new()
         };
-        work.times.communication += t0.elapsed();
+        rank.times.communication += t0.elapsed();
         traveling = incoming;
-        if !computes(rank) {
+        if !computes(me) {
             continue;
         }
-        // The lower-indexed block is the row band, so every entry keeps
+        // The lower-indexed band is the row band, so every entry keeps
         // `gram_matrix`'s operand order.
-        if rank < from {
-            work.contract(job, block_tile(&blocks, rank, from), &own, &traveling);
+        let (rows, cols) = if me < from {
+            ((me, &own), (from, &traveling))
         } else {
-            work.contract(job, block_tile(&blocks, from, rank), &traveling, &own);
-        }
+            ((from, &traveling), (me, &own))
+        };
+        let tile = plan.find(rows.0, cols.0).expect("planned cross tile");
+        job.run_tile(tile, rows.1, cols.1, rank);
     }
+}
+
+/// Band `b`'s diagonal tile, whose rows are the band.
+fn diagonal(plan: &TilePlan, b: usize) -> &Tile {
+    plan.find(b, b).expect("every band has a diagonal tile")
 }
 
 #[cfg(test)]
@@ -415,8 +375,12 @@ mod tests {
             .map(|s| s.to_bytes().len())
             .collect();
         for k in [2usize, 4, 6] {
-            let blocks = block_ranges(n, k);
-            let half_step: usize = blocks[k / 2..].iter().flat_map(|b| &sizes[b.clone()]).sum();
+            let half_step: usize = TilePlan::balanced(n, k)
+                .tiles
+                .iter()
+                .filter(|t| t.bi == t.bj && t.bi >= k / 2)
+                .flat_map(|t| &sizes[t.row0..t.row0 + t.rows])
+                .sum();
             let expected = (k / 2 - 1) * sizes.iter().sum::<usize>() + half_step;
             let result = distributed_gram(&data, &cfg, &be, &trunc, k, Strategy::RoundRobin);
             assert_eq!(result.bytes_communicated, expected, "k={k}");
@@ -459,19 +423,6 @@ mod tests {
             result.simulations_run
         );
         assert_eq!(result.bytes_communicated, 0);
-    }
-
-    #[test]
-    fn block_ranges_cover_everything() {
-        for (n, k) in [(10usize, 3usize), (7, 7), (5, 2), (9, 4)] {
-            let blocks = block_ranges(n, k);
-            assert_eq!(blocks.len(), k);
-            let total: usize = blocks.iter().map(|r| r.len()).sum();
-            assert_eq!(total, n);
-            for w in blocks.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-        }
     }
 
     #[test]

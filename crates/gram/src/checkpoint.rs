@@ -188,11 +188,6 @@ impl CheckpointStore {
         Manifest::decode(&fs::read(self.dir.join(MANIFEST_NAME))?)
     }
 
-    /// Root directory of the store.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Where `tile`'s checkpoint file lives under `dir`.
     fn tile_path(dir: &Path, tile: &Tile) -> PathBuf {
         dir.join("tiles")
@@ -225,24 +220,13 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Attempts to load the persisted payload for `tile`.
-    ///
-    /// Returns `Ok(Some(values))` only when the file exists, matches the
-    /// job fingerprint and tile geometry, and passes its checksum. A
-    /// missing file is `Ok(None)`; a truncated, corrupted or mismatched
-    /// file is *also* `Ok(None)` after the stale file is deleted — the
-    /// engine then recomputes the tile instead of loading it.
-    pub fn load(&self, tile: &Tile) -> Result<Option<Vec<f64>>, CheckpointError> {
-        match self.load_classified(tile)? {
-            TileLoad::Loaded(values) => Ok(Some(values)),
-            TileLoad::Missing | TileLoad::Corrupt => Ok(None),
-        }
-    }
-
-    /// Like [`CheckpointStore::load`], but distinguishes a tile that was
-    /// never written from one that existed and failed validation (and
-    /// was quarantined-by-deletion) — the engine's event journal records
-    /// the two outcomes differently.
+    /// Attempts to load the persisted payload for `tile`:
+    /// [`TileLoad::Loaded`] only when the file exists, matches the job
+    /// fingerprint and tile geometry, and passes its checksum. A missing
+    /// file is [`TileLoad::Missing`]; a truncated, corrupted or
+    /// mismatched one is [`TileLoad::Corrupt`] after the stale file is
+    /// deleted, so the tile recomputes instead of loading (the runner's
+    /// journal records the two outcomes differently).
     pub fn load_classified(&self, tile: &Tile) -> Result<TileLoad, CheckpointError> {
         let path = Self::tile_path(&self.dir, tile);
         Ok(durable::load(&path, |bytes| {
@@ -295,6 +279,14 @@ mod tests {
         ))
     }
 
+    /// The verified payload of `tile`, if `store` holds one.
+    fn loaded(store: &CheckpointStore, tile: &Tile) -> Option<Vec<f64>> {
+        match store.load_classified(tile).unwrap() {
+            TileLoad::Loaded(payload) => Some(payload),
+            TileLoad::Missing | TileLoad::Corrupt => None,
+        }
+    }
+
     fn spec() -> JobSpec {
         JobSpec {
             encoding: 0xFEED,
@@ -313,13 +305,13 @@ mod tests {
         let plan = TilePlan::symmetric(spec.rows, spec.tile);
         let tile = plan.tiles[1];
         let payload: Vec<f64> = (0..tile.len()).map(|k| (k as f64) * 0.125 - 0.3).collect();
-        assert_eq!(store.load(&tile).unwrap(), None);
+        assert_eq!(loaded(&store, &tile), None);
         store.store(&tile, &payload).unwrap();
-        assert_eq!(store.load(&tile).unwrap(), Some(payload.clone()));
+        assert_eq!(loaded(&store, &tile), Some(payload.clone()));
         // Reopen resumes: same fingerprint, tile still loadable.
         drop(store);
         let store = CheckpointStore::open(&dir, &spec).unwrap();
-        assert_eq!(store.load(&tile).unwrap(), Some(payload));
+        assert_eq!(loaded(&store, &tile), Some(payload));
         let m = store.manifest().unwrap();
         assert_eq!(m.fingerprint, spec.fingerprint());
         assert_eq!(m.tile, 4);
@@ -388,14 +380,14 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         bytes[60] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(store.load(&tile).unwrap(), None);
+        assert_eq!(loaded(&store, &tile), None);
         assert!(!path.exists(), "corrupt tile must be quarantined");
 
         // Truncated file: same treatment.
         store.store(&tile, &payload).unwrap();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert_eq!(store.load(&tile).unwrap(), None);
+        assert_eq!(loaded(&store, &tile), None);
         assert!(!path.exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -423,7 +415,7 @@ mod tests {
         let tile = plan.tiles[0];
         store.store(&tile, &vec![0.25; tile.len()]).unwrap();
         CheckpointStore::open(&dir, &spec).unwrap();
-        assert_eq!(store.load(&tile).unwrap(), Some(vec![0.25; tile.len()]));
+        assert_eq!(loaded(&store, &tile), Some(vec![0.25; tile.len()]));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -466,7 +458,7 @@ mod tests {
         let tile = TilePlan::symmetric(spec.rows, spec.tile).tiles[0];
         let payload = vec![0.5; tile.len()];
         old.store(&tile, &payload).unwrap();
-        assert_eq!(old.load(&tile).unwrap(), Some(payload));
+        assert_eq!(loaded(&old, &tile), Some(payload));
 
         match CheckpointStore::open(&dir, &spec) {
             Err(CheckpointError::Mismatch { expected, found }) => {
@@ -479,7 +471,7 @@ mod tests {
         // a current job: its header fingerprint fails the per-tile check.
         fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
         let store = CheckpointStore::open(&dir, &spec).unwrap();
-        assert_eq!(store.load(&tile).unwrap(), None);
+        assert_eq!(loaded(&store, &tile), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -503,7 +495,7 @@ mod tests {
             CheckpointStore::tile_path(&dir_b, &tile),
         )
         .unwrap();
-        assert_eq!(store_b.load(&tile).unwrap(), None);
+        assert_eq!(loaded(&store_b, &tile), None);
         let _ = fs::remove_dir_all(&dir_a);
         let _ = fs::remove_dir_all(&dir_b);
     }

@@ -58,13 +58,10 @@ pub struct GramConfig {
     pub retry: RetryPolicy,
     /// Trace collector for tile-granular timeline events (queue-wait,
     /// steal, band-load, compute, checkpoint-write). Workers record
-    /// onto lanes `(trace_rank, worker_id)`. `None` = no tracing; like
-    /// the rest of the instrumentation, tracing never participates in
-    /// the bitwise determinism contract.
+    /// onto lanes `(0, worker_id)`. `None` = no tracing; like the rest
+    /// of the instrumentation, tracing never participates in the
+    /// bitwise determinism contract.
     pub trace: Option<Tracer>,
-    /// Rank id the engine's trace lanes are tagged with (the rank
-    /// driver sets this; single-process runs keep 0).
-    pub trace_rank: u32,
 }
 
 impl Default for GramConfig {
@@ -82,7 +79,6 @@ impl Default for GramConfig {
             chaos: Chaos::disarmed(),
             retry: RetryPolicy::default(),
             trace: None,
-            trace_rank: 0,
         }
     }
 }

@@ -1,5 +1,6 @@
 //! The tiled Gram engine: plans tiles, restores any valid checkpointed
-//! ones, and schedules the rest across a work-stealing worker pool.
+//! ones, and schedules the rest across a work-stealing worker pool. Both
+//! steps go through the crate's one [`TileRunner`].
 //!
 //! Scheduling: the pending tiles (band-major order) are split into one
 //! contiguous run per worker, each guarded by its own deque. A worker
@@ -19,14 +20,14 @@
 //! the same job are bitwise identical, and also bitwise identical to a
 //! single-pass per-pair loop over `Mps::inner_with`.
 
-use crate::checkpoint::{CheckpointError, CheckpointStore, TileLoad};
+use crate::checkpoint::{CheckpointError, CheckpointStore};
 use crate::config::GramConfig;
 use crate::fingerprint::{JobKind, JobSpec};
 use crate::metrics::GramMetrics;
+use crate::runner::{write_tile, TileRunner};
 use crate::spill::{SpillError, SpillStore};
 use crate::tiles::{Tile, TilePlan};
 use crate::view::TiledKernel;
-use qk_chaos::sites;
 use qk_mps::{Mps, ZipperWorkspace};
 use qk_obs::{Counter, Journal, Obs, TracePhase};
 use qk_svm::KernelBlock;
@@ -213,76 +214,6 @@ impl<'a, 'b> BandCache<'a, 'b> {
     }
 }
 
-/// Contracts one tile. `row_states` / `col_states` are the tile's bands;
-/// indices inside are local. Every contracted pair keeps global `i < j`
-/// operand order and runs the same zipper kernel as `Mps::inner_with`,
-/// which is what pins tiled output bitwise to the single-pass path. The
-/// worker's zipper workspace is reused across the whole tile, so the
-/// kernel's environment buffers are paid for once per band, not once per
-/// pair. The caller owns the payload buffer (`rows * cols`, row-major):
-/// the per-tile allocation lives at the orchestration layer, keeping
-/// this function on the analyzer's no-alloc list alongside the zipper
-/// kernel it drives.
-pub fn compute_tile(
-    tile: &Tile,
-    kind: JobKind,
-    row_states: &[Mps],
-    col_states: &[Mps],
-    backend: &dyn ExecutionBackend,
-    ws: &mut ZipperWorkspace,
-    payload: &mut [f64],
-) {
-    debug_assert_eq!(row_states.len(), tile.rows);
-    debug_assert_eq!(col_states.len(), tile.cols);
-    debug_assert_eq!(payload.len(), tile.rows * tile.cols);
-    let diagonal = kind == JobKind::Train && tile.bi == tile.bj;
-    for r in 0..tile.rows {
-        for c in 0..tile.cols {
-            let v = if diagonal {
-                let (i, j) = (tile.row0 + r, tile.col0 + c);
-                if i == j {
-                    1.0
-                } else if i < j {
-                    row_states[r]
-                        .inner_into(ws, backend, &col_states[c])
-                        .norm_sqr()
-                } else {
-                    // Mirror of the (c, r) entry computed earlier in
-                    // this same payload (c < r here).
-                    payload[c * tile.cols + r]
-                }
-            } else {
-                row_states[r]
-                    .inner_into(ws, backend, &col_states[c])
-                    .norm_sqr()
-            };
-            payload[r * tile.cols + c] = v;
-        }
-    }
-}
-
-/// Writes a completed tile payload into the dense row-major output,
-/// mirroring off-diagonal train tiles across the main diagonal.
-pub fn write_tile(
-    data: &mut [f64],
-    total_cols: usize,
-    kind: JobKind,
-    tile: &Tile,
-    payload: &[f64],
-) {
-    for r in 0..tile.rows {
-        let row = (tile.row0 + r) * total_cols + tile.col0;
-        data[row..row + tile.cols].copy_from_slice(&payload[r * tile.cols..(r + 1) * tile.cols]);
-    }
-    if kind == JobKind::Train && tile.bi != tile.bj {
-        for r in 0..tile.rows {
-            for c in 0..tile.cols {
-                data[(tile.col0 + c) * total_cols + (tile.row0 + r)] = payload[r * tile.cols + c];
-            }
-        }
-    }
-}
-
 /// The tiled Gram computation engine.
 pub struct GramEngine {
     cfg: GramConfig,
@@ -309,18 +240,6 @@ impl GramEngine {
     /// job runs.
     pub fn metrics(&self) -> Arc<GramMetrics> {
         Arc::clone(&self.metrics)
-    }
-
-    /// The observability context the engine's `gram.*` counters and
-    /// spans are registered in (the one from [`GramConfig::obs`], or the
-    /// engine's private context).
-    pub fn obs(&self) -> Obs {
-        self.obs.clone()
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &GramConfig {
-        &self.cfg
     }
 
     /// Computes the symmetric training kernel over resident states.
@@ -549,61 +468,25 @@ impl GramEngine {
             }
             None => None,
         };
+        let runner = TileRunner::reporting(kind, backend, &self.obs, &self.metrics, journal)
+            .persisting(
+                store.as_ref(),
+                &self.cfg.chaos,
+                &self.cfg.retry,
+                self.cfg.throttle,
+            );
         let mut pending: Vec<Tile> = Vec::with_capacity(plan.tiles.len());
         let mut restored = 0usize;
         {
             let _scan_span = self.obs.span("restore_scan");
             for tile in &plan.tiles {
-                if let Some(store) = &store {
-                    let retried = self.cfg.retry.run(|| {
-                        self.cfg.chaos.gate(sites::GRAM_CKPT_LOAD, || {
-                            self.metrics.record_fault_injected()
-                        })?;
-                        store.load_classified(tile)
-                    });
-                    self.metrics.record_retries(retried.retries);
-                    match retried.result {
-                        Ok(TileLoad::Loaded(payload)) => {
-                            write_tile(&mut data, cols, kind, tile, &payload);
-                            self.metrics.record_restored(tile.inner_products(kind));
-                            restored += 1;
-                            if let Some(journal) = journal {
-                                journal
-                                    .event("tile_restored")
-                                    .field_u64("bi", tile.bi as u64)
-                                    .field_u64("bj", tile.bj as u64)
-                                    .log();
-                            }
-                            continue;
-                        }
-                        Ok(TileLoad::Corrupt) => {
-                            if let Some(journal) = journal {
-                                journal
-                                    .event("tile_corrupt_recomputed")
-                                    .field_u64("bi", tile.bi as u64)
-                                    .field_u64("bj", tile.bj as u64)
-                                    .log();
-                            }
-                        }
-                        Ok(TileLoad::Missing) => {}
-                        Err(_persistent) => {
-                            // The file keeps erroring even after backoff:
-                            // quarantine it and recompute the tile. Tiles
-                            // are deterministic, so the replacement is
-                            // bitwise identical to what the file held.
-                            let _ = store.quarantine(tile);
-                            self.metrics.record_quarantined();
-                            if let Some(journal) = journal {
-                                journal
-                                    .event("tile_quarantined")
-                                    .field_u64("bi", tile.bi as u64)
-                                    .field_u64("bj", tile.bj as u64)
-                                    .log();
-                            }
-                        }
+                match store.as_ref().and_then(|s| runner.restore(s, tile)) {
+                    Some(payload) => {
+                        write_tile(&mut data, cols, kind, tile, &payload);
+                        restored += 1;
                     }
+                    None => pending.push(*tile),
                 }
-                pending.push(*tile);
             }
         }
         if restored > 0 {
@@ -617,16 +500,7 @@ impl GramEngine {
 
         let to_compute = pending.len();
         let computed = if to_compute > 0 {
-            self.run_pool(
-                kind,
-                rows_src,
-                cols_src,
-                backend,
-                store.as_ref(),
-                pending,
-                &mut data,
-                journal,
-            )?
+            self.run_pool(&runner, rows_src, cols_src, pending, &mut data)?
         } else {
             0
         };
@@ -661,18 +535,15 @@ impl GramEngine {
     /// Fans the pending tiles out over the worker pool; returns how many
     /// were computed (less than `pending.len()` only under a `max_tiles`
     /// budget).
-    #[allow(clippy::too_many_arguments)]
     fn run_pool(
         &self,
-        kind: JobKind,
+        runner: &TileRunner<'_>,
         rows_src: &StateSet<'_>,
         cols_src: &StateSet<'_>,
-        backend: &dyn ExecutionBackend,
-        store: Option<&CheckpointStore>,
         pending: Vec<Tile>,
         data: &mut [f64],
-        journal: Option<&Journal>,
     ) -> Result<usize, GramError> {
+        let (kind, journal) = (runner.kind, runner.journal);
         let total_cols = cols_src.len();
         let workers = self.cfg.effective_workers().min(pending.len()).max(1);
         // One contiguous band-major run per worker: own work is popped
@@ -689,9 +560,6 @@ impl GramEngine {
                 .unwrap_or(isize::MAX),
         );
         let stop = AtomicBool::new(false);
-        // Flips once the store persistently fails a write: remaining
-        // tiles skip persistence and the run finishes in memory.
-        let degraded = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<Result<(Tile, Vec<f64>), GramError>>();
         let mut first_error: Option<GramError> = None;
         let mut computed = 0usize;
@@ -702,27 +570,25 @@ impl GramEngine {
                 let queues = &queues;
                 let budget = &budget;
                 let stop = &stop;
-                let degraded = &degraded;
                 let metrics = &self.metrics;
                 let cfg = &self.cfg;
                 let obs = &self.obs;
                 scope.spawn(move || {
                     let _worker_span = obs.span("gram_worker");
-                    // Tile-granular timeline lane for this worker; the
-                    // rank driver tags lanes with its rank id so shards
-                    // from different ranks merge into one timeline.
-                    let lane = cfg
-                        .trace
-                        .as_ref()
-                        .map(|t| t.lane(cfg.trace_rank, wid as u32));
-                    let mut row_cache =
-                        BandCache::new(rows_src, cfg.tile, metrics.bands_reloaded_handle());
-                    let mut col_cache =
-                        BandCache::new(cols_src, cfg.tile, metrics.bands_reloaded_handle());
-                    // One zipper workspace per worker for this job's
-                    // lifetime: tile evaluation never allocates inside
-                    // the inner-product kernel.
-                    let mut ws = ZipperWorkspace::new();
+                    // Tile-granular timeline lane for this worker.
+                    let lane = cfg.trace.as_ref().map(|t| t.lane(0, wid as u32));
+                    // Band caches plus one zipper workspace per worker
+                    // for this job's lifetime: tile evaluation never
+                    // allocates inside the inner-product kernel.
+                    let fresh = || {
+                        let reloads = metrics.bands_reloaded_handle();
+                        (
+                            BandCache::new(rows_src, cfg.tile, reloads.clone()),
+                            BandCache::new(cols_src, cfg.tile, reloads),
+                            ZipperWorkspace::new(),
+                        )
+                    };
+                    let (mut row_cache, mut col_cache, mut ws) = fresh();
                     // Per-tile panic tally for the supervision loop.
                     // (BTreeMap: deterministic iteration, and this file
                     // is on the analyzer's determinism-pinned list.)
@@ -766,142 +632,20 @@ impl GramEngine {
                         // (injected or genuine) is caught below, the tile
                         // requeued, and the worker's state rebuilt — so
                         // one crash costs one tile recompute, not the job.
-                        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || -> Result<(Tile, Vec<f64>), GramError> {
-                                // An injected panic unwinds into the catch
-                                // below; an I/O fault fails the tile.
-                                cfg.chaos
-                                    .gate(sites::GRAM_TILE, || metrics.record_fault_injected())
-                                    .map_err(CheckpointError::Io)?;
-                                // The tile payload is allocated here, at the
-                                // orchestration layer, and handed down: the
-                                // compute path itself is allocation-free.
-                                let mut payload = vec![0.0f64; tile.rows * tile.cols];
-                                if kind == JobKind::Train && tile.bi == tile.bj {
-                                    let row_band = {
-                                        let _band_span = obs.span("band_load");
-                                        let _bt = lane.as_ref().map(|l| {
-                                            l.span_args(
-                                                TracePhase::BandLoad,
-                                                tile.bi as i64,
-                                                tile.bj as i64,
-                                            )
-                                        });
-                                        row_cache.band(tile.bi)?
-                                    };
-                                    let _tile_span = obs.span("tile_compute");
-                                    let _ct = lane.as_ref().map(|l| {
-                                        l.span_args(
-                                            TracePhase::Compute,
-                                            tile.bi as i64,
-                                            tile.bj as i64,
-                                        )
-                                    });
-                                    compute_tile(
-                                        &tile,
-                                        kind,
-                                        row_band,
-                                        row_band,
-                                        backend,
-                                        &mut ws,
-                                        &mut payload,
-                                    );
-                                } else {
-                                    let (col_band, row_band) = {
-                                        let _band_span = obs.span("band_load");
-                                        let _bt = lane.as_ref().map(|l| {
-                                            l.span_args(
-                                                TracePhase::BandLoad,
-                                                tile.bi as i64,
-                                                tile.bj as i64,
-                                            )
-                                        });
-                                        (col_cache.band(tile.bj)?, row_cache.band(tile.bi)?)
-                                    };
-                                    let _tile_span = obs.span("tile_compute");
-                                    let _ct = lane.as_ref().map(|l| {
-                                        l.span_args(
-                                            TracePhase::Compute,
-                                            tile.bi as i64,
-                                            tile.bj as i64,
-                                        )
-                                    });
-                                    compute_tile(
-                                        &tile,
-                                        kind,
-                                        row_band,
-                                        col_band,
-                                        backend,
-                                        &mut ws,
-                                        &mut payload,
-                                    );
-                                }
-                                if let Some(t) = cfg.throttle {
-                                    std::thread::sleep(t);
-                                }
-                                if let Some(store) = store {
-                                    if !degraded.load(Ordering::Relaxed) {
-                                        let _ckpt_span = obs.span("checkpoint_write");
-                                        let _ckpt_trace = lane.as_ref().map(|l| {
-                                            l.span_args(
-                                                TracePhase::CheckpointWrite,
-                                                tile.bi as i64,
-                                                tile.bj as i64,
-                                            )
-                                        });
-                                        let retried = cfg.retry.run(|| {
-                                            cfg.chaos.gate(sites::GRAM_CKPT_STORE, || {
-                                                metrics.record_fault_injected()
-                                            })?;
-                                            store.store(&tile, &payload)
-                                        });
-                                        metrics.record_retries(retried.retries);
-                                        match retried.result {
-                                            Ok(()) => {
-                                                if let Some(journal) = journal {
-                                                    journal
-                                                        .event("checkpoint_write")
-                                                        .field_u64("bi", tile.bi as u64)
-                                                        .field_u64("bj", tile.bj as u64)
-                                                        .log();
-                                                }
-                                            }
-                                            Err(e) => {
-                                                // Persistent write failure:
-                                                // give up on the store (once)
-                                                // and finish in memory rather
-                                                // than failing the job.
-                                                if !degraded.swap(true, Ordering::Relaxed) {
-                                                    eprintln!(
-                                                        "qk-gram: checkpoint store \
-                                                         failed, degrading to \
-                                                         in-memory assembly: {e}"
-                                                    );
-                                                    if let Some(journal) = journal {
-                                                        journal
-                                                            .event("checkpoint_degraded")
-                                                            .field_str("stage", "store")
-                                                            .field_u64("bi", tile.bi as u64)
-                                                            .field_u64("bj", tile.bj as u64)
-                                                            .log();
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                metrics.record_computed(tile.inner_products(kind));
-                                if let Some(journal) = journal {
-                                    journal
-                                        .event("tile_computed")
-                                        .field_u64("bi", tile.bi as u64)
-                                        .field_u64("bj", tile.bj as u64)
-                                        .field_u64("products", tile.inner_products(kind) as u64)
-                                        .log();
-                                }
-                                Ok((tile, payload))
-                            },
-                        ));
+                        let attempt =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                runner
+                                    .run(&tile, lane.as_ref(), &mut ws, || {
+                                        let rows = row_cache.band(tile.bi)?;
+                                        let cols = if kind == JobKind::Train && tile.bi == tile.bj {
+                                            rows
+                                        } else {
+                                            col_cache.band(tile.bj)?
+                                        };
+                                        Ok((rows, cols))
+                                    })
+                                    .map(|payload| (tile, payload))
+                            }));
                         match attempt {
                             Ok(result) => {
                                 let failed = result.is_err();
@@ -917,17 +661,7 @@ impl GramEngine {
                                 // and requeue the in-flight tile at the
                                 // front of our own deque. Recomputing it
                                 // is bitwise identical — tiles are pure.
-                                row_cache = BandCache::new(
-                                    rows_src,
-                                    cfg.tile,
-                                    metrics.bands_reloaded_handle(),
-                                );
-                                col_cache = BandCache::new(
-                                    cols_src,
-                                    cfg.tile,
-                                    metrics.bands_reloaded_handle(),
-                                );
-                                ws = ZipperWorkspace::new();
+                                (row_cache, col_cache, ws) = fresh();
                                 metrics.record_worker_restarted();
                                 if let Some(journal) = journal {
                                     journal
@@ -1013,6 +747,7 @@ fn claim(queues: &[Mutex<VecDeque<Tile>>], wid: usize) -> Option<(Tile, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::compute_tile;
     use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
     use qk_mps::{MpsSimulator, TruncationConfig};
     use qk_tensor::backend::CpuBackend;

@@ -8,15 +8,21 @@
 //! carry through a preemption or an OOM. This crate makes blocking,
 //! spilling and resumability first-class:
 //!
-//! * [`tiles`] — the matrix is decomposed into fixed-edge tiles; a
-//!   symmetric job enumerates only the upper block triangle.
-//! * [`engine`] — a work-stealing worker pool contracts tiles and
-//!   streams them to an assembler; every entry keeps the exact operand
-//!   order of the single-pass path, so output is bitwise identical for
-//!   any tile size, worker count, spill mode or resume history. Its
-//!   [`compute_tile`] / [`write_tile`] pair is the shared tile kernel:
-//!   the engine, the [`rank`] drill and `qk_core::distributed`'s Fig. 4
-//!   strategies all contract and place every entry through it.
+//! * [`tiles`] — the matrix is decomposed into fixed-edge tiles (or,
+//!   for the Fig. 4 strategies, balanced bands); a symmetric job
+//!   enumerates only the upper block triangle, dealt to ranks by one
+//!   round-robin owner rule.
+//! * [`runner`] — the one tile path. A [`TileRunner`] restores a tile
+//!   from a checkpoint store (retried, chaos-gated, quarantining what
+//!   keeps failing) or contracts it and persists it; [`write_tile`]
+//!   places it. The engine's pool, the [`rank`] drill and
+//!   `qk_core::distributed`'s Fig. 4 strategies all run every tile
+//!   through it; every entry keeps the exact operand order of the
+//!   single-pass path.
+//! * [`engine`] — a work-stealing worker pool runs the runner over the
+//!   pending tiles and streams them to an assembler, so output is
+//!   bitwise identical for any tile size, worker count, spill mode or
+//!   resume history.
 //! * [`checkpoint`] — each completed tile persists to a checksummed file
 //!   under a manifest bound to the job fingerprint (encoding hash,
 //!   truncation, shape, tile size). A killed job resumes from the last
@@ -59,20 +65,20 @@ pub mod fingerprint;
 pub mod metrics;
 pub mod rank;
 pub mod recompute;
+pub mod runner;
 pub mod spill;
 pub mod tiles;
 pub mod view;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, Manifest, TileLoad};
 pub use config::GramConfig;
-pub use engine::{
-    compute_tile, write_tile, BlockOutcome, GramEngine, GramError, GramOutcome, GramReport,
-};
+pub use engine::{BlockOutcome, GramEngine, GramError, GramOutcome, GramReport};
 pub use fingerprint::{encoding_fingerprint, JobKind, JobSpec};
 pub use metrics::{GramMetrics, GramProgress};
 pub use qk_chaos::durable::fnv1a64;
 pub use rank::{rank_distributed_gram, RankConfig, RankOutcome, RankReport, RankSummary};
 pub use recompute::RecomputingRows;
+pub use runner::{write_tile, TileRunner};
 pub use spill::{SpillError, SpillStore};
-pub use tiles::{band_count, Tile, TilePlan};
+pub use tiles::{Tile, TilePlan};
 pub use view::TiledKernel;

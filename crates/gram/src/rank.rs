@@ -14,6 +14,15 @@
 //! recompute, so the job completes — bitwise identical to a
 //! single-process run — as long as rank 0 survives.
 //!
+//! Every rank restores, computes and persists its tiles through one
+//! [`TileRunner`] persisting into its own directory, the same runner
+//! the engine's pool uses; read-backs from other ranks' directories go
+//! through the same runner's [`TileRunner::restore`]. The ranks' runners
+//! are built without the fault plan: rank death is the drill's only
+//! fault. (A rank does not supervise its tiles the way the pool does, so
+//! an injected tile panic would leave the coordinator waiting for a
+//! `FINACK` that never comes.)
+//!
 //! ## Protocol
 //!
 //! ```text
@@ -36,8 +45,8 @@
 //! pins the recovery mechanics, not leader election.
 
 use crate::checkpoint::CheckpointStore;
-use crate::engine::{compute_tile, write_tile};
 use crate::fingerprint::{JobKind, JobSpec};
+use crate::runner::{write_tile, TileRunner};
 use crate::tiles::{Tile, TilePlan};
 use crate::view::TiledKernel;
 use qk_chaos::{Chaos, RetryPolicy};
@@ -45,7 +54,7 @@ use qk_mpi::{run_world, HeartbeatMonitor, Process, Source, ANY_TAG};
 use qk_mps::{Mps, ZipperWorkspace};
 use qk_obs::{Journal, TraceLane, TracePhase, Tracer};
 use qk_tensor::backend::ExecutionBackend;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 const TAG_HB: u32 = 101;
@@ -66,10 +75,13 @@ pub struct RankConfig {
     pub encoding: u64,
     /// Root directory; rank `r` checkpoints under `<root>/rank_<r>`.
     pub checkpoint_root: PathBuf,
-    /// Armed fault plan; `rank_death` entries kill workers at tile
-    /// boundaries. Disarmed by default.
+    /// Armed fault plan; its `rank_death` entries kill workers at tile
+    /// boundaries, and nothing else in it is consulted. Disarmed by
+    /// default.
     pub chaos: Chaos,
-    /// Backoff for checkpoint stores (loads fall back to recompute).
+    /// Backoff for checkpoint loads and stores (a load that keeps
+    /// failing recomputes the tile; a store that keeps failing stops
+    /// the rank persisting).
     pub retry: RetryPolicy,
     /// Silence budget before the coordinator declares a rank dead.
     /// Must comfortably exceed the cost of one tile.
@@ -163,7 +175,6 @@ pub fn rank_distributed_gram(
 ) -> RankOutcome {
     assert!(!states.is_empty(), "need at least one state");
     let n = states.len();
-    let plan = TilePlan::symmetric(n, cfg.tile);
     let spec = JobSpec {
         encoding: cfg.encoding,
         kind: JobKind::Train,
@@ -172,11 +183,18 @@ pub fn rank_distributed_gram(
         tile: cfg.tile,
     };
 
+    let job = Job {
+        states,
+        backend,
+        cfg,
+        plan: TilePlan::symmetric(n, cfg.tile),
+        spec,
+    };
     let runs: Vec<RankRun> = run_world(cfg.ranks, |p| {
         if p.rank() == 0 {
-            coordinator(p, states, backend, cfg, &plan, &spec)
+            coordinator(p, &job)
         } else {
-            worker(p, states, backend, cfg, &plan, &spec)
+            worker(p, &job)
         }
     });
 
@@ -210,66 +228,102 @@ pub fn rank_distributed_gram(
     }
 }
 
-/// `<root>/rank_<r>`.
-fn rank_dir(root: &Path, rank: usize) -> PathBuf {
-    root.join(format!("rank_{rank}"))
+/// The inputs every rank reads.
+struct Job<'a> {
+    states: &'a [Mps],
+    backend: &'a dyn ExecutionBackend,
+    cfg: &'a RankConfig,
+    plan: TilePlan,
+    spec: JobSpec,
 }
 
-/// Round-robin tile ownership over the plan's tile order.
-fn owner(tile_index: usize, ranks: usize) -> usize {
-    tile_index % ranks
+impl Job<'_> {
+    /// Rank `rank`'s checkpoint store under `<root>/rank_<r>`; `None`
+    /// when the directory is unusable.
+    fn store(&self, rank: usize) -> Option<CheckpointStore> {
+        let dir = self.cfg.checkpoint_root.join(format!("rank_{rank}"));
+        CheckpointStore::open(&dir, &self.spec).ok()
+    }
 }
 
-/// Computes one tile from the resident states.
-fn compute_payload(
-    states: &[Mps],
-    tile: &Tile,
-    backend: &dyn ExecutionBackend,
-    ws: &mut ZipperWorkspace,
-) -> Vec<f64> {
-    let rows = &states[tile.row0..tile.row0 + tile.rows];
-    let cols = &states[tile.col0..tile.col0 + tile.cols];
-    let mut payload = vec![0.0; tile.len()];
-    compute_tile(tile, JobKind::Train, rows, cols, backend, ws, &mut payload);
-    payload
+/// One rank's share of the job: its tile runner, which persists into
+/// the rank's own directory, its zipper workspace and its trace lane.
+struct RankTiles<'a> {
+    job: &'a Job<'a>,
+    store: Option<&'a CheckpointStore>,
+    runner: TileRunner<'a>,
+    ws: ZipperWorkspace,
+    lane: Option<TraceLane>,
 }
 
-/// Restore-else-compute for an owned tile, persisting the result
-/// best-effort under the retry policy (a rank that cannot persist still
-/// makes progress; assembly recomputes what it cannot read back).
-fn materialize(
-    store: Option<&CheckpointStore>,
-    states: &[Mps],
-    tile: &Tile,
-    backend: &dyn ExecutionBackend,
-    ws: &mut ZipperWorkspace,
-    retry: &RetryPolicy,
-    lane: Option<&TraceLane>,
-) -> Vec<f64> {
-    if let Some(store) = store {
-        if let Ok(Some(payload)) = store.load(tile) {
-            return payload;
+impl<'a> RankTiles<'a> {
+    fn new(job: &'a Job<'a>, rank: usize, store: Option<&'a CheckpointStore>) -> Self {
+        let cfg = job.cfg;
+        RankTiles {
+            job,
+            store,
+            runner: TileRunner::new(JobKind::Train, job.backend).persisting(
+                store,
+                &Chaos::disarmed(),
+                &cfg.retry,
+                None,
+            ),
+            ws: ZipperWorkspace::new(),
+            lane: cfg.trace.as_ref().map(|t| t.lane(rank as u32, 0)),
         }
     }
-    let payload = {
-        let _t = lane.map(|l| l.span_args(TracePhase::Compute, tile.bi as i64, tile.bj as i64));
-        compute_payload(states, tile, backend, ws)
-    };
-    if let Some(store) = store {
-        let _t =
-            lane.map(|l| l.span_args(TracePhase::CheckpointWrite, tile.bi as i64, tile.bj as i64));
-        let _ = retry.run(|| store.store(tile, &payload)).result;
-    }
-    payload
-}
 
-/// A verified read of `tile` from some rank's checkpoint directory:
-/// `None` unless the directory holds a matching manifest *and* a tile
-/// file that passes checksum and geometry checks.
-fn load_from_dir(dir: &Path, spec: &JobSpec, tile: &Tile) -> Option<Vec<f64>> {
-    CheckpointStore::open(dir, spec)
-        .ok()
-        .and_then(|store| store.load(tile).ok().flatten())
+    /// Computes `tile` from the resident states and persists it into
+    /// this rank's directory.
+    fn compute(&mut self, tile: &Tile) -> Vec<f64> {
+        let states = self.job.states;
+        self.runner
+            .run(tile, self.lane.as_ref(), &mut self.ws, || {
+                Ok((
+                    &states[tile.row0..tile.row0 + tile.rows],
+                    &states[tile.col0..tile.col0 + tile.cols],
+                ))
+            })
+            .unwrap_or_else(|e| panic!("rank tile ({}, {}) failed: {e}", tile.bi, tile.bj))
+    }
+
+    /// Restores an owned tile from this rank's directory, else computes
+    /// and persists it.
+    fn complete(&mut self, tile: &Tile) {
+        if self
+            .store
+            .and_then(|s| self.runner.restore(s, tile))
+            .is_none()
+        {
+            self.compute(tile);
+        }
+    }
+
+    /// Adopts the orphaned tiles `orphans` (plan indices): each is
+    /// recovered from its dead owner's checkpoint, else recomputed into
+    /// this rank's own directory. Returns `(recovered, recomputed)`.
+    fn adopt(&mut self, orphans: &[u64]) -> (u64, u64) {
+        let mut recovered = 0;
+        for &idx in orphans {
+            let tile = &self.job.plan.tiles[idx as usize];
+            let restored = {
+                let _t = self
+                    .lane
+                    .as_ref()
+                    .map(|l| l.span_args(TracePhase::Rebalance, tile.bi as i64, tile.bj as i64));
+                let dead = TilePlan::owner(idx as usize, self.job.cfg.ranks);
+                self.job
+                    .store(dead)
+                    .and_then(|s| self.runner.restore(&s, tile))
+            };
+            if restored.is_some() {
+                recovered += 1;
+            } else {
+                self.compute(tile);
+            }
+        }
+        (recovered, orphans.len() as u64 - recovered)
+    }
 }
 
 fn encode_indices(indices: &[u64]) -> Vec<u8> {
@@ -288,70 +342,23 @@ fn decode_indices(bytes: &[u8]) -> Vec<u64> {
         .collect()
 }
 
-/// Adopts one orphaned tile: recover from the dead owner's checkpoint,
-/// else recompute and persist into the adopter's own directory.
-/// Returns `true` when the checkpoint recovery succeeded.
-#[allow(clippy::too_many_arguments)]
-fn adopt(
-    idx: u64,
-    plan: &TilePlan,
-    spec: &JobSpec,
-    cfg: &RankConfig,
-    own_store: Option<&CheckpointStore>,
-    states: &[Mps],
-    backend: &dyn ExecutionBackend,
-    ws: &mut ZipperWorkspace,
-    lane: Option<&TraceLane>,
-) -> bool {
-    let tile = &plan.tiles[idx as usize];
-    let _t = lane.map(|l| l.span_args(TracePhase::Rebalance, tile.bi as i64, tile.bj as i64));
-    let dead_rank = owner(idx as usize, cfg.ranks);
-    let dead_dir = rank_dir(&cfg.checkpoint_root, dead_rank);
-    if load_from_dir(&dead_dir, spec, tile).is_some() {
-        return true;
-    }
-    let payload = compute_payload(states, tile, backend, ws);
-    if let Some(store) = own_store {
-        let _ = cfg.retry.run(|| store.store(tile, &payload)).result;
-    }
-    false
-}
-
 /// The worker-rank body (`rank > 0`). See the module docs for the
 /// message sequence; death is simulated by abandoning the compute loop
 /// and draining messages until `FIN` (a dead process answers nothing,
 /// but the drill must leave the simulated mailboxes clean).
-fn worker(
-    p: &mut Process,
-    states: &[Mps],
-    backend: &dyn ExecutionBackend,
-    cfg: &RankConfig,
-    plan: &TilePlan,
-    spec: &JobSpec,
-) -> RankRun {
+fn worker(p: &mut Process, job: &Job) -> RankRun {
+    let (cfg, plan) = (job.cfg, &job.plan);
     let rank = p.rank();
-    let lane = cfg.trace.as_ref().map(|t| t.lane(rank as u32, 0));
-    let store = CheckpointStore::open(&rank_dir(&cfg.checkpoint_root, rank), spec).ok();
-    let mut ws = ZipperWorkspace::new();
+    let store = job.store(rank);
+    let mut own = RankTiles::new(job, rank, store.as_ref());
     let death_at = cfg.chaos.rank_death(rank);
     let mut completed = 0u64;
 
-    let owned: Vec<usize> = (0..plan.tiles.len())
-        .filter(|&i| owner(i, cfg.ranks) == rank)
-        .collect();
-    for &idx in &owned {
+    for tile in plan.owned_by(rank, cfg.ranks) {
         if death_at == Some(completed) {
             return limbo(p, completed);
         }
-        let _ = materialize(
-            store.as_ref(),
-            states,
-            &plan.tiles[idx],
-            backend,
-            &mut ws,
-            &cfg.retry,
-            lane.as_ref(),
-        );
+        own.complete(tile);
         completed += 1;
         p.send(0, TAG_HB, &completed.to_le_bytes());
     }
@@ -362,30 +369,12 @@ fn worker(
 
     // Waiting for the coordinator's (re)assignment is this rank's
     // queue-wait: it ends the moment orphan rebalancing is decided.
-    let wait_start = lane.as_ref().map(|l| l.stamp());
+    let wait_start = own.lane.as_ref().map(|l| l.stamp());
     let assigned = decode_indices(&p.recv(Source::Rank(0), TAG_ASSIGN).payload);
-    if let (Some(l), Some(t0)) = (&lane, wait_start) {
+    if let (Some(l), Some(t0)) = (&own.lane, wait_start) {
         l.record_since(t0, TracePhase::QueueWait, assigned.len() as i64, -1);
     }
-    let mut adopted = 0u64;
-    let mut recomputed = 0u64;
-    for idx in assigned {
-        if adopt(
-            idx,
-            plan,
-            spec,
-            cfg,
-            store.as_ref(),
-            states,
-            backend,
-            &mut ws,
-            lane.as_ref(),
-        ) {
-            adopted += 1;
-        } else {
-            recomputed += 1;
-        }
-    }
+    let (adopted, recomputed) = own.adopt(&assigned);
     p.send(0, TAG_ADONE, &encode_indices(&[adopted, recomputed]));
 
     let fin = p.recv(Source::Rank(0), TAG_FIN);
@@ -418,36 +407,19 @@ fn limbo(p: &mut Process, completed: u64) -> RankRun {
 
 /// The coordinator body (rank 0): own share, liveness poll, orphan
 /// re-planning, adoption share, assembly, and the FIN/FINACK epilogue.
-fn coordinator(
-    p: &mut Process,
-    states: &[Mps],
-    backend: &dyn ExecutionBackend,
-    cfg: &RankConfig,
-    plan: &TilePlan,
-    spec: &JobSpec,
-) -> RankRun {
-    let n = states.len();
+fn coordinator(p: &mut Process, job: &Job) -> RankRun {
+    let (cfg, plan) = (job.cfg, &job.plan);
+    let n = job.states.len();
     let journal = cfg.obs_dir.as_ref().and_then(|dir| {
         std::fs::create_dir_all(dir).ok()?;
         Journal::open(&dir.join("rank_journal.jsonl")).ok()
     });
-    let lane = cfg.trace.as_ref().map(|t| t.lane(0, 0));
-    let store = CheckpointStore::open(&rank_dir(&cfg.checkpoint_root, 0), spec).ok();
-    let mut ws = ZipperWorkspace::new();
+    let store = job.store(0);
+    let mut own = RankTiles::new(job, 0, store.as_ref());
     let mut completed = 0u64;
-    for idx in 0..plan.tiles.len() {
-        if owner(idx, cfg.ranks) == 0 {
-            let _ = materialize(
-                store.as_ref(),
-                states,
-                &plan.tiles[idx],
-                backend,
-                &mut ws,
-                &cfg.retry,
-                lane.as_ref(),
-            );
-            completed += 1;
-        }
+    for tile in plan.owned_by(0, cfg.ranks) {
+        own.complete(tile);
+        completed += 1;
     }
 
     // Liveness poll: beats and completions arrive while we sweep for
@@ -455,7 +427,7 @@ fn coordinator(
     // nobody sends ADONE or FINACK before receiving ASSIGN / FIN.
     // The whole poll is the coordinator's queue-wait: it ends when
     // every rank has settled (done or declared dead).
-    let poll_start = lane.as_ref().map(|l| l.stamp());
+    let poll_start = own.lane.as_ref().map(|l| l.stamp());
     let mut monitor = HeartbeatMonitor::new(cfg.ranks, cfg.hb_timeout);
     monitor.mark_done(0);
     while !monitor.all_settled() {
@@ -476,7 +448,7 @@ fn coordinator(
     }
     let dead = monitor.dead();
     let live = monitor.live();
-    if let (Some(l), Some(t0)) = (&lane, poll_start) {
+    if let (Some(l), Some(t0)) = (&own.lane, poll_start) {
         l.record_since(t0, TracePhase::QueueWait, dead.len() as i64, -1);
     }
 
@@ -486,7 +458,7 @@ fn coordinator(
     // conservatively swept still gets an (empty) assignment so it can
     // run its epilogue instead of blocking forever.
     let orphans: Vec<u64> = (0..plan.tiles.len())
-        .filter(|&i| dead.contains(&owner(i, cfg.ranks)))
+        .filter(|&i| dead.contains(&TilePlan::owner(i, cfg.ranks)))
         .map(|i| i as u64)
         .collect();
     let mut share: Vec<Vec<u64>> = vec![Vec::new(); cfg.ranks];
@@ -496,25 +468,7 @@ fn coordinator(
     for (rank, assigned) in share.iter().enumerate().skip(1) {
         p.send(rank, TAG_ASSIGN, &encode_indices(assigned));
     }
-    let mut adopted = 0u64;
-    let mut recomputed = 0u64;
-    for &idx in &share[0] {
-        if adopt(
-            idx,
-            plan,
-            spec,
-            cfg,
-            store.as_ref(),
-            states,
-            backend,
-            &mut ws,
-            lane.as_ref(),
-        ) {
-            adopted += 1;
-        } else {
-            recomputed += 1;
-        }
-    }
+    let (adopted, recomputed) = own.adopt(&share[0]);
     // Workers' ADONE counts gate assembly (their adopted tiles are on
     // disk once acknowledged); the totals are re-derived from the
     // per-rank summaries by the driver, so only rank 0's own share
@@ -535,18 +489,19 @@ fn coordinator(
     // their own directories), recomputing locally as the last resort so
     // the job always completes.
     let mut data = vec![0.0; n * n];
-    let stores: Vec<Option<CheckpointStore>> = (0..cfg.ranks)
-        .map(|r| CheckpointStore::open(&rank_dir(&cfg.checkpoint_root, r), spec).ok())
-        .collect();
+    let stores: Vec<Option<CheckpointStore>> = (0..cfg.ranks).map(|r| job.store(r)).collect();
     for (idx, tile) in plan.tiles.iter().enumerate() {
-        let _t = lane
-            .as_ref()
-            .map(|l| l.span_args(TracePhase::Assemble, tile.bi as i64, tile.bj as i64));
-        let first = owner(idx, cfg.ranks);
-        let payload = (0..cfg.ranks)
-            .map(|k| (first + k) % cfg.ranks)
-            .find_map(|r| stores[r].as_ref().and_then(|s| s.load(tile).ok().flatten()))
-            .unwrap_or_else(|| compute_payload(states, tile, backend, &mut ws));
+        let restored = {
+            let _t = own
+                .lane
+                .as_ref()
+                .map(|l| l.span_args(TracePhase::Assemble, tile.bi as i64, tile.bj as i64));
+            let first = TilePlan::owner(idx, cfg.ranks);
+            (0..cfg.ranks)
+                .map(|k| (first + k) % cfg.ranks)
+                .find_map(|r| stores[r].as_ref().and_then(|s| own.runner.restore(s, tile)))
+        };
+        let payload = restored.unwrap_or_else(|| own.compute(tile));
         write_tile(&mut data, n, JobKind::Train, tile, &payload);
     }
 

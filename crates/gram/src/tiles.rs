@@ -8,6 +8,7 @@
 //! band, which is what makes the spill path's band cache effective.
 
 use crate::fingerprint::JobKind;
+use std::ops::Range;
 
 /// One tile of the output matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +33,8 @@ impl Tile {
         self.rows * self.cols
     }
 
-    /// `true` for degenerate zero-area tiles (never produced by a plan).
+    /// `true` for zero-area tiles, which only a [`TilePlan::balanced`]
+    /// plan with more bands than rows produces.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -58,68 +60,90 @@ pub struct TilePlan {
     pub rows: usize,
     /// Matrix columns.
     pub cols: usize,
-    /// Tile edge.
+    /// Tile edge (the widest band of a [`TilePlan::balanced`] plan).
     pub tile: usize,
     /// Tiles in execution order (row-band-major).
     pub tiles: Vec<Tile>,
 }
 
-/// Number of bands covering `extent` rows or columns at a tile edge.
-pub fn band_count(extent: usize, tile: usize) -> usize {
-    extent.div_ceil(tile)
+/// Fixed-edge band boundaries: `tile` rows each, the last band ragged.
+fn edge_bands(extent: usize, tile: usize) -> Vec<Range<usize>> {
+    assert!(tile >= 1, "tile edge must be at least 1");
+    (0..extent.div_ceil(tile))
+        .map(|b| b * tile..((b + 1) * tile).min(extent))
+        .collect()
 }
 
 impl TilePlan {
     /// Plans a symmetric `n x n` train job: upper block triangle only.
     pub fn symmetric(n: usize, tile: usize) -> TilePlan {
-        assert!(tile >= 1, "tile edge must be at least 1");
-        let bands = band_count(n, tile);
-        let mut tiles = Vec::with_capacity(bands * (bands + 1) / 2);
-        for bi in 0..bands {
-            for bj in bi..bands {
-                tiles.push(Self::tile_at(bi, bj, n, n, tile));
-            }
-        }
-        TilePlan {
-            kind: JobKind::Train,
-            rows: n,
-            cols: n,
-            tile,
-            tiles,
-        }
+        let bands = edge_bands(n, tile);
+        Self::over(JobKind::Train, &bands, &bands, tile)
+    }
+
+    /// Plans a symmetric `n x n` train job over `bands` balanced bands:
+    /// the first `n % bands` hold one row more than the rest, so band
+    /// sizes differ by at most one (the Fig. 4 strategies' partition).
+    /// With `n < bands` the trailing bands, and their tiles, are empty.
+    pub fn balanced(n: usize, bands: usize) -> TilePlan {
+        assert!(bands >= 1, "need at least one band");
+        let (base, extra) = (n / bands, n % bands);
+        let bounds: Vec<Range<usize>> = (0..bands)
+            .map(|b| {
+                let start = b * base + b.min(extra);
+                start..start + base + usize::from(b < extra)
+            })
+            .collect();
+        Self::over(JobKind::Train, &bounds, &bounds, n.div_ceil(bands))
     }
 
     /// Plans a rectangular `rows x cols` block job: every tile.
     pub fn rectangular(rows: usize, cols: usize, tile: usize) -> TilePlan {
-        assert!(tile >= 1, "tile edge must be at least 1");
-        let row_bands = band_count(rows, tile);
-        let col_bands = band_count(cols, tile);
-        let mut tiles = Vec::with_capacity(row_bands * col_bands);
-        for bi in 0..row_bands {
-            for bj in 0..col_bands {
-                tiles.push(Self::tile_at(bi, bj, rows, cols, tile));
-            }
-        }
+        let (row_bands, col_bands) = (edge_bands(rows, tile), edge_bands(cols, tile));
+        Self::over(JobKind::Block, &row_bands, &col_bands, tile)
+    }
+
+    /// The tiles crossing every row band with every column band, in
+    /// row-band-major order; a train job keeps only `bi <= bj`.
+    fn over(kind: JobKind, rows: &[Range<usize>], cols: &[Range<usize>], tile: usize) -> TilePlan {
+        let upper = kind == JobKind::Train;
+        let tiles = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(bi, r)| {
+                let skip = if upper { bi } else { 0 };
+                cols.iter().enumerate().skip(skip).map(move |(bj, c)| Tile {
+                    bi,
+                    bj,
+                    row0: r.start,
+                    rows: r.len(),
+                    col0: c.start,
+                    cols: c.len(),
+                })
+            })
+            .collect();
         TilePlan {
-            kind: JobKind::Block,
-            rows,
-            cols,
+            kind,
+            rows: rows.last().map_or(0, |b| b.end),
+            cols: cols.last().map_or(0, |b| b.end),
             tile,
             tiles,
         }
     }
 
-    fn tile_at(bi: usize, bj: usize, rows: usize, cols: usize, tile: usize) -> Tile {
-        let row0 = bi * tile;
-        let col0 = bj * tile;
-        Tile {
-            bi,
-            bj,
-            row0,
-            rows: tile.min(rows - row0),
-            col0,
-            cols: tile.min(cols - col0),
-        }
+    /// The rank that owns the plan's `index`-th tile when `ranks` ranks
+    /// deal the tiles round-robin in plan order.
+    pub fn owner(index: usize, ranks: usize) -> usize {
+        index % ranks
+    }
+
+    /// The tiles `rank` owns under [`TilePlan::owner`], in plan order.
+    pub fn owned_by(&self, rank: usize, ranks: usize) -> impl Iterator<Item = &Tile> {
+        self.tiles
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| Self::owner(*i, ranks) == rank)
+            .map(|(_, tile)| tile)
     }
 
     /// Total inner products over the whole plan (`n(n-1)/2` for train
@@ -142,7 +166,7 @@ mod tests {
     fn symmetric_plan_covers_upper_triangle_once() {
         for (n, tile) in [(10usize, 3usize), (8, 4), (5, 5), (7, 10), (1, 2), (64, 16)] {
             let plan = TilePlan::symmetric(n, tile);
-            let bands = band_count(n, tile);
+            let bands = n.div_ceil(tile);
             assert_eq!(plan.tiles.len(), bands * (bands + 1) / 2, "n={n} t={tile}");
             // Every (i, j) with i <= j is covered by exactly one tile.
             let mut cover = vec![0usize; n * n];
@@ -189,6 +213,35 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort();
         assert_eq!(order, sorted);
+    }
+
+    #[test]
+    fn balanced_bands_cover_everything() {
+        for (n, k) in [(10usize, 3usize), (7, 7), (5, 2), (9, 4), (2, 4)] {
+            let plan = TilePlan::balanced(n, k);
+            assert_eq!(plan.tiles.len(), k * (k + 1) / 2);
+            // Diagonal tiles walk the bands: contiguous, larger first,
+            // sizes within one of each other.
+            let bands: Vec<(usize, usize)> = (0..k)
+                .map(|b| plan.find(b, b).map(|t| (t.row0, t.rows)).unwrap())
+                .collect();
+            assert_eq!(bands.iter().map(|b| b.1).sum::<usize>(), n);
+            for w in bands.windows(2) {
+                assert_eq!(w[0].0 + w[0].1, w[1].0);
+                assert!(w[0].1 - w[1].1 <= 1);
+            }
+            assert_eq!(plan.inner_products(), n * n.saturating_sub(1) / 2);
+        }
+    }
+
+    #[test]
+    fn owners_deal_the_plan_round_robin() {
+        let plan = TilePlan::symmetric(10, 3);
+        for rank in 0..3 {
+            let owned: Vec<&Tile> = plan.owned_by(rank, 3).collect();
+            let expect: Vec<&Tile> = plan.tiles.iter().skip(rank).step_by(3).collect();
+            assert_eq!(owned, expect, "rank {rank}");
+        }
     }
 
     #[test]

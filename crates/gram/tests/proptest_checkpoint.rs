@@ -3,7 +3,7 @@
 //! classified (rejected or quarantined), never panic the process.
 
 use proptest::prelude::*;
-use qk_gram::{CheckpointError, CheckpointStore, JobKind, JobSpec, TilePlan};
+use qk_gram::{CheckpointError, CheckpointStore, JobKind, JobSpec, Tile, TileLoad, TilePlan};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -14,6 +14,14 @@ fn scratch(tag: &str) -> PathBuf {
         "qk-gram-ckpt-prop-{}-{tag}-{id}",
         std::process::id()
     ))
+}
+
+/// The verified payload of `tile`, if `store` holds one.
+fn loaded(store: &CheckpointStore, tile: &Tile) -> Option<Vec<f64>> {
+    match store.load_classified(tile).unwrap() {
+        TileLoad::Loaded(payload) => Some(payload),
+        TileLoad::Missing | TileLoad::Corrupt => None,
+    }
 }
 
 fn spec() -> JobSpec {
@@ -84,7 +92,7 @@ proptest! {
         let store = CheckpointStore::open(&dir, &spec).unwrap();
         let tile = TilePlan::symmetric(spec.rows, spec.tile).tiles[1];
         std::fs::write(dir.join("tiles").join("t_0_1.qkt"), &bytes).unwrap();
-        prop_assert_eq!(store.load(&tile).unwrap(), None);
+        prop_assert_eq!(loaded(&store, &tile), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -102,18 +110,18 @@ proptest! {
 
         let cut = ((valid.len() - 1) as f64 * frac) as usize;
         std::fs::write(&path, &valid[..cut]).unwrap();
-        prop_assert_eq!(store.load(&tile).unwrap(), None);
+        prop_assert_eq!(loaded(&store, &tile), None);
 
         let mut flipped = valid.clone();
         let at = ((valid.len() - 1) as f64 * flip_frac) as usize;
         flipped[at] ^= 0x10;
         std::fs::write(&path, &flipped).unwrap();
-        prop_assert_eq!(store.load(&tile).unwrap(), None);
+        prop_assert_eq!(loaded(&store, &tile), None);
 
         // The pristine bytes still load, so the rejections above were
         // the mutations' doing, not a broken fixture.
         std::fs::write(&path, &valid).unwrap();
-        prop_assert_eq!(store.load(&tile).unwrap(), Some(payload));
+        prop_assert_eq!(loaded(&store, &tile), Some(payload));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

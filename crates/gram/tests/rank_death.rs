@@ -170,3 +170,65 @@ fn second_run_restores_from_rank_checkpoints() {
     assert_eq!(again.kernel.data(), clean.as_slice());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn damaged_rank_checkpoints_recompute_only_their_tiles() {
+    use qk_obs::{TracePhase, Tracer};
+    let st = states(10, 3);
+    let clean = clean_kernel(&st);
+    let dir = scratch("damaged");
+    rank_distributed_gram(&st, &CpuBackend::new(), &drill_config(3, &dir));
+    // Flip one byte of a rank-1 tile file, truncate a rank-2 one.
+    let first_tile = |rank: usize| {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join(format!("rank_{rank}/tiles")))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files.swap_remove(0)
+    };
+    let (flipped, truncated) = (first_tile(1), first_tile(2));
+    let mut bytes = std::fs::read(&flipped).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&flipped, &bytes).unwrap();
+    let bytes = std::fs::read(&truncated).unwrap();
+    std::fs::write(&truncated, &bytes[..bytes.len() - 5]).unwrap();
+
+    // The rerun deletes both damaged files on load, recomputes exactly
+    // those two tiles on their owners and restores the other eight.
+    let tracer = Tracer::new();
+    let cfg = RankConfig {
+        trace: Some(tracer.clone()),
+        ..drill_config(3, &dir)
+    };
+    let out = rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
+    assert_eq!(out.kernel.data(), clean.as_slice());
+    assert_eq!(out.report.dead_ranks, Vec::<usize>::new());
+    let mut computed: Vec<(u32, String)> = tracer
+        .events()
+        .iter()
+        .filter(|e| e.phase == TracePhase::Compute)
+        .map(|e| (e.rank, format!("t_{}_{}.qkt", e.arg0, e.arg1)))
+        .collect();
+    computed.sort();
+    let name = |p: &PathBuf| p.file_name().unwrap().to_str().unwrap().to_string();
+    assert_eq!(
+        computed,
+        vec![(1, name(&flipped)), (2, name(&truncated))],
+        "only the damaged tiles recompute, each on its owner"
+    );
+    // Both replacements are valid again: a third run restores them all.
+    let tracer = Tracer::new();
+    let cfg = RankConfig {
+        trace: Some(tracer.clone()),
+        ..drill_config(3, &dir)
+    };
+    let again = rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
+    assert_eq!(again.kernel.data(), clean.as_slice());
+    assert!(tracer
+        .events()
+        .iter()
+        .all(|e| e.phase != TracePhase::Compute));
+    let _ = std::fs::remove_dir_all(&dir);
+}

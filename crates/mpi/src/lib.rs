@@ -13,7 +13,9 @@
 //!
 //! Two callers run on it: `qk_core::distributed` (the paper's Fig. 4
 //! no-messaging and round-robin strategies) and `qk_gram::rank` (the
-//! rank-death drill). Neither needs a collective, so there are none.
+//! rank-death drill). Both tile the matrix with `qk_gram::TilePlan` and
+//! run every tile through `qk_gram::TileRunner`; this crate carries
+//! only their messages. Neither needs a collective, so there are none.
 //!
 //! * [`world`] — rank spawning and the per-rank [`world::Process`] handle.
 //! * [`p2p`] — mailbox delivery: tagged send/recv with source/tag

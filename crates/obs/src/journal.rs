@@ -27,6 +27,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+#[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
 /// Default cap on retained events; past it the newest events are
@@ -38,16 +39,17 @@ pub const DEFAULT_MAX_EVENTS: usize = 16_384;
 struct State {
     lines: Vec<String>,
     dropped: u64,
-    pending: usize,
 }
 
 /// Append-only JSONL event sink with atomic temp+rename flushes.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
+    #[cfg(not(feature = "obs-off"))]
     epoch: Instant,
+    #[cfg(not(feature = "obs-off"))]
     max_events: usize,
-    flush_every: usize,
+    #[cfg(not(feature = "obs-off"))]
     flush: Mutex<()>,
     state: Mutex<State>,
 }
@@ -75,17 +77,17 @@ impl Journal {
                 }
             }
         }
+        #[cfg(feature = "obs-off")]
+        let _ = max_events;
         Ok(Journal {
             path: path.to_path_buf(),
+            #[cfg(not(feature = "obs-off"))]
             epoch: Instant::now(),
+            #[cfg(not(feature = "obs-off"))]
             max_events,
-            flush_every: 1,
+            #[cfg(not(feature = "obs-off"))]
             flush: Mutex::new(()),
-            state: Mutex::new(State {
-                lines,
-                dropped: 0,
-                pending: 0,
-            }),
+            state: Mutex::new(State { lines, dropped: 0 }),
         })
     }
 
@@ -100,7 +102,10 @@ impl Journal {
         let mut fields = String::new();
         write_json_str(&mut fields, name);
         EventBuilder {
+            #[cfg(not(feature = "obs-off"))]
             journal: self,
+            #[cfg(feature = "obs-off")]
+            journal: std::marker::PhantomData,
             fields,
         }
     }
@@ -129,7 +134,6 @@ impl Journal {
 
     #[cfg(not(feature = "obs-off"))]
     fn append(&self, line: String) {
-        let do_flush;
         {
             let mut st = self.state.lock().expect("journal state lock poisoned");
             if st.lines.len() >= self.max_events {
@@ -137,13 +141,9 @@ impl Journal {
             } else {
                 st.lines.push(line);
             }
-            st.pending += 1;
-            do_flush = st.pending >= self.flush_every;
         }
-        if do_flush {
-            // Best-effort: a full disk must not take the job down.
-            let _ = self.flush();
-        }
+        // Best-effort: a full disk must not take the job down.
+        let _ = self.flush();
     }
 
     /// Durably write the journal: snapshot under a brief state lock,
@@ -152,8 +152,7 @@ impl Journal {
     pub fn flush(&self) -> io::Result<()> {
         let _serialize = self.flush.lock().expect("journal flush lock poisoned");
         let text = {
-            let mut st = self.state.lock().expect("journal state lock poisoned");
-            st.pending = 0;
+            let st = self.state.lock().expect("journal state lock poisoned");
             let mut text = String::with_capacity(st.lines.iter().map(|l| l.len() + 1).sum());
             for line in &st.lines {
                 text.push_str(line);
@@ -181,7 +180,10 @@ impl Journal {
 /// Incremental event construction; fields serialize in call order.
 #[derive(Debug)]
 pub struct EventBuilder<'a> {
+    #[cfg(not(feature = "obs-off"))]
     journal: &'a Journal,
+    #[cfg(feature = "obs-off")]
+    journal: std::marker::PhantomData<&'a Journal>,
     fields: String,
 }
 

@@ -372,7 +372,7 @@ fn three_columns(
 /// pairs. The accelerator backend's `DeviceModel` prices this driver as
 /// device work, where a round's rotations would run in parallel; here
 /// every round executes sequentially on the calling thread (ROADMAP item
-/// 5 replaces the driver). Column norms are recomputed per pair; the
+/// 9 replaces the driver). Column norms are recomputed per pair; the
 /// rotation decision and the deflation floor are the serial driver's.
 pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
     assert_eq!(a.len(), m * n, "svd_parallel: matrix size mismatch");
