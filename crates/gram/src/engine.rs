@@ -7,11 +7,18 @@
 //! pops from the *front* of its own deque — preserving band order, so
 //! its row-band cache stays hot — and when empty steals from the *back*
 //! of the most loaded victim, where the bands it would have to load
-//! anyway are coldest for the owner. Completed tiles stream over a
-//! channel to the assembler thread, which writes them into the dense
-//! output (and the checkpoint store persists them before they are
-//! reported), so a kill at any instant loses at most the tiles in
-//! flight.
+//! anyway are coldest for the owner. A worker that finds every deque
+//! empty does not exit while tiles are in flight: it waits on the
+//! pool's [`Board`], where each owner posts its tile once the tile's
+//! gate has passed and its bands are in, and joins the posted tile with
+//! the most unclaimed rows, claiming rows from the tile's shared cursor
+//! ([`TileRunner::help`]). So a job with fewer tiles than workers, and
+//! the tail of every job, still runs on every worker; the pool starts
+//! all `workers` threads whatever the tile count. Completed tiles
+//! stream over a channel to the assembler thread, which writes them
+//! into the dense output (and the checkpoint store persists them before
+//! they are reported), so a kill at any instant loses at most the tiles
+//! in flight.
 //!
 //! Determinism: every kernel entry is produced by the single shared
 //! zipper kernel (`Mps::inner_into`, the same kernel behind
@@ -24,7 +31,7 @@ use crate::checkpoint::{CheckpointError, CheckpointStore};
 use crate::config::GramConfig;
 use crate::fingerprint::{JobKind, JobSpec};
 use crate::metrics::GramMetrics;
-use crate::runner::{write_tile, TileRunner};
+use crate::runner::{write_tile, Band, SharedTile, TileRunner};
 use crate::spill::{SpillError, SpillStore};
 use crate::tiles::{Tile, TilePlan};
 use crate::view::TiledKernel;
@@ -35,7 +42,7 @@ use qk_tensor::backend::ExecutionBackend;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How many times one tile may panic a worker before the job gives up
@@ -178,11 +185,11 @@ impl StateSet<'_> {
 
 /// Per-worker cache of the most recently used band of one state set.
 /// Resident sets borrow bands for free; spilled sets hold one loaded
-/// band at a time.
+/// band at a time, shared with any worker helping on its tile.
 struct BandCache<'a, 'b> {
     src: &'b StateSet<'a>,
     tile: usize,
-    loaded: Option<(usize, Vec<Mps>)>,
+    loaded: Option<(usize, Arc<Vec<Mps>>)>,
     reloads: Counter,
 }
 
@@ -196,20 +203,153 @@ impl<'a, 'b> BandCache<'a, 'b> {
         }
     }
 
-    fn band(&mut self, b: usize) -> Result<&[Mps], GramError> {
+    fn band(&mut self, b: usize) -> Result<Band<'a>, GramError> {
         match self.src {
             StateSet::Resident(states) => {
                 let lo = b * self.tile;
                 let hi = (lo + self.tile).min(states.len());
-                Ok(&states[lo..hi])
+                Ok(Band::Borrowed(&states[lo..hi]))
             }
-            StateSet::Spilled(store) => {
-                if self.loaded.as_ref().map(|(idx, _)| *idx) != Some(b) {
-                    self.loaded = Some((b, store.load_band(b)?));
+            StateSet::Spilled(store) => match &self.loaded {
+                Some((idx, band)) if *idx == b => Ok(Band::Loaded(Arc::clone(band))),
+                _ => {
+                    let band = Arc::new(store.load_band(b)?);
                     self.reloads.inc();
+                    self.loaded = Some((b, Arc::clone(&band)));
+                    Ok(Band::Loaded(band))
                 }
-                Ok(&self.loaded.as_ref().unwrap().1)
+            },
+        }
+    }
+}
+
+/// Where a pool's idle workers find work once every deque is empty: the
+/// tiles in flight whose owners have published them, and enough state to
+/// know when waiting is pointless. `epoch` moves on every change an idle
+/// worker could act on (a post, a requeue, a finished tile, a stop), so
+/// a worker that saw empty deques at one epoch rechecks them rather than
+/// sleeping through a requeue.
+pub(crate) struct Board<'s> {
+    board: Mutex<Notices<'s>>,
+    changed: Condvar,
+    stopped: AtomicBool,
+}
+
+struct Notices<'s> {
+    posted: Vec<Arc<SharedTile<'s>>>,
+    unfinished: usize,
+    epoch: u64,
+}
+
+/// What an idle worker does next.
+enum Idle<'s> {
+    /// Help on this tile.
+    Join(Arc<SharedTile<'s>>),
+    /// Something changed since the worker last looked: claim again.
+    Recheck,
+    /// The job is done or stopped.
+    Leave,
+}
+
+impl<'s> Board<'s> {
+    fn new(unfinished: usize) -> Self {
+        Board {
+            board: Mutex::new(Notices {
+                posted: Vec::new(),
+                unfinished,
+                epoch: 0,
+            }),
+            changed: Condvar::new(),
+            stopped: AtomicBool::new(false),
+        }
+    }
+
+    fn bump(&self, change: impl FnOnce(&mut Notices<'s>)) {
+        let mut notices = self.board.lock().expect("board poisoned");
+        change(&mut notices);
+        notices.epoch += 1;
+        self.changed.notify_all();
+    }
+
+    /// Publishes `shared` until the returned guard drops; the drop also
+    /// closes its cursor, so a tile whose owner unwinds hands out no
+    /// further rows.
+    pub(crate) fn post<'b>(&'b self, shared: &Arc<SharedTile<'s>>) -> Posted<'b, 's> {
+        self.bump(|n| n.posted.push(Arc::clone(shared)));
+        Posted {
+            board: self,
+            shared: Arc::clone(shared),
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.board.lock().expect("board poisoned").epoch
+    }
+
+    fn finished(&self) {
+        self.bump(|n| n.unfinished -= 1);
+    }
+
+    fn requeued(&self) {
+        self.bump(|_| ());
+    }
+
+    fn stop(&self) {
+        self.stopped.store(true, Ordering::Relaxed);
+        self.bump(|_| ());
+    }
+
+    fn stopped(&self) -> bool {
+        self.stopped.load(Ordering::Relaxed)
+    }
+
+    /// Blocks an idle worker that found every deque empty at `seen`
+    /// until there is a posted tile with rows left to join, something
+    /// to recheck, or nothing left to wait for.
+    fn idle(&self, seen: u64) -> Idle<'s> {
+        let mut notices = self.board.lock().expect("board poisoned");
+        loop {
+            if self.stopped() || notices.unfinished == 0 {
+                return Idle::Leave;
             }
+            let open = notices
+                .posted
+                .iter()
+                .filter(|t| t.rows_left() > 0)
+                .max_by_key(|t| t.rows_left());
+            if let Some(tile) = open {
+                return Idle::Join(Arc::clone(tile));
+            }
+            if notices.epoch != seen {
+                return Idle::Recheck;
+            }
+            notices = self.changed.wait(notices).expect("board poisoned");
+        }
+    }
+}
+
+/// A posted tile; dropping it takes the tile down.
+pub(crate) struct Posted<'b, 's> {
+    board: &'b Board<'s>,
+    shared: Arc<SharedTile<'s>>,
+}
+
+impl Drop for Posted<'_, '_> {
+    fn drop(&mut self) {
+        self.shared.close();
+        let mut notices = self.board.board.lock().expect("board poisoned");
+        notices.posted.retain(|t| !Arc::ptr_eq(t, &self.shared));
+    }
+}
+
+/// Stops the pool if a worker thread unwinds outside its supervision,
+/// so idle workers do not wait on it forever.
+struct StopOnUnwind<'b, 's>(&'b Board<'s>);
+
+impl Drop for StopOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
         }
     }
 }
@@ -321,12 +461,19 @@ impl GramEngine {
     }
 
     fn spill_dir(&self) -> std::path::PathBuf {
-        let seq = self.spill_seq.fetch_add(1, Ordering::Relaxed);
+        // Temp-dir names are unique per process, not per engine: two
+        // engines spilling at once must not clear each other's bands.
+        static TEMP_SEQ: AtomicUsize = AtomicUsize::new(0);
         match &self.cfg.checkpoint {
-            Some(dir) => dir.join(format!("spill_{seq}")),
-            None => {
-                std::env::temp_dir().join(format!("qk-gram-spill-{}-{seq}", std::process::id()))
-            }
+            Some(dir) => dir.join(format!(
+                "spill_{}",
+                self.spill_seq.fetch_add(1, Ordering::Relaxed)
+            )),
+            None => std::env::temp_dir().join(format!(
+                "qk-gram-spill-{}-{}",
+                std::process::id(),
+                TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            )),
         }
     }
 
@@ -545,21 +692,24 @@ impl GramEngine {
     ) -> Result<usize, GramError> {
         let (kind, journal) = (runner.kind, runner.journal);
         let total_cols = cols_src.len();
-        let workers = self.cfg.effective_workers().min(pending.len()).max(1);
+        let workers = self.cfg.effective_workers();
         // One contiguous band-major run per worker: own work is popped
-        // from the front (band locality), steals come off the back.
+        // from the front (band locality), steals come off the back. With
+        // fewer tiles than workers some deques start empty, and their
+        // workers help on the tiles in flight.
         let chunk = pending.len().div_ceil(workers);
-        let queues: Vec<Mutex<VecDeque<Tile>>> = pending
+        let mut queues: Vec<Mutex<VecDeque<Tile>>> = pending
             .chunks(chunk)
             .map(|c| Mutex::new(c.iter().copied().collect()))
             .collect();
+        queues.resize_with(workers, Mutex::default);
         let budget = AtomicIsize::new(
             self.cfg
                 .max_tiles
                 .map(|m| m.min(isize::MAX as usize) as isize)
                 .unwrap_or(isize::MAX),
         );
-        let stop = AtomicBool::new(false);
+        let board = Board::new(pending.len());
         let (tx, rx) = mpsc::channel::<Result<(Tile, Vec<f64>), GramError>>();
         let mut first_error: Option<GramError> = None;
         let mut computed = 0usize;
@@ -569,12 +719,13 @@ impl GramEngine {
                 let tx = tx.clone();
                 let queues = &queues;
                 let budget = &budget;
-                let stop = &stop;
+                let board = &board;
                 let metrics = &self.metrics;
                 let cfg = &self.cfg;
                 let obs = &self.obs;
                 scope.spawn(move || {
                     let _worker_span = obs.span("gram_worker");
+                    let _unwind = StopOnUnwind(board);
                     // Tile-granular timeline lane for this worker.
                     let lane = cfg.trace.as_ref().map(|t| t.lane(0, wid as u32));
                     // Band caches plus one zipper workspace per worker
@@ -594,17 +745,36 @@ impl GramEngine {
                     // is on the analyzer's determinism-pinned list.)
                     let mut panics: BTreeMap<(usize, usize), u32> = BTreeMap::new();
                     loop {
-                        if stop.load(Ordering::Relaxed) {
+                        if board.stopped() {
                             break;
                         }
+                        let seen = board.epoch();
                         let claim_start = lane.as_ref().map(|l| l.stamp());
                         let (tile, stolen) = match claim(queues, wid) {
                             Some(t) => t,
-                            None => break,
+                            None => match board.idle(seen) {
+                                Idle::Join(shared) => {
+                                    // A helper's panic costs the owner a
+                                    // requeue (it sees the dead row) and
+                                    // this worker its workspace.
+                                    let helped =
+                                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                                            || runner.help(&shared, lane.as_ref(), &mut ws),
+                                        ));
+                                    if helped.is_err() {
+                                        ws = ZipperWorkspace::new();
+                                        metrics.record_worker_restarted();
+                                    }
+                                    continue;
+                                }
+                                Idle::Recheck => continue,
+                                Idle::Leave => break,
+                            },
                         };
                         if budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
                             // Budget exhausted: leave the rest uncomputed
                             // (the checkpoint already holds what finished).
+                            board.stop();
                             break;
                         }
                         // Queue-wait vs. steal is only known after the
@@ -635,10 +805,10 @@ impl GramEngine {
                         let attempt =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 runner
-                                    .run(&tile, lane.as_ref(), &mut ws, || {
+                                    .run_on(&tile, lane.as_ref(), &mut ws, Some(board), || {
                                         let rows = row_cache.band(tile.bi)?;
                                         let cols = if kind == JobKind::Train && tile.bi == tile.bj {
-                                            rows
+                                            rows.clone()
                                         } else {
                                             col_cache.band(tile.bj)?
                                         };
@@ -651,9 +821,10 @@ impl GramEngine {
                                 let failed = result.is_err();
                                 let _ = tx.send(result);
                                 if failed {
-                                    stop.store(true, Ordering::Relaxed);
+                                    board.stop();
                                     break;
                                 }
+                                board.finished();
                             }
                             Err(_panic) => {
                                 // Supervision: rebuild the worker's state
@@ -678,13 +849,14 @@ impl GramEngine {
                                         bi: tile.bi,
                                         bj: tile.bj,
                                     }));
-                                    stop.store(true, Ordering::Relaxed);
+                                    board.stop();
                                     break;
                                 }
                                 // The budget charge for the crashed attempt
                                 // is refunded; the requeued tile pays again.
                                 budget.fetch_add(1, Ordering::Relaxed);
                                 queues[wid].lock().expect("queue poisoned").push_front(tile);
+                                board.requeued();
                             }
                         }
                     }
@@ -700,7 +872,7 @@ impl GramEngine {
                         computed += 1;
                     }
                     Err(e) => {
-                        stop.store(true, Ordering::Relaxed);
+                        board.stop();
                         if first_error.is_none() {
                             first_error = Some(e);
                         }
@@ -747,7 +919,7 @@ fn claim(queues: &[Mutex<VecDeque<Tile>>], wid: usize) -> Option<(Tile, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::compute_tile;
+    use crate::runner::{compute_tile, contract_row, HelperWatch};
     use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
     use qk_mps::{MpsSimulator, TruncationConfig};
     use qk_tensor::backend::CpuBackend;
@@ -778,6 +950,10 @@ mod tests {
                     .0
             })
             .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// Reference single-pass upper-triangle kernel.
@@ -823,20 +999,26 @@ mod tests {
     #[test]
     fn tile_on_a_shared_backend_is_bitwise_identical_across_threads() {
         // The shape the pool runs: one `&CpuBackend`, one workspace and
-        // payload per thread. The barrier puts both threads inside the
+        // tile per thread. The barrier puts both threads inside the
         // tile together, so anything the backend shared between calls
         // would be contended for here.
         let st = states(8, 4);
         let be = CpuBackend::new();
         let tile = TilePlan::symmetric(st.len(), st.len()).tiles[0];
         let run = |gate: &std::sync::Barrier| {
-            let mut payload = vec![0.0f64; tile.len()];
+            let shared = SharedTile::new(
+                tile,
+                JobKind::Train,
+                Band::Borrowed(&st),
+                Band::Borrowed(&st),
+            );
             gate.wait();
             let mut ws = ZipperWorkspace::new();
-            compute_tile(&tile, JobKind::Train, &st, &st, &be, &mut ws, &mut payload);
-            payload.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            compute_tile(&shared, &be, &mut ws);
+            bits(&shared.payload())
         };
         let alone = run(&std::sync::Barrier::new(1));
+        assert_eq!(alone, bits(&reference_gram(&st, &be)));
         let gate = std::sync::Barrier::new(2);
         let (first, second) = std::thread::scope(|s| {
             let first = s.spawn(|| run(&gate));
@@ -845,6 +1027,161 @@ mod tests {
         });
         assert_eq!(first, alone);
         assert_eq!(second, alone);
+    }
+
+    #[test]
+    fn diagonal_tile_shared_by_two_threads_mirrors_exactly() {
+        // A helper claims row 0, the heaviest row of a diagonal tile,
+        // and holds it while the owner contracts rows 1.. and waits.
+        // Only then does the helper contract its row. The owner's mirror
+        // copies row 0 into column 0, so the payload is exact only if
+        // the owner waited for the helper's row.
+        let st = states(9, 4);
+        let be = CpuBackend::new();
+        let tile = TilePlan::symmetric(st.len(), st.len()).tiles[0];
+        let shared = SharedTile::new(
+            tile,
+            JobKind::Train,
+            Band::Borrowed(&st),
+            Band::Borrowed(&st),
+        );
+        let held = shared.claim_row();
+        assert_eq!(held, Some(0));
+        let payload = std::thread::scope(|s| {
+            let owner = s.spawn(|| {
+                let mut ws = ZipperWorkspace::new();
+                compute_tile(&shared, &be, &mut ws);
+                shared.payload()
+            });
+            // The owner has claimed every other row once the cursor
+            // runs dry; it is then waiting on row 0 (or about to).
+            while shared.rows_left() > 0 {
+                std::thread::yield_now();
+            }
+            let mut ws = ZipperWorkspace::new();
+            contract_row(&shared, 0, &be, &mut ws);
+            shared.row_in();
+            owner.join().unwrap()
+        });
+        assert_eq!(bits(&payload), bits(&reference_gram(&st, &be)));
+    }
+
+    #[test]
+    fn owner_does_not_wait_on_a_dead_helper() {
+        let st = states(6, 4);
+        let be = CpuBackend::new();
+        let tile = TilePlan::rectangular(st.len(), st.len(), st.len()).tiles[0];
+        let shared = SharedTile::new(
+            tile,
+            JobKind::Block,
+            Band::Borrowed(&st),
+            Band::Borrowed(&st),
+        );
+        // A helper takes row 0 and dies with it.
+        let runner = TileRunner::new(JobKind::Block, &be);
+        std::thread::scope(|s| {
+            let helper = s.spawn(|| {
+                let _row = shared.claim_row();
+                let _watch = HelperWatch(&shared);
+                panic!("helper dies holding a row");
+            });
+            assert!(helper.join().is_err());
+        });
+        let mut ws = ZipperWorkspace::new();
+        runner.help(&shared, None, &mut ws);
+        let owner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shared.payload()));
+        assert!(owner.is_err(), "the owner must give the tile up");
+    }
+
+    /// Runs `job` on its own thread and fails the test if it has not
+    /// finished within a minute, so a pool that waits forever fails
+    /// instead of hanging the suite.
+    fn within_a_minute<T: Send + 'static>(job: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(job());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("job did not finish within a minute")
+    }
+
+    #[test]
+    fn one_tile_jobs_are_shared_and_bitwise_exact() {
+        let train = states(11, 4);
+        let test = states(7, 4);
+        let be = CpuBackend::new();
+        let reference = bits(&reference_gram(&train, &be));
+        let direct: Vec<u64> = test
+            .iter()
+            .flat_map(|t| {
+                train
+                    .iter()
+                    .map(|s| t.inner_with(&be, s).norm_sqr().to_bits())
+            })
+            .collect();
+        for workers in [2usize, 3, 5] {
+            let cfg = GramConfig {
+                workers,
+                ..GramConfig::in_memory(32)
+            };
+            let gram = GramEngine::new(cfg.clone())
+                .compute_gram(&train, &be)
+                .unwrap();
+            assert_eq!(gram.report.tiles_total, 1);
+            assert_eq!(
+                bits(gram.kernel.data()),
+                reference,
+                "gram, workers={workers}"
+            );
+            let block = GramEngine::new(cfg.clone())
+                .compute_block(&test, &train, &be)
+                .unwrap();
+            assert_eq!(block.report.tiles_total, 1);
+            let block_bits: Vec<u64> = (0..test.len())
+                .flat_map(|t| bits(block.block.row(t)))
+                .collect();
+            assert_eq!(block_bits, direct, "block, workers={workers}");
+            // Under a budget below the states the one band is spilled;
+            // helpers read the owner's loaded band, never reloading it.
+            let spilled = GramEngine::new(GramConfig {
+                memory_budget: Some(1),
+                ..cfg
+            })
+            .compute_gram_owned(train.clone(), &be)
+            .unwrap();
+            assert!(spilled.report.spilled);
+            assert_eq!(spilled.report.bands_reloaded, 1, "workers={workers}");
+            assert_eq!(
+                bits(spilled.kernel.data()),
+                reference,
+                "spilled, workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn panic_in_a_shared_one_tile_job_recovers_bitwise() {
+        let train = states(11, 4);
+        let be = CpuBackend::new();
+        let reference = bits(&reference_gram(&train, &be));
+        // Occurrences count from 0: the only tile's first gate panics,
+        // its requeued retry passes.
+        let chaos = qk_chaos::FaultPlan::parse(7, "gram.worker.tile=panic@at:0")
+            .unwrap()
+            .arm();
+        let out = within_a_minute(move || {
+            GramEngine::new(GramConfig {
+                workers: 2,
+                chaos,
+                ..GramConfig::in_memory(32)
+            })
+            .compute_gram(&train, &CpuBackend::new())
+            .unwrap()
+        });
+        assert_eq!(out.report.tiles_total, 1);
+        assert_eq!(out.report.faults_injected, 1);
+        assert_eq!(out.report.workers_restarted, 1);
+        assert_eq!(bits(out.kernel.data()), reference);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   through it; every entry keeps the exact operand order of the
 //!   single-pass path.
 //! * [`engine`] — a work-stealing worker pool runs the runner over the
-//!   pending tiles and streams them to an assembler, so output is
+//!   pending tiles and streams them to an assembler; a worker with no
+//!   tile left to claim helps on a tile in flight, row by row. Output is
 //!   bitwise identical for any tile size, worker count, spill mode or
 //!   resume history.
 //! * [`checkpoint`] — each completed tile persists to a checksummed file

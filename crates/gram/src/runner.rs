@@ -6,9 +6,20 @@
 //! zipper workspace, and a closure handing over the tile's bands; the
 //! callers differ only in how their runner was built (checkpoint store,
 //! fault plan, journal). [`write_tile`] places a finished payload.
+//!
+//! A tile in flight is a [`SharedTile`]: its bands plus a row cursor.
+//! [`compute_tile`] claims rows from that cursor until none are left,
+//! so any number of threads can work one tile. The thread that runs the
+//! tile (its owner) always takes part; the engine's pool publishes the
+//! tile so that a worker with nothing else to do can join it through
+//! [`TileRunner::help`]. The drill's and the Fig. 4 ranks publish
+//! nothing, and their owner claims every row, in order. Whoever computes
+//! an entry, it is one `inner_into` call with global `i < j` operands,
+//! so sharing cannot move a bit. The owner alone gates, mirrors,
+//! persists, reports and returns the payload; helpers only add rows.
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, TileLoad};
-use crate::engine::GramError;
+use crate::engine::{Board, GramError};
 use crate::fingerprint::JobKind;
 use crate::metrics::GramMetrics;
 use crate::tiles::Tile;
@@ -16,55 +27,196 @@ use qk_chaos::{sites, Chaos, RetryPolicy};
 use qk_mps::{Mps, ZipperWorkspace};
 use qk_obs::{Journal, Obs, TraceLane, TracePhase};
 use qk_tensor::backend::ExecutionBackend;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Contracts one tile. `row_states` / `col_states` are the tile's bands;
-/// indices inside are local. Every contracted pair keeps global `i < j`
-/// operand order and runs the same zipper kernel as `Mps::inner_with`,
-/// which is what pins tiled output bitwise to the single-pass path. The
-/// worker's zipper workspace is reused across the whole tile, so the
-/// kernel's environment buffers are paid for once per band, not once per
-/// pair. The caller owns the payload buffer (`rows * cols`, row-major):
-/// the per-tile allocation lives in [`TileRunner::run`], keeping this
-/// function on the analyzer's no-alloc list alongside the zipper kernel
-/// it drives.
+/// The states along one edge of a tile: borrowed from resident states,
+/// or a spilled band its owner loaded, which helpers read through the
+/// shared handle instead of loading it again.
+#[derive(Clone)]
+pub(crate) enum Band<'s> {
+    Borrowed(&'s [Mps]),
+    Loaded(Arc<Vec<Mps>>),
+}
+
+impl Deref for Band<'_> {
+    type Target = [Mps];
+
+    fn deref(&self) -> &[Mps] {
+        match self {
+            Band::Borrowed(states) => states,
+            Band::Loaded(states) => states,
+        }
+    }
+}
+
+/// One tile in flight: its bands, a cursor its participants claim rows
+/// from, and one cell per entry. A claimed row is written by its
+/// claimant alone and then counted in `rows_in`, which is how the owner
+/// learns the payload is whole.
+pub(crate) struct SharedTile<'s> {
+    tile: Tile,
+    diagonal: bool,
+    row_states: Band<'s>,
+    col_states: Band<'s>,
+    next_row: AtomicUsize,
+    cells: Vec<AtomicU64>,
+    rows_in: Mutex<RowsIn>,
+    all_in: Condvar,
+}
+
+/// Rows finished so far, and whether a helper died holding one.
+struct RowsIn {
+    done: usize,
+    helper_died: bool,
+}
+
+impl<'s> SharedTile<'s> {
+    pub(crate) fn new(
+        tile: Tile,
+        kind: JobKind,
+        row_states: Band<'s>,
+        col_states: Band<'s>,
+    ) -> Self {
+        debug_assert_eq!(row_states.len(), tile.rows);
+        debug_assert_eq!(col_states.len(), tile.cols);
+        SharedTile {
+            tile,
+            diagonal: kind == JobKind::Train && tile.bi == tile.bj,
+            row_states,
+            col_states,
+            next_row: AtomicUsize::new(0),
+            cells: (0..tile.len()).map(|_| AtomicU64::new(0)).collect(),
+            rows_in: Mutex::new(RowsIn {
+                done: 0,
+                helper_died: false,
+            }),
+            all_in: Condvar::new(),
+        }
+    }
+
+    /// Rows nobody has claimed yet.
+    pub(crate) fn rows_left(&self) -> usize {
+        self.tile
+            .rows
+            .saturating_sub(self.next_row.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn claim_row(&self) -> Option<usize> {
+        let r = self.next_row.fetch_add(1, Ordering::Relaxed);
+        (r < self.tile.rows).then_some(r)
+    }
+
+    /// Hands out no further rows: the owner gave the tile up.
+    pub(crate) fn close(&self) {
+        self.next_row.fetch_max(self.tile.rows, Ordering::Relaxed);
+    }
+
+    pub(crate) fn row_in(&self) {
+        let mut rows_in = self.rows_in.lock().expect("row count poisoned");
+        rows_in.done += 1;
+        if rows_in.done == self.tile.rows {
+            self.all_in.notify_all();
+        }
+    }
+
+    fn helper_died(&self) {
+        self.rows_in.lock().expect("row count poisoned").helper_died = true;
+        self.all_in.notify_all();
+    }
+
+    /// Waits until every row is in, then returns the payload with a
+    /// diagonal tile's in-block mirror written. Panics, so that the
+    /// owner's supervision requeues the tile, if a helper died holding
+    /// a row: that row will never come in.
+    pub(crate) fn payload(&self) -> Vec<f64> {
+        let complete = {
+            let mut rows_in = self.rows_in.lock().expect("row count poisoned");
+            while rows_in.done < self.tile.rows && !rows_in.helper_died {
+                rows_in = self.all_in.wait(rows_in).expect("row count poisoned");
+            }
+            rows_in.done == self.tile.rows
+        };
+        assert!(
+            complete,
+            "a helper died inside tile ({}, {})",
+            self.tile.bi, self.tile.bj
+        );
+        let mut payload: Vec<f64> = self
+            .cells
+            .iter()
+            .map(|cell| f64::from_bits(cell.load(Ordering::Relaxed)))
+            .collect();
+        if self.diagonal {
+            let cols = self.tile.cols;
+            for r in 0..self.tile.rows {
+                for c in 0..r {
+                    payload[r * cols + c] = payload[c * cols + r];
+                }
+            }
+        }
+        payload
+    }
+}
+
+/// Marks the tile when a helper unwinds out of it, so the owner stops
+/// waiting for the row that helper held.
+pub(crate) struct HelperWatch<'t, 's>(pub(crate) &'t SharedTile<'s>);
+
+impl Drop for HelperWatch<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.helper_died();
+        }
+    }
+}
+
+/// Contracts the rows of `shared` that this thread claims, until the
+/// cursor has none left. The caller's zipper workspace is reused across
+/// the rows, so the kernel's environment buffers are paid for once per
+/// band, not once per pair. The cells were allocated with the tile,
+/// keeping this function on the analyzer's no-alloc list alongside the
+/// zipper kernel it drives.
 pub(crate) fn compute_tile(
-    tile: &Tile,
-    kind: JobKind,
-    row_states: &[Mps],
-    col_states: &[Mps],
+    shared: &SharedTile<'_>,
     backend: &dyn ExecutionBackend,
     ws: &mut ZipperWorkspace,
-    payload: &mut [f64],
 ) {
-    debug_assert_eq!(row_states.len(), tile.rows);
-    debug_assert_eq!(col_states.len(), tile.cols);
-    debug_assert_eq!(payload.len(), tile.rows * tile.cols);
-    let diagonal = kind == JobKind::Train && tile.bi == tile.bj;
-    for r in 0..tile.rows {
-        for c in 0..tile.cols {
-            let v = if diagonal {
-                let (i, j) = (tile.row0 + r, tile.col0 + c);
-                if i == j {
-                    1.0
-                } else if i < j {
-                    row_states[r]
-                        .inner_into(ws, backend, &col_states[c])
-                        .norm_sqr()
-                } else {
-                    // Mirror of the (c, r) entry computed earlier in
-                    // this same payload (c < r here).
-                    payload[c * tile.cols + r]
-                }
-            } else {
-                row_states[r]
-                    .inner_into(ws, backend, &col_states[c])
-                    .norm_sqr()
-            };
-            payload[r * tile.cols + c] = v;
-        }
+    while let Some(r) = shared.claim_row() {
+        contract_row(shared, r, backend, ws);
+        shared.row_in();
+    }
+}
+
+/// Contracts row `r` of `shared` into its cells. Every contracted pair
+/// keeps global `i < j` operand order and runs the same zipper kernel
+/// as `Mps::inner_with`, which is what pins tiled output bitwise to the
+/// single-pass path, no matter which thread takes the row. A diagonal
+/// tile contracts only its `i < j` entries; the owner mirrors the rest
+/// once every row is in.
+pub(crate) fn contract_row(
+    shared: &SharedTile<'_>,
+    r: usize,
+    backend: &dyn ExecutionBackend,
+    ws: &mut ZipperWorkspace,
+) {
+    let tile = &shared.tile;
+    let i = tile.row0 + r;
+    let row = &shared.row_states[r];
+    let cells = &shared.cells[r * tile.cols..(r + 1) * tile.cols];
+    for (c, cell) in cells.iter().enumerate() {
+        let j = tile.col0 + c;
+        let v = if !shared.diagonal || i < j {
+            row.inner_into(ws, backend, &shared.col_states[c])
+                .norm_sqr()
+        } else if i == j {
+            1.0
+        } else {
+            continue;
+        };
+        cell.store(v.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -204,23 +356,43 @@ impl<'a> TileRunner<'a> {
         ws: &mut ZipperWorkspace,
         bands: impl FnOnce() -> Result<(&'s [Mps], &'s [Mps]), GramError>,
     ) -> Result<Vec<f64>, GramError> {
+        self.run_on(tile, lane, ws, None, || {
+            bands().map(|(rows, cols)| (Band::Borrowed(rows), Band::Borrowed(cols)))
+        })
+    }
+
+    /// [`TileRunner::run`] as the pool's workers call it: once the gate
+    /// passes and the bands are in, the tile goes up on `board`, where
+    /// idle workers join it, until its owner has claimed every row.
+    pub(crate) fn run_on<'s>(
+        &self,
+        tile: &Tile,
+        lane: Option<&TraceLane>,
+        ws: &mut ZipperWorkspace,
+        board: Option<&Board<'s>>,
+        bands: impl FnOnce() -> Result<(Band<'s>, Band<'s>), GramError>,
+    ) -> Result<Vec<f64>, GramError> {
         let args = (tile.bi as i64, tile.bj as i64);
         self.chaos
             .gate(sites::GRAM_TILE, || self.metrics.record_fault_injected())
             .map_err(CheckpointError::Io)?;
-        // The payload is the one per-tile allocation; the compute path
-        // below it is allocation-free.
-        let mut payload = vec![0.0f64; tile.len()];
         let (rows, cols) = {
             let _span = self.obs.span("band_load");
             let _trace = lane.map(|l| l.span_args(TracePhase::BandLoad, args.0, args.1));
             bands()?
         };
-        {
+        // The shared tile and the payload are the per-tile allocations;
+        // the compute path between them is allocation-free.
+        let shared = Arc::new(SharedTile::new(*tile, self.kind, rows, cols));
+        let payload = {
             let _span = self.obs.span("tile_compute");
-            let _trace = lane.map(|l| l.span_args(TracePhase::Compute, args.0, args.1));
-            compute_tile(tile, self.kind, rows, cols, self.backend, ws, &mut payload);
-        }
+            {
+                let _posted = board.map(|b| b.post(&shared));
+                let _trace = lane.map(|l| l.span_args(TracePhase::Compute, args.0, args.1));
+                compute_tile(&shared, self.backend, ws);
+            }
+            shared.payload()
+        };
         if let Some(t) = self.throttle {
             std::thread::sleep(t);
         }
@@ -270,6 +442,28 @@ impl<'a> TileRunner<'a> {
                 .log();
         }
         Ok(payload)
+    }
+
+    /// Joins `shared` as a helper: claims and contracts its rows until
+    /// none are left, under one `Compute` span on `lane`. A helper
+    /// passes no gate, loads no band, persists nothing and logs no
+    /// event; its owner does all of that. A helper that panics marks the
+    /// tile on the way out, so the owner requeues it instead of waiting.
+    pub(crate) fn help(
+        &self,
+        shared: &SharedTile<'_>,
+        lane: Option<&TraceLane>,
+        ws: &mut ZipperWorkspace,
+    ) {
+        let _trace = lane.map(|l| {
+            l.span_args(
+                TracePhase::Compute,
+                shared.tile.bi as i64,
+                shared.tile.bj as i64,
+            )
+        });
+        let _watch = HelperWatch(shared);
+        compute_tile(shared, self.backend, ws);
     }
 
     fn log_tile(&self, event: &str, tile: &Tile) {

@@ -2,17 +2,29 @@
 //!
 //! Lifecycle events (job start/resume, tile computed/restored,
 //! checkpoint writes, cache evictions, SMO milestones) append one JSON
-//! object per line. The journal follows the checkpoint store's
-//! durability discipline: flushes write the whole journal through
-//! `qk_chaos::durable::write_atomic` (a pid-tagged temp, the old file
-//! removed, then a rename), so a SIGKILL mid-flush leaves the previous
-//! journal or the new one, never a torn file — except in the
-//! microseconds between remove and rename, where a kill loses the
-//! journal (text carries no seal for the next sweep to adopt) and the
-//! next life starts it afresh. Reopening an existing journal
-//! appends, with the sequence counter continuing where the previous
-//! process stopped, so a killed-and-resumed run leaves one auditable
-//! trail.
+//! object per line, and each event costs one append-mode write of its
+//! own line, so a job's journal costs O(events) bytes of I/O. What a
+//! kill leaves, by the step it lands in:
+//!
+//! | step                                  | a kill leaves                      |
+//! |---------------------------------------|------------------------------------|
+//! | appending one event line              | every earlier line, and at most a  |
+//! |                                       | torn last line with no `\n`, which |
+//! |                                       | the next [`Journal::open`] drops   |
+//! | rewriting the truncation marker       | every retained line, with no marker|
+//! | (truncate, then append)               | or the new one                     |
+//! | the first write of a life, or a write | the previous journal or the new    |
+//! | after a failed one: the whole journal | one, except between remove and     |
+//! | through `qk_chaos::durable::          | rename, where the journal is lost  |
+//! | write_atomic`                         | and the next life starts afresh    |
+//!
+//! The whole-journal rewrite runs once per life, because opening drops
+//! the torn line and the old marker from what it keeps, and again only
+//! after a write error (a full disk must not take the job down, and the
+//! rewrite brings the file back in line with what was logged).
+//! Reopening an existing journal appends, with the sequence counter
+//! continuing where the previous process stopped, so a
+//! killed-and-resumed run leaves one auditable trail.
 //!
 //! Events must carry only *deterministic* fields (indices, counts,
 //! fingerprints — never filesystem paths or measured durations): two
@@ -24,16 +36,22 @@
 
 use std::fmt::Write as _;
 use std::fs;
+#[cfg(not(feature = "obs-off"))]
+use std::fs::{File, OpenOptions};
 use std::io;
+#[cfg(not(feature = "obs-off"))]
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 #[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
 /// Default cap on retained events; past it the newest events are
-/// counted as dropped and a `journal_truncated` marker line is
-/// appended on flush.
+/// counted as dropped and a `journal_truncated` marker line ends the
+/// file.
 pub const DEFAULT_MAX_EVENTS: usize = 16_384;
+
+const MARKER: &str = "\"event\":\"journal_truncated\"";
 
 #[derive(Debug, Default)]
 struct State {
@@ -41,7 +59,18 @@ struct State {
     dropped: u64,
 }
 
-/// Append-only JSONL event sink with atomic temp+rename flushes.
+/// The journal file as this process writes it: an append handle over a
+/// file known to hold `bytes` bytes of retained lines (plus the marker,
+/// if any). `None` until the first write of a life, and again after a
+/// failed write; the next write then rewrites the whole journal.
+#[cfg(not(feature = "obs-off"))]
+#[derive(Debug)]
+struct Sink {
+    file: File,
+    bytes: u64,
+}
+
+/// Append-only JSONL event sink: one append-mode write per event.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -50,14 +79,15 @@ pub struct Journal {
     #[cfg(not(feature = "obs-off"))]
     max_events: usize,
     #[cfg(not(feature = "obs-off"))]
-    flush: Mutex<()>,
+    flush: Mutex<Option<Sink>>,
     state: Mutex<State>,
 }
 
 impl Journal {
     /// Open (or reopen) the journal at `path`, creating parent
     /// directories. Existing event lines are kept, so a resumed run
-    /// appends to the prior run's trail.
+    /// appends to the prior run's trail; a last line with no `\n`
+    /// (torn by a kill mid-append) is dropped.
     pub fn open(path: &Path) -> io::Result<Journal> {
         Self::open_bounded(path, DEFAULT_MAX_EVENTS)
     }
@@ -69,10 +99,15 @@ impl Journal {
         }
         let mut lines = Vec::new();
         if path.exists() {
-            for line in fs::read_to_string(path)?.lines() {
-                // The truncation marker is regenerated on flush; keeping
-                // it as a data line would double-count it after reopen.
-                if !line.trim().is_empty() && !line.contains("\"event\":\"journal_truncated\"") {
+            let bytes = fs::read(path)?;
+            let whole = bytes
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |at| at + 1);
+            for line in String::from_utf8_lossy(&bytes[..whole]).lines() {
+                // The truncation marker is regenerated past the cap;
+                // keeping it as a data line would double-count it.
+                if !line.trim().is_empty() && !line.contains(MARKER) {
                     lines.push(line.to_string());
                 }
             }
@@ -86,12 +121,12 @@ impl Journal {
             #[cfg(not(feature = "obs-off"))]
             max_events,
             #[cfg(not(feature = "obs-off"))]
-            flush: Mutex::new(()),
+            flush: Mutex::new(None),
             state: Mutex::new(State { lines, dropped: 0 }),
         })
     }
 
-    /// Path this journal flushes to.
+    /// Path this journal writes to.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -132,42 +167,78 @@ impl Journal {
             .dropped
     }
 
+    /// Records one event: assigns its sequence number, then appends its
+    /// line (or, past the cap, rewrites the marker). Serialized by the
+    /// flush lock, so file order is sequence order.
     #[cfg(not(feature = "obs-off"))]
-    fn append(&self, line: String) {
-        {
+    fn append(&self, t_us: u64, fields: &str) {
+        let mut sink = self.flush.lock().expect("journal flush lock poisoned");
+        let (text, past_cap) = {
             let mut st = self.state.lock().expect("journal state lock poisoned");
+            let seq = st.lines.len() as u64 + st.dropped;
             if st.lines.len() >= self.max_events {
                 st.dropped += 1;
+                (marker_line(st.dropped), true)
             } else {
+                let line = format!("{{\"seq\":{seq},\"t_us\":{t_us},\"event\":{fields}}}");
+                let text = format!("{line}\n");
                 st.lines.push(line);
+                (text, false)
             }
+        };
+        // Best-effort: a full disk must not take the job down. A failed
+        // write drops the handle, and the next write rewrites the file.
+        // Each write is one `write_all` of whole lines, so a kill tears
+        // at most the last line.
+        let written = match sink.as_mut() {
+            None => self.rewrite(&mut sink),
+            // The new marker replaces the old one at the end of the file.
+            Some(s) if past_cap => s
+                .file
+                .set_len(s.bytes)
+                .and_then(|()| s.file.write_all(text.as_bytes())),
+            Some(s) => s.file.write_all(text.as_bytes()).map(|()| {
+                s.bytes += text.len() as u64;
+            }),
+        };
+        if written.is_err() {
+            *sink = None;
         }
-        // Best-effort: a full disk must not take the job down.
-        let _ = self.flush();
     }
 
-    /// Durably write the journal: snapshot under a brief state lock,
-    /// then temp+rename outside it. Serialized by the flush lock.
+    /// Writes the whole journal through `write_atomic` and reopens the
+    /// append handle on the result. The caller holds the flush lock.
     #[cfg(not(feature = "obs-off"))]
-    pub fn flush(&self) -> io::Result<()> {
-        let _serialize = self.flush.lock().expect("journal flush lock poisoned");
-        let text = {
+    fn rewrite(&self, sink: &mut Option<Sink>) -> io::Result<()> {
+        let (text, bytes) = {
             let st = self.state.lock().expect("journal state lock poisoned");
             let mut text = String::with_capacity(st.lines.iter().map(|l| l.len() + 1).sum());
             for line in &st.lines {
                 text.push_str(line);
                 text.push('\n');
             }
+            let bytes = text.len() as u64;
             if st.dropped > 0 {
-                let _ = writeln!(
-                    text,
-                    "{{\"event\":\"journal_truncated\",\"dropped\":{}}}",
-                    st.dropped
-                );
+                text.push_str(&marker_line(st.dropped));
             }
-            text
+            (text, bytes)
         };
-        qk_chaos::durable::write_atomic(&self.path, text.as_bytes())
+        qk_chaos::durable::write_atomic(&self.path, text.as_bytes())?;
+        let file = OpenOptions::new().append(true).open(&self.path)?;
+        *sink = Some(Sink { file, bytes });
+        Ok(())
+    }
+
+    /// Makes the file hold every logged event. Events are written as
+    /// they are logged, so this only writes when none has been yet this
+    /// life (creating the file) or when the last write failed.
+    #[cfg(not(feature = "obs-off"))]
+    pub fn flush(&self) -> io::Result<()> {
+        let mut sink = self.flush.lock().expect("journal flush lock poisoned");
+        match *sink {
+            Some(_) => Ok(()),
+            None => self.rewrite(&mut sink),
+        }
     }
 
     /// No-op under `obs-off`.
@@ -175,6 +246,12 @@ impl Journal {
     pub fn flush(&self) -> io::Result<()> {
         Ok(())
     }
+}
+
+/// The line that ends a journal past its cap.
+#[cfg(not(feature = "obs-off"))]
+fn marker_line(dropped: u64) -> String {
+    format!("{{{MARKER},\"dropped\":{dropped}}}\n")
 }
 
 /// Incremental event construction; fields serialize in call order.
@@ -212,19 +289,7 @@ impl EventBuilder<'_> {
     #[cfg(not(feature = "obs-off"))]
     pub fn log(self) {
         let t_us = u64::try_from(self.journal.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let seq = {
-            let st = self
-                .journal
-                .state
-                .lock()
-                .expect("journal state lock poisoned");
-            st.lines.len() as u64 + st.dropped
-        };
-        let line = format!(
-            "{{\"seq\":{seq},\"t_us\":{t_us},\"event\":{}}}",
-            self.fields
-        );
-        self.journal.append(line);
+        self.journal.append(t_us, &self.fields);
     }
 
     /// No-op under `obs-off`.
@@ -348,6 +413,54 @@ mod tests {
     }
 
     #[test]
+    fn reopen_drops_a_torn_last_line() {
+        let dir = tmp_dir("torn");
+        let path = dir.join("j.jsonl");
+        {
+            let j = Journal::open(&path).unwrap();
+            j.event("first").log();
+            j.event("second").log();
+        }
+        // A kill mid-append leaves a line with no newline.
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"{\"seq\":2,\"t_us\":9,\"eve").unwrap();
+        drop(file);
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.len(), 2);
+        j.event("third").log();
+        let text = fs::read_to_string(&path).unwrap();
+        let events: Vec<String> = text
+            .lines()
+            .map(|l| {
+                let v = crate::json::parse(l).unwrap();
+                let seq = v.get("seq").unwrap().as_u64().unwrap();
+                let event = v.get("event").unwrap().as_str().unwrap().to_string();
+                format!("{seq}:{event}")
+            })
+            .collect();
+        assert_eq!(events, ["0:first", "1:second", "2:third"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn events_append_without_rewriting_the_file() {
+        let dir = tmp_dir("append");
+        let path = dir.join("j.jsonl");
+        let j = Journal::open(&path).unwrap();
+        j.event("first").log();
+        // A rewrite renames a fresh file onto the name; an append keeps
+        // the file the first write created.
+        let kept = OpenOptions::new().read(true).open(&path).unwrap();
+        let before = fs::read_to_string(&path).unwrap();
+        j.event("second").log();
+        let mut via_old_handle = String::new();
+        io::Read::read_to_string(&mut &kept, &mut via_old_handle).unwrap();
+        assert!(via_old_handle.starts_with(&before));
+        assert!(via_old_handle.contains("\"event\":\"second\""));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn retention_cap_drops_newest_and_marks_truncation() {
         let dir = tmp_dir("bounded");
         let path = dir.join("j.jsonl");
@@ -365,6 +478,7 @@ mod tests {
             .unwrap()
             .contains("\"journal_truncated\""));
         assert!(text.contains("\"dropped\":2"));
+        assert_eq!(text.matches("journal_truncated").count(), 1);
         // No torn temp files left behind.
         let stray: Vec<_> = fs::read_dir(&dir)
             .unwrap()
