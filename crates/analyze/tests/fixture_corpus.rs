@@ -334,7 +334,7 @@ fn fingerprint_fixtures() {
 
 /// The gate behind `--deny` in CI: the live workspace, under the
 /// checked-in `analyze.toml`, has zero findings — and the unsafe
-/// surface is pinned to exactly the two qk-tensor AVX sites.
+/// surface is pinned to exactly the qk-tensor AVX sites.
 #[test]
 fn live_workspace_is_violation_free() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -360,9 +360,9 @@ fn live_workspace_is_violation_free() {
     );
     assert_eq!(
         analysis.unsafe_inventory.len(),
-        6,
+        5,
         "unsafe surface is pinned to the two AVX GEMM kernels, the fused zipper site and \
-         the two AVX Jacobi drivers: {:?}",
+         the one AVX Jacobi driver: {:?}",
         analysis.unsafe_inventory
     );
     assert!(analysis

@@ -1,11 +1,11 @@
-//! Criterion micro-benchmarks of the tensor primitives: GEMM, SVD (serial
-//! vs parallel) and QR on the matrix sizes an MPS simulation actually
-//! produces — the microscopic cause of the paper's Fig. 5 crossover.
+//! Criterion micro-benchmarks of the tensor primitives: GEMM, the Jacobi
+//! SVD and QR on the matrix sizes an MPS simulation actually produces —
+//! the microscopic cause of the paper's Fig. 5 crossover.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qk_tensor::complex::{c64, Complex64};
 use qk_tensor::matrix::gemm_serial;
-use qk_tensor::svd::{svd, svd_parallel};
+use qk_tensor::svd::svd;
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Vec<Complex64> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -42,9 +42,6 @@ fn bench_svd(c: &mut Criterion) {
         let a = random_matrix(n, n, 3);
         group.bench_with_input(BenchmarkId::new("jacobi_serial", n), &n, |bch, &n| {
             bch.iter(|| svd(n, n, &a));
-        });
-        group.bench_with_input(BenchmarkId::new("jacobi_parallel", n), &n, |bch, &n| {
-            bch.iter(|| svd_parallel(n, n, &a));
         });
     }
     group.finish();

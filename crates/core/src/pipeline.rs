@@ -318,9 +318,12 @@ mod tests {
             &config,
             &AcceleratorBackend::new(DeviceModel::ideal()),
         );
-        assert!((cpu.best_test_auc() - acc.best_test_auc()).abs() < 1e-12);
-        // Table I's consistency check at pipeline level: same algorithm,
-        // same bond dimensions.
+        // Table I's consistency check at pipeline level: one algorithm on
+        // two engines, so the same bond dimensions, memory and metrics.
         assert_eq!(cpu.mean_max_bond, acc.mean_max_bond);
+        assert_eq!(cpu.mean_memory_bytes, acc.mean_memory_bytes);
+        for (x, y) in cpu.sweep.points.iter().zip(&acc.sweep.points) {
+            assert_eq!((x.c, x.test, x.train), (y.c, y.test, y.train));
+        }
     }
 }

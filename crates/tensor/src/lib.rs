@@ -8,7 +8,7 @@
 //! * [`matrix`] — single-threaded GEMM kernels and helpers.
 //! * [`mod@contract`] — pairwise tensor contraction (eq. 6).
 //! * [`qr`] — Householder QR/LQ for MPS canonicalization.
-//! * [`mod@svd`] — one-sided Jacobi SVD (cyclic and round-robin) plus the
+//! * [`mod@svd`] — one-sided Jacobi SVD (pivoted cyclic sweeps) plus the
 //!   two-qubit-gate operator-Schmidt split.
 //! * [`backend`] — the CPU vs simulated-accelerator execution split behind
 //!   the paper's Fig. 5 crossover study.
@@ -25,8 +25,8 @@ pub mod qr;
 pub mod svd;
 pub mod tensor;
 
-pub use backend::{AcceleratorBackend, BackendKind, CpuBackend, DeviceModel, ExecutionBackend};
+pub use backend::{AcceleratorBackend, CpuBackend, DeviceModel, ExecutionBackend};
 pub use complex::{c64, Complex64};
 pub use contract::{contract, contract_with};
-pub use svd::{split_two_qubit_gate, svd, svd_parallel, Svd};
+pub use svd::{split_two_qubit_gate, svd, Svd};
 pub use tensor::Tensor;

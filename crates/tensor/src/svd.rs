@@ -37,20 +37,24 @@
 //! The matrix is stored column-major internally so that a Jacobi rotation
 //! touches two contiguous columns.
 //!
-//! **Kernels.** Each driver has one body, generic over its inner loops:
-//! the dot product `x^H y`, the rotation of a column pair and, in the
-//! serial driver, the fused step that rotates a pair (and its `V` columns)
-//! and returns the next pair's dot product on the rotated column. That
-//! next pair is known before the rotation (only a pair's own rotation
-//! moves its second column's norm), and a pair that does not rotate gets
-//! a plain dot product instead. [`svd`] and [`svd_parallel`] check for AVX
-//! once per call and then run the body inside a `#[target_feature(enable
-//! = "avx")]` wrapper on AVX kernels (two complex entries per 256-bit
-//! vector); [`svd_scalar`] and [`svd_parallel_scalar`] run it on the
-//! portable scalar kernels. The two return the same bits: every value
-//! goes through the scalar code's float operations in the scalar code's
-//! order, lane for lane, with no FMA, and the dot product stays one chain
-//! over the entries in increasing order. The serial dot chain's add
+//! There is one driver, `svd_tall`, and every backend runs it: the
+//! accelerator's device model prices this factorization on its virtual
+//! clock instead of running a schedule of its own, so the two backends
+//! return the same bits.
+//!
+//! **Kernels.** The driver has one body, generic over its inner loops:
+//! the dot product `x^H y`, the rotation of a column pair and the fused
+//! step that rotates a pair (and its `V` columns) and returns the next
+//! pair's dot product on the rotated column. That next pair is known
+//! before the rotation (only a pair's own rotation moves its second
+//! column's norm), and a pair that does not rotate gets a plain dot
+//! product instead. [`svd`] checks for AVX once per call and then runs
+//! the body inside a `#[target_feature(enable = "avx")]` wrapper on AVX
+//! kernels (two complex entries per 256-bit vector); [`svd_scalar`] runs
+//! it on the portable scalar kernels. The two return the same bits: every
+//! value goes through the scalar code's float operations in the scalar
+//! code's order, lane for lane, with no FMA, and the dot product stays one
+//! chain over the entries in increasing order. The serial dot chain's add
 //! latency is what the fused step hides the rotations behind.
 
 use crate::complex::Complex64;
@@ -232,7 +236,7 @@ fn jacobi_columns(
     (cols, vcols)
 }
 
-/// The rotation decision both drivers share. `alpha`, `beta` are the
+/// The rotation decision of one column pair. `alpha`, `beta` are the
 /// squared norms of columns `i`, `j` and `gamma_c = col_i^H col_j`; returns
 /// `(c, s_neg, s_pos)` for [`rotate_slices`], or `None` when either column
 /// is deflated (at or below `floor`) or the pair is already orthogonal.
@@ -365,114 +369,7 @@ fn three_columns(
     (&mut lo[i], cj, cn)
 }
 
-/// Computes the thin SVD with Jacobi rotations in round-robin order.
-///
-/// Each round of the tournament schedule pairs every column with exactly
-/// one partner, so the `n/2` rotations of a round touch disjoint column
-/// pairs. The accelerator backend's `DeviceModel` prices this driver as
-/// device work, where a round's rotations would run in parallel; here
-/// every round executes sequentially on the calling thread (ROADMAP item
-/// 9 replaces the driver). Column norms are recomputed per pair; the
-/// rotation decision and the deflation floor are the serial driver's.
-pub fn svd_parallel(m: usize, n: usize, a: &[Complex64]) -> Svd {
-    assert_eq!(a.len(), m * n, "svd_parallel: matrix size mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX support was just verified at runtime, the only
-        // requirement of `svd_parallel_avx`, a safe `#[target_feature]` fn
-        // over bounds-checked slices and register-only intrinsics.
-        return unsafe { svd_parallel_avx(m, n, a) };
-    }
-    svd_parallel_scalar(m, n, a)
-}
-
-/// [`svd_parallel`] on the portable scalar kernels, the bitwise reference
-/// of its AVX path.
-///
-/// # Panics
-/// Panics if `a.len() != m * n`.
-pub fn svd_parallel_scalar(m: usize, n: usize, a: &[Complex64]) -> Svd {
-    assert_eq!(a.len(), m * n, "svd_parallel: matrix size mismatch");
-    via_tall(m, n, a, |m, n, a| {
-        svd_tall_parallel(m, n, a, dot, rotate_slices)
-    })
-}
-
-/// [`svd_parallel`]'s driver on the AVX kernels (see [`svd_avx`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-fn svd_parallel_avx(m: usize, n: usize, a: &[Complex64]) -> Svd {
-    via_tall(m, n, a, |m, n, a| {
-        svd_tall_parallel(
-            m,
-            n,
-            a,
-            |x, y| dot_avx(x, y),
-            |x, y, c, sn, sp| rotate_avx(x, y, c, sn, sp),
-        )
-    })
-}
-
-/// The round-robin driver on the kernel pair `dot` and `rotate`.
-#[inline(always)]
-fn svd_tall_parallel(
-    m: usize,
-    n: usize,
-    a: &[Complex64],
-    dot: impl Fn(&[Complex64], &[Complex64]) -> Complex64,
-    rotate: impl Fn(&mut [Complex64], &mut [Complex64], f64, Complex64, Complex64),
-) -> Svd {
-    let floor = f64::EPSILON * f64::EPSILON * norm_sqr(a);
-    let (mut cols, mut vcols) = jacobi_columns(m, n, a);
-
-    // Round-robin (circle method) schedule over n slots (pad odd n).
-    let slots = if n.is_multiple_of(2) { n } else { n + 1 };
-    let rounds = slots - 1;
-
-    let mut sweeps = 0;
-    let mut rotated = true;
-    while rotated && sweeps < MAX_SWEEPS {
-        sweeps += 1;
-        rotated = false;
-        for round in 0..rounds {
-            for p in 0..slots / 2 {
-                let (x, y) = circle_pair(slots, round, p);
-                let (i, j) = (x.min(y), x.max(y));
-                if j >= n {
-                    continue; // paired with the padding slot
-                }
-                let (lo, hi) = cols.split_at_mut(j);
-                let (ci, cj) = (&mut lo[i], &mut hi[0]);
-                let Some((c, s_neg, s_pos)) =
-                    jacobi_rotation(norm_sqr(ci), norm_sqr(cj), dot(ci, cj), floor)
-                else {
-                    continue;
-                };
-                rotated = true;
-                rotate(ci, cj, c, s_neg, s_pos);
-                let (lo, hi) = vcols.split_at_mut(j);
-                rotate(&mut lo[i], &mut hi[0], c, s_neg, s_pos);
-            }
-        }
-    }
-
-    finalize_svd(m, n, cols, vcols, floor, sweeps)
-}
-
-/// Pairing for round `r`, pair slot `p`, of the circle-method tournament on
-/// `slots` participants (`slots` even). Participant `slots-1` stays fixed.
-fn circle_pair(slots: usize, round: usize, p: usize) -> (usize, usize) {
-    let n1 = slots - 1;
-    if p == 0 {
-        (n1, round % n1)
-    } else {
-        let a = (round + p) % n1;
-        let b = (round + n1 - p) % n1;
-        (a, b)
-    }
-}
-
-/// Shared tail of both Jacobi drivers: sort columns by norm, zero the
+/// Tail of the Jacobi driver: sort columns by norm, zero the
 /// deflated ones, and emit `u`, `s`, `vh` (`k = n`).
 fn finalize_svd(
     m: usize,
@@ -972,23 +869,6 @@ mod tests {
         assert!((f.weight().sqrt() - fr).abs() < 1e-10 * fr.max(1.0));
     }
 
-    #[test]
-    fn parallel_matches_serial_singular_values() {
-        for &(m, n, seed) in &[(12usize, 12usize, 21u64), (20, 7, 22), (5, 16, 23)] {
-            let a = test_matrix(m, n, seed);
-            let fs = svd(m, n, &a);
-            let fp = svd_parallel(m, n, &a);
-            for (x, y) in fs.s.iter().zip(&fp.s) {
-                assert!((x - y).abs() < 1e-9, "sv mismatch {x} vs {y}");
-            }
-            // Reconstruction from the parallel factorization.
-            let recon = fp.reconstruct();
-            for (x, y) in recon.iter().zip(&a) {
-                assert!(approx_eq(*x, *y, 1e-9));
-            }
-        }
-    }
-
     /// Both factorizations' `u`, `s`, `vh` and sweeps, bit for bit.
     fn assert_same_bits(x: &Svd, y: &Svd, what: &str) {
         assert_eq!(bits(&x.u), bits(&y.u), "{what}: u differs");
@@ -1005,11 +885,6 @@ mod tests {
         for (rows, cols, x) in [(m, n, a), (n, m, &at[..])] {
             let what = format!("{rows}x{cols}");
             assert_same_bits(&svd(rows, cols, x), &svd_scalar(rows, cols, x), &what);
-            assert_same_bits(
-                &svd_parallel(rows, cols, x),
-                &svd_parallel_scalar(rows, cols, x),
-                &format!("{what} round-robin"),
-            );
         }
     }
 
@@ -1131,23 +1006,6 @@ mod tests {
         }
         assert_paths_agree(m, n, &a);
         assert_paths_agree(m, n, &vec![Complex64::ZERO; m * n]);
-    }
-
-    #[test]
-    fn circle_schedule_covers_all_pairs_disjointly() {
-        let slots = 8;
-        let mut seen = std::collections::HashSet::new();
-        for round in 0..slots - 1 {
-            let mut used = std::collections::HashSet::new();
-            for p in 0..slots / 2 {
-                let (a, b) = circle_pair(slots, round, p);
-                assert_ne!(a, b);
-                assert!(used.insert(a), "slot reused within round");
-                assert!(used.insert(b), "slot reused within round");
-                seen.insert((a.min(b), a.max(b)));
-            }
-        }
-        assert_eq!(seen.len(), slots * (slots - 1) / 2, "not all pairs covered");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use qk_tensor::complex::{c64, Complex64};
 use qk_tensor::contract::contract;
 use qk_tensor::matrix::{conj_transpose, gemm_serial};
 use qk_tensor::qr::{lq, qr};
-use qk_tensor::svd::{svd, svd_parallel, svd_parallel_scalar, svd_scalar, Svd};
+use qk_tensor::svd::{svd, svd_scalar, Svd};
 use qk_tensor::tensor::Tensor;
 use std::sync::Mutex;
 
@@ -49,21 +49,9 @@ proptest! {
         prop_assert!((f.weight().sqrt() - frob(&a)).abs() < 1e-9 * scale);
     }
 
-    /// Serial and parallel Jacobi agree on the spectrum.
-    #[test]
-    fn svd_parallel_agrees((m, n) in dims(), seed in 0u64..1000) {
-        let a = deterministic_matrix(m, n, seed);
-        let fs = svd(m, n, &a);
-        let fp = svd_parallel(m, n, &a);
-        for (x, y) in fs.s.iter().zip(&fp.s) {
-            prop_assert!((x - y).abs() < 1e-8, "{x} vs {y}");
-        }
-    }
-
     /// Exact rank-r matrices (sums of r outer products, r < n <= 64, both
-    /// orientations) meet the truncation contract, the parallel driver
-    /// agrees on them, and each driver's dispatched path (AVX kernels on
-    /// an AVX host) returns its scalar path's bits.
+    /// orientations) meet the truncation contract, and the dispatched
+    /// path (AVX kernels on an AVX host) returns the scalar path's bits.
     #[test]
     fn svd_converges_on_exact_rank_r(
         (n, extra, wide) in (2usize..65, 0usize..9, prop::bool::ANY),
@@ -79,12 +67,6 @@ proptest! {
         let fs = assert_truncation_svd(rows, cols, &a);
         prop_assert!(fs.s[r..].iter().all(|&s| s == 0.0), "rank {r}: {:?}", fs.s);
         assert_same_bits(&fs, &svd_scalar(rows, cols, &a), "serial");
-        let fp = svd_parallel(rows, cols, &a);
-        assert_same_bits(&fp, &svd_parallel_scalar(rows, cols, &a), "round-robin");
-        prop_assert!(fp.converged(), "parallel driver hit the sweep cap");
-        for (x, y) in fs.s.iter().zip(&fp.s) {
-            prop_assert!((x - y).abs() <= 1e-12 * frob(&a), "{x} vs {y}");
-        }
     }
 
     /// QR reconstructs with orthonormal Q on any shape.
@@ -403,7 +385,7 @@ fn svd_converges_on_feature_map_thetas() {
     }
 }
 
-/// The dispatched drivers return the scalar drivers' bits on every theta
+/// The dispatched driver returns the scalar driver's bits on every theta
 /// of a `deep_d3`-shaped (m = 12, d = 3) and a `wide_d1`-shaped (m = 64,
 /// d = 1) state: the matrices whose factors become the states' bits.
 #[test]
@@ -414,11 +396,6 @@ fn dispatched_svd_matches_scalar_on_feature_map_thetas() {
         for (rows, cols, a) in &thetas {
             let what = format!("m={m} d={d} {rows}x{cols}");
             assert_same_bits(&svd(*rows, *cols, a), &svd_scalar(*rows, *cols, a), &what);
-            assert_same_bits(
-                &svd_parallel(*rows, *cols, a),
-                &svd_parallel_scalar(*rows, *cols, a),
-                &format!("{what} round-robin"),
-            );
         }
     }
 }
