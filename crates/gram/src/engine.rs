@@ -9,10 +9,10 @@
 //! of the most loaded victim, where the bands it would have to load
 //! anyway are coldest for the owner. A worker that finds every deque
 //! empty does not exit while tiles are in flight: it waits on the
-//! pool's [`Board`], where each owner posts its tile once the tile's
+//! pool's board, where each owner posts its tile once the tile's
 //! gate has passed and its bands are in, and joins the posted tile with
 //! the most unclaimed rows, claiming rows from the tile's shared cursor
-//! ([`TileRunner::help`]). So a job with fewer tiles than workers, and
+//! (`TileRunner::help`). So a job with fewer tiles than workers, and
 //! the tail of every job, still runs on every worker; the pool starts
 //! all `workers` threads whatever the tile count. Completed tiles
 //! stream over a channel to the assembler thread, which writes them
@@ -68,7 +68,7 @@ pub enum GramError {
         /// Tiles in the whole job.
         total: usize,
     },
-    /// One tile panicked its worker more than [`TILE_PANIC_BUDGET`]
+    /// One tile panicked its worker more than `TILE_PANIC_BUDGET`
     /// times. Workers are supervised — a caught panic requeues the tile
     /// and restarts the worker's state — so this surfaces only a
     /// persistently reproducing panic.

@@ -7,12 +7,12 @@
 //! callers differ only in how their runner was built (checkpoint store,
 //! fault plan, journal). [`write_tile`] places a finished payload.
 //!
-//! A tile in flight is a [`SharedTile`]: its bands plus a row cursor.
-//! [`compute_tile`] claims rows from that cursor until none are left,
+//! A tile in flight is a `SharedTile`: its bands plus a row cursor.
+//! `compute_tile` claims rows from that cursor until none are left,
 //! so any number of threads can work one tile. The thread that runs the
 //! tile (its owner) always takes part; the engine's pool publishes the
 //! tile so that a worker with nothing else to do can join it through
-//! [`TileRunner::help`]. The drill's and the Fig. 4 ranks publish
+//! `TileRunner::help`. The drill's and the Fig. 4 ranks publish
 //! nothing, and their owner claims every row, in order. Whoever computes
 //! an entry, it is one `inner_into` call with global `i < j` operands,
 //! so sharing cannot move a bit. The owner alone gates, mirrors,

@@ -190,12 +190,11 @@ mod tests {
         }
         assert_eq!(reloaded.len(), 7);
         for (a, b) in originals.iter().zip(&reloaded) {
-            // Site tensors round-trip bitwise, so the inner product of a
-            // reloaded state with its original is exactly the norm².
-            assert_eq!(a.num_qubits(), b.num_qubits());
-            for (sa, sb) in a.sites().iter().zip(b.sites()) {
-                assert_eq!(sa.shape(), sb.shape());
-                for (x, y) in sa.data().iter().zip(sb.data()) {
+            // Bonds and amplitudes round-trip bitwise, so the inner product
+            // of a reloaded state with its original is exactly the norm².
+            assert_eq!(a.bond_dims(), b.bond_dims());
+            for q in 0..a.num_qubits() {
+                for (x, y) in a.site(q).iter().zip(b.site(q)) {
                     assert_eq!(x.re.to_bits(), y.re.to_bits());
                     assert_eq!(x.im.to_bits(), y.im.to_bits());
                 }

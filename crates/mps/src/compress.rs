@@ -7,10 +7,9 @@
 //! makes every local truncation globally optimal and lets the discarded
 //! weight be accounted against the same eq.-(8) budget the simulator uses.
 
-use crate::mps::{decide_rank, Mps, TruncationConfig, TruncationStats};
+use crate::mps::{Mps, TruncationConfig, TruncationStats};
 use qk_tensor::backend::ExecutionBackend;
 use qk_tensor::complex::Complex64;
-use qk_tensor::tensor::Tensor;
 
 impl Mps {
     /// Compresses every virtual bond with a right-to-left SVD sweep under
@@ -33,32 +32,10 @@ impl Mps {
         self.canonicalize_to(m - 1);
         // Sweep q = m-1 .. 1: SVD the center site as (chi_l, 2 * chi_r),
         // keep the dominant right factor, absorb U * diag(s) leftwards.
-        for q in (1..m).rev() {
-            let site = &self.sites()[q];
-            let (chi_l, chi_r) = (site.shape()[0], site.shape()[2]);
-            let f = backend.svd(chi_l, 2 * chi_r, site.data());
+        self.sweep(0, |site, chi_l, chi_r| {
+            let f = backend.svd(chi_l, 2 * chi_r, site);
             debug_assert!(f.converged(), "Jacobi did not converge on {}x{}", f.m, f.n);
-            let (kept, discarded, count) = decide_rank(&f.s, config);
-
-            sweep.truncations += 1;
-            sweep.total_discarded_weight += discarded;
-            sweep.max_discarded_weight = sweep.max_discarded_weight.max(discarded);
-            sweep.values_discarded += count;
-
-            let total_weight: f64 = f.s.iter().map(|s| s * s).sum();
-            let kept_weight = total_weight - discarded;
-            let renorm = if kept_weight > 0.0 {
-                (total_weight / kept_weight).sqrt()
-            } else {
-                1.0
-            };
-
-            // New site q: top `kept` rows of Vh, shape (kept, 2, chi_r);
-            // right-orthogonal by construction.
-            let mut vh = vec![Complex64::ZERO; kept * 2 * chi_r];
-            vh.copy_from_slice(&f.vh[..kept * 2 * chi_r]);
-            self.sites_mut()[q] = Tensor::from_data(&[kept, 2, chi_r], vh);
-
+            let (kept, renorm) = sweep.record(&f.s, config);
             // Carry = U[:, :kept] * diag(s * renorm), absorbed into site q-1.
             let mut carry = vec![Complex64::ZERO; chi_l * kept];
             for row in 0..chi_l {
@@ -66,20 +43,19 @@ impl Mps {
                     carry[row * kept + c] = f.u[row * f.k + c].scale(f.s[c] * renorm);
                 }
             }
-            let prev = &self.sites()[q - 1];
-            let (pl, pr) = (prev.shape()[0], prev.shape()[2]);
-            debug_assert_eq!(pr, chi_l);
-            let mut merged = vec![Complex64::ZERO; pl * 2 * kept];
-            qk_tensor::matrix::gemm_serial(pl * 2, chi_l, kept, prev.data(), &carry, &mut merged);
-            self.sites_mut()[q - 1] = Tensor::from_data(&[pl, 2, kept], merged);
-        }
-        self.set_center(0);
-        self.merge_stats(&sweep);
+            // New site q: top `kept` rows of Vh, shape (kept, 2, chi_r);
+            // right-orthogonal by construction.
+            let mut vh = f.vh;
+            vh.truncate(kept * 2 * chi_r);
+            (kept, [vh, carry])
+        });
+        self.shrink_to_fit();
+        self.stats.merge(&sweep);
         sweep
     }
 
     /// [`Mps::compress`] for a state whose recorded center went stale
-    /// under [`Mps::apply_rxx_split`]. A left-to-right QR sweep from site 0
+    /// under [`Mps::apply_rxx_splits`]. A left-to-right QR sweep from site 0
     /// needs no prior canonical structure, so recording the center at 0
     /// makes `compress` rebuild the canonical form from scratch.
     pub(crate) fn recompress(
@@ -87,7 +63,7 @@ impl Mps {
         backend: &dyn ExecutionBackend,
         config: &TruncationConfig,
     ) -> TruncationStats {
-        self.set_center(0);
+        self.center = 0;
         self.compress(backend, config)
     }
 }
@@ -118,9 +94,8 @@ mod tests {
     /// doubles, and the added half is exactly zero.
     fn zero_padded(psi: &Mps) -> Mps {
         let mut padded = psi.clone();
-        for q in 0..psi.num_qubits() - 1 {
-            padded.apply_rxx_split(0.0, q);
-        }
+        let splits: Vec<(usize, f64)> = (0..psi.num_qubits() - 1).map(|q| (q, 0.0)).collect();
+        padded.apply_rxx_splits(&splits);
         let doubled: Vec<usize> = psi.bond_dims().iter().map(|b| 2 * b).collect();
         assert_eq!(padded.bond_dims(), doubled);
         padded
@@ -208,7 +183,8 @@ mod tests {
     #[test]
     fn from_sites_roundtrip_preserves_state() {
         let psi = entangled_state(4, 1.0);
-        let rebuilt = Mps::from_sites(psi.sites().to_vec());
+        let sites = (0..psi.num_qubits()).map(|q| psi.site_tensor(q)).collect();
+        let rebuilt = Mps::from_sites(sites);
         assert!((rebuilt.overlap_sqr(&psi) - 1.0).abs() < 1e-10);
         assert!((rebuilt.norm() - 1.0).abs() < 1e-10);
     }

@@ -7,12 +7,23 @@
 //! right-orthogonal. Canonicalization (QR/LQ sweeps) before each SVD
 //! truncation makes the truncation optimal, which is what justifies the
 //! paper's eq. (8) error accounting.
+//!
+//! **Storage.** A state is one amplitude buffer plus its `m + 1` bond
+//! dimensions. Site `q` is the row-major `(bonds[q], 2, bonds[q + 1])`
+//! block that starts after every site before it, so offsets are derived,
+//! never stored, and [`Mps::site`] is a view. A simulated state's buffer
+//! is exact-size: it costs its amplitude bytes ([`Mps::memory_bytes`])
+//! plus `8 (m + 1)` bytes of bonds, in two heap blocks. Writes never move
+//! the rest of the chain per site: a block of RXX splits fills one fresh
+//! buffer, a QR, LQ or compression sweep rewrites the chain in place and
+//! closes the gap it leaves once, and a two-site gate update rewrites its
+//! sites in place unless the bond it truncates changes their size.
 
 use crate::zipper::{self, ZipperWorkspace};
 use qk_tensor::backend::{CpuBackend, ExecutionBackend};
 use qk_tensor::complex::Complex64;
 use qk_tensor::contract::contract_with;
-use qk_tensor::matrix::{conj_transpose, gemm_conj_a};
+use qk_tensor::matrix::{conj_transpose, gemm_conj_a, gemm_serial};
 use qk_tensor::qr::{lq, qr};
 use qk_tensor::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -91,6 +102,26 @@ impl TruncationStats {
         (1.0 - self.total_discarded_weight).max(0.0)
     }
 
+    /// Records one truncation of the singular values `s` under `config`.
+    /// Returns `(kept, renorm)`: scaled by `renorm`, the kept values carry
+    /// the whole weight, so the state stays unit norm (eq. 8 then measures
+    /// fidelity against the ideal state).
+    pub(crate) fn record(&mut self, s: &[f64], config: &TruncationConfig) -> (usize, f64) {
+        let (kept, discarded, count) = decide_rank(s, config);
+        self.truncations += 1;
+        self.total_discarded_weight += discarded;
+        self.max_discarded_weight = self.max_discarded_weight.max(discarded);
+        self.values_discarded += count;
+        let total_weight: f64 = s.iter().map(|x| x * x).sum();
+        let kept_weight = total_weight - discarded;
+        let renorm = if kept_weight > 0.0 {
+            (total_weight / kept_weight).sqrt()
+        } else {
+            1.0
+        };
+        (kept, renorm)
+    }
+
     /// Merges another record into this one.
     pub fn merge(&mut self, other: &TruncationStats) {
         self.truncations += other.truncations;
@@ -103,12 +134,15 @@ impl TruncationStats {
 /// A quantum state in Matrix Product State form.
 #[derive(Clone)]
 pub struct Mps {
-    /// Site tensors, each `(chi_l, 2, chi_r)`.
-    sites: Vec<Tensor>,
+    /// Every site's amplitudes, site after site; site `q` is row-major
+    /// `(bonds[q], 2, bonds[q + 1])`, so `data.len() == chain_len(&bonds)`.
+    data: Vec<Complex64>,
+    /// Bond dimensions, `m + 1` of them: `bonds[0] = bonds[m] = 1`.
+    bonds: Vec<usize>,
     /// Orthogonality center index.
-    center: usize,
+    pub(crate) center: usize,
     /// Accumulated truncation record.
-    stats: TruncationStats,
+    pub(crate) stats: TruncationStats,
 }
 
 impl Mps {
@@ -116,36 +150,36 @@ impl Mps {
     /// `1/sqrt(2)` for both physical values. This is the ansatz input.
     pub fn plus_state(num_qubits: usize) -> Self {
         assert!(num_qubits >= 1, "need at least one qubit");
-        let amp = Complex64::from_real(std::f64::consts::FRAC_1_SQRT_2);
-        let site = Tensor::from_data(&[1, 2, 1], vec![amp, amp]);
-        Mps {
-            sites: vec![site; num_qubits],
-            center: 0,
-            stats: TruncationStats::default(),
-        }
+        let mut mps = Self::basis_state(&vec![0; num_qubits]);
+        mps.data
+            .fill(Complex64::from_real(std::f64::consts::FRAC_1_SQRT_2));
+        mps
     }
 
     /// Computational basis state `|b_0 b_1 ... b_{m-1}>`.
     pub fn basis_state(bits: &[u8]) -> Self {
         assert!(!bits.is_empty(), "need at least one qubit");
-        let sites = bits
-            .iter()
-            .map(|&b| {
-                assert!(b <= 1, "bits must be 0 or 1");
-                let mut data = vec![Complex64::ZERO; 2];
-                data[b as usize] = Complex64::ONE;
-                Tensor::from_data(&[1, 2, 1], data)
-            })
-            .collect();
+        let mut data = vec![Complex64::ZERO; 2 * bits.len()];
+        for (q, &b) in bits.iter().enumerate() {
+            assert!(b <= 1, "bits must be 0 or 1");
+            data[2 * q + b as usize] = Complex64::ONE;
+        }
+        Self::from_parts(data, vec![1; bits.len() + 1])
+    }
+
+    /// A state from its amplitudes and bonds, centered at site 0.
+    fn from_parts(data: Vec<Complex64>, bonds: Vec<usize>) -> Self {
         Mps {
-            sites,
+            data,
+            bonds,
             center: 0,
             stats: TruncationStats::default(),
         }
     }
 
-    /// Builds an MPS from explicit site tensors and establishes canonical
-    /// form with a full QR sweep (center ends at site 0).
+    /// Builds an MPS from explicit site tensors, packed into one buffer,
+    /// and establishes canonical form with a full QR sweep (center ends
+    /// at site 0).
     ///
     /// Each tensor must have shape `(chi_l, 2, chi_r)` with matching
     /// interior bonds and trivial boundary bonds. The input need not be
@@ -153,66 +187,45 @@ impl Mps {
     /// unit-norm state is required.
     pub fn from_sites(sites: Vec<Tensor>) -> Self {
         assert!(!sites.is_empty(), "need at least one site");
+        let mut bonds = vec![1];
         for (q, site) in sites.iter().enumerate() {
             assert_eq!(site.rank(), 3, "site {q} must be rank 3");
             assert_eq!(site.shape()[1], 2, "site {q} physical dimension must be 2");
+            assert_eq!(site.shape()[0], bonds[q], "bond mismatch left of site {q}");
+            bonds.push(site.shape()[2]);
         }
-        assert_eq!(sites[0].shape()[0], 1, "left boundary bond must be 1");
-        assert_eq!(
-            sites[sites.len() - 1].shape()[2],
-            1,
-            "right boundary bond must be 1"
-        );
-        for q in 0..sites.len() - 1 {
-            assert_eq!(
-                sites[q].shape()[2],
-                sites[q + 1].shape()[0],
-                "bond mismatch between sites {q} and {}",
-                q + 1
-            );
-        }
-        let mut mps = Mps {
-            sites,
-            center: 0,
-            stats: TruncationStats::default(),
-        };
+        assert_eq!(bonds[sites.len()], 1, "right boundary bond must be 1");
+        let data = sites.iter().map(Tensor::data).collect::<Vec<_>>().concat();
+        let mut mps = Self::from_parts(data, bonds);
         // Left-to-right QR sweep: left-orthogonalizes every site, so the
         // mixed-canonical invariant holds with the center at the last site.
-        for _ in 0..mps.sites.len() - 1 {
-            mps.shift_center_right();
-        }
+        mps.canonicalize_to(sites.len() - 1);
         mps.canonicalize_to(0);
+        mps.shrink_to_fit();
         mps
-    }
-
-    /// Mutable access to the site tensors for in-crate algorithms that
-    /// restore the canonical invariant themselves (compression).
-    pub(crate) fn sites_mut(&mut self) -> &mut Vec<Tensor> {
-        &mut self.sites
-    }
-
-    /// Sets the orthogonality-center bookkeeping. The caller must have
-    /// re-established the canonical structure around `center`, or be
-    /// about to rebuild it with a sweep from there ([`Mps::recompress`]).
-    pub(crate) fn set_center(&mut self, center: usize) {
-        debug_assert!(center < self.sites.len());
-        self.center = center;
-    }
-
-    /// Merges an externally accounted truncation record (compression
-    /// reports its discards through this).
-    pub(crate) fn merge_stats(&mut self, other: &TruncationStats) {
-        self.stats.merge(other);
     }
 
     /// Number of qubits (sites).
     pub fn num_qubits(&self) -> usize {
-        self.sites.len()
+        self.bonds.len() - 1
     }
 
-    /// The site tensors.
-    pub fn sites(&self) -> &[Tensor] {
-        &self.sites
+    /// Site `q`'s amplitudes: a view into the state's one buffer, row-major
+    /// `(chi_l, 2, chi_r)` with `chi_l`, `chi_r` the bonds either side of
+    /// it ([`Mps::bond_dims`], and 1 at the chain's ends).
+    pub fn site(&self, q: usize) -> &[Complex64] {
+        &self.data[self.site_range(q)]
+    }
+
+    /// Where site `q` sits in the buffer: after every site before it.
+    fn site_range(&self, q: usize) -> std::ops::Range<usize> {
+        let start = chain_len(&self.bonds[..=q]);
+        start..start + self.bonds[q] * 2 * self.bonds[q + 1]
+    }
+
+    /// Drops the buffer's spare capacity, which splices and sweeps leave.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
     }
 
     /// Current orthogonality center.
@@ -227,108 +240,143 @@ impl Mps {
 
     /// Virtual bond dimensions: `m - 1` interior bonds.
     pub fn bond_dims(&self) -> Vec<usize> {
-        self.sites[..self.sites.len() - 1]
-            .iter()
-            .map(|s| s.shape()[2])
-            .collect()
+        self.bonds[1..self.num_qubits()].to_vec()
     }
 
     /// Largest virtual bond dimension (chi), 1 for product states.
     /// Allocation-free (unlike [`Mps::bond_dims`]): the inner-product
     /// hot path reads it per call.
     pub fn max_bond(&self) -> usize {
-        // The last site's right bond is always 1, so including it does
-        // not change the maximum.
-        self.sites.iter().map(|s| s.shape()[2]).max().unwrap_or(1)
+        self.bonds.iter().copied().max().unwrap_or(1)
     }
 
-    /// Total memory held by the site tensors, in bytes (Table I's
-    /// "memory per MPS" column).
+    /// The state's amplitude bytes (Table I's "memory per MPS" column),
+    /// which `mps.mean_state_bytes` averages. A simulated state holds
+    /// exactly these in one buffer, plus its `m + 1` bond dimensions.
     pub fn memory_bytes(&self) -> usize {
-        self.sites.iter().map(Tensor::memory_bytes).sum()
+        self.data.len() * std::mem::size_of::<Complex64>()
     }
 
     /// Norm of the state; 1 after unitary evolution with renormalized
     /// truncation.
     pub fn norm(&self) -> f64 {
         // Mixed canonical form concentrates the norm at the center tensor.
-        self.sites[self.center].frobenius_norm()
+        let center = self.site(self.center);
+        center.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
     /// Rescales the state to unit norm.
     pub fn normalize(&mut self) {
         let n = self.norm();
         if n > 0.0 {
-            self.sites[self.center].scale_real_inplace(1.0 / n);
+            let k = 1.0 / n;
+            let range = self.site_range(self.center);
+            for z in &mut self.data[range] {
+                *z *= k;
+            }
         }
     }
 
     /// Moves the orthogonality center to `target` with QR/LQ sweeps.
     pub fn canonicalize_to(&mut self, target: usize) {
-        assert!(target < self.sites.len(), "target site out of range");
-        while self.center < target {
-            self.shift_center_right();
+        assert!(target < self.num_qubits(), "target site out of range");
+        if target > self.center {
+            // (chi_l * 2, chi_r) -> QR; R is absorbed into the next site.
+            self.sweep(target, |site, chi_l, chi_r| {
+                let f = qr(chi_l * 2, chi_r, site);
+                (f.k, [f.q, f.r])
+            });
+        } else if target < self.center {
+            // (chi_l, 2 * chi_r) -> LQ; L is absorbed into the previous site.
+            self.sweep(target, |site, chi_l, chi_r| {
+                let f = lq(chi_l, 2 * chi_r, site);
+                (f.k, [f.q, f.l])
+            });
         }
-        while self.center > target {
-            self.shift_center_left();
+    }
+
+    /// Moves the center to `target` one site at a time. `factor(site,
+    /// chi_l, chi_r)` splits the center site: moving right it returns
+    /// `(k, [Q, R])` with `Q` the `(chi_l, 2, k)` site left behind and `R`
+    /// the `k x chi_r` factor the next site absorbs (`R · next`); moving
+    /// left, `Q` is `(k, 2, chi_r)` and the previous site absorbs the
+    /// `chi_l x k` factor (`prev · L`).
+    ///
+    /// The chain is rewritten in place. No site grows (`k` never exceeds
+    /// the bond it replaces), so each finished site lands behind the read
+    /// cursor, and the gap they leave is closed by one move at the end.
+    pub(crate) fn sweep(
+        &mut self,
+        target: usize,
+        mut factor: impl FnMut(&[Complex64], usize, usize) -> (usize, [Vec<Complex64>; 2]),
+    ) {
+        let here = self.site_range(self.center);
+        let mut carry = self.data[here.clone()].to_vec();
+        let right = target > self.center;
+        // Moving right, `write` is where the next finished site starts and
+        // `read` where the next unread one does; moving left, both are ends.
+        let (mut write, mut read) = if right {
+            (here.start, here.end)
+        } else {
+            (here.end, here.start)
+        };
+        while self.center != target {
+            let q = self.center;
+            let (chi_l, chi_r) = (self.bonds[q], self.bonds[q + 1]);
+            let (k, [site, f]) = factor(&carry, chi_l, chi_r);
+            debug_assert!(k <= if right { chi_r } else { chi_l });
+            carry.clear();
+            if right {
+                self.data[write..][..site.len()].copy_from_slice(&site);
+                write += site.len();
+                let n_r = self.bonds[q + 2];
+                let next = &self.data[read..][..chi_r * 2 * n_r];
+                read += next.len();
+                carry.resize(k * 2 * n_r, Complex64::ZERO);
+                gemm_serial(k, chi_r, 2 * n_r, &f, next, &mut carry);
+            } else {
+                write -= site.len();
+                self.data[write..][..site.len()].copy_from_slice(&site);
+                let p_l = self.bonds[q - 1];
+                read -= p_l * 2 * chi_l;
+                let prev = &self.data[read..][..p_l * 2 * chi_l];
+                carry.resize(p_l * 2 * k, Complex64::ZERO);
+                gemm_serial(p_l * 2, chi_l, k, prev, &f, &mut carry);
+            }
+            // The new bond joins `q` and the site the center moves to.
+            self.center = if right { q + 1 } else { q - 1 };
+            self.bonds[q.max(self.center)] = k;
         }
+        if !right {
+            write -= carry.len();
+        }
+        self.data[write..][..carry.len()].copy_from_slice(&carry);
+        self.data.drain(if right {
+            write + carry.len()..read
+        } else {
+            read..write
+        });
     }
 
-    fn shift_center_right(&mut self) {
-        let q = self.center;
-        let site = &self.sites[q];
-        let (chi_l, chi_r) = (site.shape()[0], site.shape()[2]);
-        // (chi_l * 2, chi_r) -> QR.
-        let f = qr(chi_l * 2, chi_r, site.data());
-        self.sites[q] = Tensor::from_data(&[chi_l, 2, f.k], f.q);
-        // Absorb R into the next site: next' = R * next.
-        let next = &self.sites[q + 1];
-        let (n_l, n_r) = (next.shape()[0], next.shape()[2]);
-        debug_assert_eq!(n_l, chi_r);
-        let mut merged = vec![Complex64::ZERO; f.k * 2 * n_r];
-        qk_tensor::matrix::gemm_serial(f.k, chi_r, 2 * n_r, &f.r, next.data(), &mut merged);
-        self.sites[q + 1] = Tensor::from_data(&[f.k, 2, n_r], merged);
-        self.center = q + 1;
-    }
-
-    fn shift_center_left(&mut self) {
-        let q = self.center;
-        let site = &self.sites[q];
-        let (chi_l, chi_r) = (site.shape()[0], site.shape()[2]);
-        // (chi_l, 2 * chi_r) -> LQ.
-        let f = lq(chi_l, 2 * chi_r, site.data());
-        self.sites[q] = Tensor::from_data(&[f.k, 2, chi_r], f.q);
-        // Absorb L into the previous site: prev' = prev * L.
-        let prev = &self.sites[q - 1];
-        let (p_l, p_r) = (prev.shape()[0], prev.shape()[2]);
-        debug_assert_eq!(p_r, chi_l);
-        let mut merged = vec![Complex64::ZERO; p_l * 2 * f.k];
-        qk_tensor::matrix::gemm_serial(p_l * 2, chi_l, f.k, prev.data(), &f.l, &mut merged);
-        self.sites[q - 1] = Tensor::from_data(&[p_l, 2, f.k], merged);
-        self.center = q - 1;
-    }
-
-    /// Applies a single-qubit gate to site `q` (Fig. 1a of the paper).
+    /// Applies a single-qubit gate to site `q` (Fig. 1a of the paper), in
+    /// place.
     ///
     /// Cost O(chi^2); canonical structure is preserved because the gate is
     /// unitary on the physical leg.
     pub fn apply_gate1(&mut self, gate: &Tensor, q: usize) {
-        assert!(q < self.sites.len(), "site {q} out of range");
+        assert!(q < self.num_qubits(), "site {q} out of range");
         assert_eq!(gate.shape(), &[2, 2], "single-qubit gate must be 2x2");
-        let site = &self.sites[q];
-        let (chi_l, chi_r) = (site.shape()[0], site.shape()[2]);
         let g = gate.data();
-        let s = site.data();
-        let mut out = vec![Complex64::ZERO; s.len()];
-        for l in 0..chi_l {
-            for r in 0..chi_r {
-                let a0 = s[(l * 2) * chi_r + r];
-                let a1 = s[(l * 2 + 1) * chi_r + r];
-                out[(l * 2) * chi_r + r] = g[0] * a0 + g[1] * a1;
-                out[(l * 2 + 1) * chi_r + r] = g[2] * a0 + g[3] * a1;
+        let (range, chi_r) = (self.site_range(q), self.bonds[q + 1]);
+        // Each row `l` holds the p = 0 half, then the p = 1 half.
+        for row in self.data[range].chunks_exact_mut(2 * chi_r) {
+            let (s0, s1) = row.split_at_mut(chi_r);
+            for (a0, a1) in s0.iter_mut().zip(s1) {
+                let (x0, x1) = (*a0, *a1);
+                *a0 = g[0] * x0 + g[1] * x1;
+                *a1 = g[2] * x0 + g[3] * x1;
             }
         }
-        self.sites[q] = Tensor::from_data(&[chi_l, 2, chi_r], out);
     }
 
     /// Applies a two-qubit gate to adjacent sites `(q, q+1)` with SVD
@@ -344,61 +392,25 @@ impl Mps {
         q: usize,
         config: &TruncationConfig,
     ) {
+        assert!(q + 1 < self.num_qubits(), "gate site {q} out of range");
         assert_eq!(gate.shape(), &[4, 4], "two-qubit gate must be 4x4");
-        self.apply_gate2_reshaped(backend, &gate.clone().reshape(&[2, 2, 2, 2]), q, config);
-    }
-
-    /// [`Mps::apply_gate2`] for a gate already shaped `[2, 2, 2, 2]`
-    /// (out1, out2, in1, in2). The simulator reshapes its freshly built
-    /// owned matrix once per application and calls this directly, so no
-    /// `gate.clone()` happens on the gate-application hot path.
-    pub fn apply_gate2_reshaped(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        gate4: &Tensor,
-        q: usize,
-        config: &TruncationConfig,
-    ) {
-        assert!(q + 1 < self.sites.len(), "gate site {q} out of range");
-        assert_eq!(
-            gate4.shape(),
-            &[2, 2, 2, 2],
-            "two-qubit gate must be reshaped to [2, 2, 2, 2]"
-        );
         self.canonicalize_to(q);
+        let (chi_l, chi, chi_r) = (self.bonds[q], self.bonds[q + 1], self.bonds[q + 2]);
 
-        let left = &self.sites[q];
-        let right = &self.sites[q + 1];
-        let (chi_l, chi_r) = (left.shape()[0], right.shape()[2]);
-
-        // theta[(chi_l, p1, p2, chi_r)] = sum_a left[chi_l, p1, a] right[a, p2, chi_r]
-        let theta = contract_with(backend, left, &[2], right, &[0]);
-        // Contract gate's input legs with theta's physical legs:
-        // result[(out1, out2), (chi_l, chi_r)] -> permute to (chi_l, out1, out2, chi_r).
-        let applied = contract_with(backend, gate4, &[2, 3], &theta, &[1, 2]);
-        let applied = applied.permute(&[2, 0, 1, 3]);
-
-        // SVD across the bond: (chi_l * 2, 2 * chi_r).
-        let matrix = applied.reshape(&[chi_l * 2, 2 * chi_r]);
-        let f = backend.svd(chi_l * 2, 2 * chi_r, matrix.data());
+        // theta[(chi_l, p1), (p2, chi_r)] = sum_a left[chi_l, p1, a] right[a, p2, chi_r]:
+        // the two sites sit side by side in the buffer, one GEMM apart.
+        let (left, right) = self.data[self.site_range(q).start..].split_at(chi_l * 2 * chi);
+        let mut theta = vec![Complex64::ZERO; chi_l * 4 * chi_r];
+        let right = &right[..chi * 2 * chi_r];
+        backend.gemm(chi_l * 2, chi, 2 * chi_r, left, right, &mut theta);
+        // Contract the gate's input pair (p1 p2) with theta's:
+        // result[(out1 out2), chi_l, chi_r] -> permute to (chi_l, out1 out2, chi_r),
+        // which is the (chi_l * 2, 2 * chi_r) matrix the SVD splits.
+        let theta = Tensor::from_data(&[chi_l, 4, chi_r], theta);
+        let applied = contract_with(backend, gate, &[1], &theta, &[1]).permute(&[1, 0, 2]);
+        let f = backend.svd(chi_l * 2, 2 * chi_r, applied.data());
         debug_assert!(f.converged(), "Jacobi did not converge on {}x{}", f.m, f.n);
-        let (kept, discarded_weight, discarded_count) = decide_rank(&f.s, config);
-
-        // Update stats.
-        self.stats.truncations += 1;
-        self.stats.total_discarded_weight += discarded_weight;
-        self.stats.max_discarded_weight = self.stats.max_discarded_weight.max(discarded_weight);
-        self.stats.values_discarded += discarded_count;
-
-        // Renormalize the kept spectrum so the state stays unit norm
-        // (eq. 8 then measures fidelity against the ideal state).
-        let total_weight: f64 = f.s.iter().map(|s| s * s).sum();
-        let kept_weight = total_weight - discarded_weight;
-        let renorm = if kept_weight > 0.0 {
-            (total_weight / kept_weight).sqrt()
-        } else {
-            1.0
-        };
+        let (kept, renorm) = self.stats.record(&f.s, config);
 
         // New left site: U (chi_l * 2, kept) -> (chi_l, 2, kept); each
         // output row is the kept prefix of the corresponding U row.
@@ -406,7 +418,6 @@ impl Mps {
         for (dst, src) in u.chunks_exact_mut(kept).zip(f.u.chunks_exact(f.k)) {
             dst.copy_from_slice(&src[..kept]);
         }
-        self.sites[q] = Tensor::from_data(&[chi_l, 2, kept], u);
 
         // New right site: diag(s) * Vh (kept, 2 * chi_r) -> (kept, 2, chi_r);
         // row r of Vh scaled by the renormalized singular value (the zip
@@ -422,69 +433,91 @@ impl Mps {
                 *d = v * w;
             }
         }
-        self.sites[q + 1] = Tensor::from_data(&[kept, 2, chi_r], sv);
+        // A splice of equal length rewrites the two sites in place; only a
+        // changed bond moves the sites behind them, once.
+        let pair = self.site_range(q).start..self.site_range(q + 1).end;
+        self.data.splice(pair, u.into_iter().chain(sv));
+        self.bonds[q + 1] = kept;
         self.center = q + 1;
     }
 
-    /// Applies `RXX(theta)` to adjacent sites `(q, q+1)` exactly, with no
-    /// SVD and no canonicalization.
+    /// Applies `RXX(theta)` exactly for each `(q, theta)`, on sites
+    /// `(q, q+1)` in order, with no SVD and no canonicalization.
     ///
     /// `RXX(theta) = c I⊗I - i s X⊗X` (`c = cos(theta/2)`,
     /// `s = sin(theta/2)`) has operator-Schmidt rank 2, so the gate is a
     /// sum of two products and fits on a doubled bond: the left site
     /// becomes `[A | X·A]` and the right site `[c·B ; -i s·X·B]`.
     ///
-    /// The split breaks the canonical form and leaves the recorded center
-    /// stale. The caller must follow it with [`Mps::recompress`] before
+    /// Splits on distinct bonds commute bit for bit (each amplitude is a
+    /// copy times at most one weight), so a run of them is written in one
+    /// pass into one fresh, exact-size buffer; a repeated bond starts the
+    /// next pass.
+    ///
+    /// The splits break the canonical form and leave the recorded center
+    /// stale. The caller must follow them with [`Mps::recompress`] before
     /// anything reads the state.
-    pub(crate) fn apply_rxx_split(&mut self, theta: f64, q: usize) {
-        assert!(q + 1 < self.sites.len(), "gate site {q} out of range");
-        let (s, c) = (theta / 2.0).sin_cos();
-        let left = &self.sites[q];
-        let (chi_l, chi) = (left.shape()[0], left.shape()[2]);
-        // Row (l, p) of the new left site: A's row (l, p), then A's
-        // row (l, 1 - p), which is X applied to the physical leg.
-        let a = left.data();
-        let mut out = Vec::with_capacity(chi_l * 2 * 2 * chi);
-        for l in 0..chi_l {
-            for p in 0..2 {
-                out.extend_from_slice(&a[(l * 2 + p) * chi..][..chi]);
-                out.extend_from_slice(&a[(l * 2 + 1 - p) * chi..][..chi]);
+    pub(crate) fn apply_rxx_splits(&mut self, splits: &[(usize, f64)]) {
+        let m = self.num_qubits();
+        let mut next = 0;
+        while next < splits.len() {
+            // Weights `(c, -i s)` of the split on each site's right bond.
+            let mut weights = vec![None; m];
+            while let Some(&(q, theta)) = splits.get(next) {
+                assert!(q + 1 < m, "gate site {q} out of range");
+                if weights[q].is_some() {
+                    break;
+                }
+                let (s, c) = (theta / 2.0).sin_cos();
+                weights[q] = Some((Complex64::from_real(c), Complex64::new(0.0, -s)));
+                next += 1;
             }
-        }
-        self.sites[q] = Tensor::from_data(&[chi_l, 2, 2 * chi], out);
-
-        let right = &self.sites[q + 1];
-        let chi_r = right.shape()[2];
-        let b = right.data();
-        let (ct, st) = (Complex64::from_real(c), Complex64::new(0.0, -s));
-        let mut out = Vec::with_capacity(2 * chi * 2 * chi_r);
-        out.extend(b.iter().map(|&z| z * ct));
-        for k in 0..chi {
-            for p in 0..2 {
-                let row = &b[(k * 2 + 1 - p) * chi_r..][..chi_r];
-                out.extend(row.iter().map(|&z| z * st));
+            let bonds: Vec<usize> = (0..=m)
+                .map(|b| self.bonds[b] * (1 + usize::from(b > 0 && weights[b - 1].is_some())))
+                .collect();
+            let mut out = Vec::with_capacity(chain_len(&bonds));
+            let mut rest = &self.data[..];
+            for q in 0..m {
+                let (chi_l, chi_r) = (self.bonds[q], self.bonds[q + 1]);
+                let (a, tail) = rest.split_at(chi_l * 2 * chi_r);
+                rest = tail;
+                // A split on the right bond appends X·A's columns to each
+                // row; one on the left bond stacks -i s·X·B under c·B.
+                let halves = 1 + usize::from(weights[q].is_some());
+                let left = q.checked_sub(1).and_then(|b| weights[b]);
+                for k in 0..bonds[q] {
+                    let (l, flip, w) = match left {
+                        Some((c, _)) if k < chi_l => (k, 0, Some(c)),
+                        Some((_, s)) => (k - chi_l, 1, Some(s)),
+                        None => (k, 0, None),
+                    };
+                    for p in 0..2 {
+                        for half in 0..halves {
+                            let row = &a[(l * 2 + (p ^ flip ^ half)) * chi_r..][..chi_r];
+                            out.extend(row.iter().map(|&z| w.map_or(z, |w| z * w)));
+                        }
+                    }
+                }
             }
+            self.data = out;
+            self.bonds = bonds;
         }
-        self.sites[q + 1] = Tensor::from_data(&[2 * chi, 2, chi_r], out);
     }
 
     /// Whether every site left of the center is left-orthogonal and every
     /// site right of it right-orthogonal, to `tol` per entry of the
     /// isometry's Gram matrix. Costs `O(m chi^3)`: for debug assertions.
     pub(crate) fn is_canonical(&self, tol: f64) -> bool {
-        self.sites.iter().enumerate().all(|(q, site)| {
-            let (chi_l, chi_r) = (site.shape()[0], site.shape()[2]);
+        (0..self.num_qubits()).all(|q| {
+            let (chi_l, chi_r, site) = (self.bonds[q], self.bonds[q + 1], self.site(q));
             // A left site is an isometry as a (2 chi_l, chi_r) matrix, a
             // right site's conjugate transpose as a (2 chi_r, chi_l) one.
             let (rows, cols, a) = match q.cmp(&self.center) {
-                std::cmp::Ordering::Less => (2 * chi_l, chi_r, site.data().to_vec()),
+                std::cmp::Ordering::Less => (2 * chi_l, chi_r, site.to_vec()),
                 std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Greater => (
-                    2 * chi_r,
-                    chi_l,
-                    conj_transpose(chi_l, 2 * chi_r, site.data()),
-                ),
+                std::cmp::Ordering::Greater => {
+                    (2 * chi_r, chi_l, conj_transpose(chi_l, 2 * chi_r, site))
+                }
             };
             let mut gram = vec![Complex64::ZERO; cols * cols];
             gemm_conj_a(cols, rows, cols, &a, &a, &mut gram);
@@ -493,6 +526,14 @@ impl Mps {
                 (z - Complex64::from_real(target)).norm() <= tol
             })
         })
+    }
+
+    /// Site `q` copied out as a `(chi_l, 2, chi_r)` tensor.
+    pub(crate) fn site_tensor(&self, q: usize) -> Tensor {
+        Tensor::from_data(
+            &[self.bonds[q], 2, self.bonds[q + 1]],
+            self.site(q).to_vec(),
+        )
     }
 
     /// Inner product `<self|other>` via the zipper contraction of Fig. 2;
@@ -516,7 +557,7 @@ impl Mps {
 
     /// Inner product into a caller-held workspace: the batched hot path.
     ///
-    /// Walks the site slices directly — no `Tensor` permute, no
+    /// Walks the two flat buffers directly — no `Tensor` permute, no
     /// conjugated copies, no per-site environment allocation; after the
     /// workspace has warmed up to the operands' bond dimension, a call
     /// performs zero heap allocation. Workers that evaluate many inner
@@ -533,7 +574,12 @@ impl Mps {
             other.num_qubits(),
             "inner product requires equal qubit counts"
         );
-        zipper::zip_inner(ws, &self.sites, &other.sites, backend)
+        zipper::zip_inner(
+            ws,
+            (&self.bonds, &self.data),
+            (&other.bonds, &other.data),
+            backend,
+        )
     }
 
     /// Reference zipper via generic tensor contraction — the pre-PR-5
@@ -550,11 +596,11 @@ impl Mps {
         );
         // E[(l_a, l_b)] starts as the trivial 1x1 boundary.
         let mut env = Tensor::from_data(&[1, 1], vec![Complex64::ONE]);
-        for (a, b) in self.sites.iter().zip(&other.sites) {
+        for q in 0..self.num_qubits() {
             // T[(l_a, p, r_b)] = sum_{l_b} E[l_a, l_b] B[l_b, p, r_b]
-            let t = contract_with(backend, &env, &[1], b, &[0]);
+            let t = contract_with(backend, &env, &[1], &other.site_tensor(q), &[0]);
             // E'[(r_a, r_b)] = sum_{l_a, p} conj(A[l_a, p, r_a]) T[l_a, p, r_b]
-            env = contract_with(backend, &a.conj(), &[0, 1], &t, &[0, 1]);
+            env = contract_with(backend, &self.site_tensor(q).conj(), &[0, 1], &t, &[0, 1]);
         }
         env.data()[0]
     }
@@ -572,9 +618,9 @@ impl Mps {
             "refusing to densify an MPS beyond 26 qubits"
         );
         let mut acc = Tensor::from_data(&[1, 1], vec![Complex64::ONE]); // (basis, chi)
-        for site in &self.sites {
+        for q in 0..self.num_qubits() {
             // acc[(b, chi_l)] * site[(chi_l, p, chi_r)] -> (b, p, chi_r)
-            let next = qk_tensor::contract(&acc, &[1], site, &[0]);
+            let next = qk_tensor::contract(&acc, &[1], &self.site_tensor(q), &[0]);
             let (b, p, chi_r) = (next.shape()[0], next.shape()[1], next.shape()[2]);
             acc = next.reshape(&[b * p, chi_r]);
         }
@@ -582,16 +628,19 @@ impl Mps {
     }
 
     /// Serializes the MPS to a flat byte buffer (used by the round-robin
-    /// distribution strategy to ship states between processes).
+    /// distribution strategy to ship states between processes): the site
+    /// count and center, then each site's two bonds and amplitudes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.sites.len() as u64).to_le_bytes());
+        let mut out = Vec::with_capacity(16 * (1 + self.bonds.len() + self.data.len()));
+        out.extend_from_slice(&(self.num_qubits() as u64).to_le_bytes());
         out.extend_from_slice(&(self.center as u64).to_le_bytes());
-        for site in &self.sites {
-            let (l, r) = (site.shape()[0] as u64, site.shape()[2] as u64);
-            out.extend_from_slice(&l.to_le_bytes());
-            out.extend_from_slice(&r.to_le_bytes());
-            for z in site.data() {
+        let mut rest = &self.data[..];
+        for b in self.bonds.windows(2) {
+            out.extend_from_slice(&(b[0] as u64).to_le_bytes());
+            out.extend_from_slice(&(b[1] as u64).to_le_bytes());
+            let (site, tail) = rest.split_at(b[0] * 2 * b[1]);
+            rest = tail;
+            for z in site {
                 out.extend_from_slice(&z.re.to_le_bytes());
                 out.extend_from_slice(&z.im.to_le_bytes());
             }
@@ -633,7 +682,8 @@ impl Mps {
         if center >= n_sites {
             return Err(MpsDecodeError::BadCenter { center, n_sites });
         }
-        let mut sites = Vec::with_capacity(n_sites.min(bytes.len() / 16));
+        let mut shapes = Vec::with_capacity(n_sites.min(bytes.len() / 16));
+        let mut data = Vec::new();
         for q in 0..n_sites {
             let l = read_u64(&mut pos)? as usize;
             let r = read_u64(&mut pos)? as usize;
@@ -642,34 +692,24 @@ impl Mps {
             let len = l
                 .checked_mul(2)
                 .and_then(|x| x.checked_mul(r))
-                .filter(|&x| x <= (bytes.len() - pos) / 16)
+                .filter(|&x| x <= (bytes.len() - pos) / 16 && l > 0 && r > 0)
                 .ok_or(MpsDecodeError::OversizedSite {
                     site: q,
                     offset: pos,
                 })?;
-            if l == 0 || r == 0 {
-                return Err(MpsDecodeError::OversizedSite {
-                    site: q,
-                    offset: pos,
-                });
-            }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                let re = f64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-                pos += 8;
-                let im = f64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-                pos += 8;
-                data.push(Complex64::new(re, im));
-            }
-            sites.push(Tensor::from_data(&[l, 2, r], data));
+            let amplitudes = bytes[pos..pos + 16 * len].chunks_exact(16);
+            data.extend(amplitudes.map(|z| {
+                let re = f64::from_le_bytes(z[..8].try_into().unwrap());
+                Complex64::new(re, f64::from_le_bytes(z[8..].try_into().unwrap()))
+            }));
+            pos += 16 * len;
+            shapes.push((l, r));
         }
-        if sites[0].shape()[0] != 1 || sites[n_sites - 1].shape()[2] != 1 {
+        if shapes[0].0 != 1 || shapes[n_sites - 1].1 != 1 {
             return Err(MpsDecodeError::BadBoundary);
         }
-        for q in 0..n_sites - 1 {
-            if sites[q].shape()[2] != sites[q + 1].shape()[0] {
-                return Err(MpsDecodeError::BondMismatch { site: q });
-            }
+        if let Some(site) = (0..n_sites - 1).find(|&q| shapes[q].1 != shapes[q + 1].0) {
+            return Err(MpsDecodeError::BondMismatch { site });
         }
         if pos != bytes.len() {
             return Err(MpsDecodeError::TrailingBytes {
@@ -677,12 +717,18 @@ impl Mps {
                 len: bytes.len(),
             });
         }
+        data.shrink_to_fit();
+        let bonds = std::iter::once(1).chain(shapes.iter().map(|s| s.1));
         Ok(Mps {
-            sites,
             center,
-            stats: TruncationStats::default(),
+            ..Self::from_parts(data, bonds.collect())
         })
     }
+}
+
+/// Amplitudes of a chain with these bonds: `chi_l · 2 · chi_r` a site.
+pub(crate) fn chain_len(bonds: &[usize]) -> usize {
+    bonds.windows(2).map(|b| b[0] * 2 * b[1]).sum()
 }
 
 /// Why a byte buffer failed to decode as an [`Mps`].

@@ -5,10 +5,11 @@
 //! is built on: wall-clock time, per-gate memory/bond traces (Fig. 6),
 //! peak bond dimension (Table I), and the truncation-error budget (eq. 8).
 
-use crate::mps::{Mps, TruncationConfig, TruncationStats};
+use crate::mps::{chain_len, Mps, TruncationConfig, TruncationStats};
 use qk_circuit::routing::route_for_mps;
 use qk_circuit::{Circuit, Gate};
 use qk_tensor::backend::ExecutionBackend;
+use qk_tensor::complex::Complex64;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -100,10 +101,11 @@ impl<'b> MpsSimulator<'b> {
     /// A circuit whose two-qubit ops are all `Rxx` (any d = 1 ansatz
     /// circuit) under a truncation policy without a bond cap takes the
     /// exact path: each RXX is split onto a doubled bond with no SVD
-    /// (`Mps::apply_rxx_split`), and one compression sweep at the end of
-    /// each block of consecutive two-qubit ops restores the canonical form
-    /// and truncates. A block that starts from a product state skips its
-    /// compression (its bonds reach 2 at most); the next one covers it.
+    /// (`Mps::apply_rxx_splits`: one pass over the chain per block of
+    /// consecutive two-qubit ops), and one compression sweep at the end of
+    /// each block restores the canonical form and truncates. A block that
+    /// starts from a product state skips its compression (its bonds reach
+    /// 2 at most); the next one covers it.
     /// Every other circuit applies each two-qubit gate with its own SVD.
     pub fn run(&self, mut mps: Mps, circuit: &Circuit) -> (Mps, SimRecord) {
         assert!(
@@ -122,19 +124,15 @@ impl<'b> MpsSimulator<'b> {
             && ops
                 .iter()
                 .all(|op| !op.gate.is_two_qubit() || matches!(op.gate, Gate::Rxx(_)));
-        // Bytes held by the sites, kept current from the sites each op
-        // touches (walking all m sites per gate would cost O(m^2) a state).
-        let mut memory = mps.memory_bytes();
         let mut record = SimRecord {
-            gates_applied: 0,
-            two_qubit_gates: 0,
             peak_bond: mps.max_bond(),
-            peak_memory_bytes: memory,
+            peak_memory_bytes: mps.memory_bytes(),
             ..SimRecord::default()
         };
-        // Exact path: whether the current block skips its compression
-        // (never the last block: the returned state is always compressed).
-        let mut skip_block = false;
+        // Exact path: the open block's splits, applied in one pass when it
+        // closes, and whether the block skips its compression (never the
+        // last block: the returned state is always compressed).
+        let (mut block, mut skip_block) = (Vec::new(), false);
         let last_two_qubit = ops.iter().rposition(|op| op.gate.is_two_qubit());
 
         for (idx, op) in ops.iter().enumerate() {
@@ -142,17 +140,24 @@ impl<'b> MpsSimulator<'b> {
                 ([q], gate) => mps.apply_gate1(&gate.matrix(), *q),
                 ([a, b], &Gate::Rxx(theta)) if exact => {
                     let lo = *a.min(b);
-                    if idx == 0 || !ops[idx - 1].gate.is_two_qubit() {
+                    if block.is_empty() {
                         skip_block = mps.max_bond() == 1;
                     }
-                    let before = span_bytes(&mps, lo..=lo + 1);
-                    mps.apply_rxx_split(theta, lo);
-                    memory = memory - before + span_bytes(&mps, lo..=lo + 1);
+                    block.push((lo, theta));
                     let block_ends = ops
                         .get(idx + 1)
                         .is_none_or(|next| !next.gate.is_two_qubit());
-                    if block_ends && (!skip_block || Some(idx) == last_two_qubit) {
-                        self.close_block(&mut mps, &mut record, &mut memory);
+                    if block_ends {
+                        mps.apply_rxx_splits(&block);
+                        block.clear();
+                        if !skip_block || Some(idx) == last_two_qubit {
+                            // The splits only ever raise the peaks: read
+                            // them, then compress once over every bond.
+                            record.peak_bond = record.peak_bond.max(mps.max_bond());
+                            record.peak_memory_bytes =
+                                record.peak_memory_bytes.max(mps.memory_bytes());
+                            mps.recompress(self.backend, &self.truncation);
+                        }
                     }
                     record.two_qubit_gates += 1;
                 }
@@ -161,35 +166,33 @@ impl<'b> MpsSimulator<'b> {
                     // symmetric; for oriented gates permute the matrix.
                     let (lo, hi) = (*a.min(b), *a.max(b));
                     debug_assert_eq!(hi - lo, 1);
-                    // Reshape the owned matrix to the [2, 2, 2, 2] view
-                    // once here (free: reshape moves, it never copies)
-                    // instead of letting apply_gate2 clone per call.
                     let matrix = gate.matrix();
-                    let g4 = if a < b {
-                        matrix.reshape(&[2, 2, 2, 2])
+                    let matrix = if a < b {
+                        matrix
                     } else {
-                        flip_two_qubit(&matrix).reshape(&[2, 2, 2, 2])
+                        flip_two_qubit(&matrix)
                     };
-                    // Moving the center to `lo` rewrites every site between
-                    // the old center and the gate, and nothing else.
-                    let span = mps.center().min(lo)..=mps.center().max(hi);
-                    let before = span_bytes(&mps, span.clone());
-                    mps.apply_gate2_reshaped(self.backend, &g4, lo, &self.truncation);
-                    memory = memory - before + span_bytes(&mps, span.clone());
-                    let bond = span.map(|q| mps.sites()[q].shape()[2]).max().unwrap_or(1);
-                    record.peak_bond = record.peak_bond.max(bond);
-                    record.peak_memory_bytes = record.peak_memory_bytes.max(memory);
+                    mps.apply_gate2(self.backend, &matrix, lo, &self.truncation);
+                    record.peak_bond = record.peak_bond.max(mps.max_bond());
+                    record.peak_memory_bytes = record.peak_memory_bytes.max(mps.memory_bytes());
                     record.two_qubit_gates += 1;
                 }
                 _ => unreachable!(),
             }
             record.gates_applied += 1;
             if self.trace_memory {
+                // Inside a block, the bonds its splits so far have doubled.
+                let mut bonds = [vec![1], mps.bond_dims(), vec![1]].concat();
+                for &(q, _) in &block {
+                    bonds[q + 1] *= 2;
+                }
+                let bytes = chain_len(&bonds) * std::mem::size_of::<Complex64>();
+                let max_bond = bonds.iter().copied().max().unwrap_or(1);
                 record.trace.push(TracePoint {
                     gate_index: idx,
                     progress_percent: 100.0 * (idx + 1) as f64 / total_gates as f64,
-                    memory_bytes: memory,
-                    max_bond: mps.max_bond(),
+                    memory_bytes: bytes,
+                    max_bond,
                 });
             }
         }
@@ -197,28 +200,12 @@ impl<'b> MpsSimulator<'b> {
             !exact || mps.is_canonical(1e-10),
             "non-canonical state escaped run"
         );
+        mps.shrink_to_fit();
 
         record.duration = start.elapsed();
         record.truncation = *mps.stats();
         (mps, record)
     }
-
-    /// Closes a block of exact splits: reads the peaks, which the splits
-    /// only ever raise, then compresses once over every bond.
-    fn close_block(&self, mps: &mut Mps, record: &mut SimRecord, memory: &mut usize) {
-        record.peak_bond = record.peak_bond.max(mps.max_bond());
-        record.peak_memory_bytes = record.peak_memory_bytes.max(*memory);
-        mps.recompress(self.backend, &self.truncation);
-        *memory = mps.memory_bytes();
-    }
-}
-
-/// Bytes held by the sites in `span`.
-fn span_bytes(mps: &Mps, span: std::ops::RangeInclusive<usize>) -> usize {
-    mps.sites()[span]
-        .iter()
-        .map(qk_tensor::Tensor::memory_bytes)
-        .sum()
 }
 
 /// Reverses the qubit order of a 4x4 two-qubit gate:

@@ -3,9 +3,12 @@
 //! The generic contraction path (`Tensor::conj` + two `contract_with`
 //! calls per site) allocates a conjugated copy of every site tensor,
 //! permute-copies both operands and heap-allocates the environment at
-//! each of the `m` sites. This module walks the site slices directly:
-//! per site, one [`ExecutionBackend::zipper_site`] call into preallocated
-//! buffers, which computes
+//! each of the `m` sites. This module walks the two states' flat
+//! buffers directly, front to back: site `q` of each is the next
+//! `chi_l · 2 · chi_r` amplitudes, with its bonds read from the state's
+//! bond vector, so no site is reached through a pointer of its own. Per
+//! site, one [`ExecutionBackend::zipper_site`] call into preallocated
+//! buffers computes
 //!
 //! 1. transfer: `T[l_a, (p, r_b)] = E[l_a, l_b] · B[l_b, (p, r_b)]`
 //!    (no permute needed: the contracted bond of `E` and of `B` already
@@ -47,7 +50,6 @@
 
 use qk_tensor::backend::ExecutionBackend;
 use qk_tensor::complex::Complex64;
-use qk_tensor::tensor::Tensor;
 
 /// Reusable buffers for the zipper contraction: two ping-pong
 /// environments plus one transfer panel. Construct once per worker (or
@@ -70,14 +72,6 @@ impl ZipperWorkspace {
         Self::default()
     }
 
-    /// A workspace pre-sized for states of bond dimension up to `chi`,
-    /// so even the first call allocates nothing.
-    pub fn with_bond_capacity(chi: usize) -> Self {
-        let mut ws = Self::new();
-        ws.ensure(chi * chi, chi * 2 * chi);
-        ws
-    }
-
     /// Grows the buffers to hold `env_len` environment entries and
     /// `panel_len` panel entries.
     fn ensure(&mut self, env_len: usize, panel_len: usize) {
@@ -89,19 +83,20 @@ impl ZipperWorkspace {
             self.panel.resize(panel_len, Complex64::ZERO);
         }
     }
-
-    /// Current heap footprint of the buffers, in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        (self.env.len() + self.env_next.len() + self.panel.len()) * std::mem::size_of::<Complex64>()
-    }
 }
 
-/// Runs the zipper over two site chains. Both chains must have equal
-/// length (checked by the caller) and valid MPS bond structure.
+/// One operand of the zipper: a state's `m + 1` bond dimensions and its
+/// flat amplitude buffer (see [`crate::Mps::site`] for the layout).
+pub(crate) type Chain<'a> = (&'a [usize], &'a [Complex64]);
+
+/// Runs the zipper over two flat chains, site by site: each site is the
+/// next `chi_l · 2 · chi_r` amplitudes of its buffer. Both chains must
+/// have equal length (checked by the caller) and valid MPS bond
+/// structure.
 pub(crate) fn zip_inner(
     ws: &mut ZipperWorkspace,
-    a_sites: &[Tensor],
-    b_sites: &[Tensor],
+    (a_bonds, mut a): Chain<'_>,
+    (b_bonds, mut b): Chain<'_>,
     backend: &dyn ExecutionBackend,
 ) -> Complex64 {
     // Buffers grow during the walk (`Vec::resize` keeps the live
@@ -109,9 +104,11 @@ pub(crate) fn zip_inner(
     ws.ensure(1, 0);
     // Trivial 1x1 boundary environment.
     ws.env[0] = Complex64::ONE;
-    for (a, b) in a_sites.iter().zip(b_sites) {
-        let (la, ra) = (a.shape()[0], a.shape()[2]);
-        let (lb, rb) = (b.shape()[0], b.shape()[2]);
+    for (ba, bb) in a_bonds.windows(2).zip(b_bonds.windows(2)) {
+        let ((la, ra), (lb, rb)) = ((ba[0], ba[1]), (bb[0], bb[1]));
+        let (site_a, rest_a) = a.split_at(la * 2 * ra);
+        let (site_b, rest_b) = b.split_at(lb * 2 * rb);
+        (a, b) = (rest_a, rest_b);
         ws.ensure((la * lb).max(ra * rb), la * 2 * rb);
         // T[l_a, (p, r_b)] = E · B, then E'[r_a, r_b] = A^H · T.
         backend.zipper_site(
@@ -120,8 +117,8 @@ pub(crate) fn zip_inner(
             ra,
             rb,
             &ws.env[..la * lb],
-            a.data(),
-            b.data(),
+            site_a,
+            site_b,
             &mut ws.panel[..la * 2 * rb],
             &mut ws.env_next[..ra * rb],
         );
@@ -137,20 +134,18 @@ mod tests {
 
     #[test]
     fn workspace_grows_and_reports_capacity() {
+        let lens = |ws: &ZipperWorkspace| [ws.env.len(), ws.env_next.len(), ws.panel.len()];
         let mut ws = ZipperWorkspace::new();
-        assert_eq!(ws.capacity_bytes(), 0);
+        assert_eq!(lens(&ws), [0; 3]);
         ws.ensure(16, 32);
-        let bytes = ws.capacity_bytes();
-        assert_eq!(bytes, (16 + 16 + 32) * 16);
+        assert_eq!(lens(&ws), [16, 16, 32]);
         // Never shrinks.
         ws.ensure(4, 4);
-        assert_eq!(ws.capacity_bytes(), bytes);
-        let pre = ZipperWorkspace::with_bond_capacity(8);
-        assert_eq!(pre.capacity_bytes(), (64 + 64 + 128) * 16);
+        assert_eq!(lens(&ws), [16, 16, 32]);
     }
 
-    /// A site chain with the given bonds and pseudo-random entries.
-    fn chain(bonds: &[usize], seed: u64) -> Vec<Tensor> {
+    /// A flat buffer for the given bonds, with pseudo-random entries.
+    fn chain(bonds: &[usize], seed: u64) -> Vec<Complex64> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -158,15 +153,8 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        bonds
-            .windows(2)
-            .map(|w| {
-                let data = (0..w[0] * 2 * w[1])
-                    .map(|_| Complex64::new(next(), next()))
-                    .collect();
-                Tensor::from_data(&[w[0], 2, w[1]], data)
-            })
-            .collect()
+        let len = bonds.windows(2).map(|w| w[0] * 2 * w[1]).sum();
+        (0..len).map(|_| Complex64::new(next(), next())).collect()
     }
 
     fn dirty(ws: &mut ZipperWorkspace) {
@@ -198,8 +186,9 @@ mod tests {
                 for (j, ket) in kets.iter().enumerate() {
                     let a = chain(bra, round * 10 + i as u64);
                     let b = chain(ket, round * 10 + 5 + j as u64);
-                    let fused = zip_inner(&mut ws_fused, &a, &b, &CpuBackend);
-                    let two = zip_inner(&mut ws_two, &a, &b, &two_gemm);
+                    let (a, b) = ((&bra[..], &a[..]), (&ket[..], &b[..]));
+                    let fused = zip_inner(&mut ws_fused, a, b, &CpuBackend);
+                    let two = zip_inner(&mut ws_two, a, b, &two_gemm);
                     assert!(fused.norm() > 0.0);
                     assert_eq!(fused.re.to_bits(), two.re.to_bits(), "{bra:?} {ket:?}");
                     assert_eq!(fused.im.to_bits(), two.im.to_bits(), "{bra:?} {ket:?}");

@@ -29,17 +29,15 @@ fn ansatz_state(features: &[f64], gamma: f64) -> Mps {
 /// `compress.rs` pins the doubled case.
 fn zero_padded(psi: &Mps) -> Mps {
     let m = psi.num_qubits();
-    let sites = psi
-        .sites()
-        .iter()
-        .enumerate()
-        .map(|(q, a)| {
-            let (l, r) = (a.shape()[0], a.shape()[2]);
+    let bonds = [vec![1], psi.bond_dims(), vec![1]].concat();
+    let sites = (0..m)
+        .map(|q| {
+            let (l, r) = (bonds[q], bonds[q + 1]);
             let nl = if q == 0 { 1 } else { 2 * l };
             let nr = if q == m - 1 { 1 } else { 2 * r };
             let mut data = vec![Complex64::ZERO; nl * 2 * nr];
-            for lp in 0..l * 2 {
-                data[lp * nr..lp * nr + r].copy_from_slice(&a.data()[lp * r..(lp + 1) * r]);
+            for (lp, row) in psi.site(q).chunks_exact(r).enumerate() {
+                data[lp * nr..lp * nr + r].copy_from_slice(row);
             }
             Tensor::from_data(&[nl, 2, nr], data)
         })

@@ -6,7 +6,7 @@
 //! dependencies so every crate — including the determinism-pinned
 //! kernels' callers — can afford to depend on it.
 //!
-//! * [`span`] — RAII spans with per-thread stacks, parent/child
+//! * [`span`](mod@span) — RAII spans with per-thread stacks, parent/child
 //!   attribution, and a deterministic flamegraph-style rollup.
 //! * [`registry`] — named counters/gauges/log-bucket histograms;
 //!   `qk-gram`, `qk-serve` and `qk-svm` register into one table.

@@ -301,10 +301,12 @@ impl EncodingCache {
     }
 }
 
-/// Resident size of one entry: the MPS tensors plus the key grid and a
-/// fixed allowance for map/list bookkeeping.
+/// Resident size of one entry: what a simulated state holds on the heap
+/// (its amplitude buffer and its `m + 1` bond dimensions), the key grid,
+/// and a fixed allowance for map/list bookkeeping.
 fn entry_bytes(key: &CacheKey, state: &Mps) -> usize {
-    state.memory_bytes() + key.grid.len() * std::mem::size_of::<i64>() + 64
+    let bonds = (state.num_qubits() + 1) * std::mem::size_of::<usize>();
+    state.memory_bytes() + bonds + key.grid.len() * std::mem::size_of::<i64>() + 64
 }
 
 #[cfg(test)]
@@ -347,6 +349,23 @@ mod tests {
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 2);
         assert!((s.hit_rate() - 3.0 / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn entry_charges_the_heap_a_state_holds() {
+        // qk-mps's `tests/state_heap.rs` pins a simulated state's heap at
+        // `memory_bytes() + 8 (m + 1) + 64` bytes at most: an entry
+        // charges that bound plus its key.
+        use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
+        let m = 32;
+        let features: Vec<f64> = (0..m).map(|i| 0.1 + 1.8 * i as f64 / m as f64).collect();
+        let circuit = feature_map_circuit(&features, &AnsatzConfig::new(2, 1, 0.5));
+        let backend = qk_tensor::backend::CpuBackend::new();
+        let (state, _) = qk_mps::MpsSimulator::new(&backend).simulate(&circuit);
+        assert!(state.max_bond() > 1);
+        let key = Quantizer::new(1e3).key(1, &features);
+        let bound = state.memory_bytes() + 8 * (m + 1) + 64;
+        assert_eq!(entry_bytes(&key, &state), bound + 8 * key.grid.len());
     }
 
     #[test]

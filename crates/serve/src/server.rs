@@ -28,7 +28,7 @@
 //! share = min(max_batch, ceil((1 + queued) / (1 + idle_others)))
 //! ```
 //!
-//! requests ([`batch_share`]): `queued` is the channel length at drain
+//! requests (`batch_share`): `queued` is the channel length at drain
 //! time, `idle_others` the `serve.idle_workers` gauge — workers inside
 //! the blocking `recv` (incremented before it, decremented after). With
 //! every other worker busy the share is the whole queue up to

@@ -22,7 +22,7 @@
 //!   hands them out in place through [`RowSource::resident_row`] — no
 //!   copy, no cache, no failure path. Other sources (`qk-gram`'s
 //!   `RecomputingRows`) are served through a byte-budgeted LRU
-//!   [`RowCache`], so the solver stops re-reading the backing store on
+//!   `RowCache`, so the solver stops re-reading the backing store on
 //!   every row access, with hit/miss/eviction counters;
 //! * every I/O edge (`svm.ckpt.store`, `svm.ckpt.load`, and
 //!   `svm.row.load` on cached sources) is chaos-gated and retried under

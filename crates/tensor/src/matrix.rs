@@ -24,9 +24,9 @@
 //!   slice of the contraction per pass, so each `C` element is loaded and
 //!   stored once per `KC` block instead of once per scalar `p`.
 //! * The dense inner loop is branch-free: no per-element zero check (see
-//!   [`gemm_row`] for why the old check was removed).
+//!   `gemm_row` for why the old check was removed).
 //!
-//! The small path ([`gemm_small_avx`]) is the zipper at 5 ≤ χ ≤ 12, where
+//! The small path (`gemm_small_avx`) is the zipper at 5 ≤ χ ≤ 12, where
 //! both GEMMs of a site are a few hundred multiply-adds and packing,
 //! zero-filling `c` and re-loading it per `p` cost more than the
 //! arithmetic. It reads the interleaved operands in place, two complex

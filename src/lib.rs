@@ -16,7 +16,7 @@
 //! 6. [`svm`] — kernel SVM training (SMO), calibration, metrics;
 //! 7. [`serve`] — concurrent batched-inference serving with an MPS
 //!    encoding cache and hot-swappable model versions;
-//! 8. [`bench`] — figure/table reproduction harness;
+//! 8. [`bench`](mod@bench) — figure/table reproduction harness;
 //! 9. [`tensor`] — the shared dense linear-algebra substrate;
 //! 10. [`mpi`] — the in-process MPI-shaped messaging shim;
 //! 11. [`obs`] — unified tracing spans, metrics registry, and the
