@@ -3,8 +3,6 @@
 //! * RXX's operator-Schmidt rank 2 (the paper's footnote 5) vs a generic
 //!   dense two-qubit unitary (rank 4): bond growth, and hence runtime,
 //!   differs sharply.
-//! * Accelerator launch latency sweep: how the device model moves the
-//!   CPU/GPU crossover.
 //! * Interaction distance `d` in 1..=4 at `m = 12`: what one state costs
 //!   once the router has scheduled each XX block as a sweep per qubit.
 
@@ -13,10 +11,9 @@ use qk_bench::sample_rows;
 use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
 use qk_circuit::{Circuit, Gate};
 use qk_mps::MpsSimulator;
-use qk_tensor::backend::{AcceleratorBackend, CpuBackend, DeviceModel};
+use qk_tensor::backend::CpuBackend;
 use qk_tensor::complex::c64;
 use qk_tensor::svd::split_two_qubit_gate;
-use std::time::Duration;
 
 fn bench_rxx_vs_generic_gate(c: &mut Criterion) {
     let mut group = c.benchmark_group("gate_schmidt_rank");
@@ -69,26 +66,6 @@ fn bench_rxx_vs_generic_gate(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_launch_latency_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("device_launch_latency");
-    group.sample_size(10);
-    let rows = sample_rows(1, 14, 71);
-    let circuit = feature_map_circuit(&rows[0], &AnsatzConfig::new(2, 2, 1.0));
-    for &micros in &[0u64, 20, 80] {
-        let model = DeviceModel {
-            launch_latency: Duration::from_micros(micros),
-            transfer_bytes_per_sec: f64::INFINITY,
-            compute_speedup: 1.0,
-        };
-        group.bench_with_input(BenchmarkId::new("accel_sim", micros), &micros, |bch, _| {
-            let acc = AcceleratorBackend::new(model);
-            let sim = MpsSimulator::new(&acc);
-            bch.iter(|| sim.simulate(&circuit));
-        });
-    }
-    group.finish();
-}
-
 fn bench_interaction_distance(c: &mut Criterion) {
     // Cost of one state as the interaction distance grows: the router
     // schedules each XX block as one sweep per qubit whatever order the
@@ -136,7 +113,6 @@ fn bench_kernel_diagnostics(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_rxx_vs_generic_gate,
-    bench_launch_latency_sweep,
     bench_interaction_distance,
     bench_kernel_diagnostics
 );

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qk_bench::sample_rows;
 use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
 use qk_mps::{Mps, MpsSimulator, TruncationConfig};
-use qk_tensor::backend::{AcceleratorBackend, CpuBackend, DeviceModel};
+use qk_tensor::backend::CpuBackend;
 
 fn bench_simulation_vs_distance(c: &mut Criterion) {
     let mut group = c.benchmark_group("mps_sim_vs_distance");
@@ -61,14 +61,10 @@ fn prepared_states(m: usize, d: usize) -> (Mps, Mps) {
 fn bench_inner_product(c: &mut Criterion) {
     let mut group = c.benchmark_group("inner_product");
     let cpu = CpuBackend::new();
-    let acc = AcceleratorBackend::new(DeviceModel::ideal());
     for &d in &[1usize, 2, 3] {
         let (a, b) = prepared_states(16, d);
         group.bench_with_input(BenchmarkId::new("cpu", d), &d, |bch, _| {
             bch.iter(|| a.inner_with(&cpu, &b));
-        });
-        group.bench_with_input(BenchmarkId::new("accel_ideal", d), &d, |bch, _| {
-            bch.iter(|| a.inner_with(&acc, &b));
         });
     }
     group.finish();

@@ -2,9 +2,10 @@
 //! distance grows.
 //!
 //! For each `d`, simulates a batch of circuits and computes all pairwise
-//! inner products on both backends, reporting median and quartiles of the
-//! per-circuit / per-inner-product times, plus Table I (average largest
-//! bond dimension per backend and memory per MPS).
+//! inner products twice: once on the wall clock (the CPU column) and once
+//! priced by the accelerator's device model (the GPU column). Reports
+//! median and quartiles of the per-circuit / per-inner-product times, plus
+//! Table I (average largest bond dimension per pass and memory per MPS).
 //!
 //! Usage:
 //!   cargo run --release -p qk-bench --bin fig5_crossover -- \
@@ -13,8 +14,9 @@
 use qk_bench::{median, quartiles, sample_rows, write_results, Args, Scale};
 use qk_circuit::ansatz::{feature_map_circuit, swap_overhead, AnsatzConfig};
 use qk_mps::{Mps, MpsSimulator, TruncationConfig};
-use qk_tensor::backend::{AcceleratorBackend, CpuBackend, ExecutionBackend};
+use qk_tensor::backend::{tally, CpuBackend, DeviceModel};
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 #[derive(Serialize)]
@@ -37,31 +39,32 @@ struct BackendPoint {
     avg_memory_mib: f64,
 }
 
-/// Times one closure on the backend's clock: the virtual device clock if
-/// the backend has one (the accelerator), wall-clock otherwise (the CPU).
-fn timed<T>(backend: &dyn ExecutionBackend, f: impl FnOnce() -> T) -> (T, Duration) {
-    match backend.virtual_clock() {
-        Some(before) => {
-            let out = f();
-            (out, backend.virtual_clock().unwrap() - before)
-        }
-        None => {
-            let t0 = Instant::now();
-            let out = f();
-            (out, t0.elapsed())
-        }
-    }
+/// One column's clock: host wall time for the CPU, and for the
+/// accelerator the device model's price of the CPU backend's calls
+/// tallied while the closure ran (DESIGN.md substitution 1).
+type Clock = fn(&mut dyn FnMut()) -> Duration;
+
+fn wall(f: &mut dyn FnMut()) -> Duration {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed()
 }
 
-fn run_backend(
-    backend: &dyn ExecutionBackend,
+fn priced(f: &mut dyn FnMut()) -> Duration {
+    DeviceModel::default().price(&tally(f).1)
+}
+
+/// One pass over the circuits at distance `d`, every simulation and
+/// pairwise inner product timed on `clock`.
+fn run_pass(
+    clock: Clock,
     name: &'static str,
     rows: &[Vec<f64>],
     d: usize,
     gamma: f64,
 ) -> BackendPoint {
     let cfg = AnsatzConfig::new(2, d, gamma);
-    let sim = MpsSimulator::new(backend).with_truncation(TruncationConfig::default());
+    let sim = MpsSimulator::new(&CpuBackend).with_truncation(TruncationConfig::default());
 
     let mut sim_times = Vec::new();
     let mut states: Vec<Mps> = Vec::new();
@@ -69,17 +72,19 @@ fn run_backend(
     let mut two_qubit_ops_applied = 0;
     for row in rows {
         let circuit = feature_map_circuit(row, &cfg);
-        let ((mps, record), t) = timed(backend, || sim.simulate(&circuit));
+        let mut out = None;
+        sim_times.push(clock(&mut || out = Some(sim.simulate(&circuit))));
+        let (mps, record) = out.expect("the clock runs its closure");
         two_qubit_ops_applied = record.two_qubit_gates;
-        sim_times.push(t);
         states.push(mps);
     }
 
     let mut inner_times = Vec::new();
     for i in 0..states.len() {
         for j in (i + 1)..states.len() {
-            let (_, t) = timed(backend, || states[i].inner_with(backend, &states[j]));
-            inner_times.push(t);
+            inner_times.push(clock(&mut || {
+                black_box(states[i].inner_with(&CpuBackend, &states[j]));
+            }));
         }
     }
 
@@ -119,13 +124,11 @@ fn main() {
     let gamma = args.get_or("gamma", 1.0);
 
     let rows = sample_rows(samples, qubits, 17);
-    let cpu = CpuBackend::new();
-    let acc = AcceleratorBackend::with_default_model();
 
     println!("Fig. 5 / Table I: CPU-GPU crossover (m = {qubits}, r = 2, gamma = {gamma})");
     println!("paper shape: GPU slower at small d (launch overhead), faster beyond the");
-    println!("crossover (paper: d ~ 9, chi ~ 320); the accelerator is timed on its");
-    println!("virtual device clock (see DESIGN.md substitution 1)\n");
+    println!("crossover (paper: d ~ 9, chi ~ 320); the accelerator column prices the");
+    println!("CPU's tallied calls on a device model (see DESIGN.md substitution 1)\n");
     println!(
         "{:>3} {:>11} {:>8} {:>12} {:>12} {:>14} {:>14} | {:>9} {:>9} {:>10}",
         "d",
@@ -144,8 +147,8 @@ fn main() {
     let mut sim_crossover: Option<usize> = None;
     let mut inner_crossover: Option<usize> = None;
     for d in 1..=dmax {
-        let p_cpu = run_backend(&cpu, "cpu", &rows, d, gamma);
-        let p_acc = run_backend(&acc, "accelerator", &rows, d, gamma);
+        let p_cpu = run_pass(wall, "cpu", &rows, d, gamma);
+        let p_acc = run_pass(priced, "accelerator", &rows, d, gamma);
         println!(
             "{:>3} {:>11} {:>8} {:>12.3?} {:>12.3?} {:>14.3?} {:>14.3?} | {:>9.1} {:>9.1} {:>10.3}",
             d,

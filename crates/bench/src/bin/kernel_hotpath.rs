@@ -67,10 +67,6 @@ use std::time::{Duration, Instant};
 struct PrePrBackend;
 
 impl ExecutionBackend for PrePrBackend {
-    fn name(&self) -> &'static str {
-        "pre-pr-reference"
-    }
-
     fn gemm(
         &self,
         m: usize,
@@ -94,10 +90,6 @@ impl ExecutionBackend for PrePrBackend {
 struct ThetaCapture(Mutex<Vec<(usize, usize, Vec<Complex64>)>>);
 
 impl ExecutionBackend for ThetaCapture {
-    fn name(&self) -> &'static str {
-        "theta-capture"
-    }
-
     fn gemm(
         &self,
         m: usize,

@@ -164,21 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_agrees_with_backends() {
-        // The accelerator backend runs the CPU's kernels and only prices
-        // them, so every entry has the CPU backend's bits.
-        use qk_tensor::backend::{AcceleratorBackend, DeviceModel};
-        let st = states(4, 4);
-        let cpu = CpuBackend::new();
-        let acc = AcceleratorBackend::new(DeviceModel::ideal());
-        let bits = |k: &KernelMatrix| k.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&gram_matrix(&st, &cpu).kernel),
-            bits(&gram_matrix(&st, &acc).kernel)
-        );
-    }
-
-    #[test]
     fn delegated_tile_yields_parallel_work() {
         // The engine must never collapse a moderate problem into one
         // serial tile on a multi-core host: with more than one worker

@@ -303,27 +303,4 @@ mod tests {
         let cs: Vec<f64> = result.sweep.points.iter().map(|p| p.c).collect();
         assert_eq!(cs, vec![4.0, 0.01, 1.0]);
     }
-
-    #[test]
-    fn backends_produce_identical_sweeps() {
-        use qk_tensor::backend::{AcceleratorBackend, DeviceModel};
-        let data = generate(&SyntheticConfig::small(14));
-        let config = ExperimentConfig {
-            c_grid: vec![1.0],
-            ..ExperimentConfig::qml(30, 5, 14)
-        };
-        let cpu = run_quantum_experiment(&data, &config, &CpuBackend::new());
-        let acc = run_quantum_experiment(
-            &data,
-            &config,
-            &AcceleratorBackend::new(DeviceModel::ideal()),
-        );
-        // Table I's consistency check at pipeline level: one algorithm on
-        // two engines, so the same bond dimensions, memory and metrics.
-        assert_eq!(cpu.mean_max_bond, acc.mean_max_bond);
-        assert_eq!(cpu.mean_memory_bytes, acc.mean_memory_bytes);
-        for (x, y) in cpu.sweep.points.iter().zip(&acc.sweep.points) {
-            assert_eq!((x.c, x.test, x.train), (y.c, y.test, y.train));
-        }
-    }
 }

@@ -20,7 +20,8 @@
 //!    materialized.
 //!
 //! The trait's default runs these as two GEMM calls (`gemm`, then
-//! `gemm_conj_a`), which is what the accelerator's cost model prices.
+//! `gemm_conj_a`), and the accelerator's cost model prices a site as
+//! those two calls.
 //! `CpuBackend` runs a site whose four bonds are all at most 4 (the
 //! paper's d = 1, r = 2 regime) as one fused AVX kernel
 //! (`qk_tensor::matrix::zipper_site`): `T` is computed in registers and
@@ -130,7 +131,29 @@ pub(crate) fn zip_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qk_tensor::backend::{AcceleratorBackend, CpuBackend, DeviceModel};
+    use qk_tensor::backend::{CpuBackend, ExecutionBackend};
+    use qk_tensor::svd::{svd, Svd};
+
+    /// Serial kernels that inherit the trait's two-GEMM `zipper_site`.
+    struct TwoGemm;
+
+    impl ExecutionBackend for TwoGemm {
+        fn gemm(
+            &self,
+            m: usize,
+            k: usize,
+            n: usize,
+            a: &[Complex64],
+            b: &[Complex64],
+            c: &mut [Complex64],
+        ) {
+            qk_tensor::matrix::gemm_serial(m, k, n, a, b, c);
+        }
+
+        fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
+            svd(m, n, a)
+        }
+    }
 
     #[test]
     fn workspace_grows_and_reports_capacity() {
@@ -178,8 +201,6 @@ mod tests {
             vec![1, 2, 4, 4, 8, 5, 4, 3, 2, 1],
             vec![1, 2, 4, 3, 4, 4, 2, 4, 2, 1],
         ];
-        // The accelerator inherits the trait's two-GEMM `zipper_site`.
-        let two_gemm = AcceleratorBackend::new(DeviceModel::ideal());
         let (mut ws_fused, mut ws_two) = (ZipperWorkspace::new(), ZipperWorkspace::new());
         for round in 0..2u64 {
             for (i, bra) in bras.iter().enumerate() {
@@ -188,7 +209,7 @@ mod tests {
                     let b = chain(ket, round * 10 + 5 + j as u64);
                     let (a, b) = ((&bra[..], &a[..]), (&ket[..], &b[..]));
                     let fused = zip_inner(&mut ws_fused, a, b, &CpuBackend);
-                    let two = zip_inner(&mut ws_two, a, b, &two_gemm);
+                    let two = zip_inner(&mut ws_two, a, b, &TwoGemm);
                     assert!(fused.norm() > 0.0);
                     assert_eq!(fused.re.to_bits(), two.re.to_bits(), "{bra:?} {ket:?}");
                     assert_eq!(fused.im.to_bits(), two.im.to_bits(), "{bra:?} {ket:?}");

@@ -7,11 +7,33 @@
 use proptest::prelude::*;
 use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
 use qk_mps::{Mps, MpsSimulator, ZipperWorkspace};
-use qk_tensor::backend::{AcceleratorBackend, CpuBackend, DeviceModel};
+use qk_tensor::backend::{CpuBackend, ExecutionBackend};
 use qk_tensor::complex::Complex64;
+use qk_tensor::svd::{svd, Svd};
 use qk_tensor::tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// Serial kernels that inherit the trait's two-GEMM `zipper_site`.
+struct TwoGemm;
+
+impl ExecutionBackend for TwoGemm {
+    fn gemm(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[Complex64],
+        b: &[Complex64],
+        c: &mut [Complex64],
+    ) {
+        qk_tensor::matrix::gemm_serial(m, k, n, a, b, c);
+    }
+
+    fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
+        svd(m, n, a)
+    }
+}
 
 /// A random normalized MPS with `m` sites and random interior bonds in
 /// `1..=cap` (adjacent bonds matched; `from_sites` canonicalizes).
@@ -78,23 +100,22 @@ proptest! {
         }
     }
 
-    /// Backends run the same zipper kernel: CPU and (ideal-model)
-    /// accelerator inner products are bitwise identical.
+    /// The CPU backend's fused zipper step has the bits of the trait's
+    /// two-GEMM default: inner products agree bitwise.
     #[test]
     fn backends_agree_bitwise_on_inner(
         m in 2usize..9,
         seed in 0u64..1000,
     ) {
         let cpu = CpuBackend::new();
-        let acc = AcceleratorBackend::new(DeviceModel::ideal());
         let mut ws = ZipperWorkspace::new();
         for cap in CHI_CAPS {
             let a = random_mps(m, cap, seed);
             let b = random_mps(m, cap, seed.wrapping_add(13));
-            let on_cpu = a.inner_into(&mut ws, &cpu, &b);
-            let on_acc = a.inner_into(&mut ws, &acc, &b);
-            prop_assert_eq!(on_cpu.re.to_bits(), on_acc.re.to_bits(), "cap {cap}");
-            prop_assert_eq!(on_cpu.im.to_bits(), on_acc.im.to_bits(), "cap {cap}");
+            let fused = a.inner_into(&mut ws, &cpu, &b);
+            let two = a.inner_into(&mut ws, &TwoGemm, &b);
+            prop_assert_eq!(fused.re.to_bits(), two.re.to_bits(), "cap {cap}");
+            prop_assert_eq!(fused.im.to_bits(), two.im.to_bits(), "cap {cap}");
         }
     }
 

@@ -1,24 +1,24 @@
-//! Execution backends: the CPU / accelerator split of the paper.
+//! The execution backend, and the price of its calls on the paper's
+//! accelerator.
 //!
 //! The paper benchmarks two engines running the *same* MPS algorithm:
 //! ITensors on an AMD EPYC CPU and pytket-cutensornet on an NVIDIA A100.
 //! We have no GPU, so the accelerator is reproduced as a *device model*
-//! (see DESIGN.md, substitution 1): every primitive call pays a fixed
-//! launch latency plus a transfer cost proportional to the bytes touched,
-//! and in exchange its kernel time is divided by a throughput factor. This
+//! (see DESIGN.md, substitution 1) that prices the CPU backend's calls:
+//! [`tally`] counts the calls, operand bytes and host kernel time of one
+//! closure on the calling thread, and [`DeviceModel::price`] charges each
+//! call a fixed launch latency plus a transfer cost proportional to its
+//! bytes, and divides the kernel time by a throughput factor. This
 //! preserves the mechanism behind the paper's Fig. 5 crossover — overhead
 //! dominates at small bond dimension, throughput wins at large.
 //!
-//! Both backends run the same host kernels (the GEMMs and the Jacobi
-//! SVD; the CPU's fused zipper step has its two GEMMs' bits), so they are
-//! deterministic and bit-identical in *results* and differ only in
-//! simulated cost, mirroring the paper's Table I observation that CPU and
-//! GPU bond dimensions agree.
+//! One backend computes every bit, so the two columns of the paper's
+//! Table I (CPU and GPU bond dimensions agree) agree by construction.
 
 use crate::complex::Complex64;
 use crate::matrix::gemm_serial;
 use crate::svd::{svd, Svd};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// A primitive-execution engine for tensor kernels.
@@ -26,9 +26,6 @@ use std::time::{Duration, Instant};
 /// Implementations must be `Send + Sync`: the Gram-matrix distribution
 /// layer shares one backend across worker threads.
 pub trait ExecutionBackend: Send + Sync {
-    /// Human-readable backend name (appears in harness output).
-    fn name(&self) -> &'static str;
-
     /// `c = a * b` with `a: m x k`, `b: k x n`, row-major.
     fn gemm(
         &self,
@@ -45,8 +42,7 @@ pub trait ExecutionBackend: Send + Sync {
     /// Conjugation happens inside the kernel (in the packing step of the
     /// blocked path), so callers never materialize `conj(a)`.
     ///
-    /// The default forwards to the serial kernel; backends override to
-    /// charge their cost model.
+    /// The default forwards to the serial kernel.
     fn gemm_conj_a(
         &self,
         m: usize,
@@ -64,11 +60,10 @@ pub trait ExecutionBackend: Send + Sync {
     /// absorb `out = a^H · panel` (`a: 2·la x ra`, `panel` read as
     /// `2·la x rb`), overwriting `out` (`ra x rb`).
     ///
-    /// The default is exactly those two calls, so backends that price
-    /// each GEMM (the accelerator's virtual clock) keep charging two
-    /// primitives per site. [`CpuBackend`] overrides it with a kernel
-    /// that fuses both steps when every bond is at most 4 and produces
-    /// the same bits.
+    /// The default is exactly those two calls, which the test and bench
+    /// reference backends inherit. [`CpuBackend`] overrides it with a
+    /// kernel that fuses both steps when every bond is at most 4 and
+    /// produces the same bits, and tallies it as the default's two calls.
     #[allow(clippy::too_many_arguments)]
     fn zipper_site(
         &self,
@@ -88,14 +83,58 @@ pub trait ExecutionBackend: Send + Sync {
 
     /// Thin SVD of a row-major `m x n` matrix.
     fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd;
+}
 
-    /// Cumulative *virtual* time of all calls, when the backend is timed
-    /// on a simulated device clock. `None` means wall-clock is the right
-    /// measure (the CPU backend). Harnesses take deltas of this counter
-    /// around the section they time.
-    fn virtual_clock(&self) -> Option<Duration> {
-        None
+/// The calls [`CpuBackend`] made inside one [`tally`]: how many, the
+/// operand bytes they touched, and their host kernel time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Primitive calls: a zipper site counts as its two GEMMs.
+    pub calls: u64,
+    /// Bytes of the operand slices those calls were handed.
+    pub bytes: u64,
+    /// Host time spent inside the calls.
+    pub kernel: Duration,
+}
+
+thread_local! {
+    /// The calling thread's open tally; `None` outside [`tally`].
+    static OPEN: Cell<Option<Tally>> = const { Cell::new(None) };
+}
+
+/// Runs `f` and returns what it returned with the tally of the
+/// [`CpuBackend`] calls it made on this thread. Calls on other threads
+/// are not counted; a nested tally's calls count in the enclosing one
+/// too.
+pub fn tally<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    let outer = OPEN.replace(Some(Tally::default()));
+    let out = f();
+    let inner = OPEN.get().unwrap_or_default();
+    OPEN.set(outer.map(|o| Tally {
+        calls: o.calls + inner.calls,
+        bytes: o.bytes + inner.bytes,
+        kernel: o.kernel + inner.kernel,
+    }));
+    (out, inner)
+}
+
+/// Runs `f`, one backend entry point worth `calls` primitive calls over
+/// `elems` operand entries, and adds it to this thread's open [`tally`]
+/// if there is one. With none open it costs one thread-local load.
+#[inline(always)]
+fn counted<T>(calls: u64, elems: usize, f: impl FnOnce() -> T) -> T {
+    if OPEN.get().is_none() {
+        return f();
     }
+    let t0 = Instant::now();
+    let out = f();
+    let kernel = t0.elapsed();
+    OPEN.set(OPEN.get().map(|t| Tally {
+        calls: t.calls + calls,
+        bytes: t.bytes + (elems * std::mem::size_of::<Complex64>()) as u64,
+        kernel: t.kernel + kernel,
+    }));
+    out
 }
 
 /// Serial CPU backend; stands in for the ITensors/EPYC configuration.
@@ -103,7 +142,8 @@ pub trait ExecutionBackend: Send + Sync {
 /// Deliberately stateless: every Gram and serve worker shares one
 /// `&CpuBackend` and issues two GEMMs per zipper site, so any shared
 /// mutable field here (a per-call counter, say) is a cache line bouncing
-/// between cores on the hottest path of the pipeline.
+/// between cores on the hottest path of the pipeline. The [`tally`] is
+/// per thread for the same reason.
 #[derive(Debug, Default)]
 pub struct CpuBackend;
 
@@ -115,10 +155,6 @@ impl CpuBackend {
 }
 
 impl ExecutionBackend for CpuBackend {
-    fn name(&self) -> &'static str {
-        "cpu-serial"
-    }
-
     fn gemm(
         &self,
         m: usize,
@@ -128,7 +164,23 @@ impl ExecutionBackend for CpuBackend {
         b: &[Complex64],
         c: &mut [Complex64],
     ) {
-        gemm_serial(m, k, n, a, b, c);
+        counted(1, a.len() + b.len() + c.len(), || {
+            gemm_serial(m, k, n, a, b, c)
+        });
+    }
+
+    fn gemm_conj_a(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[Complex64],
+        b: &[Complex64],
+        c: &mut [Complex64],
+    ) {
+        counted(1, a.len() + b.len() + c.len(), || {
+            crate::matrix::gemm_conj_a(m, k, n, a, b, c)
+        });
     }
 
     fn zipper_site(
@@ -143,23 +195,20 @@ impl ExecutionBackend for CpuBackend {
         panel: &mut [Complex64],
         out: &mut [Complex64],
     ) {
-        crate::matrix::zipper_site(la, lb, ra, rb, env, a, b, panel, out);
+        // The default's two calls: (env, b, panel), then (a, panel, out).
+        let elems = env.len() + b.len() + 2 * panel.len() + a.len() + out.len();
+        counted(2, elems, || {
+            crate::matrix::zipper_site(la, lb, ra, rb, env, a, b, panel, out)
+        });
     }
 
     fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
-        svd(m, n, a)
+        counted(1, a.len(), || svd(m, n, a))
     }
 }
 
-/// Cost model of the simulated accelerator device.
-///
-/// The accelerator is timed on a *virtual clock* (the standard
-/// architectural-simulation technique): each primitive call of measured
-/// host cost `t` is charged `t / compute_speedup + launch_latency +
-/// bytes / transfer_bandwidth`. The host kernels are the CPU backend's,
-/// run on the calling thread, so the whole throughput advantage lives in
-/// `compute_speedup` on the virtual clock. Timing harnesses read that
-/// clock via [`ExecutionBackend::virtual_clock`].
+/// Cost model of the simulated accelerator device: what the CPU
+/// backend's tallied calls would cost on it.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceModel {
     /// Fixed cost charged per primitive call (kernel launch + host-side
@@ -172,7 +221,7 @@ pub struct DeviceModel {
     /// disables the charge.
     pub transfer_bytes_per_sec: f64,
     /// Device throughput relative to one host core; divides the measured
-    /// kernel time on the virtual clock. Must be >= 1.
+    /// kernel time. Must be >= 1.
     pub compute_speedup: f64,
 }
 
@@ -191,124 +240,14 @@ impl Default for DeviceModel {
 }
 
 impl DeviceModel {
-    /// A model with no overhead and no speedup: virtual time equals real
-    /// kernel time (ablation baseline).
-    pub fn ideal() -> Self {
-        DeviceModel {
-            launch_latency: Duration::ZERO,
-            transfer_bytes_per_sec: f64::INFINITY,
-            compute_speedup: 1.0,
-        }
-    }
-
-    /// Total simulated overhead for one call touching `bytes` operand bytes.
-    pub fn overhead(&self, bytes: usize) -> Duration {
-        let transfer = if self.transfer_bytes_per_sec.is_finite() {
-            Duration::from_secs_f64(bytes as f64 / self.transfer_bytes_per_sec)
-        } else {
-            Duration::ZERO
-        };
-        self.launch_latency + transfer
-    }
-
-    /// Virtual cost of one call: measured kernel time scaled by the
-    /// throughput model, plus overhead.
-    pub fn virtual_cost(&self, kernel_time: Duration, bytes: usize) -> Duration {
-        let compute =
-            Duration::from_secs_f64(kernel_time.as_secs_f64() / self.compute_speedup.max(1.0));
-        compute + self.overhead(bytes)
-    }
-}
-
-/// Simulated "accelerator" backend; stands in for pytket-cutensornet on an
-/// A100, with overhead injected per the [`DeviceModel`].
-#[derive(Debug)]
-pub struct AcceleratorBackend {
-    model: DeviceModel,
-    virtual_nanos: AtomicU64,
-}
-
-impl AcceleratorBackend {
-    /// Creates an accelerator backend with the given device model.
-    pub fn new(model: DeviceModel) -> Self {
-        AcceleratorBackend {
-            model,
-            virtual_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates an accelerator with the default device model.
-    pub fn with_default_model() -> Self {
-        Self::new(DeviceModel::default())
-    }
-
-    /// The device model in use.
-    pub fn model(&self) -> DeviceModel {
-        self.model
-    }
-
-    /// Total virtual time accumulated so far.
-    pub fn total_virtual(&self) -> Duration {
-        Duration::from_nanos(self.virtual_nanos.load(Ordering::Relaxed))
-    }
-
-    /// Records one call of measured kernel time `t` touching `bytes`.
-    fn charge(&self, t: Duration, bytes: usize) {
-        let v = self.model.virtual_cost(t, bytes);
-        self.virtual_nanos
-            .fetch_add(v.as_nanos() as u64, Ordering::Relaxed);
-    }
-}
-
-impl ExecutionBackend for AcceleratorBackend {
-    fn name(&self) -> &'static str {
-        "accelerator"
-    }
-
-    fn gemm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[Complex64],
-        b: &[Complex64],
-        c: &mut [Complex64],
-    ) {
-        let bytes = (a.len() + b.len() + c.len()) * std::mem::size_of::<Complex64>();
-        let t0 = Instant::now();
-        // Same kernel as the CPU backend (see `gemm_conj_a` below).
-        gemm_serial(m, k, n, a, b, c);
-        self.charge(t0.elapsed(), bytes);
-    }
-
-    fn gemm_conj_a(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[Complex64],
-        b: &[Complex64],
-        c: &mut [Complex64],
-    ) {
-        let bytes = (a.len() + b.len() + c.len()) * std::mem::size_of::<Complex64>();
-        let t0 = Instant::now();
-        // Same kernel as the CPU backend: results stay bit-identical
-        // across backends; only the virtual cost model differs.
-        crate::matrix::gemm_conj_a(m, k, n, a, b, c);
-        self.charge(t0.elapsed(), bytes);
-    }
-
-    fn svd(&self, m: usize, n: usize, a: &[Complex64]) -> Svd {
-        let bytes = std::mem::size_of_val(a);
-        let t0 = Instant::now();
-        // Same driver as the CPU backend, priced like the GEMMs.
-        let f = svd(m, n, a);
-        self.charge(t0.elapsed(), bytes);
-        f
-    }
-
-    fn virtual_clock(&self) -> Option<Duration> {
-        Some(self.total_virtual())
+    /// The virtual device time of the tallied calls: their kernel time
+    /// scaled by the throughput model, plus one launch latency per call
+    /// and the transfer of every operand byte.
+    pub fn price(&self, t: &Tally) -> Duration {
+        let compute = t.kernel.div_f64(self.compute_speedup.max(1.0));
+        let launches = self.launch_latency.mul_f64(t.calls as f64);
+        let transfer = Duration::from_secs_f64(t.bytes as f64 / self.transfer_bytes_per_sec);
+        compute + launches + transfer
     }
 }
 
@@ -316,10 +255,6 @@ impl ExecutionBackend for AcceleratorBackend {
 mod tests {
     use super::*;
     use crate::complex::c64;
-
-    fn bits(v: &[Complex64]) -> Vec<[u64; 2]> {
-        v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
-    }
 
     fn test_matrix(rows: usize, cols: usize, seed: u64) -> Vec<Complex64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -336,70 +271,65 @@ mod tests {
             .collect()
     }
 
+    const BYTES: u64 = std::mem::size_of::<Complex64>() as u64;
+
     #[test]
-    fn backends_agree_on_gemm() {
-        let cpu = CpuBackend::new();
-        let acc = AcceleratorBackend::new(DeviceModel::ideal());
-        let (m, k, n) = (9, 7, 11);
-        let a = test_matrix(m, k, 1);
-        let b = test_matrix(k, n, 2);
-        let mut c1 = vec![Complex64::ZERO; m * n];
-        let mut c2 = vec![Complex64::ZERO; m * n];
-        cpu.gemm(m, k, n, &a, &b, &mut c1);
-        acc.gemm(m, k, n, &a, &b, &mut c2);
-        assert_eq!(bits(&c1), bits(&c2));
+    fn tally_counts_each_call_and_its_operand_bytes() {
+        let be = CpuBackend::new();
+        let (m, k, n) = (3, 5, 2);
+        let (a, b) = (test_matrix(m, k, 1), test_matrix(k, n, 2));
+        let mut c = vec![Complex64::ZERO; m * n];
+        let (_, t) = tally(|| be.gemm(m, k, n, &a, &b, &mut c));
+        assert_eq!((t.calls, t.bytes), (1, (15 + 10 + 6) * BYTES));
+        let at = test_matrix(k, m, 3); // stored k x m, enters as a^H
+        let (_, t) = tally(|| be.gemm_conj_a(m, k, n, &at, &b, &mut c));
+        assert_eq!((t.calls, t.bytes), (1, (15 + 10 + 6) * BYTES));
+        let (f, t) = tally(|| be.svd(m, k, &a));
+        assert_eq!(f.s.len(), m);
+        assert_eq!((t.calls, t.bytes), (1, 15 * BYTES));
     }
 
     #[test]
-    fn backends_agree_on_conj_gemm() {
-        let cpu = CpuBackend::new();
-        let acc = AcceleratorBackend::new(DeviceModel::ideal());
-        let (m, k, n) = (6, 10, 5);
-        let a = test_matrix(k, m, 6); // stored k x m, enters as a^H
-        let b = test_matrix(k, n, 7);
-        let mut c1 = vec![Complex64::ZERO; m * n];
-        let mut c2 = vec![Complex64::ZERO; m * n];
-        cpu.gemm_conj_a(m, k, n, &a, &b, &mut c1);
-        acc.gemm_conj_a(m, k, n, &a, &b, &mut c2);
-        assert_eq!(bits(&c1), bits(&c2));
-    }
-
-    #[test]
-    fn backends_agree_on_singular_values() {
-        let cpu = CpuBackend::new();
-        let acc = AcceleratorBackend::new(DeviceModel::ideal());
-        // Both orientations: a wide matrix runs as its tall transpose.
-        for (m, n) in [(10, 8), (5, 12)] {
-            let a = test_matrix(m, n, 3);
-            let (f1, f2) = (cpu.svd(m, n, &a), acc.svd(m, n, &a));
-            let s_bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(s_bits(&f1.s), s_bits(&f2.s));
-            assert_eq!(bits(&f1.u), bits(&f2.u));
-            assert_eq!(bits(&f1.vh), bits(&f2.vh));
-            assert_eq!(f1.sweeps, f2.sweeps);
+    fn zipper_site_tallies_as_the_defaults_two_gemms() {
+        let be = CpuBackend::new();
+        // Fused (every bond <= 4) and general shapes alike.
+        for (la, lb, ra, rb) in [(2, 3, 4, 2), (5, 8, 6, 7)] {
+            let env = test_matrix(la, lb, 4);
+            let a = test_matrix(2 * la, ra, 5);
+            let b = test_matrix(lb, 2 * rb, 6);
+            let mut panel = vec![Complex64::ZERO; la * 2 * rb];
+            let mut out = vec![Complex64::ZERO; ra * rb];
+            let (_, t) =
+                tally(|| be.zipper_site(la, lb, ra, rb, &env, &a, &b, &mut panel, &mut out));
+            let first = env.len() + b.len() + panel.len();
+            let second = a.len() + panel.len() + out.len();
+            assert_eq!(t.calls, 2);
+            assert_eq!(t.bytes, (first + second) as u64 * BYTES);
         }
     }
 
     #[test]
-    fn virtual_clock_accumulates_overhead() {
-        let model = DeviceModel {
-            launch_latency: Duration::from_micros(500),
-            transfer_bytes_per_sec: f64::INFINITY,
-            compute_speedup: 1.0,
-        };
-        let acc = AcceleratorBackend::new(model);
-        let a = test_matrix(4, 4, 4);
-        let b = test_matrix(4, 4, 5);
+    fn tally_skips_calls_outside_it_and_on_other_threads() {
+        let be = CpuBackend::new();
+        let (a, b) = (test_matrix(4, 4, 7), test_matrix(4, 4, 8));
         let mut c = vec![Complex64::ZERO; 16];
-        for _ in 0..3 {
-            acc.gemm(4, 4, 4, &a, &b, &mut c);
-        }
-        // 3 calls x 500us launch, plus (tiny) kernel time.
-        let v = acc
-            .virtual_clock()
-            .expect("accelerator has a virtual clock");
-        assert!(v >= Duration::from_micros(1500), "virtual clock {v:?}");
-        assert!(v < Duration::from_millis(50));
+        be.gemm(4, 4, 4, &a, &b, &mut c);
+        let (_, t) = tally(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut c = vec![Complex64::ZERO; 16];
+                    be.gemm(4, 4, 4, &a, &b, &mut c);
+                });
+            })
+        });
+        assert_eq!(t, Tally::default());
+        be.gemm(4, 4, 4, &a, &b, &mut c);
+        let (_, t) = tally(|| ());
+        assert_eq!(t, Tally::default());
+        // A nested tally's calls count in the enclosing one too.
+        let ((_, inner), outer) = tally(|| tally(|| be.gemm(4, 4, 4, &a, &b, &mut c)));
+        assert_eq!((inner.calls, outer.calls), (1, 1));
+        assert_eq!(inner.bytes, outer.bytes);
     }
 
     #[test]
@@ -409,24 +339,35 @@ mod tests {
             transfer_bytes_per_sec: 1.0e9,
             compute_speedup: 1.0,
         };
+        let moved = Tally {
+            bytes: 1_000_000,
+            ..Tally::default()
+        };
         // 1e6 bytes at 1 GB/s = 1 ms.
-        assert_eq!(model.overhead(1_000_000), Duration::from_millis(1));
-        assert_eq!(DeviceModel::ideal().overhead(1 << 30), Duration::ZERO);
+        assert_eq!(model.price(&moved), Duration::from_millis(1));
+        let free = DeviceModel {
+            transfer_bytes_per_sec: f64::INFINITY,
+            ..model
+        };
+        assert_eq!(free.price(&moved), Duration::ZERO);
     }
 
     #[test]
     fn virtual_cost_scales_kernel_time() {
         let model = DeviceModel {
             launch_latency: Duration::from_micros(100),
-            transfer_bytes_per_sec: f64::INFINITY,
+            transfer_bytes_per_sec: 1.0e9,
             compute_speedup: 4.0,
         };
-        let v = model.virtual_cost(Duration::from_micros(400), 0);
-        // 400/4 + 100
-        assert_eq!(v, Duration::from_micros(200));
-        // CPU backend exposes no virtual clock — and no state at all: a
-        // field here is shared by every Gram/serve worker on the hot path.
-        assert!(CpuBackend::new().virtual_clock().is_none());
+        let t = Tally {
+            calls: 3,
+            bytes: 2_000_000,
+            kernel: Duration::from_micros(400),
+        };
+        // 400/4 + 3 x 100 + 2e6 B at 1 GB/s.
+        assert_eq!(model.price(&t), Duration::from_micros(100 + 300 + 2_000));
+        // The CPU backend has no state at all: a field here is shared by
+        // every Gram/serve worker on the hot path.
         assert_eq!(std::mem::size_of::<CpuBackend>(), 0);
     }
 }

@@ -10,8 +10,9 @@
 //! * [`qr`] — Householder QR/LQ for MPS canonicalization.
 //! * [`mod@svd`] — one-sided Jacobi SVD (pivoted cyclic sweeps) plus the
 //!   two-qubit-gate operator-Schmidt split.
-//! * [`backend`] — the CPU vs simulated-accelerator execution split behind
-//!   the paper's Fig. 5 crossover study.
+//! * [`backend`] — the CPU execution backend, and the per-thread call
+//!   tally that the simulated accelerator prices for the paper's Fig. 5
+//!   crossover study.
 //!
 //! Everything is hand-rolled: no BLAS, LAPACK, or external tensor crates.
 
@@ -25,7 +26,7 @@ pub mod qr;
 pub mod svd;
 pub mod tensor;
 
-pub use backend::{AcceleratorBackend, CpuBackend, DeviceModel, ExecutionBackend};
+pub use backend::{tally, CpuBackend, DeviceModel, ExecutionBackend, Tally};
 pub use complex::{c64, Complex64};
 pub use contract::{contract, contract_with};
 pub use svd::{split_two_qubit_gate, svd, Svd};

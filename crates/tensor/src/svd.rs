@@ -37,10 +37,9 @@
 //! The matrix is stored column-major internally so that a Jacobi rotation
 //! touches two contiguous columns.
 //!
-//! There is one driver, `svd_tall`, and every backend runs it: the
-//! accelerator's device model prices this factorization on its virtual
-//! clock instead of running a schedule of its own, so the two backends
-//! return the same bits.
+//! There is one driver, `svd_tall`: the accelerator's device model
+//! prices the CPU backend's tallied calls to it instead of running a
+//! schedule of its own, so both Fig. 5 columns see the same bits.
 //!
 //! **Kernels.** The driver has one body, generic over its inner loops:
 //! the dot product `x^H y`, the rotation of a column pair and the fused

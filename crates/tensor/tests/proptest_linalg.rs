@@ -309,10 +309,6 @@ struct CaptureBackend {
 }
 
 impl ExecutionBackend for CaptureBackend {
-    fn name(&self) -> &'static str {
-        "capture"
-    }
-
     fn gemm(
         &self,
         m: usize,

@@ -5,7 +5,7 @@
 //! and reports classification metrics plus the kernel-concentration
 //! diagnostic (off-diagonal mean of the Gram matrix).
 //!
-//! Run with: `cargo run --release -p qk-core --example expressivity_study`
+//! Run with: `cargo run --release --example expressivity_study`
 
 use qk_circuit::AnsatzConfig;
 use qk_core::gram::gram_matrix;

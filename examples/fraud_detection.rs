@@ -5,7 +5,7 @@
 //! number of features (= qubits) grows, on the synthetic elliptic-like
 //! dataset.
 //!
-//! Run with: `cargo run --release -p qk-core --example fraud_detection`
+//! Run with: `cargo run --release --example fraud_detection`
 
 use qk_core::pipeline::{run_gaussian_experiment, run_quantum_experiment, ExperimentConfig};
 use qk_data::{generate, SyntheticConfig};

@@ -9,7 +9,7 @@
 //! decision — and those per-primitive costs are all you need to size a
 //! cluster for a 64,000-point production training run.
 //!
-//! Run with: `cargo run --release -p qk-core --example model_deployment`
+//! Run with: `cargo run --release --example model_deployment`
 
 use qk_circuit::AnsatzConfig;
 use qk_core::extrapolate::{forecast_inference, forecast_training, PrimitiveCosts};

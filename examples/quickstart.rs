@@ -1,7 +1,7 @@
 //! Quickstart: train a quantum-kernel SVM on a small synthetic fraud
 //! dataset and print the regularization sweep.
 //!
-//! Run with: `cargo run --release -p qk-core --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use qk_core::pipeline::{run_quantum_experiment, ExperimentConfig};
 use qk_data::{generate, SyntheticConfig};
