@@ -32,7 +32,7 @@
 //! | old file removed | full temp only | new record (adopted) |
 //! | renamed | new file | new record |
 //!
-//! So a sealed record (Gram tiles and manifest, SMO snapshots) is never
+//! So a sealed file (a new Gram log's manifest, an SMO snapshot) is never
 //! lost: the old or the new one always loads. A text file (journal, obs
 //! report, trace shard) carries no seal, so a kill in the microseconds
 //! between remove and rename loses it: its temp is removed, not adopted.
@@ -136,10 +136,10 @@ pub fn unseal<'a>(
 /// What reading a record back found.
 #[derive(Debug)]
 pub enum Load<T> {
-    /// No file exists: the record was never stored.
+    /// No record exists: it was never stored.
     Missing,
-    /// A file existed but failed to decode (torn, corrupted, truncated
-    /// or written by another job); it has been deleted, so the caller
+    /// A record existed but failed to decode (torn, corrupted, truncated
+    /// or written by another job); it has been discarded, so the caller
     /// recomputes instead of loading it.
     Corrupt,
     /// The decoded record.

@@ -1,34 +1,37 @@
-//! On-disk checkpoint store: a manifest binding the directory to one job
-//! fingerprint, plus one checksummed file per completed tile.
-//!
-//! Layout:
+//! On-disk checkpoint store: one append-only log per directory. Its
+//! first record is the manifest binding the directory to one job
+//! fingerprint; each later record is one completed tile:
 //!
 //! ```text
-//! <dir>/manifest.qkg            # QKGRAM1\0 | fingerprint | kind | rows
-//!                               #   | cols | tile | checksum
-//! <dir>/tiles/t_<bi>_<bj>.qkt   # QKTILE1\0 | fingerprint | bi | bj
-//!                               #   | rows | cols | payload f64s | checksum
+//! <dir>/gram.qkg  # QKGRAM1\0 | fingerprint | kind | rows | cols | tile | fnv64
+//!   then per tile:  QKTILE1\0 | fingerprint | bi | bj | rows | cols | f64s | fnv64
 //! ```
 //!
-//! Both files are [`qk_chaos::durable`] records: little-endian fields
-//! sealed by an FNV-1a 64 checksum over every preceding byte, written
-//! to a temporary name and renamed into place. A SIGKILL can at worst
-//! leave one torn temp file (swept on the next open) — and even a torn
-//! final file fails its checksum and is recomputed rather than loaded.
-//! A checkpoint directory has a single writer at a time (the manifest
-//! binds it to one job); opening it sweeps debris from earlier lives.
+//! Every record is a [`qk_chaos::durable`] record, sealed by an FNV-1a
+//! 64 over every preceding byte. [`durable::write_atomic`] creates the
+//! log whole, holding the manifest only, so a kill never tears it.
+//! Tiles are appended in place: the next open cuts off the torn tail a
+//! kill mid-append leaves, a later record for a tile supersedes an
+//! earlier one, and a record failing its checksum recomputes. A log
+//! has one writer at a time (the manifest binds it to one job).
 
-use crate::fingerprint::{JobKind, JobSpec};
+use crate::fingerprint::JobSpec;
 use crate::tiles::Tile;
-use qk_chaos::durable::{self, Reader};
-use std::fs;
-use std::path::{Path, PathBuf};
+use qk_chaos::durable;
+use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read};
+use std::os::unix::fs::FileExt;
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"QKGRAM1\0";
 const TILE_MAGIC: &[u8; 8] = b"QKTILE1\0";
-const MANIFEST_NAME: &str = "manifest.qkg";
+const LOG_NAME: &str = "gram.qkg";
 /// Manifest fields: fingerprint, kind tag, rows, cols and tile.
 const MANIFEST_BODY_BYTES: usize = 33;
+/// The sealed manifest: magic, body and checksum.
+const MANIFEST_BYTES: u64 = 8 + MANIFEST_BODY_BYTES as u64 + 8;
 /// Tile header fields: fingerprint, bi, bj, rows and cols.
 const TILE_HEADER_BYTES: usize = 40;
 
@@ -45,7 +48,7 @@ pub enum CheckpointError {
         /// Fingerprint recorded in the manifest.
         found: u64,
     },
-    /// The manifest file itself is malformed or fails its checksum.
+    /// The manifest record itself is malformed or fails its checksum.
     CorruptManifest {
         /// Human-readable reason.
         reason: &'static str,
@@ -76,198 +79,197 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// The manifest record for one checkpoint directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Manifest {
-    /// Job fingerprint the directory is bound to.
-    pub fingerprint: u64,
-    /// Job kind.
-    pub kind: JobKind,
-    /// Matrix rows.
-    pub rows: usize,
-    /// Matrix columns.
-    pub cols: usize,
-    /// Tile edge.
-    pub tile: usize,
+/// The manifest record binding a log to `fingerprint` and `spec`'s shape.
+fn manifest_record(fingerprint: u64, spec: &JobSpec) -> Vec<u8> {
+    let mut body = fingerprint.to_le_bytes().to_vec();
+    body.push(spec.kind.tag());
+    for v in [spec.rows, spec.cols, spec.tile] {
+        body.extend((v as u64).to_le_bytes());
+    }
+    durable::seal(MANIFEST_MAGIC, &body)
 }
 
-impl Manifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(MANIFEST_BODY_BYTES);
-        body.extend_from_slice(&self.fingerprint.to_le_bytes());
-        body.push(self.kind.tag());
-        for v in [self.rows, self.cols, self.tile] {
-            body.extend_from_slice(&(v as u64).to_le_bytes());
-        }
-        durable::seal(MANIFEST_MAGIC, &body)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Manifest, CheckpointError> {
-        let corrupt = |reason| CheckpointError::CorruptManifest { reason };
-        let body = durable::unseal(bytes, MANIFEST_MAGIC, MANIFEST_BODY_BYTES).map_err(corrupt)?;
-        Self::decode_body(body).ok_or_else(|| corrupt("unknown job kind"))
-    }
-
-    /// Reads the fields of a body whose length [`durable::unseal`] has
-    /// checked, so only the job kind can still be invalid.
-    fn decode_body(mut r: Reader<'_>) -> Option<Manifest> {
-        let fingerprint = r.u64()?;
-        let kind = match r.u8()? {
-            0 => JobKind::Train,
-            1 => JobKind::Block,
-            _ => return None,
-        };
-        Some(Manifest {
-            fingerprint,
-            kind,
-            rows: r.u64()? as usize,
-            cols: r.u64()? as usize,
-            tile: r.u64()? as usize,
-        })
-    }
+/// A tile record's header fields after the magic.
+fn tile_header(fingerprint: u64, tile: &Tile) -> impl Iterator<Item = u64> {
+    let geometry = [tile.bi, tile.bj, tile.rows, tile.cols].map(|v| v as u64);
+    std::iter::once(fingerprint).chain(geometry)
 }
 
-/// Outcome of a classified tile load ([`CheckpointStore::load_classified`]):
-/// the tile's row-major payload, or why there is none to restore.
+/// A tile's row-major payload, or why [`CheckpointStore::load_classified`] has none.
 pub type TileLoad = durable::Load<Vec<f64>>;
 
-/// A checkpoint directory opened for one job.
+/// A checkpoint directory's log, opened for one job.
 #[derive(Debug)]
 pub struct CheckpointStore {
-    dir: PathBuf,
     fingerprint: u64,
+    log: Mutex<Log>,
+}
+
+/// The open log and what its scan found. One lock guards both, so an
+/// append and its index entry land together.
+#[derive(Debug)]
+struct Log {
+    file: File,
+    /// Bytes of whole records: where the next append lands.
+    len: u64,
+    /// Offset and length of the newest record of each tile, by `(bi, bj)`.
+    index: BTreeMap<(usize, usize), (u64, u64)>,
 }
 
 impl CheckpointStore {
-    /// Opens (or initializes) `dir` for the given job.
-    ///
-    /// A fresh or empty directory is initialized with a new manifest. An
-    /// existing manifest must carry the job's exact fingerprint —
-    /// anything else is a hard [`CheckpointError::Mismatch`] /
-    /// [`CheckpointError::CorruptManifest`] error, never silent reuse.
+    /// Opens (or initializes) `dir` for the given job: a directory
+    /// without a log gets a new one. An existing manifest
+    /// must carry the job's exact fingerprint — anything else is a hard
+    /// [`CheckpointError::Mismatch`] / [`CheckpointError::CorruptManifest`]
+    /// error, never silent reuse. The tile records are scanned once.
     pub fn open(dir: &Path, spec: &JobSpec) -> Result<CheckpointStore, CheckpointError> {
         let fingerprint = spec.fingerprint();
-        fs::create_dir_all(dir.join("tiles"))?;
-        // Settle the temps a SIGKILL mid-store left behind: adopt a
-        // complete record whose final name is missing, remove the rest,
-        // which would otherwise accumulate across kill/resume cycles
-        // (each life embeds its own pid in the temp name).
+        std::fs::create_dir_all(dir)?;
+        // Adopt (if whole) or remove the temp a kill mid-creation left.
         durable::sweep_temps(dir);
-        durable::sweep_temps(&dir.join("tiles"));
-        let manifest_path = dir.join(MANIFEST_NAME);
-        match fs::read(&manifest_path) {
-            Ok(bytes) => {
-                let manifest = Manifest::decode(&bytes)?;
-                if manifest.fingerprint != fingerprint {
-                    return Err(CheckpointError::Mismatch {
-                        expected: fingerprint,
-                        found: manifest.fingerprint,
-                    });
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let manifest = Manifest {
-                    fingerprint,
-                    kind: spec.kind,
-                    rows: spec.rows,
-                    cols: spec.cols,
-                    tile: spec.tile,
-                };
-                durable::write_atomic(&manifest_path, &manifest.encode())?;
-            }
-            Err(e) => return Err(e.into()),
+        let path = dir.join(LOG_NAME);
+        if !path.try_exists()? {
+            durable::write_atomic(&path, &manifest_record(fingerprint, spec))?;
+        }
+        let file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let mut manifest = Vec::with_capacity(MANIFEST_BYTES as usize);
+        (&file).take(MANIFEST_BYTES).read_to_end(&mut manifest)?;
+        let corrupt = |reason| CheckpointError::CorruptManifest { reason };
+        let mut r =
+            durable::unseal(&manifest, MANIFEST_MAGIC, MANIFEST_BODY_BYTES).map_err(corrupt)?;
+        // `unseal` checked the length, so only the job kind can be invalid.
+        let (Some(found), Some(0 | 1)) = (r.u64(), r.u8()) else {
+            return Err(corrupt("unknown job kind"));
+        };
+        if found != fingerprint {
+            return Err(CheckpointError::Mismatch {
+                expected: fingerprint,
+                found,
+            });
         }
         Ok(CheckpointStore {
-            dir: dir.to_path_buf(),
             fingerprint,
+            log: Mutex::new(Log::scan(file)?),
         })
     }
 
-    /// Reads this directory's manifest back.
-    pub fn manifest(&self) -> Result<Manifest, CheckpointError> {
-        Manifest::decode(&fs::read(self.dir.join(MANIFEST_NAME))?)
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().expect("checkpoint log poisoned")
     }
 
-    /// Where `tile`'s checkpoint file lives under `dir`.
-    fn tile_path(dir: &Path, tile: &Tile) -> PathBuf {
-        dir.join("tiles")
-            .join(format!("t_{}_{}.qkt", tile.bi, tile.bj))
+    /// Whether the log holds a (still unverified) record for `tile`.
+    pub fn contains(&self, tile: &Tile) -> bool {
+        self.log().index.contains_key(&(tile.bi, tile.bj))
     }
 
-    /// Cheap presence probe: `true` when a (possibly stale) tile file
-    /// exists for `tile` under `dir`. Used to recognize warm resumes
-    /// before committing to expensive preparation (e.g. spilling
-    /// states); validity is still checked at load time.
-    pub fn tile_present(dir: &Path, tile: &Tile) -> bool {
-        Self::tile_path(dir, tile).exists()
-    }
-
-    /// Persists one completed tile payload (row-major `tile.rows x
-    /// tile.cols`) through [`durable::write_atomic`], so the final name
-    /// is atomic under SIGKILL.
+    /// Appends one completed tile payload (row-major `tile.rows x
+    /// tile.cols`) as a sealed record.
     pub fn store(&self, tile: &Tile, payload: &[f64]) -> Result<(), CheckpointError> {
         debug_assert_eq!(payload.len(), tile.len());
-        let mut body = Vec::with_capacity(TILE_HEADER_BYTES + payload.len() * 8);
-        body.extend_from_slice(&self.fingerprint.to_le_bytes());
-        for v in [tile.bi, tile.bj, tile.rows, tile.cols] {
-            body.extend_from_slice(&(v as u64).to_le_bytes());
-        }
-        for v in payload {
-            body.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        let body: Vec<u8> = tile_header(self.fingerprint, tile)
+            .chain(payload.iter().map(|v| v.to_bits()))
+            .flat_map(u64::to_le_bytes)
+            .collect();
         let record = durable::seal(TILE_MAGIC, &body);
-        durable::write_atomic(&Self::tile_path(&self.dir, tile), &record)?;
+        self.log().append(tile, &record, |file, bytes, at| {
+            file.write_all_at(bytes, at)
+        })?;
         Ok(())
     }
 
-    /// Attempts to load the persisted payload for `tile`:
-    /// [`TileLoad::Loaded`] only when the file exists, matches the job
-    /// fingerprint and tile geometry, and passes its checksum. A missing
-    /// file is [`TileLoad::Missing`]; a truncated, corrupted or
-    /// mismatched one is [`TileLoad::Corrupt`] after the stale file is
-    /// deleted, so the tile recomputes instead of loading (the runner's
-    /// journal records the two outcomes differently).
+    /// Loads `tile`'s newest record: [`TileLoad::Loaded`] only when it
+    /// matches the job fingerprint and tile geometry and passes its
+    /// checksum, [`TileLoad::Missing`] when there is none. A bad one is
+    /// [`TileLoad::Corrupt`] and leaves the index, so the tile recomputes.
     pub fn load_classified(&self, tile: &Tile) -> Result<TileLoad, CheckpointError> {
-        let path = Self::tile_path(&self.dir, tile);
-        Ok(durable::load(&path, |bytes| {
-            Self::decode_tile(bytes, self.fingerprint, tile)
-        })?)
-    }
-
-    fn decode_tile(bytes: &[u8], fingerprint: u64, tile: &Tile) -> Option<Vec<f64>> {
-        let body_len = tile.len().checked_mul(8)?.checked_add(TILE_HEADER_BYTES)?;
-        let mut r = durable::unseal(bytes, TILE_MAGIC, body_len).ok()?;
-        if r.u64()? != fingerprint {
-            return None;
-        }
-        for want in [tile.bi, tile.bj, tile.rows, tile.cols] {
-            if r.u64()? != want as u64 {
-                return None;
+        let mut log = self.log();
+        let key = (tile.bi, tile.bj);
+        let Some(&(at, len)) = log.index.get(&key) else {
+            return Ok(TileLoad::Missing);
+        };
+        let mut bytes = vec![0; len as usize];
+        log.file.read_exact_at(&mut bytes, at)?;
+        match self.decode_tile(&bytes, tile) {
+            Some(payload) => Ok(TileLoad::Loaded(payload)),
+            None => {
+                log.index.remove(&key);
+                Ok(TileLoad::Corrupt)
             }
         }
-        let mut values = Vec::with_capacity(tile.len());
-        for _ in 0..tile.len() {
-            values.push(r.f64()?);
-        }
-        Some(values)
     }
 
-    /// Quarantines a tile file that keeps failing to load: deletes it so
-    /// the engine recomputes and rewrites a valid replacement. Missing
-    /// files are fine — quarantine is idempotent.
-    pub fn quarantine(&self, tile: &Tile) -> Result<(), CheckpointError> {
-        match fs::remove_file(Self::tile_path(&self.dir, tile)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
+    fn decode_tile(&self, bytes: &[u8], tile: &Tile) -> Option<Vec<f64>> {
+        let mut r = durable::unseal(bytes, TILE_MAGIC, TILE_HEADER_BYTES + 8 * tile.len()).ok()?;
+        if !tile_header(self.fingerprint, tile).all(|want| r.u64() == Some(want)) {
+            return None;
         }
+        (0..tile.len()).map(|_| r.f64()).collect()
+    }
+
+    /// Quarantines a tile whose record keeps failing to load: drops it
+    /// from the index, so it recomputes and a valid record supersedes it.
+    pub fn quarantine(&self, tile: &Tile) {
+        self.log().index.remove(&(tile.bi, tile.bj));
+    }
+}
+
+impl Log {
+    /// Indexes the tile records after the manifest from their headers,
+    /// seeking past each payload. A record with a bad magic or running
+    /// past the end is a torn tail: the log is cut there.
+    fn scan(file: File) -> io::Result<Log> {
+        let end = file.metadata()?.len();
+        let mut log = Log {
+            file,
+            len: MANIFEST_BYTES,
+            index: BTreeMap::new(),
+        };
+        let mut head = [0u8; 8 + TILE_HEADER_BYTES];
+        while log.len + head.len() as u64 <= end {
+            log.file.read_exact_at(&mut head, log.len)?;
+            // Magic, then fingerprint, bi, bj, rows and cols.
+            let field = |k: usize| u64::from_le_bytes(head[8 * k..8 * k + 8].try_into().unwrap());
+            let next = (field(4).checked_mul(field(5)))
+                .and_then(|n| n.checked_mul(8)?.checked_add(log.len + 56))
+                .filter(|&next| next <= end && &head[..8] == TILE_MAGIC);
+            let Some(next) = next else { break };
+            let key = (field(2) as usize, field(3) as usize);
+            log.index.insert(key, (log.len, next - log.len));
+            log.len = next;
+        }
+        if log.len < end {
+            log.file.set_len(log.len)?;
+        }
+        Ok(log)
+    }
+
+    /// Appends `record` for `tile` through `write` (file, bytes, offset).
+    /// A write failing part-way is cut back to the pre-append length, so
+    /// a retried store never sits behind a torn record.
+    fn append(
+        &mut self,
+        tile: &Tile,
+        record: &[u8],
+        write: impl FnOnce(&File, &[u8], u64) -> io::Result<()>,
+    ) -> io::Result<()> {
+        write(&self.file, record, self.len).inspect_err(|_| {
+            let _ = self.file.set_len(self.len);
+        })?;
+        let len = record.len() as u64;
+        self.index.insert((tile.bi, tile.bj), (self.len, len));
+        self.len += len;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::JobKind;
     use crate::tiles::TilePlan;
+    use std::fs;
+    use std::io::Write;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
@@ -297,24 +299,41 @@ mod tests {
         }
     }
 
+    fn tiles() -> Vec<Tile> {
+        TilePlan::symmetric(10, 4).tiles
+    }
+
+    fn reopen(dir: &Path) -> CheckpointStore {
+        CheckpointStore::open(dir, &spec()).unwrap()
+    }
+
+    fn log_bytes(dir: &Path) -> Vec<u8> {
+        fs::read(dir.join(LOG_NAME)).unwrap()
+    }
+
+    /// Appends raw `bytes` to `dir`'s log, as another writer would.
+    fn append_raw(dir: &Path, bytes: &[u8]) {
+        let mut log = OpenOptions::new().append(true).open(dir.join(LOG_NAME));
+        log.as_mut().unwrap().write_all(bytes).unwrap();
+    }
+
     #[test]
     fn roundtrip_store_and_load() {
         let dir = scratch("roundtrip");
-        let spec = spec();
-        let store = CheckpointStore::open(&dir, &spec).unwrap();
-        let plan = TilePlan::symmetric(spec.rows, spec.tile);
-        let tile = plan.tiles[1];
+        let store = reopen(&dir);
+        let tile = tiles()[1];
         let payload: Vec<f64> = (0..tile.len()).map(|k| (k as f64) * 0.125 - 0.3).collect();
         assert_eq!(loaded(&store, &tile), None);
         store.store(&tile, &payload).unwrap();
         assert_eq!(loaded(&store, &tile), Some(payload.clone()));
         // Reopen resumes: same fingerprint, tile still loadable.
         drop(store);
-        let store = CheckpointStore::open(&dir, &spec).unwrap();
-        assert_eq!(loaded(&store, &tile), Some(payload));
-        let m = store.manifest().unwrap();
-        assert_eq!(m.fingerprint, spec.fingerprint());
-        assert_eq!(m.tile, 4);
+        assert_eq!(loaded(&reopen(&dir), &tile), Some(payload));
+        // The log opens with the manifest: fingerprint first, tile last.
+        let log = log_bytes(&dir);
+        assert_eq!(log[8..16], spec().fingerprint().to_le_bytes());
+        assert_eq!(log[33..41], 4u64.to_le_bytes());
+        assert_eq!(log.len(), 49 + 56 + 8 * tile.len());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -328,13 +347,12 @@ mod tests {
             encoding: 0xBEEF,
             ..spec_a
         };
-        match CheckpointStore::open(&dir, &spec_b) {
-            Err(CheckpointError::Mismatch { expected, found }) => {
-                assert_eq!(expected, spec_b.fingerprint());
-                assert_eq!(found, spec_a.fingerprint());
-            }
-            other => panic!("expected Mismatch, got {other:?}"),
-        }
+        let err = CheckpointStore::open(&dir, &spec_b).unwrap_err();
+        let (a, b) = (spec_a.fingerprint(), spec_b.fingerprint());
+        assert!(
+            matches!(err, CheckpointError::Mismatch { expected, found } if expected == b && found == a),
+            "{err:?}"
+        );
         // Different tile size is a different fingerprint too.
         let spec_c = JobSpec { tile: 2, ..spec_a };
         assert!(matches!(
@@ -347,154 +365,130 @@ mod tests {
     #[test]
     fn corrupt_manifest_is_rejected() {
         let dir = scratch("badmanifest");
-        CheckpointStore::open(&dir, &spec()).unwrap();
-        let path = dir.join(MANIFEST_NAME);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[20] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            CheckpointStore::open(&dir, &spec()),
-            Err(CheckpointError::CorruptManifest { .. })
-        ));
-        // Truncated manifest is equally rejected.
-        fs::write(&path, &bytes[..30]).unwrap();
-        assert!(matches!(
-            CheckpointStore::open(&dir, &spec()),
-            Err(CheckpointError::CorruptManifest { .. })
-        ));
+        reopen(&dir);
+        let mut flipped = log_bytes(&dir);
+        flipped[20] ^= 0xFF;
+        // A flipped manifest byte and a truncated manifest alike.
+        for bytes in [&flipped[..], &flipped[..30]] {
+            fs::write(dir.join(LOG_NAME), bytes).unwrap();
+            assert!(matches!(
+                CheckpointStore::open(&dir, &spec()),
+                Err(CheckpointError::CorruptManifest { .. })
+            ));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_tile_is_dropped_not_loaded() {
         let dir = scratch("badtile");
-        let spec = spec();
-        let store = CheckpointStore::open(&dir, &spec).unwrap();
-        let plan = TilePlan::symmetric(spec.rows, spec.tile);
-        let tile = plan.tiles[0];
+        let store = reopen(&dir);
+        let tile = tiles()[0];
         let payload = vec![0.5f64; tile.len()];
         store.store(&tile, &payload).unwrap();
-        let path = CheckpointStore::tile_path(&dir, &tile);
-
-        // Flip one payload bit: checksum fails, file is deleted.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[60] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
+        // Flip one payload bit: checksum fails, the record leaves the index.
+        let mut bytes = log_bytes(&dir);
+        bytes[49 + 60] ^= 0x01;
+        fs::write(dir.join(LOG_NAME), &bytes).unwrap();
         assert_eq!(loaded(&store, &tile), None);
-        assert!(!path.exists(), "corrupt tile must be quarantined");
-
-        // Truncated file: same treatment.
+        assert!(!store.contains(&tile), "corrupt tile must be quarantined");
+        // Its replacement supersedes it, in this life and the next.
         store.store(&tile, &payload).unwrap();
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert_eq!(loaded(&store, &tile), None);
-        assert!(!path.exists());
+        assert_eq!(loaded(&store, &tile), Some(payload.clone()));
+        drop(store);
+        assert_eq!(loaded(&reopen(&dir), &tile), Some(payload));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn torn_temp_tiles_are_swept_on_open() {
-        let dir = scratch("sweep");
-        let spec = spec();
-        CheckpointStore::open(&dir, &spec).unwrap();
-        // Simulate a SIGKILL mid-store: torn temps next to the manifest
-        // and next to a real tile.
-        let torn = [
-            dir.join(".manifest.qkg.12345.tmp"),
-            dir.join("tiles").join(".t_0_1.qkt.12345.tmp"),
-        ];
-        for path in &torn {
-            fs::write(path, b"half-written").unwrap();
-        }
-        let store = CheckpointStore::open(&dir, &spec).unwrap();
-        for path in &torn {
-            assert!(!path.exists(), "torn temp {} must be swept", path.display());
-        }
-        // Real tiles survive the sweep.
-        let plan = TilePlan::symmetric(spec.rows, spec.tile);
-        let tile = plan.tiles[0];
-        store.store(&tile, &vec![0.25; tile.len()]).unwrap();
-        CheckpointStore::open(&dir, &spec).unwrap();
-        assert_eq!(loaded(&store, &tile), Some(vec![0.25; tile.len()]));
+    fn failed_append_leaves_the_log_at_its_prior_length() {
+        let dir = scratch("append");
+        let (tiles, store) = (tiles(), reopen(&dir));
+        store.store(&tiles[0], &[0.5; 16]).unwrap();
+        let before = log_bytes(&dir);
+        // Half the record lands, then the device fails.
+        let failed = store.log().append(&tiles[1], &[7; 100], |file, bytes, at| {
+            file.write_all_at(&bytes[..50], at)?;
+            Err(io::Error::other("device full"))
+        });
+        assert!(failed.is_err() && !store.contains(&tiles[1]));
+        assert_eq!(log_bytes(&dir), before);
+        // The retried store lands where the torn one began.
+        store.store(&tiles[1], &[2.0; 16]).unwrap();
+        drop(store);
+        assert_eq!(loaded(&reopen(&dir), &tiles[1]), Some(vec![2.0; 16]));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn tile_presence_probe() {
         let dir = scratch("presence");
-        let spec = spec();
-        let store = CheckpointStore::open(&dir, &spec).unwrap();
-        let plan = TilePlan::symmetric(spec.rows, spec.tile);
-        let tile = plan.tiles[0];
-        assert!(!CheckpointStore::tile_present(&dir, &tile));
-        store.store(&tile, &vec![1.0; tile.len()]).unwrap();
-        assert!(CheckpointStore::tile_present(&dir, &tile));
-        assert!(!CheckpointStore::tile_present(&dir, &plan.tiles[1]));
+        let (tiles, store) = (tiles(), reopen(&dir));
+        assert!(!store.contains(&tiles[0]));
+        store.store(&tiles[0], &[1.0; 16]).unwrap();
+        assert!(store.contains(&tiles[0]) && !store.contains(&tiles[1]));
+        // A reopened log's index holds what the scan found.
+        drop(store);
+        let store = reopen(&dir);
+        assert!(store.contains(&tiles[0]) && !store.contains(&tiles[1]));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_from_older_kernel_version_is_refused() {
-        // The directory as a v2 binary left it: same job, manifest and a
+        // The log as a v2 binary left it: same job, manifest and a
         // (valid, checksummed) tile both stamped with the v2 fingerprint.
         let dir = scratch("v2");
         let spec = spec();
         // What `spec().fingerprint()` returned while the version was 2.
         let v2 = 0x3078_60bd_58d4_4f60_u64;
         assert_ne!(v2, spec.fingerprint());
-        fs::create_dir_all(dir.join("tiles")).unwrap();
-        let manifest = Manifest {
-            fingerprint: v2,
-            kind: spec.kind,
-            rows: spec.rows,
-            cols: spec.cols,
-            tile: spec.tile,
-        };
-        fs::write(dir.join(MANIFEST_NAME), manifest.encode()).unwrap();
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(LOG_NAME), manifest_record(v2, &spec)).unwrap();
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(dir.join(LOG_NAME));
         let old = CheckpointStore {
-            dir: dir.clone(),
             fingerprint: v2,
+            log: Mutex::new(Log::scan(file.unwrap()).unwrap()),
         };
-        let tile = TilePlan::symmetric(spec.rows, spec.tile).tiles[0];
-        let payload = vec![0.5; tile.len()];
-        old.store(&tile, &payload).unwrap();
-        assert_eq!(loaded(&old, &tile), Some(payload));
-
-        match CheckpointStore::open(&dir, &spec) {
-            Err(CheckpointError::Mismatch { expected, found }) => {
-                assert_eq!(expected, spec.fingerprint());
-                assert_eq!(found, v2);
-            }
-            other => panic!("expected Mismatch, got {other:?}"),
-        }
-        // Even with the manifest out of the way the v2 tile never enters
-        // a current job: its header fingerprint fails the per-tile check.
-        fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
-        let store = CheckpointStore::open(&dir, &spec).unwrap();
+        let tile = tiles()[0];
+        old.store(&tile, &[0.5; 16]).unwrap();
+        assert_eq!(loaded(&old, &tile), Some(vec![0.5; 16]));
+        let (err, now) = (
+            CheckpointStore::open(&dir, &spec).unwrap_err(),
+            spec.fingerprint(),
+        );
+        assert!(
+            matches!(err, CheckpointError::Mismatch { expected, found } if expected == now && found == v2),
+            "{err:?}"
+        );
+        // Even behind a current manifest the v2 tile never enters a
+        // current job: its header fingerprint fails the per-tile check.
+        let v2_tile = log_bytes(&dir)[49..].to_vec();
+        fs::remove_file(dir.join(LOG_NAME)).unwrap();
+        reopen(&dir);
+        append_raw(&dir, &v2_tile);
+        let store = reopen(&dir);
+        assert!(store.contains(&tile));
         assert_eq!(loaded(&store, &tile), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn tile_from_other_job_is_not_loaded() {
-        let dir_a = scratch("foreign-a");
-        let dir_b = scratch("foreign-b");
-        let spec_a = spec();
+        let (dir_a, dir_b) = (scratch("foreign-a"), scratch("foreign-b"));
         let spec_b = JobSpec {
             encoding: 0xD00D,
-            ..spec_a
+            ..spec()
         };
-        let store_a = CheckpointStore::open(&dir_a, &spec_a).unwrap();
+        let tile = tiles()[2];
+        reopen(&dir_a).store(&tile, &vec![1.0; tile.len()]).unwrap();
+        // Copy A's tile record into B's log: fingerprint check refuses it.
+        CheckpointStore::open(&dir_b, &spec_b).unwrap();
+        append_raw(&dir_b, &log_bytes(&dir_a)[49..]);
         let store_b = CheckpointStore::open(&dir_b, &spec_b).unwrap();
-        let plan = TilePlan::symmetric(spec_a.rows, spec_a.tile);
-        let tile = plan.tiles[2];
-        store_a.store(&tile, &vec![1.0; tile.len()]).unwrap();
-        // Copy A's tile into B's directory: fingerprint check refuses it.
-        fs::copy(
-            CheckpointStore::tile_path(&dir_a, &tile),
-            CheckpointStore::tile_path(&dir_b, &tile),
-        )
-        .unwrap();
         assert_eq!(loaded(&store_b, &tile), None);
         let _ = fs::remove_dir_all(&dir_a);
         let _ = fs::remove_dir_all(&dir_b);
@@ -502,27 +496,31 @@ mod tests {
 
     /// The manifest format is pinned: the digest of a fixed encoding was
     /// recorded when the format last changed, so any byte drift in the
-    /// codec fails here before it strands an existing checkpoint.
+    /// codec fails here before it strands an existing checkpoint. A
+    /// log's first 49 bytes are that encoding.
     #[test]
     fn manifest_bytes_are_pinned() {
-        let manifest = Manifest {
-            fingerprint: 0x0123_4567_89ab_cdef,
+        let spec = JobSpec {
+            encoding: 0xB10C,
             kind: JobKind::Block,
             rows: 6,
             cols: 9,
             tile: 3,
         };
-        let bytes = manifest.encode();
+        let bytes = manifest_record(0x0123_4567_89ab_cdef, &spec);
         assert_eq!(bytes.len(), 49);
         assert_eq!(crate::fnv1a64(&bytes), 0xf81a_e57e_076e_524f);
+        let dir = scratch("manifest-pin");
+        CheckpointStore::open(&dir, &spec).unwrap();
+        assert_eq!(log_bytes(&dir), manifest_record(spec.fingerprint(), &spec));
+        let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The tile file format is pinned the same way: a fixed 2x3 tile
-    /// written through the store hashes to the recorded digest.
+    /// The tile record format is pinned the same way: a fixed 2x3 tile
+    /// appended through the store hashes to the recorded digest.
     #[test]
-    fn tile_file_bytes_are_pinned() {
+    fn tile_record_bytes_are_pinned() {
         let dir = scratch("pinned");
-        let store = CheckpointStore::open(&dir, &spec()).unwrap();
         let tile = Tile {
             bi: 1,
             bj: 2,
@@ -532,10 +530,10 @@ mod tests {
             cols: 3,
         };
         let payload = [1.0, -0.5, 0.25, 1e-300, -0.0, 0.1];
-        store.store(&tile, &payload).unwrap();
-        let bytes = fs::read(CheckpointStore::tile_path(&dir, &tile)).unwrap();
-        assert_eq!(bytes.len(), 48 + 6 * 8 + 8);
-        assert_eq!(crate::fnv1a64(&bytes), 0xf88c_907e_b89d_9e74);
+        reopen(&dir).store(&tile, &payload).unwrap();
+        let record = &log_bytes(&dir)[49..];
+        assert_eq!(record.len(), 48 + 6 * 8 + 8);
+        assert_eq!(crate::fnv1a64(record), 0xf88c_907e_b89d_9e74);
         let _ = fs::remove_dir_all(&dir);
     }
 }

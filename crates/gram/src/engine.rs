@@ -45,6 +45,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// A checkpoint log as [`CheckpointStore::open`] left it.
+type Opened = Result<CheckpointStore, CheckpointError>;
+
 /// How many times one tile may panic a worker before the job gives up
 /// on it ([`GramError::WorkerPanic`]). Tiles are deterministic, so a
 /// genuine kernel bug panics every retry; the budget exists to absorb
@@ -141,8 +144,8 @@ pub struct GramReport {
     pub bands_reloaded: u64,
     /// Checkpoint store/load attempts retried under the backoff policy.
     pub retries: u64,
-    /// Tiles quarantined (persisted file deleted after persistent load
-    /// failure) and recomputed this run.
+    /// Tiles quarantined (record dropped from the log's index after
+    /// persistent load failure) and recomputed this run.
     pub tiles_quarantined: u64,
     /// Worker restarts after caught mid-tile panics this run.
     pub workers_restarted: u64,
@@ -388,11 +391,12 @@ impl GramEngine {
         states: &[Mps],
         backend: &dyn ExecutionBackend,
     ) -> Result<GramOutcome, GramError> {
-        let rows = StateSet::Resident(states);
-        let cols = StateSet::Resident(states);
-        let (data, report) = self.run(JobKind::Train, &rows, &cols, backend, false)?;
+        let n = states.len();
+        let set = StateSet::Resident(states);
+        let store = self.open_store(JobKind::Train, n, n);
+        let (data, report) = self.run(JobKind::Train, &set, &set, backend, false, store)?;
         Ok(GramOutcome {
-            kernel: TiledKernel::from_parts(states.len(), data),
+            kernel: TiledKernel::from_parts(n, data),
             report,
         })
     }
@@ -406,38 +410,29 @@ impl GramEngine {
         states: Vec<Mps>,
         backend: &dyn ExecutionBackend,
     ) -> Result<GramOutcome, GramError> {
-        let resident_bytes: usize = states.iter().map(Mps::memory_bytes).sum();
-        let over_budget = self
-            .cfg
-            .memory_budget
-            .is_some_and(|budget| resident_bytes > budget);
-        if !over_budget {
-            return self.compute_gram(&states, backend);
-        }
-        // Warm resume: when every planned tile already has a checkpoint
-        // file, run() will restore them without ever touching a band —
-        // skip serializing the whole state set to disk for nothing.
-        // (Any invalid file just recomputes from the resident states.)
-        if let Some(dir) = &self.cfg.checkpoint {
-            let plan = TilePlan::symmetric(states.len(), self.cfg.tile);
-            if plan
-                .tiles
-                .iter()
-                .all(|t| CheckpointStore::tile_present(dir, t))
-            {
-                return self.compute_gram(&states, backend);
-            }
-        }
         let n = states.len();
-        let spill_dir = self.spill_dir();
-        // A SIGKILLed spilled run can leave a stale band directory (the
-        // store's cleaning Drop never ran); clear it before rewriting,
-        // or stale bands from a different job shape would linger.
-        let _ = std::fs::remove_dir_all(&spill_dir);
-        let store = SpillStore::spill(states, &spill_dir, self.cfg.tile)?;
-        let rows = StateSet::Spilled(&store);
-        let cols = StateSet::Spilled(&store);
-        let (data, report) = self.run(JobKind::Train, &rows, &cols, backend, true)?;
+        let store = self.open_store(JobKind::Train, n, n);
+        // Warm resume: when the log holds every planned tile, run() will
+        // restore them without ever touching a band — skip serializing
+        // the whole state set to disk for nothing. (An invalid record
+        // just recomputes from the resident states.)
+        let plan = TilePlan::symmetric(n, self.cfg.tile);
+        let warm = matches!(&store, Some(Ok(log)) if plan.tiles.iter().all(|t| log.contains(t)));
+        let resident_bytes: usize = states.iter().map(Mps::memory_bytes).sum();
+        let over_budget = (self.cfg.memory_budget).is_some_and(|budget| resident_bytes > budget);
+        let (data, report) = if over_budget && !warm {
+            let spill_dir = self.spill_dir();
+            // A SIGKILLed spilled run can leave a stale band directory (the
+            // store's cleaning Drop never ran); clear it before rewriting,
+            // or stale bands from a different job shape would linger.
+            let _ = std::fs::remove_dir_all(&spill_dir);
+            let spilled = SpillStore::spill(states, &spill_dir, self.cfg.tile)?;
+            let set = StateSet::Spilled(&spilled);
+            self.run(JobKind::Train, &set, &set, backend, true, store)?
+        } else {
+            let set = StateSet::Resident(&states);
+            self.run(JobKind::Train, &set, &set, backend, false, store)?
+        };
         Ok(GramOutcome {
             kernel: TiledKernel::from_parts(n, data),
             report,
@@ -453,7 +448,8 @@ impl GramEngine {
     ) -> Result<BlockOutcome, GramError> {
         let rows = StateSet::Resident(test_states);
         let cols = StateSet::Resident(train_states);
-        let (data, report) = self.run(JobKind::Block, &rows, &cols, backend, false)?;
+        let store = self.open_store(JobKind::Block, rows.len(), cols.len());
+        let (data, report) = self.run(JobKind::Block, &rows, &cols, backend, false, store)?;
         Ok(BlockOutcome {
             block: KernelBlock::from_dense(test_states.len(), train_states.len(), data),
             report,
@@ -477,6 +473,19 @@ impl GramEngine {
         }
     }
 
+    /// Opens (or resumes) the job's checkpoint log; `None` without a
+    /// checkpoint directory.
+    fn open_store(&self, kind: JobKind, rows: usize, cols: usize) -> Option<Opened> {
+        let spec = JobSpec {
+            encoding: self.cfg.encoding,
+            kind,
+            rows,
+            cols,
+            tile: self.cfg.tile,
+        };
+        Some(CheckpointStore::open(self.cfg.checkpoint.as_ref()?, &spec))
+    }
+
     /// Opens the lifecycle journal under `obs_dir`. Export is
     /// best-effort: an unwritable directory degrades to an un-journaled
     /// run instead of failing the computation.
@@ -498,6 +507,7 @@ impl GramEngine {
         cols_src: &StateSet<'_>,
         backend: &dyn ExecutionBackend,
         spilled: bool,
+        store: Option<Opened>,
     ) -> Result<(Vec<f64>, GramReport), GramError> {
         let start = Instant::now();
         let journal = self.open_journal();
@@ -507,6 +517,7 @@ impl GramEngine {
             cols_src,
             backend,
             spilled,
+            store,
             start,
             journal.as_ref(),
         );
@@ -552,6 +563,7 @@ impl GramEngine {
         cols_src: &StateSet<'_>,
         backend: &dyn ExecutionBackend,
         spilled: bool,
+        store: Option<Opened>,
         start: Instant,
         journal: Option<&Journal>,
     ) -> Result<(Vec<f64>, GramReport), GramError> {
@@ -578,41 +590,30 @@ impl GramEngine {
         }
         let mut data = vec![0.0f64; rows * cols];
 
-        // Open (or resume) the checkpoint and restore valid tiles. An
-        // I/O failure opening the store (unwritable or uncreatable
-        // directory) degrades the run to in-memory assembly — the job
-        // still completes, it just loses persistence. A mismatched or
-        // corrupt manifest stays a hard error: that directory belongs
-        // to some other computation and silently ignoring it would be
-        // worse than failing.
-        let store = match &self.cfg.checkpoint {
-            Some(dir) => {
-                let spec = JobSpec {
-                    encoding: self.cfg.encoding,
-                    kind,
-                    rows,
-                    cols,
-                    tile: self.cfg.tile,
-                };
-                match CheckpointStore::open(dir, &spec) {
-                    Ok(store) => Some(store),
-                    Err(CheckpointError::Io(e)) => {
-                        eprintln!(
-                            "qk-gram: checkpoint disabled, assembling in memory \
-                             ({}): {e}",
-                            dir.display()
-                        );
-                        if let Some(journal) = journal {
-                            journal
-                                .event("checkpoint_degraded")
-                                .field_str("stage", "open")
-                                .log();
-                        }
-                        None
-                    }
-                    Err(e) => return Err(e.into()),
+        // Restore valid tiles from the opened checkpoint. An I/O failure
+        // opening the store (unwritable or uncreatable directory)
+        // degrades the run to in-memory assembly — the job still
+        // completes, it just loses persistence. A mismatched or corrupt
+        // manifest stays a hard error: that directory belongs to some
+        // other computation and silently ignoring it would be worse
+        // than failing.
+        let store = match store {
+            Some(Ok(store)) => Some(store),
+            Some(Err(CheckpointError::Io(e))) => {
+                let dir = self.cfg.checkpoint.clone().unwrap_or_default();
+                eprintln!(
+                    "qk-gram: checkpoint disabled, assembling in memory ({}): {e}",
+                    dir.display()
+                );
+                if let Some(journal) = journal {
+                    journal
+                        .event("checkpoint_degraded")
+                        .field_str("stage", "open")
+                        .log();
                 }
+                None
             }
+            Some(Err(e)) => return Err(e.into()),
             None => None,
         };
         let runner = TileRunner::reporting(kind, backend, &self.obs, &self.metrics, journal)
@@ -1286,19 +1287,11 @@ mod tests {
         let dir = scratch("recompute");
         let first = GramEngine::new(GramConfig::checkpointed(&dir, 3, 0xCC));
         let clean = first.compute_gram(&st, &be).unwrap();
-        // Corrupt one tile file and truncate another.
-        let tiles_dir = dir.join("tiles");
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&tiles_dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        names.sort();
-        let mut bytes = std::fs::read(&names[0]).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&names[0], &bytes).unwrap();
-        let bytes = std::fs::read(&names[1]).unwrap();
-        std::fs::write(&names[1], &bytes[..bytes.len() - 5]).unwrap();
+        // Corrupt the first tile record's payload and truncate the last.
+        let log = dir.join("gram.qkg");
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[49 + 48] ^= 0xFF;
+        std::fs::write(&log, &bytes[..bytes.len() - 5]).unwrap();
         // Resume: the two damaged tiles recompute, output identical.
         let second = GramEngine::new(GramConfig::checkpointed(&dir, 3, 0xCC));
         let out = second.compute_gram(&st, &be).unwrap();

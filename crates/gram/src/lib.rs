@@ -24,8 +24,8 @@
 //!   tile left to claim helps on a tile in flight, row by row. Output is
 //!   bitwise identical for any tile size, worker count, spill mode or
 //!   resume history.
-//! * [`checkpoint`] — each completed tile persists to a checksummed file
-//!   under a manifest bound to the job fingerprint (encoding hash,
+//! * [`checkpoint`] — each completed tile appends a checksummed record
+//!   to one log behind a manifest bound to the job fingerprint (encoding hash,
 //!   truncation, shape, tile size). A killed job resumes from the last
 //!   completed tile; a foreign or corrupt checkpoint is rejected or
 //!   recomputed, never silently loaded.
@@ -71,7 +71,7 @@ pub mod spill;
 pub mod tiles;
 pub mod view;
 
-pub use checkpoint::{CheckpointError, CheckpointStore, Manifest, TileLoad};
+pub use checkpoint::{CheckpointError, CheckpointStore, TileLoad};
 pub use config::GramConfig;
 pub use engine::{BlockOutcome, GramEngine, GramError, GramOutcome, GramReport};
 pub use fingerprint::{encoding_fingerprint, JobKind, JobSpec};

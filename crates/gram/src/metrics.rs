@@ -170,8 +170,8 @@ pub struct GramProgress {
     pub inner_products_total: u64,
     /// Checkpoint store/load attempts retried under the backoff policy.
     pub retries: u64,
-    /// Tiles whose persisted file was quarantined (deleted) after
-    /// persistently failing to load; each was recomputed.
+    /// Tiles whose persisted record was quarantined (dropped from the
+    /// index) after persistently failing to load; each was recomputed.
     pub tiles_quarantined: u64,
     /// Worker restarts after a caught mid-tile panic.
     pub workers_restarted: u64,

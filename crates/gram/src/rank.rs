@@ -7,12 +7,13 @@
 //! the heartbeat timeout without announcing completion, the coordinator
 //! declares it dead ([`qk_mpi::HeartbeatMonitor`]) and partitions the
 //! dead rank's tiles over the survivors, who *adopt* them — each
-//! orphan is recovered from the dead rank's checkpoint directory when a
-//! verified tile file exists there, and recomputed (then persisted by
-//! its adopter) otherwise. Assembly at rank 0 reads every tile back
-//! from whichever directory holds it, falling back to a local
-//! recompute, so the job completes — bitwise identical to a
-//! single-process run — as long as rank 0 survives.
+//! orphan is recovered from the dead rank's checkpoint log (read front
+//! to back when the adopter opens it) when a verified record exists
+//! there, and recomputed (then persisted by its adopter) otherwise.
+//! Assembly at rank 0 reads every tile back from whichever directory
+//! holds it, falling back to a local recompute, so the job completes —
+//! bitwise identical to a single-process run — as long as rank 0
+//! survives.
 //!
 //! Every rank restores, computes and persists its tiles through one
 //! [`TileRunner`] persisting into its own directory, the same runner
@@ -54,6 +55,7 @@ use qk_mpi::{run_world, HeartbeatMonitor, Process, Source, ANY_TAG};
 use qk_mps::{Mps, ZipperWorkspace};
 use qk_obs::{Journal, TraceLane, TracePhase, Tracer};
 use qk_tensor::backend::ExecutionBackend;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -122,7 +124,7 @@ pub struct RankSummary {
     pub tiles_completed: u64,
     /// Orphaned tiles recovered from a dead rank's checkpoint.
     pub tiles_adopted: u64,
-    /// Orphaned tiles recomputed (dead rank left no usable file).
+    /// Orphaned tiles recomputed (dead rank left no usable record).
     pub tiles_recomputed: u64,
     /// Whether this rank died mid-job (injected death).
     pub died: bool,
@@ -303,6 +305,8 @@ impl<'a> RankTiles<'a> {
     /// recovered from its dead owner's checkpoint, else recomputed into
     /// this rank's own directory. Returns `(recovered, recomputed)`.
     fn adopt(&mut self, orphans: &[u64]) -> (u64, u64) {
+        // Each dead owner's log is opened, so read through, once.
+        let mut dead_logs = BTreeMap::new();
         let mut recovered = 0;
         for &idx in orphans {
             let tile = &self.job.plan.tiles[idx as usize];
@@ -312,9 +316,10 @@ impl<'a> RankTiles<'a> {
                     .as_ref()
                     .map(|l| l.span_args(TracePhase::Rebalance, tile.bi as i64, tile.bj as i64));
                 let dead = TilePlan::owner(idx as usize, self.job.cfg.ranks);
-                self.job
-                    .store(dead)
-                    .and_then(|s| self.runner.restore(&s, tile))
+                let log = dead_logs
+                    .entry(dead)
+                    .or_insert_with(|| self.job.store(dead));
+                log.as_ref().and_then(|s| self.runner.restore(s, tile))
             };
             if restored.is_some() {
                 recovered += 1;

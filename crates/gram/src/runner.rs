@@ -313,12 +313,12 @@ impl<'a> TileRunner<'a> {
         }
     }
 
-    /// Reads `tile` back from `store`: `Some` only for a file that
-    /// passes checksum, fingerprint and geometry checks. A file that
-    /// fails them is deleted by the load; one whose reads keep erroring
-    /// after backoff is quarantined. Either way the tile recomputes, and
-    /// tiles are deterministic, so the replacement is bitwise identical
-    /// to what the file held.
+    /// Reads `tile` back from `store`: `Some` only for a record that
+    /// passes checksum, fingerprint and geometry checks. A record that
+    /// fails them leaves the store's index on load; one whose reads keep
+    /// erroring after backoff is quarantined. Either way the tile
+    /// recomputes, and tiles are deterministic, so the replacement is
+    /// bitwise identical to what the record held.
     pub fn restore(&self, store: &CheckpointStore, tile: &Tile) -> Option<Vec<f64>> {
         let retried = self.retry.run(|| {
             self.chaos.gate(sites::GRAM_CKPT_LOAD, || {
@@ -336,7 +336,7 @@ impl<'a> TileRunner<'a> {
             Ok(TileLoad::Missing) => return None,
             Ok(TileLoad::Corrupt) => "tile_corrupt_recomputed",
             Err(_persistent) => {
-                let _ = store.quarantine(tile);
+                store.quarantine(tile);
                 self.metrics.record_quarantined();
                 "tile_quarantined"
             }

@@ -1,10 +1,10 @@
-//! Property tests for the checkpoint decoders: arbitrary, truncated or
-//! bit-flipped bytes fed through the manifest and tile paths must be
-//! classified (rejected or quarantined), never panic the process.
+//! Property tests for the checkpoint log: arbitrary, truncated or
+//! bit-flipped bytes in its manifest and tile records must be classified
+//! (rejected, cut off or recomputed), never panic the process.
 
 use proptest::prelude::*;
 use qk_gram::{CheckpointError, CheckpointStore, JobKind, JobSpec, Tile, TileLoad, TilePlan};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -34,17 +34,27 @@ fn spec() -> JobSpec {
     }
 }
 
+/// The log's path in `dir`.
+fn log(dir: &Path) -> PathBuf {
+    dir.join("gram.qkg")
+}
+
+/// What a fresh open of `dir`, which must succeed, restores for `tile`.
+fn reloaded(dir: &Path, tile: &Tile) -> Option<Vec<f64>> {
+    loaded(&CheckpointStore::open(dir, &spec()).unwrap(), tile)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A manifest file holding arbitrary garbage is rejected with a
+    /// A log whose manifest is arbitrary garbage is rejected with a
     /// typed error — the open never panics and never silently succeeds
     /// on bytes that are not a valid manifest for this job.
     #[test]
     fn arbitrary_manifest_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
         let dir = scratch("manifest");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("manifest.qkg"), &bytes).unwrap();
+        std::fs::write(log(&dir), &bytes).unwrap();
         match CheckpointStore::open(&dir, &spec()) {
             Err(CheckpointError::CorruptManifest { .. })
             | Err(CheckpointError::Mismatch { .. }) => {}
@@ -63,7 +73,7 @@ proptest! {
     fn mangled_valid_manifest_is_rejected(cut in 0usize..49, flip in 0usize..49) {
         let dir = scratch("mangle");
         CheckpointStore::open(&dir, &spec()).unwrap();
-        let path = dir.join("manifest.qkg");
+        let path = log(&dir);
         let valid = std::fs::read(&path).unwrap();
         prop_assert_eq!(valid.len(), 49);
 
@@ -83,20 +93,34 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A tile file holding arbitrary garbage classifies as corrupt (and
-    /// is quarantined), never panics, never loads.
+    /// A tile record holding arbitrary garbage, with or without a valid
+    /// header for the tile in front, is cut off as a torn tail or
+    /// classified corrupt: never panics, never loads.
     #[test]
-    fn arbitrary_tile_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+    fn arbitrary_tile_bytes_never_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        with_header in any::<bool>(),
+    ) {
         let dir = scratch("tile");
         let spec = spec();
-        let store = CheckpointStore::open(&dir, &spec).unwrap();
+        CheckpointStore::open(&dir, &spec).unwrap();
         let tile = TilePlan::symmetric(spec.rows, spec.tile).tiles[1];
-        std::fs::write(dir.join("tiles").join("t_0_1.qkt"), &bytes).unwrap();
-        prop_assert_eq!(loaded(&store, &tile), None);
+        let mut record = Vec::new();
+        if with_header {
+            record.extend_from_slice(b"QKTILE1\0");
+            for v in [spec.fingerprint(), 0, 1, tile.rows as u64, tile.cols as u64] {
+                record.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        record.extend_from_slice(&bytes);
+        let mut all = std::fs::read(log(&dir)).unwrap();
+        all.extend_from_slice(&record);
+        std::fs::write(log(&dir), &all).unwrap();
+        prop_assert_eq!(reloaded(&dir, &tile), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Truncating or bit-flipping a valid tile file is always caught.
+    /// Truncating or bit-flipping a valid tile record is always caught.
     #[test]
     fn mangled_valid_tile_is_rejected(frac in 0.0f64..1.0, flip_frac in 0.0f64..1.0) {
         let dir = scratch("tilemangle");
@@ -105,23 +129,25 @@ proptest! {
         let tile = TilePlan::symmetric(spec.rows, spec.tile).tiles[1];
         let payload: Vec<f64> = (0..tile.len()).map(|k| k as f64 * 0.5).collect();
         store.store(&tile, &payload).unwrap();
-        let path = dir.join("tiles").join("t_0_1.qkt");
+        drop(store);
+        let path = log(&dir);
         let valid = std::fs::read(&path).unwrap();
+        let record = valid.len() - 49;
 
-        let cut = ((valid.len() - 1) as f64 * frac) as usize;
+        let cut = 49 + ((record - 1) as f64 * frac) as usize;
         std::fs::write(&path, &valid[..cut]).unwrap();
-        prop_assert_eq!(loaded(&store, &tile), None);
+        prop_assert_eq!(reloaded(&dir, &tile), None);
 
         let mut flipped = valid.clone();
-        let at = ((valid.len() - 1) as f64 * flip_frac) as usize;
+        let at = 49 + ((record - 1) as f64 * flip_frac) as usize;
         flipped[at] ^= 0x10;
         std::fs::write(&path, &flipped).unwrap();
-        prop_assert_eq!(loaded(&store, &tile), None);
+        prop_assert_eq!(reloaded(&dir, &tile), None);
 
         // The pristine bytes still load, so the rejections above were
         // the mutations' doing, not a broken fixture.
         std::fs::write(&path, &valid).unwrap();
-        prop_assert_eq!(loaded(&store, &tile), Some(payload));
+        prop_assert_eq!(reloaded(&dir, &tile), Some(payload));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,7 @@ use qk_circuit::ansatz::{feature_map_circuit, AnsatzConfig};
 use qk_gram::{rank_distributed_gram, GramConfig, GramEngine, RankConfig};
 use qk_mps::{Mps, MpsSimulator, TruncationConfig};
 use qk_tensor::backend::CpuBackend;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -42,6 +42,24 @@ fn clean_kernel(st: &[Mps]) -> Vec<f64> {
     let engine = GramEngine::new(GramConfig::in_memory(3));
     let out = engine.compute_gram(st, &CpuBackend::new()).unwrap();
     out.kernel.data().to_vec()
+}
+
+fn read(path: &Path) -> Vec<u8> {
+    std::fs::read(path).unwrap()
+}
+
+/// Offset and `(bi, bj)` of every tile record in a checkpoint log: a
+/// 49-byte manifest, then records of 48 header bytes, `rows x cols`
+/// f64s and a checksum.
+fn records(log: &[u8]) -> Vec<(usize, (u64, u64))> {
+    let field = |at: usize| u64::from_le_bytes(log[at..at + 8].try_into().unwrap());
+    let mut out = Vec::new();
+    let mut at = 49;
+    while at < log.len() {
+        out.push((at, (field(at + 16), field(at + 24))));
+        at += 56 + 8 * (field(at + 32) * field(at + 40)) as usize;
+    }
+    out
 }
 
 fn drill_config(ranks: usize, dir: &PathBuf) -> RankConfig {
@@ -178,25 +196,18 @@ fn damaged_rank_checkpoints_recompute_only_their_tiles() {
     let clean = clean_kernel(&st);
     let dir = scratch("damaged");
     rank_distributed_gram(&st, &CpuBackend::new(), &drill_config(3, &dir));
-    // Flip one byte of a rank-1 tile file, truncate a rank-2 one.
-    let first_tile = |rank: usize| {
-        let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join(format!("rank_{rank}/tiles")))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
-        files.swap_remove(0)
-    };
-    let (flipped, truncated) = (first_tile(1), first_tile(2));
-    let mut bytes = std::fs::read(&flipped).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&flipped, &bytes).unwrap();
-    let bytes = std::fs::read(&truncated).unwrap();
-    std::fs::write(&truncated, &bytes[..bytes.len() - 5]).unwrap();
+    // Flip one payload byte of rank 1's first tile record, truncate the
+    // last record of rank 2's log.
+    let log = |rank: usize| dir.join(format!("rank_{rank}/gram.qkg"));
+    let (mut bytes1, bytes2) = (read(&log(1)), read(&log(2)));
+    let (first, last) = (records(&bytes1)[0], *records(&bytes2).last().unwrap());
+    bytes1[first.0 + 48 + 8] ^= 0xFF;
+    std::fs::write(log(1), &bytes1).unwrap();
+    std::fs::write(log(2), &bytes2[..bytes2.len() - 5]).unwrap();
 
-    // The rerun deletes both damaged files on load, recomputes exactly
-    // those two tiles on their owners and restores the other eight.
+    // The rerun drops the corrupt record on load and the torn one on
+    // open, recomputes exactly those two tiles on their owners and
+    // restores the other eight.
     let tracer = Tracer::new();
     let cfg = RankConfig {
         trace: Some(tracer.clone()),
@@ -205,17 +216,16 @@ fn damaged_rank_checkpoints_recompute_only_their_tiles() {
     let out = rank_distributed_gram(&st, &CpuBackend::new(), &cfg);
     assert_eq!(out.kernel.data(), clean.as_slice());
     assert_eq!(out.report.dead_ranks, Vec::<usize>::new());
-    let mut computed: Vec<(u32, String)> = tracer
+    let mut computed: Vec<(u32, (u64, u64))> = tracer
         .events()
         .iter()
         .filter(|e| e.phase == TracePhase::Compute)
-        .map(|e| (e.rank, format!("t_{}_{}.qkt", e.arg0, e.arg1)))
+        .map(|e| (e.rank, (e.arg0 as u64, e.arg1 as u64)))
         .collect();
     computed.sort();
-    let name = |p: &PathBuf| p.file_name().unwrap().to_str().unwrap().to_string();
     assert_eq!(
         computed,
-        vec![(1, name(&flipped)), (2, name(&truncated))],
+        vec![(1, first.1), (2, last.1)],
         "only the damaged tiles recompute, each on its owner"
     );
     // Both replacements are valid again: a third run restores them all.
