@@ -15,7 +15,8 @@
 //! * per-feature noise keeps single features weak, so small training sets
 //!   overfit at high feature counts — test AUC improves with sample count.
 //!
-//! Generation is fully deterministic given the seed.
+//! Generation is fully deterministic given the seed, and independent of
+//! the thread count it runs on.
 
 use crate::dataset::{Dataset, Label};
 use rand::{Rng, SeedableRng};
@@ -102,11 +103,27 @@ fn latent_score(z: &[f64]) -> f64 {
 /// landing the achievable AUC in the paper's 0.8-0.95 band.
 const SCORE_MARGIN: f64 = 0.25;
 
-/// Generates the dataset described by `config`.
+/// Generates the dataset described by `config` on
+/// `min(available_parallelism, rows)` threads.
 ///
 /// Samples appear in illicit-then-licit order; downstream code shuffles
 /// with its own seeding during subsampling/splits.
 pub fn generate(config: &SyntheticConfig) -> Dataset {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    generate_on(threads, config)
+}
+
+/// The one body of [`generate`], on `threads` threads (inline at one).
+///
+/// The dataset is one ChaCha8 stream: `W`'s `4·F·L` words, then per row
+/// its latent tries (`4·L` words each, the last one accepted) and its
+/// `4·F` noise words. The calling thread rejection-samples every row's
+/// latent vector in stream order, keeps only the position of the
+/// accepted try and seeks over the noise. The rows then fill in
+/// contiguous blocks, one per thread, each replaying its rows' accepted
+/// tries from those positions: every draw reads the words it read in one
+/// sequential pass, so no bit depends on the thread count.
+fn generate_on(threads: usize, config: &SyntheticConfig) -> Dataset {
     assert!(config.latent_dim >= 4, "latent_dim must be at least 4");
     assert!(config.num_features >= 1, "need at least one feature");
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -124,52 +141,79 @@ pub fn generate(config: &SyntheticConfig) -> Dataset {
         })
         .collect();
 
+    // Rows and scratch are allocated here, on the calling thread, rows
+    // first: a row built in a worker's malloc arena would pin that arena
+    // (DESIGN.md, "State fan-out"), and side data freed beneath the rows
+    // would leave them nothing live above, so dropping the dataset would
+    // hand its pages back to the system for the next one to fault in.
     let total = config.num_illicit + config.num_licit;
-    let mut features = Vec::with_capacity(total);
+    let mut features: Vec<Vec<f64>> = (0..total)
+        .map(|_| Vec::with_capacity(config.num_features))
+        .collect();
     let mut labels = Vec::with_capacity(total);
-
-    let draw_class = |rng: &mut ChaCha8Rng, want_positive: bool| -> Vec<f64> {
-        // Rejection-sample a latent vector on the requested side of the
-        // decision surface (with margin).
-        loop {
-            let z: Vec<f64> = (0..config.latent_dim).map(|_| normal(rng)).collect();
-            let s = latent_score(&z);
-            let ok = if want_positive {
-                s > SCORE_MARGIN
-            } else {
-                s < -SCORE_MARGIN
-            };
-            if ok {
-                return z;
-            }
-        }
-    };
-
-    for class_positive in [true, false] {
-        let count = if class_positive {
-            config.num_illicit
-        } else {
-            config.num_licit
-        };
+    let mut starts = Vec::with_capacity(total);
+    let mut z = vec![0.0; config.latent_dim];
+    let noise_words = 4 * config.num_features as u128;
+    for (label, count) in [
+        (Label::Illicit, config.num_illicit),
+        (Label::Licit, config.num_licit),
+    ] {
         for _ in 0..count {
-            let z = draw_class(&mut rng, class_positive);
-            let row: Vec<f64> = w
-                .iter()
-                .map(|wj| {
-                    let signal: f64 = wj.iter().zip(&z).map(|(a, b)| a * b).sum();
-                    signal + config.noise * normal(&mut rng)
-                })
-                .collect();
-            features.push(row);
-            labels.push(if class_positive {
-                Label::Illicit
-            } else {
-                Label::Licit
-            });
+            // Rejection-sample a latent vector on the requested side of
+            // the decision surface (with margin).
+            let start = loop {
+                let start = rng.word_pos();
+                z.iter_mut().for_each(|x| *x = normal(&mut rng));
+                let s = latent_score(&z);
+                if s * label.sign() > SCORE_MARGIN {
+                    break start;
+                }
+            };
+            starts.push(start as u64);
+            labels.push(label);
+            rng.set_word_pos(rng.word_pos() + noise_words);
         }
     }
 
+    let threads = threads.min(total);
+    if threads <= 1 {
+        fill_rows(&mut features, &starts, &w, &mut z, config);
+    } else {
+        let chunk = total.div_ceil(threads);
+        let mut scratch = vec![z.clone(); threads - 1];
+        std::thread::scope(|scope| {
+            let mut blocks = features.chunks_mut(chunk).zip(starts.chunks(chunk));
+            let (own_rows, own_starts) = blocks.next().expect("at least two rows");
+            for ((rows, starts), z) in blocks.zip(&mut scratch) {
+                let w = &w;
+                scope.spawn(move || fill_rows(rows, starts, w, z, config));
+            }
+            fill_rows(own_rows, own_starts, &w, &mut z, config);
+        });
+    }
     Dataset::new(features, labels)
+}
+
+/// The noise pass over one block: seeks to each row's accepted latent
+/// try, replays it into `z`, then pushes one feature per row of `w`,
+/// each right after its signal's dot product, as the stream lays them
+/// out. Allocates nothing: every row arrives empty with capacity `F`.
+fn fill_rows(
+    rows: &mut [Vec<f64>],
+    starts: &[u64],
+    w: &[Vec<f64>],
+    z: &mut [f64],
+    config: &SyntheticConfig,
+) {
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    for (row, &start) in rows.iter_mut().zip(starts) {
+        rng.set_word_pos(start.into());
+        z.iter_mut().for_each(|x| *x = normal(&mut rng));
+        for wj in w {
+            let signal: f64 = wj.iter().zip(&*z).map(|(a, b)| a * b).sum();
+            row.push(signal + config.noise * normal(&mut rng));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -269,6 +313,37 @@ mod tests {
         assert_eq!(cfg.num_features, 165);
         assert_eq!(cfg.num_illicit, 4_545);
         assert_eq!(cfg.num_licit, 42_019);
+    }
+
+    #[test]
+    fn every_thread_count_builds_the_same_bits() {
+        let odd = SyntheticConfig {
+            num_illicit: 2,
+            num_licit: 1,
+            ..SyntheticConfig::small(5)
+        };
+        for cfg in [SyntheticConfig::small(3), odd] {
+            let one = generate_on(1, &cfg);
+            for t in [2, 3, 7] {
+                let many = generate_on(t, &cfg);
+                assert_eq!(one.labels, many.labels, "{t} threads");
+                let bits = |d: &Dataset| -> Vec<u64> {
+                    d.features.iter().flatten().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&one), bits(&many), "{t} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn normal_reads_exactly_four_words() {
+        // The seek arithmetic (4·L words per latent try, 4·F per row's
+        // noise) rests on this: one `next_u64` each for u1 and u2.
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for k in 1..=40u128 {
+            let _ = normal(&mut rng);
+            assert_eq!(rng.word_pos(), 4 * k);
+        }
     }
 
     #[test]
